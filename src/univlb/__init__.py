@@ -8,7 +8,6 @@ from .adversary import (
     TspAdversaryConfig,
     block_alternation,
     check_separation,
-    first_edge_set,
     good_walk_frequency,
     is_good_walk,
     steiner_adversary_sample,

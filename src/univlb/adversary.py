@@ -124,11 +124,6 @@ def steiner_adversary_sample(
     return w, x
 
 
-def first_edge_set(p: PathCollection) -> frozenset[tuple[int, int]]:
-    """The bad-edge set F: the first edge of every vertex-to-root path."""
-    return p.first_edges
-
-
 def is_good_walk(
     w: WalkTrace, F: frozenset[tuple[int, int]], cfg: SteinerAdversaryConfig
 ) -> tuple[bool, int, int]:
@@ -300,6 +295,21 @@ def _block_of_position(i: int, order_len: int, blocks: int) -> int:
     return min(i // size, blocks - 1)
 
 
+def _blocks_hit(
+    sigma: TourOrder, x1: set[int], x2: set[int], blocks: int
+) -> tuple[set[int], set[int]]:
+    """The blocks of the tour that hold a vertex of x1, and those of x2."""
+    hit1: set[int] = set()
+    hit2: set[int] = set()
+    for i, v in enumerate(sigma.order):
+        b = _block_of_position(i, len(sigma.order), blocks)
+        if v in x1:
+            hit1.add(b)
+        if v in x2:
+            hit2.add(b)
+    return hit1, hit2
+
+
 def block_alternation(
     sigma: TourOrder, x1: set[int], x2: set[int], blocks: int,
     alternation_fraction: float = 3.0 / 4.0,
@@ -310,15 +320,7 @@ def block_alternation(
     inclusion-exclusion then forces at least blocks/4 shared blocks
     (asserted -- a failure would be an arithmetic impossibility).
     """
-    order = sigma.order
-    hit1 = set()
-    hit2 = set()
-    for i, v in enumerate(order):
-        b = _block_of_position(i, len(order), blocks)
-        if v in x1:
-            hit1.add(b)
-        if v in x2:
-            hit2.add(b)
+    hit1, hit2 = _blocks_hit(sigma, x1, x2, blocks)
     b1, b2 = len(hit1), len(hit2)
     shared = len(hit1 & hit2)
     e2 = b1 >= alternation_fraction * blocks and b2 >= alternation_fraction * blocks
@@ -348,9 +350,11 @@ def tsp_certificate(
         raise PreconditionError("terminal classes overlap; E1 cannot have held")
     pos = sigma.positions()
     xs = sorted((v for v in (x1 | x2) if v != sigma.root), key=pos.__getitem__)
-    shared = _shared_blocks(sigma, x1, x2, blocks)
+    hit1, hit2 = _blocks_hit(sigma, x1, x2, blocks)
+    shared = len(hit1 & hit2)
     if not xs:
-        return CertificateResult(holds=True, lhs=0.0, rhs=0.0, witness={"pairs": []})
+        return CertificateResult(holds=True, lhs=0.0, rhs=0.0,
+                                 witness={"pairs": [], "shared": shared})
 
     # Projected tour cost, exact.
     lhs = m.d(sigma.root, xs[0]) + m.d(xs[-1], sigma.root)
@@ -378,14 +382,3 @@ def tsp_certificate(
         holds=holds, lhs=float(lhs), rhs=rhs,
         witness={"pairs": pairs, "shared": shared},
     )
-
-
-def _shared_blocks(sigma: TourOrder, x1: set[int], x2: set[int], blocks: int) -> int:
-    hit1, hit2 = set(), set()
-    for i, v in enumerate(sigma.order):
-        b = _block_of_position(i, len(sigma.order), blocks)
-        if v in x1:
-            hit1.add(b)
-        if v in x2:
-            hit2.add(b)
-    return len(hit1 & hit2)

@@ -16,17 +16,19 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
-from .expanders import lps_graph, random_regular, second_eigenvalue, write_certificate
+from .expanders import lps_graph, random_regular, write_certificate
 from .experiments import (
     CertificateFalsification,
     ConfigError,
     RunConfig,
     emit_plot_data,
+    regular_certificate,
     run_experiment,
 )
-from .graphs import GraphError, diameter_ecc, girth, write_graph
+from .graphs import GraphError, write_graph
 from .metric import (
     random_euclidean_metric,
     random_uniform_metric,
@@ -112,12 +114,7 @@ def cmd_gen_expander(args) -> int:
             print("gen-expander --kind regular needs --n and --d", file=sys.stderr)
             return 1
         g = random_regular(args.n, args.d, seed)
-        from .expanders import ExpanderCertificate
-        cert = ExpanderCertificate(
-            n=g.n, d=args.d, beta=second_eigenvalue(g, tol=1e-6),
-            girth=girth(g), diameter=diameter_ecc(g, 0), construction="random-regular",
-            ramanujan_bound=None, bipartite=False, simple=g.simple,
-        )
+        cert, _ = regular_certificate(g, 0, RunConfig.metric_cap)
     write_graph(g, args.out)
     write_certificate(cert, str(args.out) + ".cert.json")
     print(f"wrote {args.out} (n={g.n}, m={g.m}) and {args.out}.cert.json "
@@ -138,12 +135,7 @@ def cmd_gen_instance(args) -> int:
 
 
 def cmd_run(args, pipeline: str) -> int:
-    overrides = {
-        key: getattr(args, key, None)
-        for key in ("graph", "solution", "solution_count", "trials", "t", "blocks",
-                    "oracle_cap", "seed", "csv", "json", "metrics", "universe",
-                    "mechanisms", "eps")
-    }
+    overrides = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
     overrides["pipeline"] = pipeline
     file_values = RunConfig.parse_file(args.config) if args.config else {}
     # seed precedence: --seed > config file > UNIVLB_SEED > 0

@@ -24,7 +24,7 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -39,9 +39,9 @@ from .adversary import (
     steiner_certificate,
     tsp_certificate,
 )
-from .expanders import lps_graph, random_regular, second_eigenvalue
+from .expanders import ExpanderCertificate, lps_graph, random_regular, second_eigenvalue
 from .frt import frt_sample, hst_dominates, hst_to_spanning_tree, stretch_stats
-from .graphs import Graph, bfs_distances, girth as graph_girth, read_graph
+from .graphs import Graph, bfs_distances, bipartition, girth as graph_girth, read_graph
 from .metric import (
     MetricSpace,
     random_euclidean_metric,
@@ -83,67 +83,57 @@ class CertificateFalsification(RuntimeError):
 
 PIPELINES = ("steiner-lb", "tsp-lb", "universal-upper", "dp-transfer")
 
-_DEFAULTS: dict[str, object] = {
-    "pipeline": "",
-    "graph": "",
-    "solution": "spt",
-    "solution_count": 16,
-    "trials": 1000,
-    "t": "auto",
-    "blocks": "auto",
-    "gamma": 1.0,
-    "separation_multiplier": 3,
-    "oracle_cap": 0,
-    "metric_cap": 6000,
-    "seed": 0,
-    "root": 0,
-    "csv": "",
-    "json": "",
-    # universal-upper specifics
-    "metrics": 20,
-    "metric_kind": "euclidean",
-    "metric_size_min": 32,
-    "metric_size_max": 64,
-    "trees_per_metric": 10,
-    "terminals_per_metric": 3,
-    "max_terminals": 10,
-    # dp-transfer specifics
-    "universe": 8,
-    "mechanisms": 20,
-    "eps": 0.5,
-}
-
-_INT_KEYS = {
-    "solution_count", "trials", "separation_multiplier", "oracle_cap",
-    "metric_cap", "seed", "root", "metrics", "metric_size_min",
-    "metric_size_max", "trees_per_metric", "terminals_per_metric",
-    "max_terminals", "universe", "mechanisms",
-}
-_FLOAT_KEYS = {"gamma", "eps"}
-
-
 @dataclass(frozen=True)
 class RunConfig:
-    values: dict[str, object]
+    """One run's settings. The fields are exactly the keys that ``make``,
+    config files and the ``run-*`` flags accept; each annotation names the
+    type a string value is coerced to (``int | str``: a count or "auto")."""
 
-    def __getattr__(self, key: str):
-        try:
-            return self.values[key]
-        except KeyError:
-            raise AttributeError(key) from None
+    pipeline: str = ""
+    graph: str = ""
+    solution: str = "spt"
+    solution_count: int = 16
+    trials: int = 1000
+    t: int | str = "auto"
+    blocks: int | str = "auto"
+    gamma: float = 1.0
+    separation_multiplier: int = 3
+    oracle_cap: int = 0
+    metric_cap: int = 6000
+    seed: int = 0
+    root: int = 0
+    csv: str = ""
+    json: str = ""
+    # universal-upper specifics
+    metrics: int = 20
+    metric_kind: str = "euclidean"
+    metric_size_min: int = 32
+    metric_size_max: int = 64
+    trees_per_metric: int = 10
+    terminals_per_metric: int = 3
+    max_terminals: int = 10
+    # dp-transfer specifics
+    universe: int = 8
+    mechanisms: int = 20
+    eps: float = 0.5
+
+    @property
+    def values(self) -> dict[str, object]:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @staticmethod
     def make(**overrides) -> "RunConfig":
-        values = dict(_DEFAULTS)
+        types = {f.name: f.type for f in fields(RunConfig)}
+        values = {}
         for key, val in overrides.items():
-            if key not in _DEFAULTS:
+            if key not in types:
                 raise ConfigError(f"unknown config key {key!r}")
-            if val is None:
-                continue
-            values[key] = _coerce(key, val)
-        if values["pipeline"] not in PIPELINES:
+            if val is not None:
+                values[key] = _coerce(types[key], val)
+        cfg = RunConfig(**values)
+        if cfg.pipeline not in PIPELINES:
             raise ConfigError(f"pipeline must be one of {PIPELINES}")
-        return RunConfig(values=values)
+        return cfg
 
     @staticmethod
     def parse_file(path: str | Path) -> dict[str, str]:
@@ -165,14 +155,10 @@ class RunConfig:
         return RunConfig.make(**values)
 
 
-def _coerce(key: str, val: object) -> object:
-    if key in _INT_KEYS:
-        return int(val)
-    if key in _FLOAT_KEYS:
-        return float(val)
-    if key in ("t", "blocks"):
+def _coerce(annotation: str, val: object) -> object:
+    if annotation == "int | str":
         return val if val == "auto" else int(val)
-    return str(val)
+    return {"int": int, "float": float, "str": str}[annotation](val)
 
 
 @dataclass
@@ -251,9 +237,8 @@ def load_instance(spec_str: str, root: int, metric_cap: int, need_metric: bool) 
         n, d = parts[0], parts[1]
         seed = parts[2] if len(parts) > 2 else 0
         g = random_regular(n, d, seed)
-        gir = graph_girth(g)
-        beta = second_eigenvalue(g, tol=1e-6)
-        diam, diam_exact = _diameter_bound(g, root, metric_cap)
+        cert, diam_exact = regular_certificate(g, root, metric_cap)
+        gir, diam, beta = cert.girth, cert.diameter, cert.beta
         label = f"regular({n},{d})"
     elif kind == "file":
         g = read_graph(rest)
@@ -282,6 +267,21 @@ def _diameter_bound(g: Graph, root: int, metric_cap: int) -> tuple[int, bool]:
         return int(m.dist.max()), True
     ecc = int(bfs_distances(g, root).max())
     return 2 * ecc, False
+
+
+def regular_certificate(g: Graph, root: int, metric_cap: int) -> tuple[ExpanderCertificate, bool]:
+    """Certificate of a random regular graph, and whether its diameter is exact.
+
+    The diameter follows ``_diameter_bound``: exact up to ``metric_cap``
+    vertices, else the upper bound 2 * ecc(root).
+    """
+    diam, exact = _diameter_bound(g, root, metric_cap)
+    cert = ExpanderCertificate(
+        n=g.n, d=int(g.degrees.max()), beta=second_eigenvalue(g, tol=1e-6),
+        girth=graph_girth(g), diameter=diam, construction="random-regular",
+        ramanujan_bound=None, bipartite=bipartition(g) is not None, simple=g.simple,
+    )
+    return cert, exact
 
 
 LB_COLUMNS = [
@@ -313,60 +313,18 @@ def run_steiner_lb(cfg: RunConfig) -> ExperimentReport:
     t = max(1, inst.girth // 3) if cfg.t == "auto" else int(cfg.t)
     adv = SteinerAdversaryConfig(t=t, certificate_mode=(3 * t <= inst.girth))
     solutions = _steiner_solutions(cfg, inst)
-    f_sets = [p.first_edges for p in solutions]
-    # The girth certificate argues about graph cycles; it only applies to
-    # collections whose paths are walks in the graph (SPT yes; contracted
-    # tree solutions carry metric edges and are measured, not certified).
-    certifiable = [_graph_paths(p, inst.graph) for p in solutions]
-    budget = _budget(cfg.oracle_cap)
 
-    rows: list[dict[str, object]] = []
-    good_count = 0
-    certified = 0
-    ratios: list[float] = []
-    for trial in range(cfg.trials):
-        sol_idx = 0
-        if len(solutions) > 1:
-            sol_idx = int(rngs.stream(cfg.seed, rngs.SOLUTION, trial).integers(len(solutions)))
-        paths = solutions[sol_idx]
-        F = f_sets[sol_idx]
-        walk = random_walk(inst.graph, adv.t, rngs.stream(cfg.seed, rngs.WALK, trial))
-        x = frozenset(walk.distinct()) - {cfg.root}
-        good, bad, distinct = is_good_walk(walk, F, adv)
-        lhs, _ = project_paths(paths, x, inst.metric)
-        rhs = len(x) * inst.girth / 6.0
-        if good:
-            good_count += 1
-            if adv.certificate_mode and certifiable[sol_idx]:
-                cert = steiner_certificate(paths, walk, inst.girth, adv, inst.metric)
-                certified += 1
-                if not cert.holds:
-                    raise CertificateFalsification(
-                        f"steiner certificate failed at trial {trial}: {cert.witness}"
-                    )
-        opt, opt_kind = _steiner_opt(inst, x, walk, adv.t, budget, cfg.oracle_cap)
-        ratio = lhs / opt if opt > 0 else float("nan")
-        if x:
-            ratios.append(ratio)
-        rows.append({
-            "trial": trial, "n": inst.graph.n, "d": inst.d, "girth": inst.girth,
-            "t": adv.t, "x_size": len(x), "good": good, "e1": None, "e2": None,
-            "shared": None, "lhs": lhs, "rhs": rhs, "ratio": ratio,
-            "opt_kind": opt_kind,
-        })
+    def pick(trial: int) -> int:
+        if len(solutions) == 1:
+            return 0
+        return int(rngs.stream(cfg.seed, rngs.SOLUTION, trial).integers(len(solutions)))
 
-    report = ExperimentReport(config=dict(cfg.values), columns=LB_COLUMNS, rows=rows)
-    arr = np.array(ratios) if ratios else np.array([np.nan])
-    report.aggregates = {
-        "good_walk_frequency": good_count / cfg.trials if cfg.trials else 0.0,
-        "certificate_failures": 0,
-        "certified_samples": certified,
-        "ratio_median": float(np.median(arr)),
-        "ratio_q25": float(np.quantile(arr, 0.25)),
-        "ratio_q75": float(np.quantile(arr, 0.75)),
+    report = _steiner_trials(inst, solutions, pick, adv, cfg.trials, cfg.seed, cfg.root,
+                             cfg.oracle_cap, config=cfg.values)
+    report.aggregates.update({
         "girth": inst.girth, "diameter": inst.diameter, "beta": inst.beta,
         "t": adv.t, "label": inst.label,
-    }
+    })
     freq = report.aggregates["good_walk_frequency"]
     stderr = math.sqrt(max(freq * (1 - freq), 0.0) / cfg.trials) if cfg.trials else 0.0
     report.series = [
@@ -381,6 +339,71 @@ def run_steiner_lb(cfg: RunConfig) -> ExperimentReport:
             "ci_lo": freq - 3 * stderr, "ci_hi": freq + 3 * stderr,
         },
     ]
+    return report
+
+
+def _steiner_trials(
+    inst: InstanceBundle,
+    solutions: list[PathCollection],
+    pick,
+    adv: SteinerAdversaryConfig,
+    trials: int,
+    seed: int,
+    root: int,
+    oracle_cap: int,
+    config: dict[str, object],
+) -> ExperimentReport:
+    """The Steiner lower-bound trial loop; ``pick(trial)`` draws the index of
+    the trial's solution. Good walks are certified when ``adv`` is in
+    certificate mode and the solution's paths are walks in the graph."""
+    f_sets = [p.first_edges for p in solutions]
+    # The girth certificate argues about graph cycles; it only applies to
+    # collections whose paths are walks in the graph (SPT yes; contracted
+    # tree solutions carry metric edges and are measured, not certified).
+    certifiable = [_graph_paths(p, inst.graph) for p in solutions]
+    budget = _budget(oracle_cap)
+
+    rows: list[dict[str, object]] = []
+    good_count = 0
+    certified = 0
+    ratios: list[float] = []
+    for trial in range(trials):
+        sol_idx = pick(trial)
+        paths = solutions[sol_idx]
+        walk = random_walk(inst.graph, adv.t, rngs.stream(seed, rngs.WALK, trial))
+        x = frozenset(walk.distinct()) - {root}
+        good, _, _ = is_good_walk(walk, f_sets[sol_idx], adv)
+        lhs, _ = project_paths(paths, x, inst.metric)
+        if good:
+            good_count += 1
+            if adv.certificate_mode and certifiable[sol_idx]:
+                cert = steiner_certificate(paths, walk, inst.girth, adv, inst.metric)
+                certified += 1
+                if not cert.holds:
+                    raise CertificateFalsification(
+                        f"steiner certificate failed at trial {trial}: {cert.witness}"
+                    )
+        opt, opt_kind = _opt("steiner", inst.metric, x, [walk], adv.t, inst.diameter,
+                             budget, oracle_cap)
+        ratio = lhs / opt if opt > 0 else float("nan")
+        if x:
+            ratios.append(ratio)
+        rows.append({
+            "trial": trial, "n": inst.graph.n, "d": inst.d, "girth": inst.girth,
+            "t": adv.t, "x_size": len(x), "good": good, "e1": None, "e2": None,
+            "shared": None, "lhs": lhs, "rhs": len(x) * inst.girth / 6.0, "ratio": ratio,
+            "opt_kind": opt_kind,
+        })
+
+    report = ExperimentReport(config=config, columns=LB_COLUMNS, rows=rows)
+    arr = np.array(ratios) if ratios else np.array([np.nan])
+    report.aggregates = {
+        "good_walk_frequency": good_count / trials if trials else 0.0,
+        "certified_samples": certified,
+        "ratio_median": float(np.median(arr)),
+        "ratio_q25": float(np.quantile(arr, 0.25)),
+        "ratio_q75": float(np.quantile(arr, 0.75)),
+    }
     return report
 
 
@@ -403,13 +426,19 @@ def _budget(oracle_cap: int) -> OracleBudget:
                         tsp_terminals=max(2, oracle_cap))
 
 
-def _steiner_opt(inst, x, walk, t, budget, oracle_cap) -> tuple[float, str]:
-    if inst.metric is not None and 0 < oracle_cap and len(x) <= oracle_cap:
+def _opt(problem: str, m, x, walks, t, diam, budget, oracle_cap) -> tuple[float, str]:
+    """OPT of ``problem`` ("steiner" or "tsp") on X: the exact oracle when
+    the metric is built and |X| <= oracle_cap, else the walk surrogate."""
+    if m is not None and 0 < oracle_cap and len(x) <= oracle_cap:
         try:
-            return steiner_exact(inst.metric, x, budget), "oracle"
+            exact = steiner_exact if problem == "steiner" else tsp_exact
+            return exact(m, x, budget), "oracle"
         except OracleRefusal:
             pass
-    return opt_surrogates([walk], t, inst.diameter).steiner, "walk-bound"
+    bounds = opt_surrogates(walks, t, diam)
+    if problem == "steiner":
+        return bounds.steiner, "walk-bound"
+    return bounds.tsp, "walk-tour"
 
 
 def run_tsp_lb(cfg: RunConfig) -> ExperimentReport:
@@ -452,8 +481,8 @@ def run_tsp_lb(cfg: RunConfig) -> ExperimentReport:
                 raise CertificateFalsification(
                     f"tsp certificate failed at trial {trial}: {cert.witness}"
                 )
-        opt, opt_kind = _tsp_opt(m, x, [q1, q2], adv.t, inst.diameter, budget,
-                                 cfg.oracle_cap)
+        opt, opt_kind = _opt("tsp", m, x, [q1, q2], adv.t, inst.diameter, budget,
+                             cfg.oracle_cap)
         ratio = lhs / opt if opt > 0 else float("nan")
         if x:
             ratios.append(ratio)
@@ -464,12 +493,11 @@ def run_tsp_lb(cfg: RunConfig) -> ExperimentReport:
             "opt_kind": opt_kind,
         })
 
-    report = ExperimentReport(config=dict(cfg.values), columns=LB_COLUMNS, rows=rows)
+    report = ExperimentReport(config=cfg.values, columns=LB_COLUMNS, rows=rows)
     arr = np.array(ratios) if ratios else np.array([np.nan])
     report.aggregates = {
         "qualifying_samples": qualifying,
         "e1_samples": e1_count,
-        "certificate_failures": 0,
         "ratio_median": float(np.median(arr)),
         "blocks": adv.blocks, "t": adv.t,
         "girth": inst.girth, "diameter": inst.diameter, "label": inst.label,
@@ -493,15 +521,6 @@ def _tour_solutions(cfg: RunConfig, inst: InstanceBundle) -> list[TourOrder]:
             out.append(TourOrder(root=root, order=tuple(int(v) for v in perm)))
         return out
     raise ConfigError(f"unknown tour solution {cfg.solution!r}")
-
-
-def _tsp_opt(m, x, walks, t, diam, budget, oracle_cap) -> tuple[float, str]:
-    if 0 < oracle_cap and len(x) <= oracle_cap:
-        try:
-            return tsp_exact(m, x, budget), "oracle"
-        except OracleRefusal:
-            pass
-    return opt_surrogates(walks, t, diam).tsp, "walk-tour"
 
 
 UNIVERSAL_COLUMNS = [
@@ -587,7 +606,7 @@ def run_universal_upper(cfg: RunConfig) -> ExperimentReport:
             })
             trial += 1
 
-    report = ExperimentReport(config=dict(cfg.values), columns=UNIVERSAL_COLUMNS, rows=rows)
+    report = ExperimentReport(config=cfg.values, columns=UNIVERSAL_COLUMNS, rows=rows)
     report.aggregates = {
         "mean_ratio": float(np.mean(mean_ratios)) if mean_ratios else float("nan"),
         "max_ratio": float(np.max(mean_ratios)) if mean_ratios else float("nan"),
@@ -718,7 +737,7 @@ def run_dp_transfer(cfg: RunConfig) -> ExperimentReport:
             "eps0": eps0, "prob_beat": prob_beat, "bound": bound,
             "transfer_ok": ok,
         })
-    report = ExperimentReport(config=dict(cfg.values), columns=DP_COLUMNS, rows=rows)
+    report = ExperimentReport(config=cfg.values, columns=DP_COLUMNS, rows=rows)
     report.aggregates = {
         "audit_failures": audit_failures,
         "transfer_failures": transfer_failures,
@@ -742,7 +761,7 @@ def run_experiment(cfg: RunConfig) -> ExperimentReport:
     else:
         raise ConfigError(f"unknown pipeline {pipeline!r}")
     report.wall_clock_sec = time.perf_counter() - start
-    report.write(cfg.csv or None, getattr(cfg, "json") or None)
+    report.write(cfg.csv or None, cfg.json or None)
     return report
 
 
@@ -764,41 +783,16 @@ def monte_carlo_lb(
     if abs(probs.sum() - 1.0) > 1e-9:
         raise ValueError("solution distribution must sum to 1")
     cum = np.cumsum(probs)
-    budget = OracleBudget()
-    rows = []
-    for trial in range(trials):
-        pick = rngs.stream(master_seed, rngs.SOLUTION, trial).random()
-        idx = min(int(np.searchsorted(cum, pick, side="right")), len(solutions) - 1)
-        paths = solutions[idx][0]
-        F = paths.first_edges
-        walk = random_walk(graph, adv.t, rngs.stream(master_seed, rngs.WALK, trial))
-        x = frozenset(walk.distinct()) - {root}
-        good, bad, distinct = is_good_walk(walk, F, adv)
-        lhs, _ = project_paths(paths, x, metric)
-        if good and adv.certificate_mode:
-            cert = steiner_certificate(paths, walk, girth_value, adv, metric)
-            if not cert.holds:
-                raise CertificateFalsification(f"trial {trial}: {cert.witness}")
-        if metric is not None and 0 < oracle_cap and len(x) <= oracle_cap:
-            opt, opt_kind = steiner_exact(metric, x, budget), "oracle"
-        else:
-            opt, opt_kind = opt_surrogates([walk], adv.t, diam).steiner, "walk-bound"
-        rows.append({
-            "trial": trial, "n": graph.n, "d": int(graph.degrees.max()),
-            "girth": girth_value, "t": adv.t, "x_size": len(x), "good": good,
-            "e1": None, "e2": None, "shared": None, "lhs": lhs,
-            "rhs": len(x) * girth_value / 6.0,
-            "ratio": lhs / opt if opt > 0 else float("nan"), "opt_kind": opt_kind,
-        })
-    report = ExperimentReport(config={"trials": trials, "seed": master_seed},
-                              columns=LB_COLUMNS, rows=rows)
-    ratios = [r["ratio"] for r in rows if r["x_size"]]
-    report.aggregates = {
-        "certificate_failures": 0,
-        "ratio_median": float(np.median(ratios)) if ratios else float("nan"),
-        "good_walk_frequency": sum(1 for r in rows if r["good"]) / trials if trials else 0.0,
-    }
-    return report
+
+    def pick(trial: int) -> int:
+        u = rngs.stream(master_seed, rngs.SOLUTION, trial).random()
+        return min(int(np.searchsorted(cum, u, side="right")), len(solutions) - 1)
+
+    inst = InstanceBundle(graph=graph, label="", d=int(graph.degrees.max()),
+                          girth=girth_value, diameter=diam, diameter_exact=False,
+                          metric=metric)
+    return _steiner_trials(inst, [p for p, _ in solutions], pick, adv, trials, master_seed,
+                           root, oracle_cap, config={"trials": trials, "seed": master_seed})
 
 
 def emit_plot_data(reports: list) -> str:

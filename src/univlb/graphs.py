@@ -101,28 +101,14 @@ class Graph:
         return indices.reshape(self.n, d)
 
 
-def bfs_distances(g: Graph, source: int, cutoff: int | None = None) -> np.ndarray:
-    """Distances from ``source`` (-1 for unreachable); stops beyond ``cutoff``."""
-    indptr, indices = g.neighbors
-    dist = np.full(g.n, -1, dtype=np.int64)
-    dist[source] = 0
-    frontier = [source]
-    level = 0
-    while frontier and (cutoff is None or level < cutoff):
-        level += 1
-        nxt = []
-        for u in frontier:
-            for w in indices[indptr[u]:indptr[u + 1]]:
-                if dist[w] < 0:
-                    dist[w] = level
-                    nxt.append(int(w))
-        frontier = nxt
-    return dist
-
-
 def bfs_parents(g: Graph, source: int) -> tuple[np.ndarray, np.ndarray]:
-    """(dist, parent) of a BFS tree; ties broken toward the smaller vertex index."""
-    indptr, indices = g.neighbors
+    """(dist, parent) of a BFS tree; -1 marks unreachable vertices.
+
+    Rows of the canonical CSR ``g.adjacency`` are sorted, so each vertex
+    scans its neighbors in index order and ties go to the smaller vertex.
+    """
+    adj = g.adjacency
+    indptr, indices = adj.indptr, adj.indices
     dist = np.full(g.n, -1, dtype=np.int64)
     parent = np.full(g.n, -1, dtype=np.int64)
     dist[source] = 0
@@ -133,14 +119,18 @@ def bfs_parents(g: Graph, source: int) -> tuple[np.ndarray, np.ndarray]:
         level += 1
         nxt = []
         for u in frontier:
-            nbrs = indices[indptr[u]:indptr[u + 1]]
-            for w in np.sort(nbrs):
+            for w in indices[indptr[u]:indptr[u + 1]]:
                 if dist[w] < 0:
                     dist[w] = level
                     parent[w] = u
                     nxt.append(int(w))
         frontier = nxt
     return dist, parent
+
+
+def bfs_distances(g: Graph, source: int) -> np.ndarray:
+    """Distances from ``source`` (-1 for unreachable)."""
+    return bfs_parents(g, source)[0]
 
 
 def is_connected(g: Graph) -> bool:
@@ -150,23 +140,20 @@ def is_connected(g: Graph) -> bool:
 
 
 def bipartition(g: Graph) -> np.ndarray | None:
-    """Two-coloring (0/1 per vertex) if bipartite, else None. Graph must be connected."""
-    indptr, indices = g.neighbors
-    color = np.full(g.n, -1, dtype=np.int64)
-    color[0] = 0
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            cu = color[u]
-            for w in indices[indptr[u]:indptr[u + 1]]:
-                if color[w] < 0:
-                    color[w] = 1 - cu
-                    nxt.append(int(w))
-                elif color[w] == cu:
-                    return None
-        frontier = nxt
-    return color
+    """Two-coloring (0/1 per vertex) if bipartite, else None. Graph must be connected.
+
+    The only candidate is the parity of the BFS level from vertex 0; it is
+    proper iff every 0-vertex sees only 1-neighbors and every 1-vertex only
+    0-neighbors, counting multi-edges and self-loops by multiplicity.
+    """
+    dist = bfs_distances(g, 0)
+    if np.any(dist < 0):
+        raise GraphError("graph is disconnected")
+    color = dist % 2
+    one_nbrs = g.adjacency @ color
+    if np.array_equal(one_nbrs, np.where(color == 0, g.degrees, 0)):
+        return color
+    return None
 
 
 def girth(g: Graph, roots: tuple[int, ...] | None = None) -> int | None:

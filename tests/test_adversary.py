@@ -9,7 +9,6 @@ from univlb.adversary import (
     TspAdversaryConfig,
     block_alternation,
     check_separation,
-    first_edge_set,
     good_walk_frequency,
     is_good_walk,
     steiner_adversary_sample,
@@ -31,14 +30,14 @@ def _walk(verts) -> WalkTrace:
 
 def test_first_edge_set_examples(star4):
     p = tree_to_path_collection(bfs_tree(star4, 0))
-    F = first_edge_set(p)
+    F = p.first_edges
     assert F == frozenset({(0, 1), (0, 2), (0, 3)})
     assert len(F) <= star4.n
 
 
 def test_first_edge_set_tree_parents(petersen):
     t = bfs_tree(petersen, 0)
-    F = first_edge_set(tree_to_path_collection(t))
+    F = tree_to_path_collection(t).first_edges
     for v in range(1, petersen.n):
         e = (v, t.parent[v])
         assert (min(e), max(e)) in F
@@ -210,6 +209,11 @@ def test_e2_implies_shared_quarter(data):
     b1, b2, shared, e2 = block_alternation(sigma, x1, x2, blocks)
     if e2:
         assert shared >= blocks / 4.0  # asserted internally as well
+    # Both rules count shared blocks with the same scan.
+    x1 -= x2
+    m = shortest_path_metric(Graph(n=n, edges=tuple((i, i + 1) for i in range(n - 1))), 0)
+    cert = tsp_certificate(sigma, m, x1, x2, t=1, blocks=blocks)
+    assert cert.witness["shared"] == block_alternation(sigma, x1, x2, blocks)[2]
 
 
 def test_tsp_certificate_shared_zero(lps_5_13_metric):

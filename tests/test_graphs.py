@@ -71,6 +71,8 @@ def test_bfs_distances(path3, petersen):
 
 
 def test_bfs_parents_shortest(petersen):
+    # the BFS scans CSR rows in order, so they must be sorted
+    assert petersen.adjacency.has_sorted_indices
     dist, parent = bfs_parents(petersen, 0)
     for v in range(petersen.n):
         # walking up the parents must take exactly dist steps
@@ -79,6 +81,14 @@ def test_bfs_parents_shortest(petersen):
             u = int(parent[u])
             steps += 1
         assert steps == dist[v]
+
+    # Multi-edges listed out of order: 3 is reached from both 1 and 2 and
+    # takes the smaller index as its parent.
+    multi = Graph(n=4, edges=((0, 2), (2, 3), (0, 2), (3, 2), (3, 1), (1, 0)))
+    assert multi.adjacency.has_sorted_indices
+    dist, parent = bfs_parents(multi, 0)
+    assert dist.tolist() == [0, 1, 1, 2]
+    assert parent.tolist() == [0, 0, 0, 1]
 
 
 def test_connectivity():
@@ -91,6 +101,9 @@ def test_bipartition(k4, cycle4):
     color = bipartition(cycle4)
     assert color is not None
     assert color[0] != color[1]
+    # multi-edges keep a graph bipartite; a self-loop is an odd cycle
+    assert bipartition(Graph(n=2, edges=((0, 1), (1, 0)))).tolist() == [0, 1]
+    assert bipartition(Graph(n=2, edges=((0, 1), (1, 1)))) is None
 
 
 def test_graph_roundtrip(tmp_path, petersen):

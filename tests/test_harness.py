@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from univlb.cli import main as cli_main
+from univlb import rng
+from univlb.cli import build_parser, main as cli_main
+from univlb.expanders import lps_graph
 from univlb.experiments import (
     CertificateFalsification,
     ConfigError,
@@ -16,6 +19,9 @@ from univlb.experiments import (
     run_experiment,
 )
 from univlb.adversary import SteinerAdversaryConfig
+from univlb.frt import frt_sample, hst_to_spanning_tree
+from univlb.graphs import read_graph
+from univlb.metric import shortest_path_metric
 from univlb.solutions import bfs_tree, tree_to_path_collection
 
 
@@ -47,6 +53,23 @@ def test_config_file_and_overrides(tmp_path):
     bad.write_text("pipeline steiner-lb\n")
     with pytest.raises(ConfigError, match="expected key=value"):
         RunConfig.from_file(bad)
+
+
+def test_config_fields_match_flags_and_files(tmp_path):
+    names = {f.name for f in fields(RunConfig)}
+    subparsers = build_parser()._subparsers._group_actions[0].choices
+    runs = [name for name in subparsers if name.startswith("run-")]
+    assert len(runs) == 4
+    for name in runs:
+        dests = {a.dest for a in subparsers[name]._actions} - {"help", "config"}
+        assert dests <= names, (name, dests - names)
+
+    cfg = RunConfig.make(pipeline="tsp-lb", graph="lps:5,13", solution="random-tour",
+                         trials=7, t=3, gamma=0.5, seed=11, csv="rows.csv", eps=0.25)
+    cfg_file = tmp_path / "all.cfg"
+    cfg_file.write_text("".join(f"{f.name} = {getattr(cfg, f.name)}\n"
+                                for f in fields(RunConfig)))
+    assert RunConfig.from_file(cfg_file) == cfg
 
 
 def test_zero_trials_valid_report(tmp_path):
@@ -96,7 +119,6 @@ def test_frt_solution_measured_not_certified(tmp_path):
                          csv=str(tmp_path / "frt.csv"))
     report = run_experiment(cfg)
     assert report.aggregates["certified_samples"] == 0
-    assert report.aggregates["certificate_failures"] == 0
     assert len(report.rows) == 120
     assert all(r["ratio"] >= 0 for r in report.rows if r["x_size"])
 
@@ -119,9 +141,26 @@ def test_monte_carlo_lb_distribution(lps_5_13):
     adv = SteinerAdversaryConfig(t=cert.girth // 3)
     report = monte_carlo_lb([(paths, 1.0)], g, cert.girth, cert.diameter, adv,
                             trials=200, master_seed=5)
-    assert report.aggregates["certificate_failures"] == 0
+    assert report.aggregates["certified_samples"] > 0
     assert 0 < report.aggregates["good_walk_frequency"] <= 1
     assert len(report.rows) == 200
+
+
+def test_monte_carlo_lb_skips_certificates_on_metric_edges():
+    # Contracted FRT trees carry metric edges, so their stubs may overlap
+    # without any short graph cycle: measured, never certified.
+    g, cert = lps_graph(13, 5)
+    m = shortest_path_metric(g, 0)
+    solutions = [
+        (tree_to_path_collection(hst_to_spanning_tree(
+            frt_sample(m, rng.stream(2, rng.TREE, i)), m)), 0.25)
+        for i in range(4)
+    ]
+    report = monte_carlo_lb(solutions, g, cert.girth, cert.diameter,
+                            SteinerAdversaryConfig(t=1), trials=500, master_seed=0,
+                            metric=m)
+    assert report.aggregates["certified_samples"] == 0
+    assert len(report.rows) == 500
 
 
 def test_emit_plot_data_schema():
@@ -150,10 +189,13 @@ def test_emit_plot_data_multiple_series():
 
 def test_cli_gen_and_run(tmp_path):
     out = tmp_path / "g.txt"
-    rc = cli_main(["gen-expander", "--kind", "regular", "--n", "32", "--d", "4",
+    rc = cli_main(["gen-expander", "--kind", "regular", "--n", "60", "--d", "3",
                    "--seed", "3", "--out", str(out)])
     assert rc == 0
     assert out.exists() and (tmp_path / "g.txt.cert.json").exists()
+    # ecc(0) is 6 on this graph; the certificate must hold the true diameter
+    cert = json.loads((tmp_path / "g.txt.cert.json").read_text())
+    assert cert["diameter"] == shortest_path_metric(read_graph(out), 0).dist.max() == 8
 
     csv_path = tmp_path / "rows.csv"
     rc = cli_main(["run-steiner-lb", "--graph", f"file:{out}", "--trials", "40",
