@@ -4,15 +4,12 @@ exact small-instance oracles, and differential-privacy transfer auditing."""
 from .adversary import (
     CertificateResult,
     SteinerAdversaryConfig,
-    TerminalSet,
     TspAdversaryConfig,
     block_alternation,
     check_separation,
     good_walk_frequency,
     is_good_walk,
-    steiner_adversary_sample,
     steiner_certificate,
-    tsp_adversary_sample,
     tsp_certificate,
 )
 from .expanders import (
@@ -57,7 +54,6 @@ from .solutions import (
     project_paths,
     project_tour,
     project_tree,
-    shortest_path_tree,
     tree_to_path_collection,
     tree_to_tour,
 )

@@ -1,12 +1,13 @@
-"""Adversarial terminal-set samplers and the exact lower-bound certificates.
+"""The walk adversaries' events and the exact lower-bound certificates.
 
-The Steiner adversary draws one random walk of t steps (t at most a third of
-the girth in certificate mode) and takes its distinct vertices as terminals.
-For any fixed path collection, a *good* walk (few first-edge traversals, many
-distinct vertices) forces the projected cost up via a girth argument, checked
-here as an exact inequality with explicit witness data.
+The Steiner adversary is one random walk of t steps (t at most a third of
+the girth in certificate mode) whose distinct vertices are the terminals;
+the pipelines draw it inline. For any fixed path collection, a *good* walk
+(few first-edge traversals, many distinct vertices) forces the projected
+cost up via a girth argument, checked here as an exact inequality with
+explicit witness data.
 
-The TSP adversary draws two independent walks; when their starts are far
+The TSP adversary is two independent walks; when their starts are far
 apart (event E1) and both walks spread over many tour blocks (event E2),
 every shared block forces one expensive leg of the projected tour.
 
@@ -24,12 +25,16 @@ import numpy as np
 
 from .graphs import Graph
 from .metric import MetricSpace
-from .solutions import PathCollection, TourOrder
+from .solutions import PathCollection, TourOrder, project_paths, project_tour
 from .walks import WalkTrace, random_walk
 
 
 class PreconditionError(ValueError):
     """Certificate invoked on inputs outside its stated preconditions."""
+
+
+class CertificateFalsification(RuntimeError):
+    """A certificate failed on inputs meeting its preconditions."""
 
 
 @dataclass(frozen=True)
@@ -81,47 +86,11 @@ class TspAdversaryConfig:
 
 
 @dataclass(frozen=True)
-class TerminalSet:
-    vertices: frozenset[int]
-    root: int
-    provenance: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.root in self.vertices:
-            raise ValueError("terminal sets exclude the root")
-
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-
-@dataclass(frozen=True)
 class CertificateResult:
     holds: bool
     lhs: float
     rhs: float
     witness: dict = field(default_factory=dict)
-
-
-def steiner_adversary_sample(
-    g: Graph, cfg: SteinerAdversaryConfig, rng: np.random.Generator,
-    root: int = 0, girth: int | None = None,
-) -> tuple[WalkTrace, TerminalSet]:
-    """One t-step walk and the terminal set of its distinct non-root vertices.
-
-    In certificate mode the walk length must not exceed girth/3, otherwise
-    the girth argument is void and sampling refuses.
-    """
-    if cfg.certificate_mode:
-        if girth is None:
-            raise PreconditionError("certificate mode requires the girth")
-        if 3 * cfg.t > girth:
-            raise PreconditionError(
-                f"walk length {cfg.t} exceeds girth/3 = {girth}/3; certificate invalid"
-            )
-    w = random_walk(g, cfg.t, rng, seed_label="steiner-walk")
-    x = TerminalSet(vertices=frozenset(w.distinct()) - {root}, root=root,
-                    provenance=(w.seed_label,))
-    return w, x
 
 
 def is_good_walk(
@@ -204,16 +173,7 @@ def steiner_certificate(
         if overlap:
             break
 
-    # Union cost over the full paths of all of X, shared edges once.
-    edges: set[tuple[int, int]] = set()
-    for u in X:
-        path = p.paths[u]
-        for a, b in zip(path, path[1:]):
-            edges.add((a, b) if a < b else (b, a))
-    if m is None:
-        lhs = float(len(edges))
-    else:
-        lhs = float(sum(m.d(a, b) for a, b in edges))
+    lhs, _ = project_paths(p, X, m)
 
     rhs = len(X) * girth / 6.0
     stub_sum = sum(len(stubs[u]) - 1 for u in x_prime)
@@ -252,21 +212,6 @@ def good_walk_frequency(
     return freq, stderr
 
 
-def tsp_adversary_sample(
-    g: Graph, cfg: TspAdversaryConfig, rng1: np.random.Generator,
-    rng2: np.random.Generator, root: int = 0,
-) -> tuple[WalkTrace, WalkTrace, TerminalSet]:
-    """Two independent walks; terminals are the union of their vertices."""
-    q1 = random_walk(g, cfg.t, rng1, seed_label="tsp-walk-1")
-    q2 = random_walk(g, cfg.t, rng2, seed_label="tsp-walk-2")
-    x = TerminalSet(
-        vertices=(frozenset(q1.distinct()) | frozenset(q2.distinct())) - {root},
-        root=root,
-        provenance=(q1.seed_label, q2.seed_label),
-    )
-    return q1, q2, x
-
-
 def check_separation(
     q1: WalkTrace, q2: WalkTrace, m: MetricSpace, t: int, multiplier: int = 3
 ) -> bool:
@@ -274,7 +219,7 @@ def check_separation(
 
     When E1 holds, the triangle inequality puts every cross pair at distance
     at least t; that implication is re-verified exhaustively and a failure
-    (impossible for a true metric) raises.
+    (impossible for a true metric) raises ``CertificateFalsification``.
     """
     sep = m.d(q1.start, q2.start)
     if sep < multiplier * t:
@@ -283,7 +228,7 @@ def check_separation(
     for u in q1.distinct():
         for v in q2.distinct():
             if m.d(u, v) < floor:
-                raise AssertionError(
+                raise CertificateFalsification(
                     f"separation implication violated: d({u},{v}) < {floor}"
                 )
     return True
@@ -298,16 +243,16 @@ def _block_of_position(i: int, order_len: int, blocks: int) -> int:
 def _blocks_hit(
     sigma: TourOrder, x1: set[int], x2: set[int], blocks: int
 ) -> tuple[set[int], set[int]]:
-    """The blocks of the tour that hold a vertex of x1, and those of x2."""
-    hit1: set[int] = set()
-    hit2: set[int] = set()
-    for i, v in enumerate(sigma.order):
-        b = _block_of_position(i, len(sigma.order), blocks)
-        if v in x1:
-            hit1.add(b)
-        if v in x2:
-            hit2.add(b)
-    return hit1, hit2
+    """The blocks of the tour that hold a vertex of x1, and those of x2.
+
+    The root is not on the tour, so it hits no block.
+    """
+    pos, size = sigma.positions, len(sigma.order)
+
+    def hit(x: set[int]) -> set[int]:
+        return {_block_of_position(pos[v], size, blocks) for v in x if v != sigma.root}
+
+    return hit(x1), hit(x2)
 
 
 def block_alternation(
@@ -318,14 +263,16 @@ def block_alternation(
 
     E2 holds when both terminal sets touch at least 3/4 of the blocks;
     inclusion-exclusion then forces at least blocks/4 shared blocks
-    (asserted -- a failure would be an arithmetic impossibility).
+    (checked -- a failure would be an arithmetic impossibility and raises
+    ``CertificateFalsification``).
     """
     hit1, hit2 = _blocks_hit(sigma, x1, x2, blocks)
     b1, b2 = len(hit1), len(hit2)
     shared = len(hit1 & hit2)
     e2 = b1 >= alternation_fraction * blocks and b2 >= alternation_fraction * blocks
     if e2 and alternation_fraction >= 3.0 / 4.0 and shared < blocks / 4.0:
-        raise AssertionError("inclusion-exclusion violated: E2 with < blocks/4 shared")
+        raise CertificateFalsification(
+            "inclusion-exclusion violated: E2 with < blocks/4 shared")
     return b1, b2, shared, e2
 
 
@@ -348,18 +295,11 @@ def tsp_certificate(
     """
     if x1 & x2:
         raise PreconditionError("terminal classes overlap; E1 cannot have held")
-    pos = sigma.positions()
+    pos = sigma.positions
     xs = sorted((v for v in (x1 | x2) if v != sigma.root), key=pos.__getitem__)
     hit1, hit2 = _blocks_hit(sigma, x1, x2, blocks)
     shared = len(hit1 & hit2)
-    if not xs:
-        return CertificateResult(holds=True, lhs=0.0, rhs=0.0,
-                                 witness={"pairs": [], "shared": shared})
-
-    # Projected tour cost, exact.
-    lhs = m.d(sigma.root, xs[0]) + m.d(xs[-1], sigma.root)
-    for a, b in zip(xs, xs[1:]):
-        lhs += m.d(a, b)
+    lhs = project_tour(sigma, m, xs)
 
     pairs: list[tuple[int, int]] = []
     used: set[int] = set()

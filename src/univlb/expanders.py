@@ -207,7 +207,7 @@ def lps_graph(p: int, q: int, beta_tol: float = 1e-7) -> tuple[Graph, ExpanderCe
         d=p + 1,
         beta=beta,
         girth=girth(g, roots=(0,)),
-        diameter=diameter_ecc(g, 0),
+        diameter=diameter_ecc(g),
         construction="lps",
         ramanujan_bound=bound,
         bipartite=bipartition(g) is not None,

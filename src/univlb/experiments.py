@@ -31,6 +31,7 @@ import numpy as np
 
 from . import rng as rngs
 from .adversary import (
+    CertificateFalsification,
     SteinerAdversaryConfig,
     TspAdversaryConfig,
     block_alternation,
@@ -77,10 +78,6 @@ class ConfigError(ValueError):
     pass
 
 
-class CertificateFalsification(RuntimeError):
-    """A certificate failed on inputs meeting its preconditions."""
-
-
 PIPELINES = ("steiner-lb", "tsp-lb", "universal-upper", "dp-transfer")
 
 @dataclass(frozen=True)
@@ -116,6 +113,13 @@ class RunConfig:
     universe: int = 8
     mechanisms: int = 20
     eps: float = 0.5
+
+    def __post_init__(self) -> None:
+        for key, low in (("trials", 0), ("metrics", 0), ("mechanisms", 0), ("eps", 0),
+                         ("solution_count", 1), ("t", 1), ("blocks", 1)):
+            value = getattr(self, key)
+            if value != "auto" and not value >= low:  # "not >=" also rejects NaN
+                raise ConfigError(f"{key} must be >= {low}, got {value}")
 
     @property
     def values(self) -> dict[str, object]:
@@ -588,7 +592,7 @@ def run_universal_upper(cfg: RunConfig) -> ExperimentReport:
                 if c_sx > 2.0 * c_tx + 1e-9:
                     doubling_ok = False
                     violations["doubling"] += 1
-                pos = tour.positions()
+                pos = tour.positions
                 if restricted_dfs_order(tree, x) != tuple(sorted(x, key=pos.__getitem__)):
                     contiguity_ok = False
                     violations["contiguity"] += 1

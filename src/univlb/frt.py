@@ -49,37 +49,10 @@ class HST:
     def total_weight(self) -> float:
         return float(sum(nd.parent_weight for nd in self.nodes))
 
-    def depth_weight(self, node: int) -> float:
-        total = 0.0
-        while node >= 0:
-            total += self.nodes[node].parent_weight
-            node = self.nodes[node].parent
-        return total
-
-    def distance(self, u: int, v: int) -> float:
-        """HST path distance between the leaves of u and v."""
-        if u == v:
-            return 0.0
-        a, b = self.leaf_of[u], self.leaf_of[v]
-        ancestors = {}
-        x, acc = a, 0.0
-        while x >= 0:
-            ancestors[x] = acc
-            acc += self.nodes[x].parent_weight
-            x = self.nodes[x].parent
-        y, acc = b, 0.0
-        while y not in ancestors:
-            acc += self.nodes[y].parent_weight
-            y = self.nodes[y].parent
-        return acc + ancestors[y]
-
-    def all_pairs(self) -> np.ndarray:
-        out = np.zeros((self.n, self.n))
-        for u in range(self.n):
-            for v in range(u + 1, self.n):
-                d = self.distance(u, v)
-                out[u, v] = out[v, u] = d
-        return out
+    def distances(self) -> np.ndarray:
+        """HST path distances between the leaves of every pair of points."""
+        return tree_distances([nd.parent for nd in self.nodes],
+                              [nd.parent_weight for nd in self.nodes], self.leaf_of)
 
 
 def frt_sample(m: MetricSpace, rng: np.random.Generator) -> HST:
@@ -142,11 +115,7 @@ def frt_sample(m: MetricSpace, rng: np.random.Generator) -> HST:
 def hst_dominates(h: HST, m: MetricSpace) -> bool:
     """True iff HST distance >= metric distance for every pair."""
     tol = 1e-12 * max(1.0, float(m.dist.max()))
-    for u in range(m.n):
-        for v in range(u + 1, m.n):
-            if h.distance(u, v) < float(m.dist[u, v]) - tol:
-                return False
-    return True
+    return bool(np.all(h.distances() >= m.dist - tol))
 
 
 def hst_to_spanning_tree(h: HST, m: MetricSpace) -> SpanningTree:
@@ -193,50 +162,43 @@ def stretch_stats(m: MetricSpace, trees: list[SpanningTree]) -> dict[str, float]
     metric distance; the distribution's measured stretch is the max over
     pairs, and the mean over pairs is reported alongside.
     """
-    n = m.n
-    total = np.zeros((n, n))
+    points = range(m.n)
+    total = np.zeros((m.n, m.n))
     for t in trees:
-        td = _tree_all_pairs(t)
-        total += td
-    mean_tree = total / len(trees)
-    ratios = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            ratios.append(mean_tree[u, v] / float(m.dist[u, v]))
-    arr = np.array(ratios)
-    return {"max_pair_stretch": float(arr.max()), "mean_pair_stretch": float(arr.mean())}
+        total += tree_distances(t.parent, t.edge_cost, points)
+    upper = np.triu_indices(m.n, 1)
+    ratios = (total / len(trees))[upper] / m.dist[upper]
+    return {"max_pair_stretch": float(ratios.max()), "mean_pair_stretch": float(ratios.mean())}
 
 
-def _tree_all_pairs(t: SpanningTree) -> np.ndarray:
-    """All-pairs path costs inside a spanning tree."""
-    n = t.n
-    ch = t.children()
-    order = []
-    stack = [t.root]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        stack.extend(ch[v])
-    depth_cost = np.zeros(n)
-    for v in order:
-        if v != t.root:
-            depth_cost[v] = depth_cost[t.parent[v]] + t.edge_cost[v]
-    # dist(u,v) = cost(u) + cost(v) - 2 * cost(lca)
-    out = np.zeros((n, n))
-    parents = t.parent
-    depth_int = np.zeros(n, dtype=int)
-    for v in order:
-        if v != t.root:
-            depth_int[v] = depth_int[parents[v]] + 1
-    for u in range(n):
-        for v in range(u + 1, n):
-            a, b = u, v
-            while a != b:
-                if depth_int[a] >= depth_int[b]:
-                    a = parents[a]
-                else:
-                    b = parents[b]
-            lca = a
-            d = depth_cost[u] + depth_cost[v] - 2 * depth_cost[lca]
-            out[u, v] = out[v, u] = d
-    return out
+def tree_distances(parent, weight, points) -> np.ndarray:
+    """Tree path costs between every pair of ``points`` (node indices).
+
+    ``parent[v]`` is v's parent, with the root its own parent or -1, and
+    ``weight[v]`` the cost of the edge from v to its parent. With c(v) the
+    root-path cost, accumulated from the root down, the distance is
+    c(u) + c(v) - 2 c(lca); the LCA of all pairs is found at once by
+    stepping the deeper end of every unmet pair up one edge per round.
+    """
+    n = len(parent)
+    par = np.asarray(parent, dtype=np.int64)
+    par = np.where(par < 0, np.arange(n), par)
+    w = np.asarray(weight, dtype=np.float64)
+    depth = np.where(par == np.arange(n), 0, -1)
+    cost = np.zeros(n)
+    while (todo := depth < 0).any():
+        ready = todo & (depth[par] >= 0)
+        if not ready.any():
+            raise ValueError("parent map does not reach a root")
+        depth[ready] = depth[par[ready]] + 1
+        cost[ready] = cost[par[ready]] + w[ready]
+
+    pts = np.asarray(points, dtype=np.int64)
+    a = np.repeat(pts[:, None], len(pts), axis=1)
+    b = a.T.copy()
+    while (unmet := a != b).any():
+        up_a = unmet & (depth[a] >= depth[b])
+        up_b = unmet & ~up_a
+        a[up_a] = par[a[up_a]]
+        b[up_b] = par[b[up_b]]
+    return cost[pts][:, None] + cost[pts][None, :] - 2 * cost[a]

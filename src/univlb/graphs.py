@@ -80,9 +80,13 @@ class Graph:
         np.cumsum(counts, out=indptr[1:])
         return indptr, indices
 
-    def neighbor_list(self, v: int) -> np.ndarray:
-        indptr, indices = self.neighbors
-        return indices[indptr[v]:indptr[v + 1]]
+    @cached_property
+    def levels(self) -> np.ndarray:
+        """Read-only BFS distances from vertex 0 (-1 for unreachable); the one
+        sweep behind ``is_connected``, ``bipartition`` and ``diameter_ecc``."""
+        dist = bfs_parents(self, 0)[0]
+        dist.setflags(write=False)
+        return dist
 
     @cached_property
     def regular_degree(self) -> int | None:
@@ -134,9 +138,7 @@ def bfs_distances(g: Graph, source: int) -> np.ndarray:
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n == 0:
-        return True
-    return bool(np.all(bfs_distances(g, 0) >= 0))
+    return g.n == 0 or bool(np.all(g.levels >= 0))
 
 
 def bipartition(g: Graph) -> np.ndarray | None:
@@ -146,10 +148,9 @@ def bipartition(g: Graph) -> np.ndarray | None:
     proper iff every 0-vertex sees only 1-neighbors and every 1-vertex only
     0-neighbors, counting multi-edges and self-loops by multiplicity.
     """
-    dist = bfs_distances(g, 0)
-    if np.any(dist < 0):
+    if np.any(g.levels < 0):
         raise GraphError("graph is disconnected")
-    color = dist % 2
+    color = g.levels % 2
     one_nbrs = g.adjacency @ color
     if np.array_equal(one_nbrs, np.where(color == 0, g.degrees, 0)):
         return color
@@ -202,12 +203,11 @@ def girth(g: Graph, roots: tuple[int, ...] | None = None) -> int | None:
     return best
 
 
-def diameter_ecc(g: Graph, source: int = 0) -> int:
-    """Eccentricity of ``source``; equals the diameter on vertex-transitive graphs."""
-    dist = bfs_distances(g, source)
-    if np.any(dist < 0):
+def diameter_ecc(g: Graph) -> int:
+    """Eccentricity of vertex 0; equals the diameter on vertex-transitive graphs."""
+    if np.any(g.levels < 0):
         raise GraphError("graph is disconnected")
-    return int(dist.max())
+    return int(g.levels.max())
 
 
 def write_graph(g: Graph, path: str | Path) -> None:

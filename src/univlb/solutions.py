@@ -118,21 +118,10 @@ class TourOrder:
     def n(self) -> int:
         return len(self.order) + 1
 
+    @cached_property
     def positions(self) -> dict[int, int]:
+        """Vertex -> index in ``order``; built once per tour."""
         return {v: i for i, v in enumerate(self.order)}
-
-
-def shortest_path_tree(m: MetricSpace, g: Graph) -> SpanningTree:
-    """BFS/shortest-path tree rooted at the metric's root.
-
-    The tree path cost from any v to the root equals dist(v, root).
-    """
-    tree = bfs_tree(g, m.root)
-    costs = tuple(
-        0.0 if v == m.root else float(m.dist[v, tree.parent[v]]) for v in range(g.n)
-    )
-    out = SpanningTree(root=m.root, parent=tree.parent, edge_cost=costs)
-    return out
 
 
 def bfs_tree(g: Graph, root: int) -> SpanningTree:
@@ -169,7 +158,7 @@ def project_tour(sigma: TourOrder, m: MetricSpace, X) -> float:
 
     c(sigma_X) = c(r, x_1) + sum c(x_i, x_{i+1}) + c(x_k, r).
     """
-    pos = sigma.positions()
+    pos = sigma.positions
     xs = sorted((v for v in X if v != sigma.root), key=pos.__getitem__)
     if not xs:
         return 0.0

@@ -26,16 +26,15 @@ from .graphs import Graph
 @dataclass(frozen=True)
 class WalkTrace:
     vertices: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
-    seed_label: str = ""
 
-    def __post_init__(self) -> None:
-        if len(self.edges) != len(self.vertices) - 1:
-            raise ValueError("trace length fields inconsistent")
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The steps (v_i, v_{i+1}) in walk order."""
+        return tuple(zip(self.vertices, self.vertices[1:]))
 
     @property
     def steps(self) -> int:
-        return len(self.edges)
+        return len(self.vertices) - 1
 
     @property
     def start(self) -> int:
@@ -45,7 +44,7 @@ class WalkTrace:
         return set(self.vertices)
 
 
-def random_walk(g: Graph, t: int, rng: np.random.Generator, seed_label: str = "") -> WalkTrace:
+def random_walk(g: Graph, t: int, rng: np.random.Generator) -> WalkTrace:
     """Uniform-start t-step random walk; each step is a uniform neighbor."""
     if t < 0:
         raise ValueError("walk length must be nonnegative")
@@ -67,8 +66,7 @@ def random_walk(g: Graph, t: int, rng: np.random.Generator, seed_label: str = ""
                 raise ValueError(f"walk stuck at isolated vertex {v}")
             v = int(indices[indptr[v] + rng.integers(deg)])
             verts.append(v)
-    edges = tuple((verts[i], verts[i + 1]) for i in range(t))
-    return WalkTrace(vertices=tuple(verts), edges=edges, seed_label=seed_label)
+    return WalkTrace(vertices=tuple(verts))
 
 
 @dataclass(frozen=True)
@@ -89,6 +87,20 @@ def _binomial_stderr(freq: float, trials: int) -> float:
     return float(np.sqrt(max(freq * (1.0 - freq), 0.0) / trials))
 
 
+def _visit_counts(
+    g: Graph, mask: np.ndarray, t: int, trials: int, rngs: list[np.random.Generator]
+) -> np.ndarray:
+    """Per trial, how many of a t-step walk's positions and of its distinct
+    vertices lie in ``mask``; ``rngs`` supplies one stream per trial."""
+    if len(rngs) < trials:
+        raise ValueError("need one rng stream per trial")
+    counts = np.zeros((trials, 2), dtype=np.int64)
+    for i in range(trials):
+        w = random_walk(g, t, rngs[i])
+        counts[i] = mask[list(w.vertices)].sum(), mask[list(w.distinct())].sum()
+    return counts
+
+
 def walk_confinement_stats(
     g: Graph,
     subset: np.ndarray,
@@ -101,18 +113,12 @@ def walk_confinement_stats(
 
     ``rngs`` supplies one independent stream per trial.
     """
-    if len(rngs) < trials:
-        raise ValueError("need one rng stream per trial")
     mask = np.zeros(g.n, dtype=bool)
     mask[subset] = True
     if not mask.any():
         raise ValueError("subset must be nonempty")
     alpha = float(mask.sum()) / g.n
-    hits = 0
-    for i in range(trials):
-        w = random_walk(g, t, rngs[i])
-        if all(mask[v] for v in w.vertices):
-            hits += 1
+    hits = int(np.count_nonzero(_visit_counts(g, mask, t, trials, rngs)[:, 0] == t + 1))
     freq = hits / trials if trials else 0.0
     bound = (alpha + beta) ** t
     return WalkBoundReport(frequency=freq, bound=bound, trials=trials,
@@ -136,24 +142,13 @@ def walk_visit_stats(
     """
     if not 0.0 <= gamma <= 1.0:
         raise ValueError("gamma must lie in [0, 1]")
-    if len(rngs) < trials:
-        raise ValueError("need one rng stream per trial")
     mask = np.zeros(g.n, dtype=bool)
     mask[subset] = True
     alpha = float(mask.sum()) / g.n
-    threshold = gamma * t
-    pos_hits = 0
-    distinct_hits = 0
-    for i in range(trials):
-        w = random_walk(g, t, rngs[i])
-        positions = sum(1 for v in w.vertices if mask[v])
-        distinct = sum(1 for v in w.distinct() if mask[v])
-        if positions > threshold:
-            pos_hits += 1
-        if distinct > threshold:
-            distinct_hits += 1
-    freq = pos_hits / trials if trials else 0.0
-    dfreq = distinct_hits / trials if trials else 0.0
+    pos_hits, distinct_hits = np.count_nonzero(
+        _visit_counts(g, mask, t, trials, rngs) > gamma * t, axis=0)
+    freq = int(pos_hits) / trials if trials else 0.0
+    dfreq = int(distinct_hits) / trials if trials else 0.0
     bound = (2.0 ** t) * (alpha + beta) ** (gamma * t)
     return WalkBoundReport(frequency=freq, bound=bound, trials=trials,
                            stderr=_binomial_stderr(freq, trials),

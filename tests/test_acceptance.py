@@ -8,6 +8,7 @@ seeds. Criterion 8 re-executes every CSV-producing run and compares bytes.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import time
 
@@ -301,3 +302,30 @@ def test_criterion_8_reproducibility(runner, tmp_path):
         f"{len(RUNS)} runs re-executed byte-identically"
         + (f"; mismatches: {mismatches}" if mismatches else ""),
     )
+
+
+# One small config per pipeline and the sha256 of its CSV at SEED. A change
+# that means to keep every number must keep these bytes; one that changes
+# them on purpose re-pins them and says why.
+PINNED: dict[str, tuple[dict, str]] = {
+    "tsp-lb": (dict(pipeline="tsp-lb", graph="lps:5,13", solution="random-tour",
+                    solution_count=64, trials=300, t=2),
+               "543d17b0d2e194d1543f5befddfc510c7e6536f17e46973c6e93a0b8d26a05fd"),
+    "steiner-lb": (dict(pipeline="steiner-lb", graph="lps:5,13", solution="spt",
+                        trials=2000, t="auto"),
+                   "7dba1f357d002dcfb4207f90d450f9a4a5727f592f76bfaee70f647c1ad2a8c0"),
+    "universal-upper": (dict(pipeline="universal-upper", metrics=5, trees_per_metric=10,
+                             terminals_per_metric=3, max_terminals=10,
+                             metric_size_min=32, metric_size_max=64),
+                        "7bcf5633ae0ad5ab6e0ae28852c17af9f0355615e10682c7a832c208329ccb18"),
+    "dp-transfer": (dict(pipeline="dp-transfer", universe=10, mechanisms=5, eps=0.5),
+                    "99e47fbdcba6a73238b20c52131d52cf6ac8b659cfe3fd0f3560625fbc32ca3b"),
+}
+
+
+@pytest.mark.parametrize("pipeline", sorted(PINNED))
+def test_csv_sha256_pinned(pipeline, tmp_path):
+    config, sha256 = PINNED[pipeline]
+    csv_path = tmp_path / "rows.csv"
+    run_experiment(RunConfig.make(csv=str(csv_path), seed=SEED, **config))
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == sha256

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from univlb.adversary import (
+    CertificateFalsification,
     PreconditionError,
     SteinerAdversaryConfig,
     TspAdversaryConfig,
@@ -11,21 +13,18 @@ from univlb.adversary import (
     check_separation,
     good_walk_frequency,
     is_good_walk,
-    steiner_adversary_sample,
     steiner_certificate,
-    tsp_adversary_sample,
     tsp_certificate,
 )
 from univlb.graphs import Graph
-from univlb.metric import shortest_path_metric
+from univlb.metric import MetricSpace, shortest_path_metric
 from univlb.rng import stream, trial_streams
 from univlb.solutions import TourOrder, bfs_tree, tree_to_path_collection
 from univlb.walks import WalkTrace, random_walk
 
 
 def _walk(verts) -> WalkTrace:
-    return WalkTrace(vertices=tuple(verts),
-                     edges=tuple((verts[i], verts[i + 1]) for i in range(len(verts) - 1)))
+    return WalkTrace(vertices=tuple(verts))
 
 
 def test_first_edge_set_examples(star4):
@@ -73,17 +72,6 @@ def test_multiset_bad_edge_counting():
     assert not good
 
 
-def test_steiner_sampler(lps_5_13):
-    g, cert = lps_5_13
-    cfg = SteinerAdversaryConfig(t=cert.girth // 3)
-    w, x = steiner_adversary_sample(g, cfg, stream(1, 0), root=0, girth=cert.girth)
-    assert len(x) <= cfg.t + 1
-    assert 0 not in x.vertices
-    with pytest.raises(PreconditionError):
-        big = SteinerAdversaryConfig(t=cert.girth)
-        steiner_adversary_sample(g, big, stream(1, 1), root=0, girth=cert.girth)
-
-
 def test_steiner_certificate_on_good_walks(lps_5_13):
     g, cert = lps_5_13
     cfg = SteinerAdversaryConfig(t=cert.girth // 3)
@@ -127,6 +115,10 @@ def test_steiner_certificate_degenerate_empty_x_prime():
     res = steiner_certificate(paths, w, 3, cfg)
     assert res.witness["x_prime_size"] == 0
     assert res.holds  # lhs = c(P[{1}]) = 1 >= 1*3/6
+    # a good walk longer than girth/3 voids the girth argument: refused
+    long_cfg = SteinerAdversaryConfig(t=2, bad_edge_fraction=1.0, distinct_fraction=0.0)
+    with pytest.raises(PreconditionError, match="girth/3"):
+        steiner_certificate(paths, _walk([1, 0, 2]), 3, long_cfg)
 
 
 def test_good_walk_frequency_edges(k4):
@@ -142,17 +134,6 @@ def test_good_walk_frequency_edges(k4):
     some = frozenset(list(all_edges)[:4])
     freq, _ = good_walk_frequency(k4, some, cfg, 300, trial_streams(4, 1, 300))
     assert 0.0 <= freq < 1.0
-
-
-def test_tsp_sampler_reproducible(lps_5_13):
-    g, cert = lps_5_13
-    cfg = TspAdversaryConfig(t=2, blocks=4)
-    q1a, q2a, xa = tsp_adversary_sample(g, cfg, stream(5, 0), stream(5, 1))
-    q1b, q2b, xb = tsp_adversary_sample(g, cfg, stream(5, 0), stream(5, 1))
-    assert q1a.vertices == q1b.vertices
-    assert q2a.vertices == q2b.vertices
-    assert xa.vertices == xb.vertices
-    assert len(xa) <= 2 * (cfg.t + 1)
 
 
 def test_check_separation(lps_5_13, lps_5_13_metric):
@@ -181,6 +162,15 @@ def test_check_separation_boundary():
     q1 = _walk([0, 1])
     q2 = _walk([6, 5])
     assert check_separation(q1, q2, m, 2)
+
+
+def test_separation_violation_is_falsification():
+    # not a metric: d(0,3) + d(3,1) = 1.5 < d(0,1) = 6, so E1 holds at the
+    # starts while the cross pair (0,3) sits closer than t = 1
+    m = MetricSpace(n=4, dist=np.array([[0, 6, 1, .5], [6, 0, .5, 1],
+                                        [1, .5, 0, 9], [.5, 1, 9, 0]]), root=0)
+    with pytest.raises(CertificateFalsification, match=r"d\(0,3\) < 1"):
+        check_separation(_walk([0, 2]), _walk([1, 3]), m, 1)
 
 
 def test_block_alternation_boundaries():
@@ -214,6 +204,38 @@ def test_e2_implies_shared_quarter(data):
     m = shortest_path_metric(Graph(n=n, edges=tuple((i, i + 1) for i in range(n - 1))), 0)
     cert = tsp_certificate(sigma, m, x1, x2, t=1, blocks=blocks)
     assert cert.witness["shared"] == block_alternation(sigma, x1, x2, blocks)[2]
+
+
+def _scan_blocks(sigma, x1, x2, blocks, fraction):
+    """Reference block rule: scan every tour position."""
+    size = max(1, len(sigma.order) // blocks)
+    hit1, hit2 = set(), set()
+    for i, v in enumerate(sigma.order):
+        b = min(i // size, blocks - 1)
+        if v in x1:
+            hit1.add(b)
+        if v in x2:
+            hit2.add(b)
+    b1, b2 = len(hit1), len(hit2)
+    return b1, b2, len(hit1 & hit2), b1 >= fraction * blocks and b2 >= fraction * blocks
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_block_alternation_matches_full_scan(data):
+    n = data.draw(st.integers(2, 40))
+    root = data.draw(st.integers(0, n - 1))
+    blocks = data.draw(st.integers(1, n + 2))
+    order = tuple(data.draw(st.permutations([v for v in range(n) if v != root])))
+    sigma = TourOrder(root=root, order=order)
+    x1 = set(data.draw(st.lists(st.integers(0, n - 1), max_size=12)))
+    x2 = set(data.draw(st.lists(st.integers(0, n - 1), max_size=12)))
+    if data.draw(st.booleans()):
+        x1.add(root)
+    x2 |= set(data.draw(st.lists(st.sampled_from(sorted(x1)), max_size=4))) if x1 else set()
+    fraction = data.draw(st.sampled_from([0.0, 0.5, 0.75, 1.0]))
+    assert block_alternation(sigma, x1, x2, blocks, fraction) == \
+        _scan_blocks(sigma, x1, x2, blocks, fraction)
 
 
 def test_tsp_certificate_shared_zero(lps_5_13_metric):

@@ -16,6 +16,7 @@ from univlb.expanders import (
     sqrt_mod,
     write_certificate,
 )
+from univlb import graphs
 from univlb.graphs import Graph, girth, is_connected
 
 
@@ -42,6 +43,22 @@ def test_lps_5_13_certificate(lps_5_13):
     assert cert.beta <= 2 * math.sqrt(5) / 6 + 1e-6
     assert cert.girth == girth(g, roots=(0,))
     assert is_connected(g)
+
+
+def test_lps_build_sweeps_vertex_0_once(monkeypatch, lps_5_13):
+    # connectivity, bipartiteness, beta's deflation and the diameter all read
+    # the one cached BFS from vertex 0
+    sources = []
+    real = graphs.bfs_parents
+
+    def counting(g, source):
+        sources.append(source)
+        return real(g, source)
+
+    monkeypatch.setattr(graphs, "bfs_parents", counting)
+    g, cert = lps_graph.__wrapped__(5, 13)  # bypass the memo: a fresh build
+    assert sources == [0]
+    assert (g.edges, cert) == (lps_5_13[0].edges, lps_5_13[1])
 
 
 def test_lps_psl_case():

@@ -4,8 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from univlb.frt import frt_sample, hst_dominates, hst_to_spanning_tree, stretch_stats
+from univlb.frt import (
+    frt_sample,
+    hst_dominates,
+    hst_to_spanning_tree,
+    stretch_stats,
+    tree_distances,
+)
 from univlb.metric import MetricSpace, random_euclidean_metric, shortest_path_metric
 from univlb.rng import stream
 from univlb.solutions import project_tree
@@ -15,7 +22,7 @@ def test_single_point():
     m = MetricSpace(n=1, dist=np.zeros((1, 1)), root=0)
     h = frt_sample(m, stream(1, 0))
     assert h.n == 1
-    assert h.distance(0, 0) == 0.0
+    assert h.distances().tolist() == [[0.0]]
 
 
 def test_two_point_bounds():
@@ -23,10 +30,80 @@ def test_two_point_bounds():
         m = MetricSpace(n=2, dist=np.array([[0.0, d0], [d0, 0.0]]), root=0)
         for i in range(20):
             h = frt_sample(m, stream(2, i))
-            dh = h.distance(0, 1)
+            dh = h.distances()[0, 1]
             assert d0 <= dh <= 32.0 * d0
             t = hst_to_spanning_tree(h, m)
             assert t.total_cost == pytest.approx(d0)
+
+
+def _path_walk_distance(parent, weight, u: int, v: int) -> float:
+    """Reference tree distance: climb from u recording the cost to each
+    ancestor, then climb from v to the first recorded one."""
+    if u == v:
+        return 0.0
+    ancestors = {}
+    x, acc = u, 0.0
+    while True:
+        ancestors[x] = acc
+        if parent[x] < 0 or parent[x] == x:
+            break
+        acc += weight[x]
+        x = parent[x]
+    y, acc = v, 0.0
+    while y not in ancestors:
+        acc += weight[y]
+        y = parent[y]
+    return acc + ancestors[y]
+
+
+def _reference_matrix(parent, weight, points) -> np.ndarray:
+    return np.array([[_path_walk_distance(parent, weight, u, v) for v in points]
+                     for u in points])
+
+
+@st.composite
+def random_trees(draw):
+    """A randomly labelled tree with integer edge weights (zero included),
+    so both distance routines add exactly; the root's parent is itself or -1."""
+    n = draw(st.integers(1, 24))
+    label = draw(st.permutations(range(n)))
+    parent = [0] * n
+    for i in range(1, n):
+        parent[label[i]] = label[draw(st.integers(0, i - 1))]
+    parent[label[0]] = draw(st.sampled_from([-1, label[0]]))
+    weight = [float(draw(st.integers(0, 5))) for _ in range(n)]
+    points = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=12))
+    return parent, weight, points
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_trees())
+def test_tree_distances_match_path_walk(tree):
+    parent, weight, points = tree
+    for pts in (points, range(len(parent))):
+        got = tree_distances(parent, weight, pts)
+        assert np.array_equal(got, _reference_matrix(parent, weight, pts))
+
+
+def test_tree_distances_deep_path():
+    # 64-vertex path rooted at its far end: 63 levels, one LCA round per level
+    n = 64
+    parent = [v + 1 for v in range(n - 1)] + [n - 1]
+    weight = [float(v % 3) for v in range(n)]
+    got = tree_distances(parent, weight, range(n))
+    assert np.array_equal(got, _reference_matrix(parent, weight, range(n)))
+    assert got[0, n - 1] == sum(weight[:-1])
+
+
+def test_hst_distances_match_path_walk():
+    m = random_euclidean_metric(40, stream(12, 0))
+    tol = 1e-12 * float(m.dist.max())
+    for i in range(10):
+        h = frt_sample(m, stream(12, 1, i))
+        parent = [nd.parent for nd in h.nodes]
+        weight = [nd.parent_weight for nd in h.nodes]
+        ref = _reference_matrix(parent, weight, h.leaf_of)
+        assert np.abs(h.distances() - ref).max() <= tol
 
 
 def test_domination_every_sample():

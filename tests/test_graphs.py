@@ -67,7 +67,16 @@ def test_bfs_distances(path3, petersen):
     assert bfs_distances(path3, 0).tolist() == [0, 1, 2]
     d = bfs_distances(petersen, 0)
     assert d.max() == 2
-    assert diameter_ecc(petersen, 0) == 2
+    assert diameter_ecc(petersen) == 2
+
+
+def test_levels_cached_and_read_only(petersen):
+    assert petersen.levels is petersen.levels
+    assert petersen.levels.tolist() == bfs_distances(petersen, 0).tolist()
+    with pytest.raises(ValueError):
+        petersen.levels[0] = 5
+    with pytest.raises(GraphError):
+        diameter_ecc(Graph(n=3, edges=((0, 1),)))
 
 
 def test_bfs_parents_shortest(petersen):

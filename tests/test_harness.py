@@ -250,6 +250,21 @@ def test_cli_usage_error_exit_1(tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("argv, key", [
+    (["run-steiner-lb", "--graph", "lps:5,13", "--trials", "-3"], "trials"),
+    (["run-dp-transfer", "--eps", "-0.5"], "eps"),
+    (["run-universal", "--metrics", "-2"], "metrics"),
+    (["run-tsp-lb", "--graph", "lps:5,13", "--solution-count", "0"], "solution_count"),
+    (["run-dp-transfer", "--mechanisms", "-1"], "mechanisms"),
+    (["run-tsp-lb", "--graph", "lps:5,13", "--t", "0"], "t"),
+    (["run-tsp-lb", "--graph", "lps:5,13", "--blocks", "-4"], "blocks"),
+])
+def test_cli_out_of_range_exit_1(argv, key, capsys):
+    assert cli_main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} must be >=") and err.count("\n") == 1
+
+
 def test_cli_exit_2_on_falsification(tmp_path, monkeypatch):
     import univlb.cli as cli_mod
 

@@ -18,7 +18,6 @@ from univlb.solutions import (
     read_tour,
     read_tree,
     restricted_dfs_order,
-    shortest_path_tree,
     tree_to_path_collection,
     tree_to_tour,
     write_paths,
@@ -36,7 +35,7 @@ def test_tree_validation():
 
 def test_spt_path_costs(petersen):
     m = shortest_path_metric(petersen, 0)
-    t = shortest_path_tree(m, petersen)
+    t = bfs_tree(petersen, 0)
     for v in range(petersen.n):
         path = t.path_to_root(v)
         cost = sum(m.d(a, b) for a, b in zip(path, path[1:]))
@@ -52,7 +51,7 @@ def test_star_tree_is_star(star4):
 def test_spt_k_approximation_baseline(petersen):
     # c(T[X]) <= sum of root distances <= |X| * diameter, for every X
     m = shortest_path_metric(petersen, 0)
-    t = shortest_path_tree(m, petersen)
+    t = bfs_tree(petersen, 0)
     diam = m.dist.max()
     rng = stream(99, 0)
     for _ in range(50):
@@ -165,7 +164,7 @@ def test_doubling_and_contiguity(data):
     c_tx, _ = project_tree(t, x)
     c_sx = project_tour(sigma, m, x)
     assert c_sx <= 2 * c_tx + 1e-9
-    pos = sigma.positions()
+    pos = sigma.positions
     assert restricted_dfs_order(t, x) == tuple(sorted(
         (v for v in x if v != 0), key=pos.__getitem__))
 

@@ -6,7 +6,6 @@ import pytest
 from univlb.graphs import Graph
 from univlb.rng import stream, trial_streams
 from univlb.walks import (
-    WalkTrace,
     random_walk,
     walk_confinement_stats,
     walk_visit_stats,
@@ -27,6 +26,8 @@ def test_walk_on_k2_alternates():
     k2 = Graph(n=2, edges=((0, 1),))
     w = random_walk(k2, 3, stream(2, 0))
     assert w.vertices in ((0, 1, 0, 1), (1, 0, 1, 0))
+    assert w.steps == 3
+    assert w.edges == tuple(zip(w.vertices, w.vertices[1:]))
 
 
 def test_walk_edges_are_graph_edges(petersen):
@@ -43,11 +44,6 @@ def test_walk_reproducible(lps_5_13):
     w1 = random_walk(g, 12, stream(77, 4))
     w2 = random_walk(g, 12, stream(77, 4))
     assert w1.vertices == w2.vertices
-
-
-def test_trace_validation():
-    with pytest.raises(ValueError):
-        WalkTrace(vertices=(0, 1), edges=())
 
 
 def test_confinement_full_set(k4):
@@ -97,6 +93,24 @@ def test_visit_stats_distinct_leq_positions(lps_5_13):
                            trials=500, rngs=rngs)
     assert rep.extra["distinct_frequency"] <= rep.frequency
     assert rep.within(3.0)
+
+
+def test_stats_match_per_walk_reference(petersen):
+    # both validators against their own loop over the same per-trial streams
+    subset, t, gamma, trials = np.array([0, 2, 5, 7, 9]), 4, 0.5, 400
+    mask = np.isin(np.arange(petersen.n), subset)
+    walks = [random_walk(petersen, t, r) for r in trial_streams(13, 1, trials)]
+    inside = sum(all(mask[v] for v in w.vertices) for w in walks)
+    positions = sum(sum(mask[v] for v in w.vertices) > gamma * t for w in walks)
+    distinct = sum(sum(mask[v] for v in w.distinct()) > gamma * t for w in walks)
+    conf = walk_confinement_stats(petersen, subset, t, 0.5, trials,
+                                  trial_streams(13, 1, trials))
+    visit = walk_visit_stats(petersen, subset, t, gamma, 0.5, trials,
+                             trial_streams(13, 1, trials))
+    assert conf.frequency == inside / trials
+    assert visit.frequency == positions / trials
+    assert visit.extra["distinct_frequency"] == distinct / trials
+    assert 0 < inside < positions
 
 
 def test_gamma_range_checked(k4):
