@@ -41,7 +41,6 @@ from .privacy import (
     dp_audit,
     empty_support_check,
     exponential_mechanism,
-    group_privacy,
     transfer_check,
     transfer_lower_bound,
     yao_derandomize,

@@ -67,7 +67,6 @@ class SteinerAdversaryConfig:
 class TspAdversaryConfig:
     t: int
     blocks: int
-    separation_multiplier: int = 3
     alternation_fraction: float = 3.0 / 4.0
 
     def __post_init__(self) -> None:
@@ -213,7 +212,7 @@ def good_walk_frequency(
 
 
 def check_separation(
-    q1: WalkTrace, q2: WalkTrace, m: MetricSpace, t: int, multiplier: int = 3
+    q1: WalkTrace, q2: WalkTrace, m: MetricSpace, t: int
 ) -> bool:
     """Event E1: walk starts at distance >= 3t.
 
@@ -222,14 +221,13 @@ def check_separation(
     (impossible for a true metric) raises ``CertificateFalsification``.
     """
     sep = m.d(q1.start, q2.start)
-    if sep < multiplier * t:
+    if sep < 3 * t:
         return False
-    floor = (multiplier - 2) * t
     for u in q1.distinct():
         for v in q2.distinct():
-            if m.d(u, v) < floor:
+            if m.d(u, v) < t:
                 raise CertificateFalsification(
-                    f"separation implication violated: d({u},{v}) < {floor}"
+                    f"separation implication violated: d({u},{v}) < {t}"
                 )
     return True
 

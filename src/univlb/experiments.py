@@ -94,7 +94,6 @@ class RunConfig:
     t: int | str = "auto"
     blocks: int | str = "auto"
     gamma: float = 1.0
-    separation_multiplier: int = 3
     oracle_cap: int = 0
     metric_cap: int = 6000
     seed: int = 0
@@ -452,8 +451,7 @@ def run_tsp_lb(cfg: RunConfig) -> ExperimentReport:
     base = TspAdversaryConfig.paper_default(inst.graph.n, inst.d, cfg.gamma)
     t = base.t if cfg.t == "auto" else int(cfg.t)
     blocks = base.blocks if cfg.blocks == "auto" else int(cfg.blocks)
-    adv = TspAdversaryConfig(t=t, blocks=blocks,
-                             separation_multiplier=cfg.separation_multiplier)
+    adv = TspAdversaryConfig(t=t, blocks=blocks)
     tours = _tour_solutions(cfg, inst)
     budget = _budget(cfg.oracle_cap)
 
@@ -471,7 +469,7 @@ def run_tsp_lb(cfg: RunConfig) -> ExperimentReport:
         x1 = set(q1.distinct()) - {cfg.root}
         x2 = set(q2.distinct()) - {cfg.root}
         x = x1 | x2
-        e1 = check_separation(q1, q2, m, adv.t, adv.separation_multiplier)
+        e1 = check_separation(q1, q2, m, adv.t)
         b1, b2, shared, e2 = block_alternation(sigma, x1, x2, adv.blocks,
                                                adv.alternation_fraction)
         lhs = project_tour(sigma, m, x)
@@ -674,40 +672,17 @@ def suite_mechanism(
         candidates[f"t{j}"] = SpanningTree(root=m.root, parent=tuple(parent),
                                            edge_cost=costs)
 
-    cost_table: dict[tuple[frozenset[int], str], float] = {}
-    for X in all_subsets(universe):
-        for sid, tree in candidates.items():
-            cost_table[(X, sid)] = project_tree(tree, X)[0]
-    sens = _table_sensitivity(cost_table, universe, list(candidates))
-    mech = exponential_mechanism(universe, candidates, cost_table, eps, sens)
+    cost = np.array([[project_tree(tree, X)[0] for tree in candidates.values()]
+                     for X in all_subsets(universe)])
+    mech = exponential_mechanism(universe, candidates, cost, eps)
 
-    alpha = 1.0
-    sets = tuple(frozenset({v}) for v in items)
-    d_empty = mech.distribution(frozenset())
-    rho_1 = 0.0
-    for X in sets:
-        opt = float(len(X))  # each spoke costs exactly 1 on the star
-        p = sum(prob for sid, prob in d_empty.items()
-                if project_tree(candidates[sid], X)[0] <= alpha * opt)
-        rho_1 = max(rho_1, p)
+    # Singleton {items[i]} is row 1 << i; its optimum is one spoke of cost 1.
+    alpha, opt = 1.0, 1.0
+    beats = cost[[1 << i for i in range(len(items))]] <= alpha * opt
+    rho_1 = float((beats * mech.probs[0]).sum(axis=1).max(initial=0.0))
     witness = LowerBoundWitness(alpha=alpha, rho={1: min(rho_1 + 1e-12, 1.0)},
-                                metric=m, sets=sets)
+                                metric=m, sets=tuple(frozenset({v}) for v in items))
     return mech, witness
-
-
-def _table_sensitivity(
-    cost_table: dict[tuple[frozenset[int], str], float],
-    universe: frozenset[int],
-    ids: list[str],
-) -> float:
-    """Exact L-infinity sensitivity of a cost table across neighbor sets."""
-    worst = 0.0
-    for X in all_subsets(universe):
-        for v in universe - X:
-            y = X | {v}
-            for sid in ids:
-                worst = max(worst, abs(cost_table[(y, sid)] - cost_table[(X, sid)]))
-    return max(worst, 1e-12)
 
 
 def run_dp_transfer(cfg: RunConfig) -> ExperimentReport:

@@ -81,12 +81,19 @@ class Graph:
         return indptr, indices
 
     @cached_property
-    def levels(self) -> np.ndarray:
-        """Read-only BFS distances from vertex 0 (-1 for unreachable); the one
-        sweep behind ``is_connected``, ``bipartition`` and ``diameter_ecc``."""
-        dist = bfs_parents(self, 0)[0]
+    def bfs_from_0(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (dist, parent) of the BFS from vertex 0; the one sweep
+        behind ``levels`` and ``solutions.bfs_tree(g, 0)``."""
+        dist, parent = bfs_parents(self, 0)
         dist.setflags(write=False)
-        return dist
+        parent.setflags(write=False)
+        return dist, parent
+
+    @property
+    def levels(self) -> np.ndarray:
+        """BFS distances from vertex 0 (-1 for unreachable), read by
+        ``is_connected``, ``bipartition`` and ``diameter_ecc``."""
+        return self.bfs_from_0[0]
 
     @cached_property
     def regular_degree(self) -> int | None:

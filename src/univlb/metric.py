@@ -177,8 +177,11 @@ def read_metric(path: str | Path) -> MetricSpace:
         raise MetricError(f"{path}: expected {n * n} entries, found {len(values)}")
     integral = all("." not in v and "e" not in v and "inf" not in v for v in values)
     dtype = np.int64 if integral else np.float64
-    dist = np.array(values, dtype=dtype).reshape(n, n)
-    return MetricSpace(n=n, dist=dist, root=root)
+    m = MetricSpace(n=n, dist=np.array(values, dtype=dtype).reshape(n, n), root=root)
+    violation = validate_metric(m)
+    if violation is not None:
+        raise MetricError(f"{path}: not a metric: {violation}")
+    return m
 
 
 def random_euclidean_metric(n: int, rng: np.random.Generator, root: int = 0) -> MetricSpace:

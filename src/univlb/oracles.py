@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .adversary import CertificateFalsification
 from .metric import MetricSpace
 from .walks import WalkTrace
 
@@ -133,7 +134,8 @@ def _dw_backtrack(
                 break
             sub = (sub - 1) & S
         if not found:
-            raise AssertionError("Dreyfus-Wagner backtrack failed to re-derive a choice")
+            raise CertificateFalsification(
+                "Dreyfus-Wagner backtrack failed to re-derive a choice")
     # The DP can produce zero-length self edges when a terminal doubles as
     # an attachment point; those were skipped above.
     return sorted(set(edges))

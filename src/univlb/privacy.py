@@ -5,6 +5,10 @@ terminal sets, all neighboring pairs, and all support probabilities are
 enumerated and compared with rational-strength arithmetic (floats plus a
 relative tolerance on ratio comparisons only).
 
+A terminal set is a bitmask over the universe: bit i stands for the i-th
+smallest element. A mechanism is one array of shape (2^|U|, solutions)
+whose row ``mask`` is the distribution at that set.
+
 The transfer theorem machinery: an (alpha, rho) lower-bound witness for
 universal algorithms yields the privacy threshold
 
@@ -17,11 +21,15 @@ verifies the full chain on a concrete mechanism by exhaustive arithmetic.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
+from .adversary import CertificateFalsification
 from .metric import MetricSpace
 from .solutions import (
     PathCollection,
@@ -66,29 +74,35 @@ def solution_cost(s: Solution, m: MetricSpace, X) -> float:
 
 @dataclass(frozen=True)
 class MechanismTable:
-    """Explicit finite mechanism: one distribution over solutions per X."""
+    """Explicit finite mechanism: read-only ``probs[mask, j]`` is the
+    probability of the j-th entry of ``solutions`` on terminal set ``mask``."""
 
     universe: frozenset[int]
     solutions: dict[str, Solution]
-    table: dict[frozenset[int], dict[str, float]]
+    probs: np.ndarray
     claimed_eps: float | None = None
 
     def __post_init__(self) -> None:
-        for X, row in self.table.items():
-            total = sum(row.values())
-            if abs(total - 1.0) > 1e-12:
-                raise MechanismError(f"distribution at X={sorted(X)} sums to {total}")
-            for sid, prob in row.items():
-                if sid not in self.solutions:
-                    raise MechanismError(f"unknown solution id {sid!r}")
-                if prob < 0:
-                    raise MechanismError(f"negative probability for {sid!r}")
+        probs = np.array(self.probs, dtype=np.float64)
+        shape = (1 << len(self.universe), len(self.solutions))
+        if probs.shape != shape:
+            raise MechanismError(f"probability table has shape {probs.shape}, not {shape}")
+        negative = (probs < 0).any(axis=1)
+        # "not <=" also rejects NaN rows
+        bad = np.flatnonzero(negative | ~(np.abs(probs.sum(axis=1) - 1.0) <= 1e-12))
+        if bad.size:
+            mask = int(bad[0])
+            problem = "is negative" if negative[mask] else f"sums to {probs[mask].sum()}"
+            raise MechanismError(
+                f"distribution at X={sorted(_members(mask, self.universe))} {problem}")
+        probs.setflags(write=False)
+        object.__setattr__(self, "probs", probs)
 
     def distribution(self, X: frozenset[int]) -> dict[str, float]:
-        try:
-            return self.table[X]
-        except KeyError:
-            raise MechanismError(f"mechanism not defined on X={sorted(X)}") from None
+        if not X <= self.universe:
+            raise MechanismError(f"mechanism not defined on X={sorted(X)}")
+        mask = sum(1 << i for i, v in enumerate(sorted(self.universe)) if v in X)
+        return dict(zip(self.solutions, self.probs[mask].tolist()))
 
 
 @dataclass(frozen=True)
@@ -99,27 +113,25 @@ class AuditReport:
     witness_solution: str | None
 
 
+def _members(mask: int, universe: frozenset[int]) -> frozenset[int]:
+    return frozenset(v for i, v in enumerate(sorted(universe)) if mask >> i & 1)
+
+
 def all_subsets(universe: frozenset[int]) -> list[frozenset[int]]:
-    items = sorted(universe)
-    return [
-        frozenset(v for i, v in enumerate(items) if mask >> i & 1)
-        for mask in range(1 << len(items))
-    ]
+    """Every terminal set, listed by mask."""
+    return [_members(mask, universe) for mask in range(1 << len(universe))]
 
 
-def neighbor_pairs(
-    universe: frozenset[int], distance: int = 1
-) -> list[tuple[frozenset[int], frozenset[int]]]:
-    """Unordered pairs of terminal sets at symmetric difference ``distance``."""
-    subsets = all_subsets(universe)
-    if distance == 1:
-        return [(X, X | {v}) for X in subsets for v in sorted(universe - X)]
-    out = []
-    for i, a in enumerate(subsets):
-        for b in subsets[i + 1:]:
-            if len(a ^ b) == distance:
-                out.append((a, b))
-    return out
+def neighbor_pairs(size: int, distance: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Masks (a, b), a < b, of every pair of terminal sets over a universe of
+    ``size`` elements whose symmetric difference has ``distance`` elements."""
+    flips = np.array([sum(1 << i for i in bits)
+                      for bits in itertools.combinations(range(size), distance)],
+                     dtype=np.int64)
+    a = np.arange(1 << size, dtype=np.int64)[:, None]
+    b = a ^ flips
+    keep = a < b
+    return np.broadcast_to(a, b.shape)[keep], b[keep]
 
 
 def dp_audit(
@@ -136,59 +148,43 @@ def dp_audit(
         bound = math.exp(distance * eps)
     except OverflowError:
         bound = math.inf
-    worst = 1.0
-    witness_pair = None
-    witness_sid = None
-    for a, b in neighbor_pairs(mech.universe, distance):
-        row_a = mech.distribution(a)
-        row_b = mech.distribution(b)
-        for sid in set(row_a) | set(row_b):
-            pa = row_a.get(sid, 0.0)
-            pb = row_b.get(sid, 0.0)
-            if pa == 0.0 and pb == 0.0:
-                continue
-            if pa == 0.0 or pb == 0.0:
-                return AuditReport(False, math.inf, (a, b), sid)
-            ratio = max(pa / pb, pb / pa)
-            if ratio > worst:
-                worst, witness_pair, witness_sid = ratio, (a, b), sid
-    passed = worst <= bound * (1.0 + RATIO_RTOL)
-    return AuditReport(passed, worst, witness_pair, witness_sid)
-
-
-def group_privacy(eps: float, k: int) -> float:
-    """Privacy parameter after k iterated neighbor steps."""
-    if k < 1:
-        raise ValueError("group size must be at least 1")
-    return k * eps
+    a, b = neighbor_pairs(len(mech.universe), distance)
+    pa, pb = mech.probs[a], mech.probs[b]
+    za, zb = pa == 0.0, pb == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.maximum(pa / pb, pb / pa)  # p/0 is inf
+    ratio[za & zb] = 1.0
+    worst, pair, sid = 1.0, None, None
+    if ratio.size and ratio.max() > 1.0:
+        i, j = np.unravel_index(np.argmax(ratio), ratio.shape)
+        worst, sid = float(ratio[i, j]), list(mech.solutions)[j]
+        pair = _members(int(a[i]), mech.universe), _members(int(b[i]), mech.universe)
+    return AuditReport(worst <= bound * (1.0 + RATIO_RTOL) and not (za != zb).any(),
+                       worst, pair, sid)
 
 
 def exponential_mechanism(
     universe: frozenset[int],
     candidates: dict[str, Solution],
-    cost: dict[tuple[frozenset[int], str], float],
+    cost: np.ndarray,
     eps: float,
-    sensitivity: float,
 ) -> MechanismTable:
     """Reference mechanism: Pr_X[s] proportional to exp(-eps*cost/(2*sens)).
 
-    Materialized for every X in 2^U. Probabilities are shifted by the
-    minimum exponent before exponentiation so the table never overflows.
+    ``cost[mask, j]`` is the cost of the j-th candidate on terminal set
+    ``mask``; sens is its exact sensitivity, the largest change of one
+    candidate's cost between neighboring sets (floored at 1e-12).
+    Probabilities are shifted by the minimum exponent before
+    exponentiation so the table never overflows.
     """
-    if sensitivity <= 0:
-        raise MechanismError("sensitivity must be positive")
-    table: dict[frozenset[int], dict[str, float]] = {}
-    for X in all_subsets(universe):
-        exponents = {
-            sid: -eps * cost[(X, sid)] / (2.0 * sensitivity) for sid in candidates
-        }
-        shift = max(exponents.values())
-        weights = {sid: math.exp(e - shift) for sid, e in exponents.items()}
-        total = sum(weights.values())
-        table[X] = {sid: w / total for sid, w in weights.items()}
-    return MechanismTable(
-        universe=universe, solutions=dict(candidates), table=table, claimed_eps=eps
-    )
+    cost = np.asarray(cost, dtype=np.float64)
+    a, b = neighbor_pairs(len(universe))
+    sensitivity = max(float(np.abs(cost[b] - cost[a]).max(initial=0.0)), 1e-12)
+    exponents = -eps * cost / (2.0 * sensitivity)
+    weights = np.exp(exponents - exponents.max(axis=1, keepdims=True))
+    total = sum(weights.T)  # column by column: each row summed left to right
+    return MechanismTable(universe=universe, solutions=dict(candidates),
+                          probs=weights / total[:, None], claimed_eps=eps)
 
 
 def empty_support_check(mech: MechanismTable) -> tuple[bool, str | None]:
@@ -227,9 +223,12 @@ def yao_derandomize(
     )
     total_xs = sum(px * per_set[X] for X, px in set_probs.items())
     if abs(total_sx - total_xs) > 1e-12 * max(1.0, abs(total_sx)):
-        raise AssertionError("summation interchange mismatch")
+        raise CertificateFalsification(
+            f"summation interchange mismatch: {total_sx} != {total_xs}")
     best = min(sorted(per_set, key=sorted), key=per_set.__getitem__)
-    assert per_set[best] <= total_xs + 1e-12
+    if per_set[best] > total_xs + 1e-12:
+        raise CertificateFalsification(
+            f"minimum {per_set[best]} over sets exceeds their average {total_xs}")
     return best, per_set[best]
 
 
@@ -301,9 +300,10 @@ def transfer_check(
         raise MechanismError(f"solution {bad!r} infeasible at the full universe")
     d_empty = mech.distribution(frozenset())
 
-    def beats(sid: str, X: frozenset[int]) -> bool:
-        opt = opt_fn(X)
-        return solution_cost(mech.solutions[sid], m, X) <= witness.alpha * opt
+    def beat_prob(row: dict[str, float], X: frozenset[int]) -> float:
+        bar = witness.alpha * opt_fn(X)
+        return sum(prob for sid, prob in row.items()
+                   if solution_cost(mech.solutions[sid], m, X) <= bar)
 
     if not witness.sets:
         raise ValueError("witness family is empty")
@@ -313,17 +313,16 @@ def transfer_check(
     best_x = None
     best_p = math.inf
     for X in sorted(witness.sets, key=sorted):
-        p = sum(prob for sid, prob in d_empty.items() if beats(sid, X))
+        p = beat_prob(d_empty, X)
         if p <= witness.rho[len(X)] + 1e-12 and p < best_p:
             best_x, best_p = X, p
     if best_x is None:
-        raise AssertionError(
+        raise CertificateFalsification(
             "witness family does not achieve its rho bound on this mechanism"
         )
     rho_k = witness.rho[len(best_x)]
 
-    d_x = mech.distribution(best_x)
-    prob_beat = sum(prob for sid, prob in d_x.items() if beats(sid, best_x))
+    prob_beat = beat_prob(mech.distribution(best_x), best_x)
     bound = math.exp(eps * len(best_x)) * rho_k
     ok = prob_beat <= bound + 1e-12 and (bound <= 0.5 + 1e-12)
     return TransferCheck(
@@ -333,36 +332,42 @@ def transfer_check(
 
 
 def write_mechanism(mech: MechanismTable, path: str | Path) -> None:
-    """JSON serialization: solution registry plus per-X probability rows."""
-    items = sorted(mech.universe)
+    """JSON serialization: solution registry plus one probability row per
+    mask, keyed by the mask in decimal."""
     doc = {
-        "universe": items,
+        "universe": sorted(mech.universe),
         "claimed_eps": mech.claimed_eps,
         "solutions": {sid: _solution_doc(s) for sid, s in mech.solutions.items()},
-        "table": {
-            _mask(X, items): {sid: p for sid, p in sorted(row.items())}
-            for X, row in sorted(mech.table.items(), key=lambda kv: _mask(kv[0], items))
-        },
+        "table": {str(mask): dict(sorted(zip(mech.solutions, row)))
+                  for mask, row in enumerate(mech.probs.tolist())},
     }
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
 def read_mechanism(path: str | Path) -> MechanismTable:
+    """Inverse of ``write_mechanism``; a solution a row omits has probability 0."""
     doc = json.loads(Path(path).read_text())
-    items = list(doc["universe"])
-    solutions = {sid: _solution_from_doc(d) for sid, d in doc["solutions"].items()}
-    table = {
-        frozenset(v for i, v in enumerate(items) if int(mask) >> i & 1): dict(row)
-        for mask, row in doc["table"].items()
-    }
-    return MechanismTable(
-        universe=frozenset(items), solutions=solutions, table=table,
-        claimed_eps=doc.get("claimed_eps"),
-    )
-
-
-def _mask(X: frozenset[int], items: list[int]) -> str:
-    return str(sum(1 << i for i, v in enumerate(items) if v in X))
+    try:
+        universe = frozenset(doc["universe"])
+        solutions = {sid: _solution_from_doc(d) for sid, d in doc["solutions"].items()}
+        rows = doc["table"]
+    except KeyError as exc:
+        raise MechanismError(f"{path}: missing key {exc}") from None
+    column = {sid: j for j, sid in enumerate(solutions)}
+    probs = np.zeros((1 << len(universe), len(solutions)))
+    for mask in range(len(probs)):
+        row = rows.get(str(mask))
+        if row is None:
+            raise MechanismError(
+                f"{path}: no row {mask} (X={sorted(_members(mask, universe))})")
+        for sid, prob in row.items():
+            if sid not in column:
+                raise MechanismError(f"{path}: row {mask} names unknown solution {sid!r}")
+            probs[mask, column[sid]] = prob
+    if len(rows) != len(probs):
+        raise MechanismError(f"{path}: rows other than masks 0..{len(probs) - 1}")
+    return MechanismTable(universe=universe, solutions=solutions, probs=probs,
+                          claimed_eps=doc.get("claimed_eps"))
 
 
 def _solution_doc(s: Solution) -> dict:

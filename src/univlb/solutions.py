@@ -126,7 +126,7 @@ class TourOrder:
 
 def bfs_tree(g: Graph, root: int) -> SpanningTree:
     """Unit-cost shortest-path tree straight from the graph (no metric table)."""
-    dist, parent = bfs_parents(g, root)
+    _, parent = g.bfs_from_0 if root == 0 else bfs_parents(g, root)
     if np.any(parent < 0):
         raise GraphError("graph is disconnected")
     costs = tuple(0.0 if v == root else 1.0 for v in range(g.n))

@@ -16,7 +16,8 @@ from univlb.expanders import (
     sqrt_mod,
     write_certificate,
 )
-from univlb import graphs
+from univlb import experiments, graphs, solutions
+from univlb.experiments import RunConfig, run_experiment
 from univlb.graphs import Graph, girth, is_connected
 
 
@@ -46,8 +47,8 @@ def test_lps_5_13_certificate(lps_5_13):
 
 
 def test_lps_build_sweeps_vertex_0_once(monkeypatch, lps_5_13):
-    # connectivity, bipartiteness, beta's deflation and the diameter all read
-    # the one cached BFS from vertex 0
+    # connectivity, bipartiteness, beta's deflation, the diameter and the
+    # steiner-lb shortest-path tree all read the one cached BFS from vertex 0
     sources = []
     real = graphs.bfs_parents
 
@@ -56,9 +57,15 @@ def test_lps_build_sweeps_vertex_0_once(monkeypatch, lps_5_13):
         return real(g, source)
 
     monkeypatch.setattr(graphs, "bfs_parents", counting)
+    monkeypatch.setattr(solutions, "bfs_parents", counting)
     g, cert = lps_graph.__wrapped__(5, 13)  # bypass the memo: a fresh build
     assert sources == [0]
     assert (g.edges, cert) == (lps_5_13[0].edges, lps_5_13[1])
+
+    sources.clear()
+    monkeypatch.setattr(experiments, "lps_graph", lps_graph.__wrapped__)
+    run_experiment(RunConfig.make(pipeline="steiner-lb", graph="lps:5,13", trials=5))
+    assert sources == [0]
 
 
 def test_lps_psl_case():

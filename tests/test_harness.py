@@ -235,6 +235,17 @@ def test_cli_oracle(tmp_path, capsys):
     assert "opt_steiner" in out
 
 
+@pytest.mark.parametrize("problem", ["steiner", "tsp"])
+def test_cli_oracle_rejects_non_metric(tmp_path, capsys, problem):
+    # d(0,2) = 5 > d(0,1) + d(1,2) = 2
+    (tmp_path / "m.txt").write_text("3 0\n0 1 5\n1 0 1\n5 1 0\n")
+    rc = cli_main(["oracle", problem, "--metric", str(tmp_path / "m.txt"),
+                   "--terminals", "2"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not a metric" in err and err.count("\n") == 1
+
+
 def test_cli_transfer(tmp_path, capsys):
     doc = {"alpha": 2.0, "rho": {str(k): 0.5 * np.exp(-k) for k in range(1, 5)}}
     wfile = tmp_path / "w.json"
@@ -298,3 +309,26 @@ def test_cli_audit_dp(tmp_path):
     assert rc == 0
     rc = cli_main(["audit-dp", "--mech", str(tmp_path / "mech.json"), "--eps", "0.001"])
     assert rc == 1
+
+
+@pytest.mark.parametrize("breakage, message", [
+    (lambda doc: doc["table"].pop("5"), "no row 5"),
+    (lambda doc: doc["table"]["3"].update(t9=0.0), "unknown solution 't9'"),
+    (lambda doc: doc["table"].update({"16": doc["table"]["0"]}), "rows other than"),
+    (lambda doc: doc.pop("universe"), "missing key 'universe'"),
+    (lambda doc: doc["solutions"]["t0"].pop("kind"), "missing key 'kind'"),
+])
+def test_cli_audit_dp_bad_file_exit_1(tmp_path, capsys, breakage, message):
+    from univlb.experiments import star_metric, suite_mechanism
+    from univlb.privacy import write_mechanism
+    from univlb.rng import stream
+
+    path = tmp_path / "mech.json"
+    mech, _ = suite_mechanism(star_metric(4), frozenset(range(1, 5)), 0.4, stream(19, 0))
+    write_mechanism(mech, path)
+    doc = json.loads(path.read_text())
+    breakage(doc)
+    path.write_text(json.dumps(doc))
+    assert cli_main(["audit-dp", "--mech", str(path), "--eps", "0.4"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1

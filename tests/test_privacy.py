@@ -2,11 +2,16 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from univlb.experiments import star_metric, suite_mechanism
+from univlb import experiments, privacy
+from univlb.adversary import CertificateFalsification
+from univlb.experiments import RunConfig, run_experiment, star_metric, suite_mechanism
 from univlb.oracles import steiner_exact
 from univlb.privacy import (
+    RATIO_RTOL,
     LowerBoundWitness,
     MechanismError,
     MechanismTable,
@@ -14,7 +19,6 @@ from univlb.privacy import (
     dp_audit,
     empty_support_check,
     exponential_mechanism,
-    group_privacy,
     neighbor_pairs,
     read_mechanism,
     solution_covers,
@@ -33,9 +37,89 @@ def _const_tree(n: int = 2) -> SpanningTree:
 
 def _uniform_mech(universe: frozenset[int], ids: list[str]) -> MechanismTable:
     sols = {sid: _const_tree(len(universe) + 1) for sid in ids}
-    prob = 1.0 / len(ids)
-    table = {X: {sid: prob for sid in ids} for X in all_subsets(universe)}
-    return MechanismTable(universe=universe, solutions=sols, table=table)
+    probs = np.full((1 << len(universe), len(ids)), 1.0 / len(ids))
+    return MechanismTable(universe=universe, solutions=sols, probs=probs)
+
+
+# The dict-of-frozensets audit and exponential mechanism that the array
+# versions replaced, kept as the slow reference.
+
+def _reference_audit(table, universe, eps, distance):
+    bound = math.exp(distance * eps)
+    subsets = all_subsets(universe)
+    worst = 1.0
+    for i, a in enumerate(subsets):
+        for b in subsets[i + 1:]:
+            if len(a ^ b) != distance:
+                continue
+            for sid in set(table[a]) | set(table[b]):
+                pa = table[a].get(sid, 0.0)
+                pb = table[b].get(sid, 0.0)
+                if pa == 0.0 and pb == 0.0:
+                    continue
+                if pa == 0.0 or pb == 0.0:
+                    return False, math.inf
+                worst = max(worst, pa / pb, pb / pa)
+    return worst <= bound * (1.0 + RATIO_RTOL), worst
+
+
+def _reference_exponential(universe, ids, cost, eps):
+    sens = 0.0
+    for X in all_subsets(universe):
+        for v in universe - X:
+            for sid in ids:
+                sens = max(sens, abs(cost[(X | {v}, sid)] - cost[(X, sid)]))
+    sens = max(sens, 1e-12)
+    table = {}
+    for X in all_subsets(universe):
+        exponents = {sid: -eps * cost[(X, sid)] / (2.0 * sens) for sid in ids}
+        shift = max(exponents.values())
+        weights = {sid: math.exp(e - shift) for sid, e in exponents.items()}
+        total = sum(weights.values())
+        table[X] = {sid: w / total for sid, w in weights.items()}
+    return table
+
+
+@st.composite
+def terminal_tables(draw):
+    """A universe of 1-6 scattered vertices and a (2^|U|, 1-4) table of small
+    integer weights, zeros included, each row normalised."""
+    universe = frozenset(draw(st.sets(st.integers(0, 30), min_size=1, max_size=6)))
+    shape = (1 << len(universe), draw(st.integers(1, 4)))
+    flat = draw(st.lists(st.integers(0, 3), min_size=shape[0] * shape[1],
+                         max_size=shape[0] * shape[1]))
+    weights = np.array(flat, dtype=np.float64).reshape(shape)
+    weights[weights.sum(axis=1) == 0, 0] = 1.0
+    return universe, weights / weights.sum(axis=1, keepdims=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(terminal_tables(), st.sampled_from([0.0, 0.3, 1.5]), st.integers(1, 2))
+def test_audit_matches_reference(drawn, eps, distance):
+    universe, probs = drawn
+    ids = [f"s{j}" for j in range(probs.shape[1])]
+    mech = MechanismTable(universe=universe, solutions={sid: _const_tree() for sid in ids},
+                          probs=probs)
+    table = {X: {sid: p for sid, p in zip(ids, row) if p > 0}
+             for X, row in zip(all_subsets(universe), probs.tolist())}
+    report = dp_audit(mech, eps, distance)
+    assert (report.passed, report.worst_ratio) == _reference_audit(table, universe, eps,
+                                                                   distance)
+
+
+@settings(max_examples=100, deadline=None)
+@given(terminal_tables(), st.sampled_from([0.0, 0.3, 1.5]))
+def test_exponential_mechanism_matches_reference(drawn, eps):
+    # reuse the drawn weights as costs in tenths, so sensitivities stay >= 0.1
+    universe, weights = drawn
+    cost = np.round(weights * 20) * 0.1
+    ids = [f"s{j}" for j in range(cost.shape[1])]
+    cost_dict = {(X, sid): c for X, row in zip(all_subsets(universe), cost.tolist())
+                 for sid, c in zip(ids, row)}
+    ref = _reference_exponential(universe, ids, cost_dict, eps)
+    mech = exponential_mechanism(universe, {sid: _const_tree() for sid in ids}, cost, eps)
+    expected = np.array([[ref[X][sid] for sid in ids] for X in all_subsets(universe)])
+    np.testing.assert_array_max_ulp(mech.probs, expected, maxulp=4)
 
 
 def test_x_independent_mechanism_is_zero_dp():
@@ -54,12 +138,10 @@ def test_two_candidate_closed_form():
     assert expected_ratio == pytest.approx(math.exp(eps / 2.0), rel=1e-12)
 
     universe = frozenset({1})
-    cost = {
-        (frozenset(), "a"): 0.0, (frozenset(), "b"): 1.0,
-        (frozenset({1}), "a"): 1.0, (frozenset({1}), "b"): 0.0,
-    }
+    cost = np.array([[0.0, 1.0],   # X = {}
+                     [1.0, 0.0]])  # X = {1}
     sols = {"a": _const_tree(), "b": _const_tree()}
-    mech = exponential_mechanism(universe, sols, cost, eps, 1.0)
+    mech = exponential_mechanism(universe, sols, cost, eps)
     report = dp_audit(mech, eps)
     assert report.passed
     assert report.worst_ratio == pytest.approx(math.exp(eps / 2.0), rel=1e-12)
@@ -68,9 +150,8 @@ def test_two_candidate_closed_form():
 def test_zero_eps_mechanism_uniform():
     universe = frozenset({1, 2})
     sols = {"a": _const_tree(3), "b": _const_tree(3)}
-    cost = {(X, sid): float(len(X)) * (1 if sid == "a" else 3)
-            for X in all_subsets(universe) for sid in sols}
-    mech = exponential_mechanism(universe, sols, cost, 0.0, 1.0)
+    cost = np.array([[len(X) * 1.0, len(X) * 3.0] for X in all_subsets(universe)])
+    mech = exponential_mechanism(universe, sols, cost, 0.0)
     for X in all_subsets(universe):
         assert mech.distribution(X)["a"] == pytest.approx(0.5)
 
@@ -78,18 +159,41 @@ def test_zero_eps_mechanism_uniform():
 def test_zero_probability_neighbor_fails_all_eps():
     universe = frozenset({1})
     sols = {"a": _const_tree(), "b": _const_tree()}
-    table = {frozenset(): {"a": 1.0},
-             frozenset({1}): {"a": 0.5, "b": 0.5}}
-    mech = MechanismTable(universe=universe, solutions=sols, table=table)
-    report = dp_audit(mech, 1e9)
-    assert not report.passed
-    assert report.worst_ratio == math.inf
+    mech = MechanismTable(universe=universe, solutions=sols,
+                          probs=[[1.0, 0.0], [0.5, 0.5]])
+    for eps in (1e9, 1e400):  # an infinite bound still refuses p/0
+        report = dp_audit(mech, eps)
+        assert not report.passed
+        assert report.worst_ratio == math.inf
+        assert report.witness_pair == (frozenset(), frozenset({1}))
+        assert report.witness_solution == "b"
 
 
 def test_unnormalized_rejected():
+    universe = frozenset({4, 9})
+    sols = {"a": _const_tree(), "b": _const_tree()}
+    good = [[0.5, 0.5]] * 4
+    for mask, row, message in ((2, [0.7, 0.0], r"X=\[9\] sums to 0.7"),
+                               (1, [1.5, -0.5], r"X=\[4\] is negative"),
+                               (3, [math.nan, 1.0], r"X=\[4, 9\] sums to nan")):
+        probs = np.array(good)
+        probs[mask] = row
+        with pytest.raises(MechanismError, match=message):
+            MechanismTable(universe=universe, solutions=sols, probs=probs)
+    with pytest.raises(MechanismError, match="shape"):
+        MechanismTable(universe=universe, solutions=sols, probs=good[:3])
+
+
+def test_probs_read_only_copy():
+    probs = np.full((2, 1), 1.0)
+    mech = MechanismTable(universe=frozenset({1}), solutions={"a": _const_tree()},
+                          probs=probs)
+    probs[0, 0] = 0.0  # the caller's array stays writable and apart
+    assert mech.distribution(frozenset()) == {"a": 1.0}
+    with pytest.raises(ValueError):
+        mech.probs[0, 0] = 0.0
     with pytest.raises(MechanismError):
-        MechanismTable(universe=frozenset({1}), solutions={"a": _const_tree()},
-                       table={frozenset(): {"a": 0.7}})
+        mech.distribution(frozenset({2}))
 
 
 def test_random_cost_tables_pass_at_construction_eps():
@@ -98,22 +202,10 @@ def test_random_cost_tables_pass_at_construction_eps():
     sols = {sid: _const_tree(7) for sid in ids}
     for trial in range(25):
         rng = stream(13, trial)
-        cost = {(X, sid): float(rng.random())
-                for X in all_subsets(universe) for sid in ids}
-        sens = max(
-            abs(cost[(X | {v}, sid)] - cost[(X, sid)])
-            for X in all_subsets(universe) for v in universe - X for sid in ids
-        )
+        cost = rng.random((1 << len(universe), len(ids)))  # row X, column sid
         eps = float(rng.uniform(0.1, 2.0))
-        mech = exponential_mechanism(universe, sols, cost, eps, sens)
+        mech = exponential_mechanism(universe, sols, cost, eps)
         assert dp_audit(mech, eps).passed
-
-
-def test_group_privacy():
-    assert group_privacy(0.2, 1) == pytest.approx(0.2)
-    assert group_privacy(0.2, 3) == pytest.approx(0.6)
-    with pytest.raises(ValueError):
-        group_privacy(0.2, 0)
 
 
 def test_group_privacy_distance_two_audit():
@@ -122,23 +214,26 @@ def test_group_privacy_distance_two_audit():
     sols = {sid: _const_tree(7) for sid in ids}
     for trial in range(10):
         rng = stream(14, trial)
-        cost = {(X, sid): float(rng.random())
-                for X in all_subsets(universe) for sid in ids}
-        sens = max(
-            abs(cost[(X | {v}, sid)] - cost[(X, sid)])
-            for X in all_subsets(universe) for v in universe - X for sid in ids
-        )
+        cost = rng.random((1 << len(universe), len(ids)))
         eps = 0.5
-        mech = exponential_mechanism(universe, sols, cost, eps, sens)
+        mech = exponential_mechanism(universe, sols, cost, eps)
         assert dp_audit(mech, eps, distance=1).passed
-        # distance-2 pairs satisfy the exp(2 eps) bound
-        assert dp_audit(mech, eps, distance=2).passed
+        # distance-2 pairs satisfy the exp(2 eps) bound; the audit applies
+        # exp(2 eps'), so just below eps' = ln(worst) / 2 it fails
+        two = dp_audit(mech, eps, distance=2)
+        assert two.passed
+        assert not dp_audit(mech, math.log(two.worst_ratio) / 2 * 0.999, distance=2).passed
 
 
 def test_neighbor_pairs_counts():
-    u = frozenset({1, 2, 3})
-    pairs = neighbor_pairs(u, 1)
-    assert len(pairs) == 3 * 4  # each of 8 subsets has 3 neighbors, halved
+    a, b = neighbor_pairs(3, 1)
+    assert len(a) == 3 * 4  # each of 8 subsets has 3 neighbors, halved
+    for size in range(5):
+        for distance in range(4):
+            a, b = neighbor_pairs(size, distance)
+            brute = [(x, y) for x in range(1 << size) for y in range(x + 1, 1 << size)
+                     if (x ^ y).bit_count() == distance]
+            assert sorted(zip(a.tolist(), b.tolist())) == brute
 
 
 def test_empty_support_check():
@@ -148,8 +243,7 @@ def test_empty_support_check():
 
     small = TourOrder(root=0, order=(1, 2))  # misses vertex 3
     assert not solution_covers(small, universe)
-    bad = MechanismTable(universe=universe, solutions={"s": small},
-                         table={X: {"s": 1.0} for X in all_subsets(universe)})
+    bad = MechanismTable(universe=universe, solutions={"s": small}, probs=np.ones((8, 1)))
     ok, sid = empty_support_check(bad)
     assert not ok and sid == "s"
 
@@ -186,6 +280,19 @@ def test_yao_min_below_average():
     assert val <= avg + 1e-12
 
 
+def test_yao_interchange_mismatch_is_falsification():
+    # an event that is not a fixed function of (s, X) breaks the exchange
+    calls = []
+
+    def flaky(sid, X):
+        calls.append(sid)
+        return len(calls) <= 2  # true only while the per-set sums are taken
+
+    with pytest.raises(CertificateFalsification, match="interchange"):
+        yao_derandomize({"s1": 0.5, "s2": 0.5},
+                        {frozenset({1}): 0.5, frozenset({2}): 0.5}, flaky)
+
+
 def test_transfer_threshold_values():
     w = LowerBoundWitness(alpha=3.0, rho={k: 0.5 * math.exp(-k) for k in range(1, 8)})
     assert transfer_lower_bound(w) == pytest.approx(1.0, rel=1e-12)
@@ -216,6 +323,32 @@ def test_transfer_end_to_end():
         assert chk.prob_beat <= chk.bound <= 0.5 + 1e-12
 
 
+def test_transfer_witness_above_its_rho_is_falsified():
+    # the empty-input distribution is uniform over 4 trees, so every singleton
+    # is beaten with probability 1/4 > rho(1) = 0.1
+    m = star_metric(4)
+    mech, witness = suite_mechanism(m, frozenset(range(1, 5)), 0.5, stream(16, 0))
+    assert witness.rho[1] == pytest.approx(0.25)
+    false_witness = LowerBoundWitness(alpha=witness.alpha, rho={1: 0.1}, metric=m,
+                                      sets=witness.sets)
+    with pytest.raises(CertificateFalsification, match="rho bound"):
+        transfer_check(mech, m, false_witness, 0.5, opt_fn=lambda X: steiner_exact(m, X))
+
+
+def test_suite_mechanism_enumerates_subsets_once(monkeypatch):
+    calls = []
+    real = privacy.all_subsets
+
+    def counting(universe):
+        calls.append(universe)
+        return real(universe)
+
+    monkeypatch.setattr(privacy, "all_subsets", counting)
+    monkeypatch.setattr(experiments, "all_subsets", counting)
+    run_experiment(RunConfig.make(pipeline="dp-transfer", universe=5, mechanisms=3))
+    assert len(calls) == 3
+
+
 def test_mechanism_file_roundtrip(tmp_path):
     m = star_metric(4)
     universe = frozenset(range(1, 5))
@@ -224,8 +357,19 @@ def test_mechanism_file_roundtrip(tmp_path):
     write_mechanism(mech, path)
     back = read_mechanism(path)
     assert back.universe == mech.universe
-    assert set(back.solutions) == set(mech.solutions)
-    for X in all_subsets(universe):
-        for sid, p in mech.distribution(X).items():
-            assert back.distribution(X)[sid] == pytest.approx(p, rel=1e-12)
+    assert back.solutions == mech.solutions
+    assert np.array_equal(back.probs, mech.probs)  # repr round-trips exactly
     assert dp_audit(back, 0.4).passed
+
+
+def test_mechanism_file_bit_order(tmp_path):
+    # bit i of a row key is the i-th smallest universe element
+    universe = frozenset({7, 3})
+    probs = np.array([[1.0, 0.0], [0.75, 0.25], [0.5, 0.5], [0.0, 1.0]])
+    mech = MechanismTable(universe=universe, probs=probs,
+                          solutions={"a": _const_tree(8), "b": _const_tree(8)})
+    write_mechanism(mech, tmp_path / "mech.json")
+    back = read_mechanism(tmp_path / "mech.json")
+    assert back.distribution(frozenset({3})) == {"a": 0.75, "b": 0.25}
+    assert back.distribution(frozenset({7})) == {"a": 0.5, "b": 0.5}
+    assert np.array_equal(back.probs, probs)
