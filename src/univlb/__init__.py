@@ -7,7 +7,6 @@ from .adversary import (
     TspAdversaryConfig,
     block_alternation,
     check_separation,
-    good_walk_frequency,
     is_good_walk,
     steiner_certificate,
     tsp_certificate,
@@ -22,7 +21,6 @@ from .frt import HST, frt_sample, hst_dominates, hst_to_spanning_tree, stretch_s
 from .graphs import Graph, girth, read_graph, write_graph
 from .metric import (
     MetricSpace,
-    diameter,
     read_metric,
     shortest_path_metric,
     validate_metric,

@@ -23,10 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import Graph
 from .metric import MetricSpace
 from .solutions import PathCollection, TourOrder, project_paths, project_tour
-from .walks import WalkTrace, random_walk
+from .walks import WalkTrace, random_walk  # noqa: F401 (perfbench's tracer test checks this binding)
 
 
 class PreconditionError(ValueError):
@@ -58,10 +57,6 @@ class SteinerAdversaryConfig:
     def distinct_required(self) -> float:
         return self.distinct_fraction * self.t
 
-    @staticmethod
-    def paper_default(girth: int) -> "SteinerAdversaryConfig":
-        return SteinerAdversaryConfig(t=max(1, girth // 3))
-
 
 @dataclass(frozen=True)
 class TspAdversaryConfig:
@@ -76,12 +71,10 @@ class TspAdversaryConfig:
             raise ValueError("need at least one block")
 
     @staticmethod
-    def paper_default(n: int, d: int, gamma: float = 1.0, t: int | None = None) -> "TspAdversaryConfig":
+    def paper_default(n: int, d: int) -> "TspAdversaryConfig":
         log_d_n = np.log(n) / np.log(d)
-        if t is None:
-            t = max(1, int(log_d_n / 4))
-        blocks = max(1, min(int(gamma * log_d_n), n - 1))
-        return TspAdversaryConfig(t=t, blocks=blocks)
+        return TspAdversaryConfig(t=max(1, int(log_d_n / 4)),
+                                  blocks=max(1, min(int(log_d_n), n - 1)))
 
 
 @dataclass(frozen=True)
@@ -186,29 +179,6 @@ def steiner_certificate(
     }
     holds = overlap is None and 6.0 * lhs >= len(X) * girth and lhs >= stub_sum
     return CertificateResult(holds=holds, lhs=lhs, rhs=rhs, witness=witness)
-
-
-def good_walk_frequency(
-    g: Graph,
-    F: frozenset[tuple[int, int]],
-    cfg: SteinerAdversaryConfig,
-    trials: int,
-    rngs: list[np.random.Generator],
-) -> tuple[float, float]:
-    """Monte Carlo frequency of good walks with its binomial standard error."""
-    if len(F) > g.n:
-        raise PreconditionError(f"|F| = {len(F)} exceeds the bad-edge budget n = {g.n}")
-    if len(rngs) < trials:
-        raise ValueError("need one rng stream per trial")
-    hits = 0
-    for i in range(trials):
-        w = random_walk(g, cfg.t, rngs[i])
-        good, _, _ = is_good_walk(w, F, cfg)
-        if good:
-            hits += 1
-    freq = hits / trials if trials else 0.0
-    stderr = float(np.sqrt(max(freq * (1 - freq), 0.0) / trials)) if trials else 0.0
-    return freq, stderr
 
 
 def check_separation(

@@ -114,7 +114,7 @@ def cmd_gen_expander(args) -> int:
             print("gen-expander --kind regular needs --n and --d", file=sys.stderr)
             return 1
         g = random_regular(args.n, args.d, seed)
-        cert, _ = regular_certificate(g, 0, RunConfig.metric_cap)
+        cert, _ = regular_certificate(g, RunConfig.metric_cap)
     write_graph(g, args.out)
     write_certificate(cert, str(args.out) + ".cert.json")
     print(f"wrote {args.out} (n={g.n}, m={g.m}) and {args.out}.cert.json "

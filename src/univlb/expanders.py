@@ -159,20 +159,20 @@ def lps_graph(p: int, q: int, beta_tol: float = 1e-7) -> tuple[Graph, ExpanderCe
     for gmat in gens:
         gen_multiplicity[gmat] = gen_multiplicity.get(gmat, 0) + 1
 
+    # Breadth-first closure: ``order`` is the queue, so each element gets its
+    # index when first reached and each product u * g is computed once.
     identity = _canon((1, 0, 0, 1), q)
     index: dict[tuple[int, int, int, int], int] = {identity: 0}
     order = [identity]
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for mat in frontier:
-            for gmat in gen_multiplicity:
-                prod = _canon(_matmul(mat, gmat, q), q)
-                if prod not in index:
-                    index[prod] = len(order)
-                    order.append(prod)
-                    nxt.append(prod)
-        frontier = nxt
+    pair_count: dict[tuple[int, int], int] = {}
+    for u, mat in enumerate(order):
+        for gmat, mult in gen_multiplicity.items():
+            prod = _canon(_matmul(mat, gmat, q), q)
+            v = index.setdefault(prod, len(order))
+            if v == len(order):
+                order.append(prod)
+            key = (u, v) if u <= v else (v, u)
+            pair_count[key] = pair_count.get(key, 0) + mult
 
     n = len(order)
     residue = legendre_symbol(p, q)
@@ -182,12 +182,6 @@ def lps_graph(p: int, q: int, beta_tol: float = 1e-7) -> tuple[Graph, ExpanderCe
 
     # Each undirected edge is produced twice (once from either endpoint via
     # the inverse generator), so halve the multiplicities.
-    pair_count: dict[tuple[int, int], int] = {}
-    for u, mat in enumerate(order):
-        for gmat, mult in gen_multiplicity.items():
-            v = index[_canon(_matmul(mat, gmat, q), q)]
-            key = (u, v) if u <= v else (v, u)
-            pair_count[key] = pair_count.get(key, 0) + mult
     edges = []
     for (u, v), count in sorted(pair_count.items()):
         if count % 2 != 0:

@@ -42,13 +42,8 @@ from .adversary import (
 )
 from .expanders import ExpanderCertificate, lps_graph, random_regular, second_eigenvalue
 from .frt import frt_sample, hst_dominates, hst_to_spanning_tree, stretch_stats
-from .graphs import Graph, bfs_distances, bipartition, girth as graph_girth, read_graph
-from .metric import (
-    MetricSpace,
-    random_euclidean_metric,
-    random_uniform_metric,
-    shortest_path_metric,
-)
+from .graphs import Graph, bipartition, diameter_ecc, girth as graph_girth, read_graph
+from .metric import MetricSpace, random_euclidean_metric, shortest_path_metric
 from .oracles import OracleBudget, OracleRefusal, opt_surrogates, steiner_exact, tsp_exact
 from .privacy import (
     LowerBoundWitness,
@@ -93,16 +88,13 @@ class RunConfig:
     trials: int = 1000
     t: int | str = "auto"
     blocks: int | str = "auto"
-    gamma: float = 1.0
     oracle_cap: int = 0
     metric_cap: int = 6000
     seed: int = 0
-    root: int = 0
     csv: str = ""
     json: str = ""
     # universal-upper specifics
     metrics: int = 20
-    metric_kind: str = "euclidean"
     metric_size_min: int = 32
     metric_size_max: int = 64
     trees_per_metric: int = 10
@@ -115,7 +107,9 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         for key, low in (("trials", 0), ("metrics", 0), ("mechanisms", 0), ("eps", 0),
-                         ("solution_count", 1), ("t", 1), ("blocks", 1)):
+                         ("solution_count", 1), ("t", 1), ("blocks", 1),
+                         ("trees_per_metric", 1), ("max_terminals", 2), ("universe", 1),
+                         ("metric_size_min", 2), ("metric_size_max", self.metric_size_min)):
             value = getattr(self, key)
             if value != "auto" and not value >= low:  # "not >=" also rejects NaN
                 raise ConfigError(f"{key} must be >= {low}, got {value}")
@@ -212,17 +206,17 @@ class InstanceBundle:
     d: int
     girth: int | None
     diameter: int          # exact for vertex-transitive constructions, else an upper bound
-    diameter_exact: bool
     beta: float | None = None
     metric: MetricSpace | None = None
 
 
-def load_instance(spec_str: str, root: int, metric_cap: int, need_metric: bool) -> InstanceBundle:
+def load_instance(spec_str: str, metric_cap: int, need_metric: bool) -> InstanceBundle:
     """Resolve a graph spec: ``lps:p,q`` | ``regular:n,d[,seed]`` | ``file:path``.
 
     The recorded diameter is exact for LPS graphs (vertex-transitivity), and
     exact whenever the dense metric is built; otherwise it is the upper bound
-    2 * ecc(v0), which keeps the walk surrogates valid upper bounds.
+    2 * ecc(v0), which keeps the walk surrogates valid upper bounds. The
+    dense metric is built at most once, rooted at vertex 0.
     """
     kind, sep, rest = spec_str.partition(":")
     if not sep or kind not in ("lps", "regular", "file"):
@@ -233,58 +227,54 @@ def load_instance(spec_str: str, root: int, metric_cap: int, need_metric: bool) 
         p, q = (int(x) for x in rest.split(","))
         g, cert = lps_graph(p, q)
         gir, diam, beta = cert.girth, cert.diameter, cert.beta
-        diam_exact = True
         label = f"lps({p},{q})"
     elif kind == "regular":
         parts = [int(x) for x in rest.split(",")]
         n, d = parts[0], parts[1]
         seed = parts[2] if len(parts) > 2 else 0
         g = random_regular(n, d, seed)
-        cert, diam_exact = regular_certificate(g, root, metric_cap)
+        cert, metric = regular_certificate(g, metric_cap)
         gir, diam, beta = cert.girth, cert.diameter, cert.beta
         label = f"regular({n},{d})"
     elif kind == "file":
         g = read_graph(rest)
         gir = graph_girth(g)
         beta = None
-        diam, diam_exact = _diameter_bound(g, root, metric_cap)
+        diam, metric = _diameter_bound(g, metric_cap)
         label = rest
     else:
         raise ConfigError(f"unknown graph spec {spec_str!r}")
-    if need_metric:
-        if g.n > metric_cap:
-            raise ConfigError(
-                f"n={g.n} exceeds metric_cap={metric_cap}; this pipeline needs the full metric"
-            )
-        metric = shortest_path_metric(g, root)
-        diam = int(metric.dist.max())
-        diam_exact = True
+    if not need_metric:
+        metric = None
+    elif g.n > metric_cap:
+        raise ConfigError(
+            f"n={g.n} exceeds metric_cap={metric_cap}; this pipeline needs the full metric"
+        )
+    elif metric is None:
+        metric = shortest_path_metric(g, 0)
     return InstanceBundle(graph=g, label=label, d=int(g.degrees.max()), girth=gir,
-                          diameter=diam, diameter_exact=diam_exact, beta=beta,
-                          metric=metric)
+                          diameter=diam, beta=beta, metric=metric)
 
 
-def _diameter_bound(g: Graph, root: int, metric_cap: int) -> tuple[int, bool]:
+def _diameter_bound(g: Graph, metric_cap: int) -> tuple[int, MetricSpace | None]:
+    """The exact diameter and the dense metric it was read from, up to
+    ``metric_cap`` vertices; above it, the upper bound 2 * ecc(v0) and None."""
     if g.n <= metric_cap:
-        m = shortest_path_metric(g, root)
-        return int(m.dist.max()), True
-    ecc = int(bfs_distances(g, root).max())
-    return 2 * ecc, False
+        m = shortest_path_metric(g, 0)
+        return int(m.dist.max()), m
+    return 2 * diameter_ecc(g), None
 
 
-def regular_certificate(g: Graph, root: int, metric_cap: int) -> tuple[ExpanderCertificate, bool]:
-    """Certificate of a random regular graph, and whether its diameter is exact.
-
-    The diameter follows ``_diameter_bound``: exact up to ``metric_cap``
-    vertices, else the upper bound 2 * ecc(root).
-    """
-    diam, exact = _diameter_bound(g, root, metric_cap)
+def regular_certificate(g: Graph, metric_cap: int) -> tuple[ExpanderCertificate, MetricSpace | None]:
+    """Certificate of a random regular graph, and the dense metric its
+    diameter was read from (None above ``metric_cap``; see ``_diameter_bound``)."""
+    diam, metric = _diameter_bound(g, metric_cap)
     cert = ExpanderCertificate(
         n=g.n, d=int(g.degrees.max()), beta=second_eigenvalue(g, tol=1e-6),
         girth=graph_girth(g), diameter=diam, construction="random-regular",
         ramanujan_bound=None, bipartite=bipartition(g) is not None, simple=g.simple,
     )
-    return cert, exact
+    return cert, metric
 
 
 LB_COLUMNS = [
@@ -294,9 +284,8 @@ LB_COLUMNS = [
 
 
 def _steiner_solutions(cfg: RunConfig, inst: InstanceBundle) -> list[PathCollection]:
-    root = cfg.root
     if cfg.solution == "spt":
-        return [tree_to_path_collection(bfs_tree(inst.graph, root))]
+        return [tree_to_path_collection(bfs_tree(inst.graph, 0))]
     if cfg.solution == "frt":
         if inst.metric is None:
             raise ConfigError("frt solutions need the metric (raise metric_cap)")
@@ -309,7 +298,7 @@ def _steiner_solutions(cfg: RunConfig, inst: InstanceBundle) -> list[PathCollect
 
 
 def run_steiner_lb(cfg: RunConfig) -> ExperimentReport:
-    inst = load_instance(cfg.graph, cfg.root, cfg.metric_cap,
+    inst = load_instance(cfg.graph, cfg.metric_cap,
                          need_metric=(cfg.solution == "frt" or cfg.oracle_cap > 0))
     if inst.girth is None:
         raise ConfigError("acyclic graph has no girth; steiner-lb needs cycles")
@@ -322,7 +311,7 @@ def run_steiner_lb(cfg: RunConfig) -> ExperimentReport:
             return 0
         return int(rngs.stream(cfg.seed, rngs.SOLUTION, trial).integers(len(solutions)))
 
-    report = _steiner_trials(inst, solutions, pick, adv, cfg.trials, cfg.seed, cfg.root,
+    report = _steiner_trials(inst, solutions, pick, adv, cfg.trials, cfg.seed,
                              cfg.oracle_cap, config=cfg.values)
     report.aggregates.update({
         "girth": inst.girth, "diameter": inst.diameter, "beta": inst.beta,
@@ -352,7 +341,6 @@ def _steiner_trials(
     adv: SteinerAdversaryConfig,
     trials: int,
     seed: int,
-    root: int,
     oracle_cap: int,
     config: dict[str, object],
 ) -> ExperimentReport:
@@ -363,7 +351,7 @@ def _steiner_trials(
     # The girth certificate argues about graph cycles; it only applies to
     # collections whose paths are walks in the graph (SPT yes; contracted
     # tree solutions carry metric edges and are measured, not certified).
-    certifiable = [_graph_paths(p, inst.graph) for p in solutions]
+    certifiable = [adv.certificate_mode and _graph_paths(p, inst.graph) for p in solutions]
     budget = _budget(oracle_cap)
 
     rows: list[dict[str, object]] = []
@@ -374,12 +362,12 @@ def _steiner_trials(
         sol_idx = pick(trial)
         paths = solutions[sol_idx]
         walk = random_walk(inst.graph, adv.t, rngs.stream(seed, rngs.WALK, trial))
-        x = frozenset(walk.distinct()) - {root}
+        x = frozenset(walk.distinct()) - {paths.root}
         good, _, _ = is_good_walk(walk, f_sets[sol_idx], adv)
         lhs, _ = project_paths(paths, x, inst.metric)
         if good:
             good_count += 1
-            if adv.certificate_mode and certifiable[sol_idx]:
+            if certifiable[sol_idx]:
                 cert = steiner_certificate(paths, walk, inst.girth, adv, inst.metric)
                 certified += 1
                 if not cert.holds:
@@ -445,10 +433,10 @@ def _opt(problem: str, m, x, walks, t, diam, budget, oracle_cap) -> tuple[float,
 
 
 def run_tsp_lb(cfg: RunConfig) -> ExperimentReport:
-    inst = load_instance(cfg.graph, cfg.root, cfg.metric_cap, need_metric=True)
+    inst = load_instance(cfg.graph, cfg.metric_cap, need_metric=True)
     m = inst.metric
     assert m is not None
-    base = TspAdversaryConfig.paper_default(inst.graph.n, inst.d, cfg.gamma)
+    base = TspAdversaryConfig.paper_default(inst.graph.n, inst.d)
     t = base.t if cfg.t == "auto" else int(cfg.t)
     blocks = base.blocks if cfg.blocks == "auto" else int(cfg.blocks)
     adv = TspAdversaryConfig(t=t, blocks=blocks)
@@ -466,8 +454,8 @@ def run_tsp_lb(cfg: RunConfig) -> ExperimentReport:
         sigma = tours[tour_idx]
         q1 = random_walk(inst.graph, adv.t, rngs.stream(cfg.seed, rngs.WALK, trial))
         q2 = random_walk(inst.graph, adv.t, rngs.stream(cfg.seed, rngs.WALK2, trial))
-        x1 = set(q1.distinct()) - {cfg.root}
-        x2 = set(q2.distinct()) - {cfg.root}
+        x1 = set(q1.distinct()) - {sigma.root}
+        x2 = set(q2.distinct()) - {sigma.root}
         x = x1 | x2
         e1 = check_separation(q1, q2, m, adv.t)
         b1, b2, shared, e2 = block_alternation(sigma, x1, x2, adv.blocks,
@@ -512,7 +500,7 @@ def run_tsp_lb(cfg: RunConfig) -> ExperimentReport:
 
 
 def _tour_solutions(cfg: RunConfig, inst: InstanceBundle) -> list[TourOrder]:
-    root = cfg.root
+    root = inst.metric.root
     if cfg.solution == "spt-tour":
         return [tree_to_tour(bfs_tree(inst.graph, root))]
     if cfg.solution in ("random-tour", "spt"):
@@ -549,10 +537,7 @@ def run_universal_upper(cfg: RunConfig) -> ExperimentReport:
     for mi in range(cfg.metrics):
         mrng = rngs.stream(cfg.seed, rngs.METRIC, mi)
         n = int(mrng.integers(cfg.metric_size_min, cfg.metric_size_max + 1))
-        if cfg.metric_kind == "euclidean":
-            m = random_euclidean_metric(n, mrng)
-        else:
-            m = random_uniform_metric(n, mrng)
+        m = random_euclidean_metric(n, mrng)
 
         trees: list[SpanningTree] = []
         tours: list[TourOrder] = []
@@ -752,7 +737,6 @@ def monte_carlo_lb(
     adv: SteinerAdversaryConfig,
     trials: int,
     master_seed: int,
-    root: int = 0,
     metric: MetricSpace | None = None,
     oracle_cap: int = 0,
 ) -> ExperimentReport:
@@ -768,10 +752,9 @@ def monte_carlo_lb(
         return min(int(np.searchsorted(cum, u, side="right")), len(solutions) - 1)
 
     inst = InstanceBundle(graph=graph, label="", d=int(graph.degrees.max()),
-                          girth=girth_value, diameter=diam, diameter_exact=False,
-                          metric=metric)
+                          girth=girth_value, diameter=diam, metric=metric)
     return _steiner_trials(inst, [p for p, _ in solutions], pick, adv, trials, master_seed,
-                           root, oracle_cap, config={"trials": trials, "seed": master_seed})
+                           oracle_cap, config={"trials": trials, "seed": master_seed})
 
 
 def emit_plot_data(reports: list) -> str:

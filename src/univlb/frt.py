@@ -38,8 +38,6 @@ class HST:
     nodes: tuple[HstNode, ...]
     root: int
     leaf_of: tuple[int, ...]   # vertex -> leaf node index
-    base_scale: float          # beta
-    top_level: int
 
     @property
     def n(self) -> int:
@@ -64,7 +62,7 @@ def frt_sample(m: MetricSpace, rng: np.random.Generator) -> HST:
 
     if n == 1:
         leaf = HstNode(level=0, center=0, members=(0,), parent=-1, parent_weight=0.0)
-        return HST(nodes=(leaf,), root=0, leaf_of=(0,), base_scale=beta, top_level=0)
+        return HST(nodes=(leaf,), root=0, leaf_of=(0,))
 
     diam = float(m.dist.max())
     top = max(0, math.ceil(math.log2(diam))) if diam > 0 else 0
@@ -108,8 +106,7 @@ def frt_sample(m: MetricSpace, rng: np.random.Generator) -> HST:
             node.children.append(len(nodes) - 1)
             pending.append(len(nodes) - 1)
 
-    return HST(nodes=tuple(nodes), root=0, leaf_of=tuple(leaf_of),
-               base_scale=beta, top_level=top)
+    return HST(nodes=tuple(nodes), root=0, leaf_of=tuple(leaf_of))
 
 
 def hst_dominates(h: HST, m: MetricSpace) -> bool:

@@ -139,11 +139,6 @@ def bfs_parents(g: Graph, source: int) -> tuple[np.ndarray, np.ndarray]:
     return dist, parent
 
 
-def bfs_distances(g: Graph, source: int) -> np.ndarray:
-    """Distances from ``source`` (-1 for unreachable)."""
-    return bfs_parents(g, source)[0]
-
-
 def is_connected(g: Graph) -> bool:
     return g.n == 0 or bool(np.all(g.levels >= 0))
 

@@ -1,12 +1,11 @@
 """Rooted finite metric spaces and shortest-path metric closure.
 
-Distances for unit-cost graphs are exact integers; general metrics (random
-test instances, weighted graphs) use floats with a fixed comparison tolerance.
+Distances of graph metrics are exact integers; general metrics (random test
+instances, metric files) use floats with a fixed comparison tolerance.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -52,21 +51,16 @@ class MetricViolation:
         return f"{self.kind} violation at {self.triple}"
 
 
-def shortest_path_metric(g: Graph, root: int, weights: np.ndarray | None = None) -> MetricSpace:
-    """Metric closure of a connected graph, rooted at ``root``.
-
-    Unweighted graphs get exact integer distances via levelwise BFS over the
-    whole vertex set at once; positive edge weights fall back to per-source
-    Dijkstra.
+def shortest_path_metric(g: Graph, root: int) -> MetricSpace:
+    """Metric closure of a connected unit-cost graph, rooted at ``root``:
+    exact integer distances via levelwise BFS over the whole vertex set at
+    once.
 
     Raises GraphError naming an unreachable pair if ``g`` is disconnected.
     """
     if g.n == 0:
         raise MetricError("empty graph has no metric")
-    if weights is None:
-        dist = _unit_all_pairs(g)
-    else:
-        dist = _dijkstra_all_pairs(g, np.asarray(weights, dtype=np.float64))
+    dist = _unit_all_pairs(g)
     bad = np.argwhere(dist < 0)
     if bad.size:
         u, v = int(bad[0][0]), int(bad[0][1])
@@ -90,34 +84,6 @@ def _unit_all_pairs(g: Graph) -> np.ndarray:
             break
         dist[frontier.astype(bool).T] = level
         known |= frontier
-    return dist
-
-
-def _dijkstra_all_pairs(g: Graph, weights: np.ndarray) -> np.ndarray:
-    if len(weights) != g.m:
-        raise MetricError("need one weight per edge")
-    if np.any(weights <= 0):
-        raise MetricError("edge weights must be positive")
-    adj: list[list[tuple[int, float]]] = [[] for _ in range(g.n)]
-    for (u, v), w in zip(g.edges, weights):
-        adj[u].append((v, float(w)))
-        adj[v].append((u, float(w)))
-    dist = np.full((g.n, g.n), -1.0, dtype=np.float64)
-    for s in range(g.n):
-        d = dist[s]
-        d[s] = 0.0
-        heap = [(0.0, s)]
-        done = np.zeros(g.n, dtype=bool)
-        while heap:
-            du, u = heapq.heappop(heap)
-            if done[u]:
-                continue
-            done[u] = True
-            for v, w in adj[u]:
-                nd = du + w
-                if d[v] < 0 or nd < d[v]:
-                    d[v] = nd
-                    heapq.heappush(heap, (nd, v))
     return dist
 
 
@@ -150,11 +116,6 @@ def validate_metric(m: MetricSpace) -> MetricViolation | None:
             if u != w and v != w and u != v:
                 return MetricViolation("triangle", (int(u), int(w), int(v)))
     return None
-
-
-def diameter(m: MetricSpace) -> float:
-    val = m.dist.max()
-    return int(val) if m.is_integral else float(val)
 
 
 def write_metric(m: MetricSpace, path: str | Path) -> None:

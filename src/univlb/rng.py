@@ -18,7 +18,6 @@ SOLUTION = 4
 SUBSET = 5
 METRIC = 6
 TREE = 7
-GRAPH = 8
 
 
 def stream(master_seed: int, *path: int) -> np.random.Generator:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
@@ -229,52 +228,3 @@ def restricted_dfs_order(t: SpanningTree, X) -> tuple[int, ...]:
             order.append(v)
         stack.extend(reversed([c for c in ch[v] if c in keep]))
     return tuple(order)
-
-
-def write_tree(t: SpanningTree, path: str | Path) -> None:
-    """Text format: n lines of ``v parent(v)``."""
-    Path(path).write_text("\n".join(f"{v} {t.parent[v]}" for v in range(t.n)) + "\n")
-
-
-def read_tree(path: str | Path, m: MetricSpace) -> SpanningTree:
-    parent = [0] * m.n
-    root = None
-    for line in Path(path).read_text().splitlines():
-        if not line.strip():
-            continue
-        v, p = map(int, line.split())
-        parent[v] = p
-        if v == p:
-            root = v
-    if root is None:
-        raise ValueError(f"{path}: no root (fixed point) found")
-    costs = tuple(0.0 if v == root else float(m.dist[v, parent[v]]) for v in range(m.n))
-    return SpanningTree(root=root, parent=tuple(parent), edge_cost=costs)
-
-
-def write_tour(sigma: TourOrder, path: str | Path) -> None:
-    """Text format: the permutation on one line."""
-    Path(path).write_text(" ".join(map(str, sigma.order)) + "\n")
-
-
-def read_tour(path: str | Path, root: int) -> TourOrder:
-    order = tuple(int(x) for x in Path(path).read_text().split())
-    return TourOrder(root=root, order=order)
-
-
-def write_paths(p: PathCollection, path: str | Path) -> None:
-    """Text format: n lines, line v = vertex sequence of p_v."""
-    lines = []
-    for v in range(p.n):
-        seq = p.paths[v] if v != p.root else (p.root,)
-        lines.append(" ".join(map(str, seq)))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_paths(path: str | Path, root: int) -> PathCollection:
-    lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
-    paths = []
-    for v, ln in enumerate(lines):
-        seq = tuple(int(x) for x in ln.split())
-        paths.append(() if v == root else seq)
-    return PathCollection(root=root, paths=tuple(paths))

@@ -11,14 +11,13 @@ from univlb.adversary import (
     TspAdversaryConfig,
     block_alternation,
     check_separation,
-    good_walk_frequency,
     is_good_walk,
     steiner_certificate,
     tsp_certificate,
 )
 from univlb.graphs import Graph
 from univlb.metric import MetricSpace, shortest_path_metric
-from univlb.rng import stream, trial_streams
+from univlb.rng import stream
 from univlb.solutions import TourOrder, bfs_tree, tree_to_path_collection
 from univlb.walks import WalkTrace, random_walk
 
@@ -119,21 +118,6 @@ def test_steiner_certificate_degenerate_empty_x_prime():
     long_cfg = SteinerAdversaryConfig(t=2, bad_edge_fraction=1.0, distinct_fraction=0.0)
     with pytest.raises(PreconditionError, match="girth/3"):
         steiner_certificate(paths, _walk([1, 0, 2]), 3, long_cfg)
-
-
-def test_good_walk_frequency_edges(k4):
-    cfg = SteinerAdversaryConfig(t=2, certificate_mode=False)
-    # F empty: only the distinctness condition binds
-    freq, se = good_walk_frequency(k4, frozenset(), cfg, 300, trial_streams(3, 1, 300))
-    assert freq == 1.0
-    # F = all edges: every step is bad, threshold t/8 < 1
-    all_edges = frozenset((min(u, v), max(u, v)) for u, v in k4.edges)
-    with pytest.raises(PreconditionError):
-        good_walk_frequency(k4, all_edges, cfg, 10, trial_streams(3, 1, 10))
-    # K4 has 6 edges > n = 4; drop the budget to n edges to run the check
-    some = frozenset(list(all_edges)[:4])
-    freq, _ = good_walk_frequency(k4, some, cfg, 300, trial_streams(4, 1, 300))
-    assert 0.0 <= freq < 1.0
 
 
 def test_check_separation(lps_5_13, lps_5_13_metric):

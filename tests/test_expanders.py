@@ -5,9 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from univlb import expanders, experiments, graphs, solutions
 from univlb.expanders import (
     ExpanderCertificate,
     ExpanderError,
+    _canon,
+    _matmul,
     legendre_symbol,
     lps_generators,
     lps_graph,
@@ -16,9 +19,8 @@ from univlb.expanders import (
     sqrt_mod,
     write_certificate,
 )
-from univlb import experiments, graphs, solutions
 from univlb.experiments import RunConfig, run_experiment
-from univlb.graphs import Graph, girth, is_connected
+from univlb.graphs import Graph, bipartition, diameter_ecc, girth, is_connected
 
 
 def test_legendre_and_sqrt():
@@ -66,6 +68,68 @@ def test_lps_build_sweeps_vertex_0_once(monkeypatch, lps_5_13):
     monkeypatch.setattr(experiments, "lps_graph", lps_graph.__wrapped__)
     run_experiment(RunConfig.make(pipeline="steiner-lb", graph="lps:5,13", trials=5))
     assert sources == [0]
+
+
+def _two_pass_lps(p: int, q: int) -> tuple[Graph, ExpanderCertificate]:
+    """Reference LPS build: the frontier closure, then a second pass that
+    recomputes every product to collect the edges."""
+    mult: dict = {}
+    for gmat in lps_generators(p, q):
+        mult[gmat] = mult.get(gmat, 0) + 1
+    identity = _canon((1, 0, 0, 1), q)
+    index = {identity: 0}
+    order = [identity]
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for mat in frontier:
+            for gmat in mult:
+                prod = _canon(_matmul(mat, gmat, q), q)
+                if prod not in index:
+                    index[prod] = len(order)
+                    order.append(prod)
+                    nxt.append(prod)
+        frontier = nxt
+    pair_count: dict = {}
+    for u, mat in enumerate(order):
+        for gmat, k in mult.items():
+            v = index[_canon(_matmul(mat, gmat, q), q)]
+            key = (min(u, v), max(u, v))
+            pair_count[key] = pair_count.get(key, 0) + k
+    edges = []
+    for key, count in sorted(pair_count.items()):
+        assert count % 2 == 0
+        edges.extend([key] * (count // 2))
+    g = Graph(n=len(order), edges=tuple(edges))
+    cert = ExpanderCertificate(
+        n=g.n, d=p + 1, beta=second_eigenvalue(g, tol=1e-7), girth=girth(g, roots=(0,)),
+        diameter=diameter_ecc(g), construction="lps",
+        ramanujan_bound=2.0 * math.sqrt(p) / (p + 1),
+        bipartite=bipartition(g) is not None, simple=g.simple,
+    )
+    return g, cert
+
+
+@pytest.mark.parametrize("p, q", [(5, 13), (13, 17), (29, 5)])  # PGL, PSL, multi-edges
+def test_lps_one_pass_matches_two_pass_reference(p, q):
+    g, cert = lps_graph(p, q)
+    ref_g, ref_cert = _two_pass_lps(p, q)
+    assert g.edges == ref_g.edges
+    assert cert == ref_cert
+
+
+def test_lps_computes_each_product_once(monkeypatch):
+    calls = []
+    real = expanders._canon
+
+    def counting(mat, q):
+        calls.append(q)
+        return real(mat, q)
+
+    monkeypatch.setattr(expanders, "_canon", counting)
+    lps_graph.__wrapped__(5, 13)
+    # 2184 elements x 6 generators, plus the 6 generators and the identity
+    assert len(calls) == 2184 * 6 + 6 + 1 == 13111
 
 
 def test_lps_psl_case():

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from univlb.graphs import (
     Graph,
     GraphError,
-    bfs_distances,
     bfs_parents,
     bipartition,
     diameter_ecc,
@@ -64,15 +63,15 @@ def test_girth_matches_cycle_enumeration(g):
 
 
 def test_bfs_distances(path3, petersen):
-    assert bfs_distances(path3, 0).tolist() == [0, 1, 2]
-    d = bfs_distances(petersen, 0)
+    assert bfs_parents(path3, 0)[0].tolist() == [0, 1, 2]
+    d = bfs_parents(petersen, 0)[0]
     assert d.max() == 2
     assert diameter_ecc(petersen) == 2
 
 
 def test_levels_cached_and_read_only(petersen):
     assert petersen.levels is petersen.levels
-    assert petersen.levels.tolist() == bfs_distances(petersen, 0).tolist()
+    assert petersen.levels.tolist() == bfs_parents(petersen, 0)[0].tolist()
     with pytest.raises(ValueError):
         petersen.levels[0] = 5
     with pytest.raises(GraphError):

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import json
+import shlex
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from univlb import rng
+from univlb import experiments, rng
 from univlb.cli import build_parser, main as cli_main
 from univlb.expanders import lps_graph
 from univlb.experiments import (
@@ -20,7 +22,7 @@ from univlb.experiments import (
 )
 from univlb.adversary import SteinerAdversaryConfig
 from univlb.frt import frt_sample, hst_to_spanning_tree
-from univlb.graphs import read_graph
+from univlb.graphs import Graph, GraphError, read_graph
 from univlb.metric import shortest_path_metric
 from univlb.solutions import bfs_tree, tree_to_path_collection
 
@@ -65,11 +67,42 @@ def test_config_fields_match_flags_and_files(tmp_path):
         assert dests <= names, (name, dests - names)
 
     cfg = RunConfig.make(pipeline="tsp-lb", graph="lps:5,13", solution="random-tour",
-                         trials=7, t=3, gamma=0.5, seed=11, csv="rows.csv", eps=0.25)
+                         trials=7, t=3, seed=11, csv="rows.csv", eps=0.25)
     cfg_file = tmp_path / "all.cfg"
     cfg_file.write_text("".join(f"{f.name} = {getattr(cfg, f.name)}\n"
                                 for f in fields(RunConfig)))
     assert RunConfig.from_file(cfg_file) == cfg
+
+
+def _count_calls(monkeypatch, module, name) -> list:
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("t, checks", [("auto", 1), (8, 0)])  # girth 8: t=8 certifies nothing
+def test_graph_paths_checked_only_in_certificate_mode(monkeypatch, t, checks):
+    calls = _count_calls(monkeypatch, experiments, "_graph_paths")
+    run_experiment(RunConfig.make(pipeline="steiner-lb", graph="lps:5,13", t=t, trials=5))
+    assert len(calls) == checks
+
+
+def test_load_instance_builds_the_metric_once(monkeypatch):
+    calls = _count_calls(monkeypatch, experiments, "shortest_path_metric")
+    run_experiment(RunConfig.make(pipeline="tsp-lb", graph="regular:60,3,3", trials=5))
+    assert len(calls) == 1
+
+
+def test_diameter_bound_refuses_a_disconnected_graph_above_metric_cap():
+    two_triangles = Graph(n=6, edges=((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)))
+    with pytest.raises(GraphError, match="disconnected"):
+        experiments._diameter_bound(two_triangles, metric_cap=2)
 
 
 def test_zero_trials_valid_report(tmp_path):
@@ -269,11 +302,42 @@ def test_cli_usage_error_exit_1(tmp_path):
     (["run-dp-transfer", "--mechanisms", "-1"], "mechanisms"),
     (["run-tsp-lb", "--graph", "lps:5,13", "--t", "0"], "t"),
     (["run-tsp-lb", "--graph", "lps:5,13", "--blocks", "-4"], "blocks"),
+    (["run-dp-transfer", "--universe", "0"], "universe"),
 ])
 def test_cli_out_of_range_exit_1(argv, key, capsys):
     assert cli_main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {key} must be >=") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("line, message", [
+    ("trees_per_metric = 0", "trees_per_metric must be >= 1"),
+    ("max_terminals = 1", "max_terminals must be >= 2"),
+    ("metric_size_min = 1", "metric_size_min must be >= 2"),
+    ("metric_size_max = 20", "metric_size_max must be >= 32"),
+    ("root = 0", "unknown config key 'root'"),
+    ("gamma = 0.5", "unknown config key 'gamma'"),
+    ("metric_kind = uniform", "unknown config key 'metric_kind'"),
+])
+def test_cli_config_file_bad_value_exit_1(tmp_path, capsys, line, message):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(line + "\n")
+    assert cli_main(["run-universal", "--config", str(cfg_file), "--metrics", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+def test_readme_cli_examples_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True)
+                for line in block.replace("\\\n", " ").splitlines()]
+    commands = [argv for argv in commands if argv]
+    parser = build_parser()
+    assert {argv[1] for argv in commands} == set(parser._subparsers._group_actions[0].choices)
+    for argv in commands:
+        assert argv[0] == "univlb"
+        parser.parse_args(argv[1:])
 
 
 def test_cli_exit_2_on_falsification(tmp_path, monkeypatch):

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from univlb.graphs import Graph, GraphError
 from univlb.metric import (
     MetricSpace,
-    diameter,
     random_euclidean_metric,
     random_uniform_metric,
     read_metric,
@@ -30,12 +29,12 @@ def test_triangle_complete():
     m = shortest_path_metric(k3, 0)
     off = m.dist[~np.eye(3, dtype=bool)]
     assert set(off.tolist()) == {1}
-    assert diameter(m) == 1
+    assert m.dist.max() == 1
 
 
 def test_petersen_metric(petersen):
     m = shortest_path_metric(petersen, 0)
-    assert diameter(m) == 2
+    assert m.dist.max() == 2
     assert set(np.unique(m.dist).tolist()) == {0, 1, 2}
     assert validate_metric(m) is None
 
@@ -44,13 +43,6 @@ def test_disconnected_identifies_pair():
     g = Graph(n=4, edges=((0, 1), (2, 3)))
     with pytest.raises(GraphError, match=r"no path between"):
         shortest_path_metric(g, 0)
-
-
-def test_weighted_dijkstra():
-    g = Graph(n=3, edges=((0, 1), (1, 2), (0, 2)))
-    m = shortest_path_metric(g, 0, weights=np.array([1.0, 1.0, 5.0]))
-    assert m.d(0, 2) == 2.0  # direct edge costs 5, the two-hop path wins
-    assert validate_metric(m) is None
 
 
 def test_validate_metric_violations():
@@ -85,7 +77,7 @@ def connected_graphs(draw):
 def test_metric_closure_is_metric(g):
     m = shortest_path_metric(g, 0)
     assert validate_metric(m) is None
-    assert diameter(m) <= g.n - 1
+    assert m.dist.max() <= g.n - 1
 
 
 def test_metric_roundtrip_int(tmp_path, petersen):

@@ -14,15 +14,9 @@ from univlb.solutions import (
     project_paths,
     project_tour,
     project_tree,
-    read_paths,
-    read_tour,
-    read_tree,
     restricted_dfs_order,
     tree_to_path_collection,
     tree_to_tour,
-    write_paths,
-    write_tour,
-    write_tree,
 )
 
 
@@ -167,20 +161,3 @@ def test_doubling_and_contiguity(data):
     pos = sigma.positions
     assert restricted_dfs_order(t, x) == tuple(sorted(
         (v for v in x if v != 0), key=pos.__getitem__))
-
-
-def test_solution_file_roundtrips(tmp_path, petersen):
-    m = shortest_path_metric(petersen, 0)
-    t = bfs_tree(petersen, 0)
-    write_tree(t, tmp_path / "t.txt")
-    t2 = read_tree(tmp_path / "t.txt", m)
-    assert t2.parent == t.parent and t2.root == 0
-
-    sigma = tree_to_tour(t)
-    write_tour(sigma, tmp_path / "s.txt")
-    assert read_tour(tmp_path / "s.txt", 0).order == sigma.order
-
-    p = tree_to_path_collection(t)
-    write_paths(p, tmp_path / "p.txt")
-    p2 = read_paths(tmp_path / "p.txt", 0)
-    assert p2.paths == p.paths
