@@ -5,6 +5,12 @@ Two constructions:
 * ``lps_graph(p, q)`` -- the Lubotzky-Phillips-Sarnak Ramanujan Cayley graphs
   on PSL(2,q) / PGL(2,q), giving (p+1)-regular graphs whose normalized second
   eigenvalue is at most 2*sqrt(p)/(p+1) and whose girth grows logarithmically.
+  Group elements are 2x2 matrices mod q in projective canonical form (first
+  nonzero entry 1), held as rows (a, b, c, d) of int64 arrays. The group is
+  closed by a breadth-first search from the identity that multiplies a
+  whole level by every generator in one array pass, finds repeats through a
+  table indexed by the packed canonical matrix, and yields the (n, p+1)
+  neighbour table the edges are read from.
 * ``random_regular(n, d, seed)`` -- configuration-model d-regular graphs, a
   practical stand-in when high girth is not required.
 
@@ -97,37 +103,27 @@ def _quaternion_solutions(p: int) -> list[tuple[int, int, int, int]]:
     return sols
 
 
-def _canon(mat: tuple[int, int, int, int], q: int) -> tuple[int, int, int, int]:
-    """Projective canonical form: scale so the first nonzero entry is 1."""
-    for x in mat:
-        if x % q != 0:
-            inv = pow(x, q - 2, q)
-            return tuple((inv * y) % q for y in mat)  # type: ignore[return-value]
-    raise ExpanderError("zero matrix cannot be normalized")
+def _canon_rows(mats: np.ndarray, q: int) -> np.ndarray:
+    """Projective canonical form of each row (a, b, c, d) of ``mats``, entries
+    in [0, q): scale so the first nonzero entry is 1."""
+    lead = mats[np.arange(len(mats)), np.argmax(mats != 0, axis=1)]
+    if not lead.all():
+        raise ExpanderError("zero matrix cannot be normalized")
+    inverse = np.array([pow(x, q - 2, q) for x in range(q)], dtype=np.int64)
+    return mats * inverse[lead, None] % q
 
 
-def _matmul(a: tuple[int, int, int, int], b: tuple[int, int, int, int], q: int) -> tuple[int, int, int, int]:
-    return (
-        (a[0] * b[0] + a[1] * b[2]) % q,
-        (a[0] * b[1] + a[1] * b[3]) % q,
-        (a[2] * b[0] + a[3] * b[2]) % q,
-        (a[2] * b[1] + a[3] * b[3]) % q,
-    )
-
-
-def lps_generators(p: int, q: int) -> list[tuple[int, int, int, int]]:
-    """The p+1 canonical generator matrices of the LPS Cayley graph."""
+def lps_generators(p: int, q: int) -> np.ndarray:
+    """The p+1 canonical generator matrices of the LPS Cayley graph, one
+    (a, b, c, d) row each."""
     i = sqrt_mod(q - 1, q)
-    gens = []
-    for a, b, c, d in _quaternion_solutions(p):
-        mat = ((a + i * b) % q, (c + i * d) % q, (-c + i * d) % q, (a - i * b) % q)
-        det = (mat[0] * mat[3] - mat[1] * mat[2]) % q
-        if det != p % q:
-            raise ExpanderError("generator determinant mismatch")
-        gens.append(_canon(mat, q))
-    if len(gens) != p + 1:
-        raise ExpanderError(f"expected {p + 1} quaternion solutions, found {len(gens)}")
-    return gens
+    a, b, c, d = np.array(_quaternion_solutions(p), dtype=np.int64).reshape(-1, 4).T
+    mats = np.stack([a + i * b, c + i * d, -c + i * d, a - i * b], axis=1) % q
+    if np.any((mats[:, 0] * mats[:, 3] - mats[:, 1] * mats[:, 2]) % q != p % q):
+        raise ExpanderError("generator determinant mismatch")
+    if len(mats) != p + 1:
+        raise ExpanderError(f"expected {p + 1} quaternion solutions, found {len(mats)}")
+    return _canon_rows(mats, q)
 
 
 @functools.cache
@@ -143,6 +139,13 @@ def lps_graph(p: int, q: int, beta_tol: float = 1e-7) -> tuple[Graph, ExpanderCe
     generators. The graph is simple whenever q > 2*sqrt(p); smaller q gets
     its multi-edges kept and flagged in the certificate.
 
+    Vertex numbering, which every pinned CSV depends on: vertex 0 is the
+    identity, and the others are numbered in breadth-first discovery order,
+    where each vertex u in turn (by index) multiplies by the distinct
+    generators in their first-occurrence order in ``lps_generators`` and
+    every product not seen before gets the next index. Edges are sorted
+    pairs (u <= v) in ascending order, repeated by multiplicity.
+
     Girth and diameter are computed from a single root, which is exact here
     because Cayley graphs are vertex-transitive.
     """
@@ -154,41 +157,7 @@ def lps_graph(p: int, q: int, beta_tol: float = 1e-7) -> tuple[Graph, ExpanderCe
         if val % 4 != 1:
             raise ExpanderError(f"{name}={val} must be congruent to 1 mod 4")
 
-    gens = lps_generators(p, q)
-    gen_multiplicity: dict[tuple[int, int, int, int], int] = {}
-    for gmat in gens:
-        gen_multiplicity[gmat] = gen_multiplicity.get(gmat, 0) + 1
-
-    # Breadth-first closure: ``order`` is the queue, so each element gets its
-    # index when first reached and each product u * g is computed once.
-    identity = _canon((1, 0, 0, 1), q)
-    index: dict[tuple[int, int, int, int], int] = {identity: 0}
-    order = [identity]
-    pair_count: dict[tuple[int, int], int] = {}
-    for u, mat in enumerate(order):
-        for gmat, mult in gen_multiplicity.items():
-            prod = _canon(_matmul(mat, gmat, q), q)
-            v = index.setdefault(prod, len(order))
-            if v == len(order):
-                order.append(prod)
-            key = (u, v) if u <= v else (v, u)
-            pair_count[key] = pair_count.get(key, 0) + mult
-
-    n = len(order)
-    residue = legendre_symbol(p, q)
-    expected = q * (q * q - 1) // 2 if residue == 1 else q * (q * q - 1)
-    if n != expected:
-        raise ExpanderError(f"group closure has {n} elements, expected {expected}")
-
-    # Each undirected edge is produced twice (once from either endpoint via
-    # the inverse generator), so halve the multiplicities.
-    edges = []
-    for (u, v), count in sorted(pair_count.items()):
-        if count % 2 != 0:
-            raise ExpanderError("generator set is not closed under inverses")
-        edges.extend([(u, v)] * (count // 2))
-    g = Graph(n=n, edges=tuple(edges))
-
+    g = _cayley_graph(p, q)
     if g.regular_degree != p + 1:
         raise ExpanderError(f"graph is not {p + 1}-regular")
     if not is_connected(g):
@@ -197,7 +166,7 @@ def lps_graph(p: int, q: int, beta_tol: float = 1e-7) -> tuple[Graph, ExpanderCe
     beta = second_eigenvalue(g, tol=beta_tol)
     bound = 2.0 * math.sqrt(p) / (p + 1)
     cert = ExpanderCertificate(
-        n=n,
+        n=g.n,
         d=p + 1,
         beta=beta,
         girth=girth(g, roots=(0,)),
@@ -208,6 +177,64 @@ def lps_graph(p: int, q: int, beta_tol: float = 1e-7) -> tuple[Graph, ExpanderCe
         simple=g.simple,
     )
     return g, cert
+
+
+def _cayley_graph(p: int, q: int) -> Graph:
+    """The Cayley graph of ``lps_generators(p, q)`` numbered as ``lps_graph``
+    states, checked for the group's size and for closure under inverses.
+
+    A function of its own so that the closure's arrays are freed before
+    ``lps_graph`` runs beta and girth, which sets the build's peak memory."""
+    gens, first, gen_mult = np.unique(lps_generators(p, q), axis=0,
+                                      return_index=True, return_counts=True)
+    by_first = np.argsort(first)
+    gens, gen_mult = gens[by_first], gen_mult[by_first]
+    k = len(gens)
+
+    # Level-synchronous closure. A canonical matrix leads with 0 or 1, so it
+    # packs into an index below 2*q^3 of ``slot`` (its element index, or -1).
+    # Numbering new products by first occurrence in (frontier x generator)
+    # order reproduces the queue order of a one-element-at-a-time BFS.
+    slot = np.full(2 * q ** 3, -1, dtype=np.int64)
+    frontier = np.array([[1, 0, 0, 1]], dtype=np.int64)
+    slot[_pack(frontier, q)] = 0
+    n = 1
+    nbr_levels = []
+    while len(frontier):
+        prod = _canon_rows(
+            (frontier[:, None, [0, 0, 2, 2]] * gens[None, :, [0, 1, 0, 1]]
+             + frontier[:, None, [1, 1, 3, 3]] * gens[None, :, [2, 3, 2, 3]]).reshape(-1, 4) % q,
+            q)
+        key = _pack(prod, q)
+        unseen = np.flatnonzero(slot[key] < 0)
+        _, first = np.unique(key[unseen], return_index=True)
+        fresh = unseen[np.sort(first)]
+        slot[key[fresh]] = np.arange(n, n + len(fresh))
+        n += len(fresh)
+        nbr_levels.append(slot[key])
+        frontier = prod[fresh]
+
+    residue = legendre_symbol(p, q)
+    expected = q * (q * q - 1) // 2 if residue == 1 else q * (q * q - 1)
+    if n != expected:
+        raise ExpanderError(f"group closure has {n} elements, expected {expected}")
+
+    # v is the (n, k) neighbour table flattened: v[u*k + j] is u * gens[j].
+    # Each undirected edge is produced twice (once from either endpoint via
+    # the inverse generator), so halve the multiplicities.
+    u = np.repeat(np.arange(n), k)
+    v = np.concatenate(nbr_levels)
+    pairs, pair_of = np.unique(np.minimum(u, v) * n + np.maximum(u, v), return_inverse=True)
+    count = np.bincount(pair_of, weights=np.tile(gen_mult, n)).astype(np.int64)
+    if np.any(count % 2):
+        raise ExpanderError("generator set is not closed under inverses")
+    e = np.repeat(pairs, count // 2)
+    return Graph(n=n, edges=tuple(zip((e // n).tolist(), (e % n).tolist())))
+
+
+def _pack(mats: np.ndarray, q: int) -> np.ndarray:
+    """Index of each canonical row (a, b, c, d) in [0, 2*q^3)."""
+    return ((mats[:, 0] * q + mats[:, 1]) * q + mats[:, 2]) * q + mats[:, 3]
 
 
 def random_regular(n: int, d: int, seed: int, max_tries: int = 200) -> Graph:

@@ -8,6 +8,7 @@ simple graphs unless noted.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -26,42 +27,41 @@ class Graph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        for u, v in self.edges:
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise GraphError(f"edge ({u},{v}) out of range for n={self.n}")
+        e = self.edge_array
+        bad = np.flatnonzero(((e < 0) | (e >= self.n)).any(axis=1))
+        if bad.size:
+            u, v = self.edges[bad[0]]
+            raise GraphError(f"edge ({u},{v}) out of range for n={self.n}")
 
     @property
     def m(self) -> int:
         return len(self.edges)
 
     @cached_property
+    def edge_array(self) -> np.ndarray:
+        """Read-only int64 (m, 2) copy of ``edges``."""
+        e = np.fromiter(itertools.chain.from_iterable(self.edges), dtype=np.int64,
+                        count=2 * self.m).reshape(-1, 2)
+        e.setflags(write=False)
+        return e
+
+    @cached_property
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=np.int64)
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
+        return np.bincount(self.edge_array.ravel(), minlength=self.n)
 
     @cached_property
     def simple(self) -> bool:
-        seen = set()
-        for u, v in self.edges:
-            if u == v:
-                return False
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                return False
-            seen.add(key)
-        return True
+        # an adjacency entry is an edge's multiplicity, and 2 for a self-loop
+        return bool(np.all(self.adjacency.data == 1))
 
     @cached_property
     def adjacency(self) -> sp.csr_matrix:
         """Adjacency matrix with entry = edge multiplicity."""
         if self.m == 0:
             return sp.csr_matrix((self.n, self.n), dtype=np.int64)
-        e = np.asarray(self.edges, dtype=np.int64)
-        rows = np.concatenate([e[:, 0], e[:, 1]])
-        cols = np.concatenate([e[:, 1], e[:, 0]])
+        u, v = self.edge_array.T
+        rows = np.concatenate([u, v])
+        cols = np.concatenate([v, u])
         data = np.ones(2 * self.m, dtype=np.int64)
         return sp.csr_matrix((data, (rows, cols)), shape=(self.n, self.n))
 
@@ -70,9 +70,9 @@ class Graph:
         """CSR-style (indptr, indices); repeated neighbors encode multi-edges."""
         if self.m == 0:
             return np.zeros(self.n + 1, dtype=np.int64), np.zeros(0, dtype=np.int64)
-        e = np.asarray(self.edges, dtype=np.int64)
-        src = np.concatenate([e[:, 0], e[:, 1]])
-        dst = np.concatenate([e[:, 1], e[:, 0]])
+        u, v = self.edge_array.T
+        src = np.concatenate([u, v])
+        dst = np.concatenate([v, u])
         order = np.argsort(src, kind="stable")
         indices = dst[order]
         counts = np.bincount(src, minlength=self.n)
@@ -115,8 +115,10 @@ class Graph:
 def bfs_parents(g: Graph, source: int) -> tuple[np.ndarray, np.ndarray]:
     """(dist, parent) of a BFS tree; -1 marks unreachable vertices.
 
-    Rows of the canonical CSR ``g.adjacency`` are sorted, so each vertex
-    scans its neighbors in index order and ties go to the smaller vertex.
+    Level-synchronous over the canonical CSR ``g.adjacency``, whose rows are
+    sorted: a new vertex takes as parent the first frontier vertex, in
+    frontier order, whose row reaches it, and joins the next frontier in
+    that order -- the queue order of a one-vertex-at-a-time BFS.
     """
     adj = g.adjacency
     indptr, indices = adj.indptr, adj.indices
@@ -124,18 +126,21 @@ def bfs_parents(g: Graph, source: int) -> tuple[np.ndarray, np.ndarray]:
     parent = np.full(g.n, -1, dtype=np.int64)
     dist[source] = 0
     parent[source] = source
-    frontier = [source]
+    frontier = np.array([source])
     level = 0
-    while frontier:
+    while frontier.size:
         level += 1
-        nxt = []
-        for u in frontier:
-            for w in indices[indptr[u]:indptr[u + 1]]:
-                if dist[w] < 0:
-                    dist[w] = level
-                    parent[w] = u
-                    nxt.append(int(w))
-        frontier = nxt
+        start = indptr[frontier]
+        lens = indptr[frontier + 1] - start
+        ends = np.cumsum(lens)
+        slots = np.arange(ends[-1]) + np.repeat(start - ends + lens, lens)
+        reach, via = indices[slots], np.repeat(frontier, lens)
+        unseen = np.flatnonzero(dist[reach] < 0)
+        _, first = np.unique(reach[unseen], return_index=True)
+        hit = unseen[np.sort(first)]
+        frontier = reach[hit]
+        dist[frontier] = level
+        parent[frontier] = via[hit]
     return dist, parent
 
 
@@ -169,10 +174,8 @@ def girth(g: Graph, roots: tuple[int, ...] | None = None) -> int | None:
     Self-loops count as 1-cycles and parallel edges as 2-cycles.
     """
     if not g.simple:
-        for u, v in g.edges:
-            if u == v:
-                return 1
-        return 2
+        u, v = g.edge_array.T
+        return 1 if np.any(u == v) else 2
 
     indptr, indices = g.neighbors
     best: int | None = None
@@ -226,6 +229,5 @@ def read_graph(path: str | Path) -> Graph:
     n, m = int(tokens[0]), int(tokens[1])
     if len(tokens) != 2 + 2 * m:
         raise GraphError(f"{path}: expected {m} edges, found {(len(tokens) - 2) // 2}")
-    it = iter(tokens[2:])
-    edges = tuple((int(u), int(v)) for u, v in zip(it, it))
-    return Graph(n=n, edges=edges)
+    e = np.array(tokens[2:], dtype=np.int64).reshape(-1, 2)
+    return Graph(n=n, edges=tuple(zip(e[:, 0].tolist(), e[:, 1].tolist())))

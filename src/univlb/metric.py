@@ -109,10 +109,15 @@ def validate_metric(m: MetricSpace) -> MetricViolation | None:
     if neg.size:
         u, v = map(int, neg[0])
         return MetricViolation("negative", (u, v))
+    slack = np.empty_like(d)
+    viol = np.empty(d.shape, dtype=bool)
     for w in range(m.n):
-        slack = d - (d[:, w, None] + d[None, w, :])
-        viol = np.argwhere(slack > tol)
-        for u, v in viol:
+        np.add(d[:, w, None], d[None, w, :], out=slack)
+        np.subtract(d, slack, out=slack)
+        np.greater(slack, tol, out=viol)
+        if not viol.any():
+            continue
+        for u, v in np.argwhere(viol):
             if u != w and v != w and u != v:
                 return MetricViolation("triangle", (int(u), int(w), int(v)))
     return None

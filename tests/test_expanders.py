@@ -9,8 +9,6 @@ from univlb import expanders, experiments, graphs, solutions
 from univlb.expanders import (
     ExpanderCertificate,
     ExpanderError,
-    _canon,
-    _matmul,
     legendre_symbol,
     lps_generators,
     lps_graph,
@@ -70,11 +68,30 @@ def test_lps_build_sweeps_vertex_0_once(monkeypatch, lps_5_13):
     assert sources == [0]
 
 
+def _canon(mat: tuple[int, int, int, int], q: int) -> tuple[int, int, int, int]:
+    """Projective canonical form: scale so the first nonzero entry is 1."""
+    for x in mat:
+        if x % q != 0:
+            inv = pow(x, q - 2, q)
+            return tuple((inv * y) % q for y in mat)
+    raise ExpanderError("zero matrix cannot be normalized")
+
+
+def _matmul(a, b, q: int) -> tuple[int, int, int, int]:
+    return (
+        (a[0] * b[0] + a[1] * b[2]) % q,
+        (a[0] * b[1] + a[1] * b[3]) % q,
+        (a[2] * b[0] + a[3] * b[2]) % q,
+        (a[2] * b[1] + a[3] * b[3]) % q,
+    )
+
+
 def _two_pass_lps(p: int, q: int) -> tuple[Graph, ExpanderCertificate]:
-    """Reference LPS build: the frontier closure, then a second pass that
-    recomputes every product to collect the edges."""
+    """Reference LPS build: the frontier closure one product at a time over
+    Python tuples, then a second pass that recomputes every product to
+    collect the edges."""
     mult: dict = {}
-    for gmat in lps_generators(p, q):
+    for gmat in map(tuple, lps_generators(p, q).tolist()):
         mult[gmat] = mult.get(gmat, 0) + 1
     identity = _canon((1, 0, 0, 1), q)
     index = {identity: 0}
@@ -110,7 +127,8 @@ def _two_pass_lps(p: int, q: int) -> tuple[Graph, ExpanderCertificate]:
     return g, cert
 
 
-@pytest.mark.parametrize("p, q", [(5, 13), (13, 17), (29, 5)])  # PGL, PSL, multi-edges
+# PGL, PSL, multi-edges, the steiner-lb graph, and 42 generators
+@pytest.mark.parametrize("p, q", [(5, 13), (13, 17), (29, 5), (5, 29), (41, 13)])
 def test_lps_one_pass_matches_two_pass_reference(p, q):
     g, cert = lps_graph(p, q)
     ref_g, ref_cert = _two_pass_lps(p, q)
@@ -118,18 +136,64 @@ def test_lps_one_pass_matches_two_pass_reference(p, q):
     assert cert == ref_cert
 
 
+def test_lps_generators_match_scalar_canon():
+    for p, q in [(5, 13), (13, 17), (29, 5), (41, 29)]:
+        gens = lps_generators(p, q)
+        assert gens.shape == (p + 1, 4)
+        assert [_canon(tuple(row), q) for row in gens.tolist()] == list(map(tuple, gens.tolist()))
+
+
 def test_lps_computes_each_product_once(monkeypatch):
-    calls = []
-    real = expanders._canon
+    rows = []
+    real = expanders._canon_rows
 
-    def counting(mat, q):
-        calls.append(q)
-        return real(mat, q)
+    def counting(mats, q):
+        rows.append(len(mats))
+        return real(mats, q)
 
-    monkeypatch.setattr(expanders, "_canon", counting)
-    lps_graph.__wrapped__(5, 13)
-    # 2184 elements x 6 generators, plus the 6 generators and the identity
-    assert len(calls) == 2184 * 6 + 6 + 1 == 13111
+    monkeypatch.setattr(expanders, "_canon_rows", counting)
+    _, cert = lps_graph.__wrapped__(5, 13)
+    # the 6 generators, then one pass per BFS level (the last one discovers
+    # nothing) over 2184 elements x 6 distinct generators
+    assert rows[0] == 6
+    assert len(rows) - 1 == cert.diameter + 1
+    assert sum(rows[1:]) == 2184 * 6
+
+
+def test_lps_guard_group_size(monkeypatch):
+    # one generator spans a cyclic subgroup, not PGL(2,13)
+    real = expanders.lps_generators
+    monkeypatch.setattr(expanders, "lps_generators", lambda p, q: real(p, q)[:1])
+    with pytest.raises(ExpanderError, match="group closure has .* elements, expected 2184"):
+        lps_graph.__wrapped__(5, 13)
+
+
+def test_lps_guard_inverse_closure(monkeypatch):
+    # dropping one generator keeps the whole group but not its inverse
+    real = expanders.lps_generators
+    monkeypatch.setattr(expanders, "lps_generators", lambda p, q: real(p, q)[:-1])
+    with pytest.raises(ExpanderError, match="not closed under inverses"):
+        lps_graph.__wrapped__(5, 13)
+
+
+def test_lps_guard_regular_degree(monkeypatch):
+    # the identity twice adds one self-loop per vertex: 8-regular, not 6
+    real = expanders.lps_generators
+    monkeypatch.setattr(expanders, "lps_generators",
+                        lambda p, q: np.vstack([real(p, q), [[1, 0, 0, 1]] * 2]))
+    with pytest.raises(ExpanderError, match="graph is not 6-regular"):
+        lps_graph.__wrapped__(5, 13)
+
+
+def test_lps_guard_connected(monkeypatch):
+    # 312 disjoint copies of K7: 6-regular on 2184 vertices, disconnected
+    def disjoint_k7s(n, edges):
+        return Graph(n=n, edges=tuple((b + i, b + j) for b in range(0, n, 7)
+                                      for i in range(7) for j in range(i + 1, 7)))
+
+    monkeypatch.setattr(expanders, "Graph", disjoint_k7s)
+    with pytest.raises(ExpanderError, match="Cayley graph is not connected"):
+        lps_graph.__wrapped__(5, 13)
 
 
 def test_lps_psl_case():

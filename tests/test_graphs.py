@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -99,6 +100,83 @@ def test_bfs_parents_shortest(petersen):
     assert parent.tolist() == [0, 0, 0, 1]
 
 
+def _bfs_parents_loop(g: Graph, source: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reference BFS, one vertex at a time: each vertex scans its sorted CSR
+    row in index order and ties go to the earlier frontier vertex."""
+    adj = g.adjacency
+    indptr, indices = adj.indptr, adj.indices
+    dist = np.full(g.n, -1, dtype=np.int64)
+    parent = np.full(g.n, -1, dtype=np.int64)
+    dist[source] = 0
+    parent[source] = source
+    frontier = [source]
+    level = 0
+    while frontier:
+        level += 1
+        nxt = []
+        for u in frontier:
+            for w in indices[indptr[u]:indptr[u + 1]]:
+                if dist[w] < 0:
+                    dist[w] = level
+                    parent[w] = u
+                    nxt.append(int(w))
+        frontier = nxt
+    return dist, parent
+
+
+def _degrees_loop(g: Graph) -> np.ndarray:
+    deg = np.zeros(g.n, dtype=np.int64)
+    for u, v in g.edges:
+        deg[u] += 1
+        deg[v] += 1
+    return deg
+
+
+def _simple_loop(g: Graph) -> bool:
+    seen = set()
+    for u, v in g.edges:
+        if u == v:
+            return False
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            return False
+        seen.add(key)
+    return True
+
+
+@st.composite
+def multigraphs(draw):
+    """Edges in any order and orientation, with repeats and self-loops; the
+    vertex count may exceed the touched vertices (isolated, disconnected)."""
+    n = draw(st.integers(1, 12))
+    vertex = st.integers(0, n - 1)
+    return Graph(n=n, edges=tuple(draw(st.lists(st.tuples(vertex, vertex), max_size=30))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(multigraphs())
+def test_graph_arrays_match_loop_references(g):
+    assert g.degrees.tolist() == _degrees_loop(g).tolist()
+    assert g.simple == _simple_loop(g)
+    assert g.edge_array.shape == (g.m, 2)
+    assert g.edge_array.tolist() == [list(e) for e in g.edges]
+    for source in range(g.n):
+        dist, parent = bfs_parents(g, source)
+        ref_dist, ref_parent = _bfs_parents_loop(g, source)
+        assert dist.tolist() == ref_dist.tolist()
+        assert parent.tolist() == ref_parent.tolist()
+
+
+def test_graph_arrays_on_edgeless_graph():
+    g = Graph(n=3, edges=())
+    assert g.edge_array.shape == (0, 2)
+    assert g.degrees.tolist() == [0, 0, 0]
+    assert g.simple
+    assert bfs_parents(g, 1)[0].tolist() == [-1, 0, -1]
+    with pytest.raises(ValueError):
+        g.edge_array[:] = 0
+
+
 def test_connectivity():
     assert is_connected(Graph(n=1, edges=()))
     assert not is_connected(Graph(n=2, edges=()))
@@ -121,6 +199,17 @@ def test_graph_roundtrip(tmp_path, petersen):
     assert g2.n == petersen.n
     assert g2.edges == petersen.edges
     assert path.read_text().splitlines()[0] == "10 15"
+
+
+def test_graph_roundtrip_multi_edges(tmp_path):
+    g = Graph(n=5, edges=((3, 1), (1, 3), (2, 2), (0, 4), (3, 1)))
+    path = tmp_path / "g.txt"
+    write_graph(g, path)
+    back = read_graph(path)
+    assert back == g
+    assert all(type(x) is int for e in back.edges for x in e)
+    assert not back.simple
+    assert back.degrees.tolist() == [1, 3, 2, 3, 1]
 
 
 def test_read_graph_bad_header(tmp_path):

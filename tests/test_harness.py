@@ -294,6 +294,20 @@ def test_cli_usage_error_exit_1(tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("text, message", [
+    ("", "missing header"),
+    ("3 2\n0 1\n", "expected 2 edges, found 1"),
+    ("3 1\n0 x\n", "invalid literal"),
+    ("3 1\n0 3\n", "edge (0,3) out of range for n=3"),
+])
+def test_cli_bad_graph_file_exit_1(tmp_path, capsys, text, message):
+    (tmp_path / "g.txt").write_text(text)
+    rc = cli_main(["run-steiner-lb", "--graph", f"file:{tmp_path / 'g.txt'}", "--trials", "1"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv, key", [
     (["run-steiner-lb", "--graph", "lps:5,13", "--trials", "-3"], "trials"),
     (["run-dp-transfer", "--eps", "-0.5"], "eps"),

@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from univlb.graphs import Graph, GraphError
 from univlb.metric import (
+    FLOAT_TOL,
     MetricSpace,
+    MetricViolation,
     random_euclidean_metric,
     random_uniform_metric,
     read_metric,
@@ -61,6 +63,61 @@ def test_validate_metric_violations():
 
     one = np.zeros((1, 1), dtype=np.int64)
     assert validate_metric(MetricSpace(n=1, dist=one, root=0)) is None
+
+
+def _validate_metric_loop(m: MetricSpace) -> MetricViolation | None:
+    """Reference: one fresh slack table and one argwhere per middle vertex."""
+    d = m.dist.astype(np.float64, copy=False)
+    tol = 0.0 if m.is_integral else FLOAT_TOL
+    diag = np.diagonal(d)
+    bad = np.nonzero(np.abs(diag) > tol)[0]
+    if bad.size:
+        return MetricViolation("self", (int(bad[0]),))
+    asym = np.argwhere(np.abs(d - d.T) > tol)
+    if asym.size:
+        u, v = map(int, asym[0])
+        return MetricViolation("symmetry", (u, v))
+    off = d.copy()
+    np.fill_diagonal(off, np.inf)
+    neg = np.argwhere(off <= tol)
+    if neg.size:
+        u, v = map(int, neg[0])
+        return MetricViolation("negative", (u, v))
+    for w in range(m.n):
+        slack = d - (d[:, w, None] + d[None, w, :])
+        viol = np.argwhere(slack > tol)
+        for u, v in viol:
+            if u != w and v != w and u != v:
+                return MetricViolation("triangle", (int(u), int(w), int(v)))
+    return None
+
+
+@st.composite
+def perturbed_metrics(draw):
+    """A Euclidean or integral graph metric with a few entries moved, most
+    often symmetrically (triangle violations), sometimes onto the diagonal
+    or one side only."""
+    n = draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        dist = random_euclidean_metric(n, rng).dist.copy()
+    else:
+        edges = tuple((int(rng.integers(v)), v) for v in range(1, n))
+        dist = shortest_path_metric(Graph(n=n, edges=edges), 0).dist.copy()
+    for _ in range(draw(st.integers(0, 3))):
+        u, v = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        x = dist.dtype.type(draw(st.integers(0, 6)) if dist.dtype.kind == "i"
+                            else draw(st.floats(0.0, 3.0)))
+        dist[u, v] = x
+        if draw(st.integers(0, 4)):
+            dist[v, u] = x
+    return MetricSpace(n=n, dist=dist, root=0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(perturbed_metrics())
+def test_validate_metric_matches_loop_reference(m):
+    assert validate_metric(m) == _validate_metric_loop(m)
 
 
 @st.composite
