@@ -14,7 +14,6 @@ from .adversary import (
 from .expanders import (
     ExpanderCertificate,
     lps_graph,
-    random_regular,
     second_eigenvalue,
 )
 from .frt import HST, frt_sample, hst_dominates, hst_to_spanning_tree, stretch_stats
@@ -54,6 +53,6 @@ from .solutions import (
     tree_to_path_collection,
     tree_to_tour,
 )
-from .walks import WalkTrace, random_walk, walk_confinement_stats, walk_visit_stats
+from .walks import WalkTrace, random_walk, walk_confinement_stats
 
 __version__ = "0.1.0"

@@ -19,13 +19,12 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .expanders import lps_graph, random_regular, write_certificate
+from .expanders import lps_graph, write_certificate
 from .experiments import (
     CertificateFalsification,
     ConfigError,
     RunConfig,
     emit_plot_data,
-    regular_certificate,
     run_experiment,
 )
 from .graphs import GraphError, write_graph
@@ -48,13 +47,9 @@ def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="univlb", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-expander", help="construct an expander and its certificate")
-    p.add_argument("--kind", choices=("lps", "regular"), required=True)
-    p.add_argument("--p", type=int, help="LPS prime p (degree p+1)")
-    p.add_argument("--q", type=int, help="LPS prime q (group size)")
-    p.add_argument("--n", type=int, help="vertex count (regular)")
-    p.add_argument("--d", type=int, help="degree (regular)")
-    p.add_argument("--seed", type=int, default=None)
+    p = sub.add_parser("gen-expander", help="construct an LPS expander and its certificate")
+    p.add_argument("--p", type=int, required=True, help="LPS prime p (degree p+1)")
+    p.add_argument("--q", type=int, required=True, help="LPS prime q (group size)")
     p.add_argument("--out", required=True, help="graph file; certificate lands at <out>.cert.json")
 
     p = sub.add_parser("gen-instance", help="generate a random metric instance")
@@ -67,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("run-steiner-lb", "run-tsp-lb", "run-universal", "run-dp-transfer"):
         p = sub.add_parser(name, help=f"run the {name[4:]} pipeline")
         p.add_argument("--config", help="key=value config file; flags override")
-        p.add_argument("--graph", help="lps:p,q | regular:n,d[,seed] | file:path")
+        p.add_argument("--graph", help="lps:p,q | file:path | path")
         p.add_argument("--solution", help="spt | frt | random-tour | spt-tour")
         p.add_argument("--solution-count", type=int, dest="solution_count")
         p.add_argument("--trials", type=int)
@@ -103,18 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_gen_expander(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    if args.kind == "lps":
-        if args.p is None or args.q is None:
-            print("gen-expander --kind lps needs --p and --q", file=sys.stderr)
-            return 1
-        g, cert = lps_graph(args.p, args.q)
-    else:
-        if args.n is None or args.d is None:
-            print("gen-expander --kind regular needs --n and --d", file=sys.stderr)
-            return 1
-        g = random_regular(args.n, args.d, seed)
-        cert, _ = regular_certificate(g, RunConfig.metric_cap)
+    g, cert = lps_graph(args.p, args.q)
     write_graph(g, args.out)
     write_certificate(cert, str(args.out) + ".cert.json")
     print(f"wrote {args.out} (n={g.n}, m={g.m}) and {args.out}.cert.json "

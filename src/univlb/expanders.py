@@ -1,18 +1,14 @@
 """Expander construction and spectral certification.
 
-Two constructions:
-
-* ``lps_graph(p, q)`` -- the Lubotzky-Phillips-Sarnak Ramanujan Cayley graphs
-  on PSL(2,q) / PGL(2,q), giving (p+1)-regular graphs whose normalized second
-  eigenvalue is at most 2*sqrt(p)/(p+1) and whose girth grows logarithmically.
-  Group elements are 2x2 matrices mod q in projective canonical form (first
-  nonzero entry 1), held as rows (a, b, c, d) of int64 arrays. The group is
-  closed by a breadth-first search from the identity that multiplies a
-  whole level by every generator in one array pass, finds repeats through a
-  table indexed by the packed canonical matrix, and yields the (n, p+1)
-  neighbour table the edges are read from.
-* ``random_regular(n, d, seed)`` -- configuration-model d-regular graphs, a
-  practical stand-in when high girth is not required.
+The one construction is ``lps_graph(p, q)``: the Lubotzky-Phillips-Sarnak
+Ramanujan Cayley graphs on PSL(2,q) / PGL(2,q), giving (p+1)-regular graphs
+whose normalized second eigenvalue is at most 2*sqrt(p)/(p+1) and whose girth
+grows logarithmically. Group elements are 2x2 matrices mod q in projective
+canonical form (first nonzero entry 1), held as rows (a, b, c, d) of int64
+arrays. The group is closed by a breadth-first search from the identity that
+multiplies a whole level by every generator in one array pass, finds repeats
+through a table indexed by the packed canonical matrix, and yields the
+(n, p+1) neighbour table the edges are read from.
 
 Certification measures the second-largest normalized adjacency eigenvalue by
 power iteration with deflation of the trivial eigenvector(s); the raw
@@ -44,7 +40,7 @@ class ExpanderCertificate:
     beta: float
     girth: int | None
     diameter: int
-    construction: str  # "lps" | "random-regular"
+    construction: str  # always "lps"; kept as a key of the .cert.json format
     ramanujan_bound: float | None = None
     bipartite: bool = False
     simple: bool = True
@@ -228,72 +224,12 @@ def _cayley_graph(p: int, q: int) -> Graph:
     count = np.bincount(pair_of, weights=np.tile(gen_mult, n)).astype(np.int64)
     if np.any(count % 2):
         raise ExpanderError("generator set is not closed under inverses")
-    e = np.repeat(pairs, count // 2)
-    return Graph(n=n, edges=tuple(zip((e // n).tolist(), (e % n).tolist())))
+    return Graph(n=n, edges=np.stack(np.divmod(np.repeat(pairs, count // 2), n), axis=1))
 
 
 def _pack(mats: np.ndarray, q: int) -> np.ndarray:
     """Index of each canonical row (a, b, c, d) in [0, 2*q^3)."""
     return ((mats[:, 0] * q + mats[:, 1]) * q + mats[:, 2]) * q + mats[:, 3]
-
-
-def random_regular(n: int, d: int, seed: int, max_tries: int = 200) -> Graph:
-    """Simple d-regular graph via incremental stub pairing with restarts.
-
-    Stubs are paired one random suitable pair at a time (no self-loops, no
-    duplicate edges); if the remaining stubs admit no suitable pair the whole
-    attempt restarts. Deterministic for a fixed seed; raises after
-    ``max_tries`` restarts (or immediately for infeasible n, d).
-    """
-    if n * d % 2 != 0:
-        raise ExpanderError(f"n*d must be even, got n={n}, d={d}")
-    if d >= n:
-        raise ExpanderError(f"need d < n, got n={n}, d={d}")
-    if d < 0:
-        raise ExpanderError("degree must be nonnegative")
-    if d == 0:
-        return Graph(n=n, edges=())
-    rng = np.random.default_rng(np.random.SeedSequence((seed, n, d)))
-    for _ in range(max_tries):
-        edges = _pairing_attempt(n, d, rng)
-        if edges is not None:
-            return Graph(n=n, edges=tuple(sorted(edges)))
-    raise ExpanderError(f"pairing budget exhausted for n={n}, d={d}")
-
-
-def _pairing_attempt(n: int, d: int, rng: np.random.Generator) -> list | None:
-    stubs = list(np.repeat(np.arange(n), d))
-    present: set[tuple[int, int]] = set()
-    edges: list[tuple[int, int]] = []
-    misses = 0
-    while stubs:
-        i = int(rng.integers(len(stubs)))
-        j = int(rng.integers(len(stubs)))
-        if i == j:
-            continue
-        u, v = stubs[i], stubs[j]
-        key = (u, v) if u < v else (v, u)
-        if u == v or key in present:
-            misses += 1
-            if misses > 50 and not _suitable_exists(stubs, present):
-                return None
-            continue
-        misses = 0
-        present.add(key)
-        edges.append((int(key[0]), int(key[1])))
-        for k in sorted((i, j), reverse=True):
-            stubs[k] = stubs[-1]
-            stubs.pop()
-    return edges
-
-
-def _suitable_exists(stubs: list, present: set) -> bool:
-    distinct = sorted(set(int(s) for s in stubs))
-    for ai, a in enumerate(distinct):
-        for b in distinct[ai + 1:]:
-            if (a, b) not in present:
-                return True
-    return False
 
 
 def second_eigenvalue(g: Graph, tol: float = 1e-9, max_iter: int = 20000, seed: int = 7) -> float:

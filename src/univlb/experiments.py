@@ -40,9 +40,9 @@ from .adversary import (
     steiner_certificate,
     tsp_certificate,
 )
-from .expanders import ExpanderCertificate, lps_graph, random_regular, second_eigenvalue
+from .expanders import lps_graph
 from .frt import frt_sample, hst_dominates, hst_to_spanning_tree, stretch_stats
-from .graphs import Graph, bipartition, diameter_ecc, girth as graph_girth, read_graph
+from .graphs import Graph, diameter_ecc, girth as graph_girth, read_graph
 from .metric import MetricSpace, random_euclidean_metric, shortest_path_metric
 from .oracles import OracleBudget, OracleRefusal, opt_surrogates, steiner_exact, tsp_exact
 from .privacy import (
@@ -211,39 +211,26 @@ class InstanceBundle:
 
 
 def load_instance(spec_str: str, metric_cap: int, need_metric: bool) -> InstanceBundle:
-    """Resolve a graph spec: ``lps:p,q`` | ``regular:n,d[,seed]`` | ``file:path``.
+    """Resolve a graph spec: ``lps:p,q``, ``file:path`` or a bare path.
 
     The recorded diameter is exact for LPS graphs (vertex-transitivity), and
-    exact whenever the dense metric is built; otherwise it is the upper bound
-    2 * ecc(v0), which keeps the walk surrogates valid upper bounds. The
-    dense metric is built at most once, rooted at vertex 0.
+    exact for a file graph whenever the dense metric is built; otherwise it
+    is the upper bound 2 * ecc(v0), which keeps the walk surrogates valid
+    upper bounds. The dense metric is built at most once, rooted at vertex 0.
     """
     kind, sep, rest = spec_str.partition(":")
-    if not sep or kind not in ("lps", "regular", "file"):
-        # bare path shorthand: --graph g.txt
-        kind, rest = "file", spec_str
     metric: MetricSpace | None = None
-    if kind == "lps":
+    if sep and kind == "lps":
         p, q = (int(x) for x in rest.split(","))
         g, cert = lps_graph(p, q)
         gir, diam, beta = cert.girth, cert.diameter, cert.beta
         label = f"lps({p},{q})"
-    elif kind == "regular":
-        parts = [int(x) for x in rest.split(",")]
-        n, d = parts[0], parts[1]
-        seed = parts[2] if len(parts) > 2 else 0
-        g = random_regular(n, d, seed)
-        cert, metric = regular_certificate(g, metric_cap)
-        gir, diam, beta = cert.girth, cert.diameter, cert.beta
-        label = f"regular({n},{d})"
-    elif kind == "file":
-        g = read_graph(rest)
+    else:
+        label = rest if sep and kind == "file" else spec_str
+        g = read_graph(label)
         gir = graph_girth(g)
         beta = None
         diam, metric = _diameter_bound(g, metric_cap)
-        label = rest
-    else:
-        raise ConfigError(f"unknown graph spec {spec_str!r}")
     if not need_metric:
         metric = None
     elif g.n > metric_cap:
@@ -263,18 +250,6 @@ def _diameter_bound(g: Graph, metric_cap: int) -> tuple[int, MetricSpace | None]
         m = shortest_path_metric(g, 0)
         return int(m.dist.max()), m
     return 2 * diameter_ecc(g), None
-
-
-def regular_certificate(g: Graph, metric_cap: int) -> tuple[ExpanderCertificate, MetricSpace | None]:
-    """Certificate of a random regular graph, and the dense metric its
-    diameter was read from (None above ``metric_cap``; see ``_diameter_bound``)."""
-    diam, metric = _diameter_bound(g, metric_cap)
-    cert = ExpanderCertificate(
-        n=g.n, d=int(g.degrees.max()), beta=second_eigenvalue(g, tol=1e-6),
-        girth=graph_girth(g), diameter=diam, construction="random-regular",
-        ramanujan_bound=None, bipartite=bipartition(g) is not None, simple=g.simple,
-    )
-    return cert, metric
 
 
 LB_COLUMNS = [
@@ -305,19 +280,59 @@ def run_steiner_lb(cfg: RunConfig) -> ExperimentReport:
     t = max(1, inst.girth // 3) if cfg.t == "auto" else int(cfg.t)
     adv = SteinerAdversaryConfig(t=t, certificate_mode=(3 * t <= inst.girth))
     solutions = _steiner_solutions(cfg, inst)
+    f_sets = [p.first_edges for p in solutions]
+    # The girth certificate argues about graph cycles; it only applies to
+    # collections whose paths are walks in the graph (SPT yes; contracted
+    # tree solutions carry metric edges and are measured, not certified).
+    certifiable = [adv.certificate_mode and _graph_paths(p, inst.graph) for p in solutions]
+    budget = _budget(cfg.oracle_cap)
 
-    def pick(trial: int) -> int:
-        if len(solutions) == 1:
-            return 0
-        return int(rngs.stream(cfg.seed, rngs.SOLUTION, trial).integers(len(solutions)))
+    rows: list[dict[str, object]] = []
+    good_count = 0
+    certified = 0
+    ratios: list[float] = []
+    for trial in range(cfg.trials):
+        sol_idx = 0
+        if len(solutions) > 1:
+            sol_idx = int(rngs.stream(cfg.seed, rngs.SOLUTION, trial).integers(len(solutions)))
+        paths = solutions[sol_idx]
+        walk = random_walk(inst.graph, adv.t, rngs.stream(cfg.seed, rngs.WALK, trial))
+        x = frozenset(walk.distinct()) - {paths.root}
+        good, _, _ = is_good_walk(walk, f_sets[sol_idx], adv)
+        lhs, _ = project_paths(paths, x, inst.metric)
+        if good:
+            good_count += 1
+            if certifiable[sol_idx]:
+                cert = steiner_certificate(paths, walk, inst.girth, adv, inst.metric)
+                certified += 1
+                if not cert.holds:
+                    raise CertificateFalsification(
+                        f"steiner certificate failed at trial {trial}: {cert.witness}"
+                    )
+        opt, opt_kind = _opt("steiner", inst.metric, x, [walk], adv.t, inst.diameter,
+                             budget, cfg.oracle_cap)
+        ratio = lhs / opt if opt > 0 else float("nan")
+        if x:
+            ratios.append(ratio)
+        rows.append({
+            "trial": trial, "n": inst.graph.n, "d": inst.d, "girth": inst.girth,
+            "t": adv.t, "x_size": len(x), "good": good, "e1": None, "e2": None,
+            "shared": None, "lhs": lhs, "rhs": len(x) * inst.girth / 6.0, "ratio": ratio,
+            "opt_kind": opt_kind,
+        })
 
-    report = _steiner_trials(inst, solutions, pick, adv, cfg.trials, cfg.seed,
-                             cfg.oracle_cap, config=cfg.values)
-    report.aggregates.update({
+    report = ExperimentReport(config=cfg.values, columns=LB_COLUMNS, rows=rows)
+    arr = np.array(ratios) if ratios else np.array([np.nan])
+    freq = good_count / cfg.trials if cfg.trials else 0.0
+    report.aggregates = {
+        "good_walk_frequency": freq,
+        "certified_samples": certified,
+        "ratio_median": float(np.median(arr)),
+        "ratio_q25": float(np.quantile(arr, 0.25)),
+        "ratio_q75": float(np.quantile(arr, 0.75)),
         "girth": inst.girth, "diameter": inst.diameter, "beta": inst.beta,
         "t": adv.t, "label": inst.label,
-    })
-    freq = report.aggregates["good_walk_frequency"]
+    }
     stderr = math.sqrt(max(freq * (1 - freq), 0.0) / cfg.trials) if cfg.trials else 0.0
     report.series = [
         {
@@ -334,80 +349,16 @@ def run_steiner_lb(cfg: RunConfig) -> ExperimentReport:
     return report
 
 
-def _steiner_trials(
-    inst: InstanceBundle,
-    solutions: list[PathCollection],
-    pick,
-    adv: SteinerAdversaryConfig,
-    trials: int,
-    seed: int,
-    oracle_cap: int,
-    config: dict[str, object],
-) -> ExperimentReport:
-    """The Steiner lower-bound trial loop; ``pick(trial)`` draws the index of
-    the trial's solution. Good walks are certified when ``adv`` is in
-    certificate mode and the solution's paths are walks in the graph."""
-    f_sets = [p.first_edges for p in solutions]
-    # The girth certificate argues about graph cycles; it only applies to
-    # collections whose paths are walks in the graph (SPT yes; contracted
-    # tree solutions carry metric edges and are measured, not certified).
-    certifiable = [adv.certificate_mode and _graph_paths(p, inst.graph) for p in solutions]
-    budget = _budget(oracle_cap)
-
-    rows: list[dict[str, object]] = []
-    good_count = 0
-    certified = 0
-    ratios: list[float] = []
-    for trial in range(trials):
-        sol_idx = pick(trial)
-        paths = solutions[sol_idx]
-        walk = random_walk(inst.graph, adv.t, rngs.stream(seed, rngs.WALK, trial))
-        x = frozenset(walk.distinct()) - {paths.root}
-        good, _, _ = is_good_walk(walk, f_sets[sol_idx], adv)
-        lhs, _ = project_paths(paths, x, inst.metric)
-        if good:
-            good_count += 1
-            if certifiable[sol_idx]:
-                cert = steiner_certificate(paths, walk, inst.girth, adv, inst.metric)
-                certified += 1
-                if not cert.holds:
-                    raise CertificateFalsification(
-                        f"steiner certificate failed at trial {trial}: {cert.witness}"
-                    )
-        opt, opt_kind = _opt("steiner", inst.metric, x, [walk], adv.t, inst.diameter,
-                             budget, oracle_cap)
-        ratio = lhs / opt if opt > 0 else float("nan")
-        if x:
-            ratios.append(ratio)
-        rows.append({
-            "trial": trial, "n": inst.graph.n, "d": inst.d, "girth": inst.girth,
-            "t": adv.t, "x_size": len(x), "good": good, "e1": None, "e2": None,
-            "shared": None, "lhs": lhs, "rhs": len(x) * inst.girth / 6.0, "ratio": ratio,
-            "opt_kind": opt_kind,
-        })
-
-    report = ExperimentReport(config=config, columns=LB_COLUMNS, rows=rows)
-    arr = np.array(ratios) if ratios else np.array([np.nan])
-    report.aggregates = {
-        "good_walk_frequency": good_count / trials if trials else 0.0,
-        "certified_samples": certified,
-        "ratio_median": float(np.median(arr)),
-        "ratio_q25": float(np.quantile(arr, 0.25)),
-        "ratio_q75": float(np.quantile(arr, 0.75)),
-    }
-    return report
-
-
 def _graph_paths(p: PathCollection, g: Graph) -> bool:
-    edges = {(min(u, v), max(u, v)) for u, v in g.edges}
-    for v in range(p.n):
-        if v == p.root:
-            continue
-        path = p.paths[v]
-        for a, b in zip(path, path[1:]):
-            if (min(a, b), max(a, b)) not in edges:
-                return False
-    return True
+    """Whether every step of every root path in ``p`` is an edge of ``g``;
+    an unordered pair {u, v} is keyed as min * n + max."""
+    steps = np.array([step for path in p.paths for step in zip(path, path[1:])],
+                     dtype=np.int64).reshape(-1, 2)
+
+    def keys(pairs: np.ndarray) -> np.ndarray:
+        return pairs.min(axis=1) * g.n + pairs.max(axis=1)
+
+    return bool(np.isin(keys(steps), keys(g.edges)).all())
 
 
 def _budget(oracle_cap: int) -> OracleBudget:
@@ -727,34 +678,6 @@ def run_experiment(cfg: RunConfig) -> ExperimentReport:
     report.wall_clock_sec = time.perf_counter() - start
     report.write(cfg.csv or None, cfg.json or None)
     return report
-
-
-def monte_carlo_lb(
-    solutions: list[tuple[PathCollection, float]],
-    graph: Graph,
-    girth_value: int,
-    diam: int,
-    adv: SteinerAdversaryConfig,
-    trials: int,
-    master_seed: int,
-    metric: MetricSpace | None = None,
-    oracle_cap: int = 0,
-) -> ExperimentReport:
-    """Steiner lower-bound experiment over an explicit finite distribution
-    of path collections (pairs of (solution, probability))."""
-    probs = np.array([p for _, p in solutions])
-    if abs(probs.sum() - 1.0) > 1e-9:
-        raise ValueError("solution distribution must sum to 1")
-    cum = np.cumsum(probs)
-
-    def pick(trial: int) -> int:
-        u = rngs.stream(master_seed, rngs.SOLUTION, trial).random()
-        return min(int(np.searchsorted(cum, u, side="right")), len(solutions) - 1)
-
-    inst = InstanceBundle(graph=graph, label="", d=int(graph.degrees.max()),
-                          girth=girth_value, diameter=diam, metric=metric)
-    return _steiner_trials(inst, [p for p, _ in solutions], pick, adv, trials, master_seed,
-                           oracle_cap, config={"trials": trials, "seed": master_seed})
 
 
 def emit_plot_data(reports: list) -> str:

@@ -1,14 +1,13 @@
 """Undirected graph container plus the structural statistics everything else needs.
 
 Graphs are immutable after construction. Vertices are ``0..n-1``; edges are
-unordered pairs. Multi-edges and self-loops are representable (the ``simple``
-flag reports their absence) but every construction in this package produces
-simple graphs unless noted.
+unordered pairs, stored once as a read-only int64 (m, 2) array. Multi-edges
+and self-loops are representable (the ``simple`` flag reports their absence);
+LPS graphs are simple whenever q > 2*sqrt(p).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -21,16 +20,31 @@ class GraphError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
+    """``edges`` accepts any sequence of (u, v) pairs and is stored as a
+    read-only int64 (m, 2) array. Graphs compare by identity."""
+
     n: int
-    edges: tuple[tuple[int, int], ...]
+    edges: np.ndarray
 
     def __post_init__(self) -> None:
-        e = self.edge_array
+        try:
+            e = np.asarray(self.edges)
+        except ValueError as exc:
+            raise GraphError(f"edges must be (u, v) pairs: {exc}") from None
+        if e.shape == (0,):
+            e = e.reshape(0, 2)
+        if e.ndim != 2 or e.shape[1] != 2:
+            raise GraphError(f"edges must have shape (m, 2), got {e.shape}")
+        if e.size and e.dtype.kind not in "iu":
+            raise GraphError(f"edge endpoints must be integers, got {e.dtype}")
+        e = e.astype(np.int64)  # a copy: the caller's array stays writable
+        e.setflags(write=False)
+        object.__setattr__(self, "edges", e)
         bad = np.flatnonzero(((e < 0) | (e >= self.n)).any(axis=1))
         if bad.size:
-            u, v = self.edges[bad[0]]
+            u, v = e[bad[0]]
             raise GraphError(f"edge ({u},{v}) out of range for n={self.n}")
 
     @property
@@ -38,16 +52,8 @@ class Graph:
         return len(self.edges)
 
     @cached_property
-    def edge_array(self) -> np.ndarray:
-        """Read-only int64 (m, 2) copy of ``edges``."""
-        e = np.fromiter(itertools.chain.from_iterable(self.edges), dtype=np.int64,
-                        count=2 * self.m).reshape(-1, 2)
-        e.setflags(write=False)
-        return e
-
-    @cached_property
     def degrees(self) -> np.ndarray:
-        return np.bincount(self.edge_array.ravel(), minlength=self.n)
+        return np.bincount(self.edges.ravel(), minlength=self.n)
 
     @cached_property
     def simple(self) -> bool:
@@ -59,7 +65,7 @@ class Graph:
         """Adjacency matrix with entry = edge multiplicity."""
         if self.m == 0:
             return sp.csr_matrix((self.n, self.n), dtype=np.int64)
-        u, v = self.edge_array.T
+        u, v = self.edges.T
         rows = np.concatenate([u, v])
         cols = np.concatenate([v, u])
         data = np.ones(2 * self.m, dtype=np.int64)
@@ -70,7 +76,7 @@ class Graph:
         """CSR-style (indptr, indices); repeated neighbors encode multi-edges."""
         if self.m == 0:
             return np.zeros(self.n + 1, dtype=np.int64), np.zeros(0, dtype=np.int64)
-        u, v = self.edge_array.T
+        u, v = self.edges.T
         src = np.concatenate([u, v])
         dst = np.concatenate([v, u])
         order = np.argsort(src, kind="stable")
@@ -174,7 +180,7 @@ def girth(g: Graph, roots: tuple[int, ...] | None = None) -> int | None:
     Self-loops count as 1-cycles and parallel edges as 2-cycles.
     """
     if not g.simple:
-        u, v = g.edge_array.T
+        u, v = g.edges.T
         return 1 if np.any(u == v) else 2
 
     indptr, indices = g.neighbors
@@ -217,9 +223,8 @@ def diameter_ecc(g: Graph) -> int:
 
 def write_graph(g: Graph, path: str | Path) -> None:
     """Text format: first line ``n m``, then one ``u v`` line per edge."""
-    lines = [f"{g.n} {g.m}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges)
-    Path(path).write_text("\n".join(lines) + "\n")
+    lines = "".join(f"{u} {v}\n" for u, v in g.edges.tolist())
+    Path(path).write_text(f"{g.n} {g.m}\n{lines}")
 
 
 def read_graph(path: str | Path) -> Graph:
@@ -229,5 +234,4 @@ def read_graph(path: str | Path) -> Graph:
     n, m = int(tokens[0]), int(tokens[1])
     if len(tokens) != 2 + 2 * m:
         raise GraphError(f"{path}: expected {m} edges, found {(len(tokens) - 2) // 2}")
-    e = np.array(tokens[2:], dtype=np.int64).reshape(-1, 2)
-    return Graph(n=n, edges=tuple(zip(e[:, 0].tolist(), e[:, 1].tolist())))
+    return Graph(n=n, edges=np.array(tokens[2:], dtype=np.int64).reshape(-1, 2))

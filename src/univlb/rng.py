@@ -29,8 +29,3 @@ def stream(master_seed: int, *path: int) -> np.random.Generator:
     if master_seed < 0 or any(p < 0 for p in path):
         raise ValueError("seed path components must be nonnegative")
     return np.random.default_rng(np.random.SeedSequence((master_seed, *path)))
-
-
-def trial_streams(master_seed: int, component: int, n_trials: int) -> list[np.random.Generator]:
-    """Pre-build the per-trial streams for one pipeline component."""
-    return [stream(master_seed, component, t) for t in range(n_trials)]

@@ -1,17 +1,11 @@
-"""Random walks on graphs and Monte Carlo validation of expander-walk tail bounds.
+"""Random walks on graphs and Monte Carlo validation of the expander-walk
+confinement bound.
 
 A t-step walk starts at a uniform vertex and moves to a uniform neighbor at
 each step. Traces are reproducible bit-exactly from (graph, generator state).
 
-Two validators estimate the classical spectral confinement bounds:
-
-* confinement -- Pr[walk stays inside B] vs the bound (alpha + beta)^t,
-* visit count -- Pr[more than gamma*t walk positions in B] vs
-  2^t * (alpha + beta)^(gamma*t).
-
-The visit validator counts both positions (walk steps landing in B, repeats
-included) and distinct vertices; the bound is compared against the position
-count and both are reported.
+``walk_confinement_stats`` estimates Pr[walk stays inside B] and compares it
+with the classical spectral bound (alpha + beta)^t, alpha = |B| / n.
 """
 
 from __future__ import annotations
@@ -75,7 +69,6 @@ class WalkBoundReport:
     bound: float
     trials: int
     stderr: float
-    extra: dict[str, float] | None = None
 
     def within(self, sigmas: float = 3.0) -> bool:
         return self.frequency <= self.bound + sigmas * self.stderr
@@ -85,20 +78,6 @@ def _binomial_stderr(freq: float, trials: int) -> float:
     if trials == 0:
         return 0.0
     return float(np.sqrt(max(freq * (1.0 - freq), 0.0) / trials))
-
-
-def _visit_counts(
-    g: Graph, mask: np.ndarray, t: int, trials: int, rngs: list[np.random.Generator]
-) -> np.ndarray:
-    """Per trial, how many of a t-step walk's positions and of its distinct
-    vertices lie in ``mask``; ``rngs`` supplies one stream per trial."""
-    if len(rngs) < trials:
-        raise ValueError("need one rng stream per trial")
-    counts = np.zeros((trials, 2), dtype=np.int64)
-    for i in range(trials):
-        w = random_walk(g, t, rngs[i])
-        counts[i] = mask[list(w.vertices)].sum(), mask[list(w.distinct())].sum()
-    return counts
 
 
 def walk_confinement_stats(
@@ -117,39 +96,12 @@ def walk_confinement_stats(
     mask[subset] = True
     if not mask.any():
         raise ValueError("subset must be nonempty")
+    if len(rngs) < trials:
+        raise ValueError("need one rng stream per trial")
     alpha = float(mask.sum()) / g.n
-    hits = int(np.count_nonzero(_visit_counts(g, mask, t, trials, rngs)[:, 0] == t + 1))
+    hits = sum(bool(mask[list(random_walk(g, t, rngs[i]).vertices)].all())
+               for i in range(trials))
     freq = hits / trials if trials else 0.0
     bound = (alpha + beta) ** t
     return WalkBoundReport(frequency=freq, bound=bound, trials=trials,
                            stderr=_binomial_stderr(freq, trials))
-
-
-def walk_visit_stats(
-    g: Graph,
-    subset: np.ndarray,
-    t: int,
-    gamma: float,
-    beta: float,
-    trials: int,
-    rngs: list[np.random.Generator],
-) -> WalkBoundReport:
-    """Monte Carlo Pr[more than gamma*t positions in ``subset``] with its bound.
-
-    Reports the distinct-vertex frequency alongside (``extra``), since the
-    source bound does not pin down which count is meant; positions are the
-    weaker reading and are what the bound is checked against.
-    """
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError("gamma must lie in [0, 1]")
-    mask = np.zeros(g.n, dtype=bool)
-    mask[subset] = True
-    alpha = float(mask.sum()) / g.n
-    pos_hits, distinct_hits = np.count_nonzero(
-        _visit_counts(g, mask, t, trials, rngs) > gamma * t, axis=0)
-    freq = int(pos_hits) / trials if trials else 0.0
-    dfreq = int(distinct_hits) / trials if trials else 0.0
-    bound = (2.0 ** t) * (alpha + beta) ** (gamma * t)
-    return WalkBoundReport(frequency=freq, bound=bound, trials=trials,
-                           stderr=_binomial_stderr(freq, trials),
-                           extra={"distinct_frequency": dfreq})

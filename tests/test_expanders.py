@@ -12,7 +12,6 @@ from univlb.expanders import (
     legendre_symbol,
     lps_generators,
     lps_graph,
-    random_regular,
     second_eigenvalue,
     sqrt_mod,
     write_certificate,
@@ -60,7 +59,8 @@ def test_lps_build_sweeps_vertex_0_once(monkeypatch, lps_5_13):
     monkeypatch.setattr(solutions, "bfs_parents", counting)
     g, cert = lps_graph.__wrapped__(5, 13)  # bypass the memo: a fresh build
     assert sources == [0]
-    assert (g.edges, cert) == (lps_5_13[0].edges, lps_5_13[1])
+    assert np.array_equal(g.edges, lps_5_13[0].edges)
+    assert cert == lps_5_13[1]
 
     sources.clear()
     monkeypatch.setattr(experiments, "lps_graph", lps_graph.__wrapped__)
@@ -132,7 +132,7 @@ def _two_pass_lps(p: int, q: int) -> tuple[Graph, ExpanderCertificate]:
 def test_lps_one_pass_matches_two_pass_reference(p, q):
     g, cert = lps_graph(p, q)
     ref_g, ref_cert = _two_pass_lps(p, q)
-    assert g.edges == ref_g.edges
+    assert np.array_equal(g.edges, ref_g.edges)
     assert cert == ref_cert
 
 
@@ -226,36 +226,6 @@ def test_lps_parameter_validation():
         lps_graph(5, 15)  # not prime
 
 
-def test_random_regular_k4():
-    g = random_regular(4, 3, 0)
-    assert sorted(g.edges) == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-
-
-def test_random_regular_cycles():
-    g = random_regular(6, 2, 1)
-    assert g.degrees.tolist() == [2] * 6
-    assert g.simple
-
-
-def test_random_regular_beta():
-    g = random_regular(1024, 10, 7)
-    assert g.simple
-    assert g.regular_degree == 10
-    beta = second_eigenvalue(g, tol=1e-6)
-    assert beta < 0.9
-
-
-def test_random_regular_deterministic():
-    assert random_regular(64, 4, 5).edges == random_regular(64, 4, 5).edges
-
-
-def test_random_regular_infeasible():
-    with pytest.raises(ExpanderError):
-        random_regular(5, 3, 0)  # odd n*d
-    with pytest.raises(ExpanderError):
-        random_regular(4, 4, 0)  # d >= n
-
-
 def test_second_eigenvalue_k4(k4):
     # adjacency spectrum {3, -1, -1, -1} -> beta = 1/3
     assert second_eigenvalue(k4, tol=1e-10) == pytest.approx(1.0 / 3.0, abs=1e-6)
@@ -294,14 +264,16 @@ def test_second_eigenvalue_degenerate_spectra():
     assert second_eigenvalue(Graph(n=1, edges=())) == 0.0
 
 
-def test_second_eigenvalue_matches_dense_on_random_regular():
-    for seed in (0, 1, 2):
-        g = random_regular(24, 4, seed)
-        beta = second_eigenvalue(g, tol=1e-10)
-        dense = np.linalg.eigvalsh(g.adjacency.toarray().astype(float))
-        mags = sorted(abs(v) for v in dense)
-        want = mags[-2] / 4
-        assert beta == pytest.approx(want, abs=1e-6)
+# PGL and bipartite, PSL with multi-edges, and the pinned-CSV graph
+@pytest.mark.parametrize("p, q", [(13, 5), (29, 5), (5, 13)])
+def test_second_eigenvalue_matches_dense_on_lps(p, q):
+    g, _ = lps_graph(p, q)
+    beta = second_eigenvalue(g, tol=1e-10)
+    dense = np.linalg.eigvalsh(g.adjacency.toarray().astype(float))
+    # drop the trivial eigenvalue d, and -d when the graph is bipartite
+    nontrivial = dense[1:-1] if bipartition(g) is not None else dense[:-1]
+    want = np.abs(nontrivial).max() / (p + 1)
+    assert beta == pytest.approx(want, abs=1e-6)
 
 
 def test_certificate_json_roundtrip(tmp_path, lps_5_13):

@@ -24,6 +24,37 @@ def test_edge_endpoints_validated():
         Graph(n=3, edges=((0, 3),))
 
 
+@pytest.mark.parametrize("edges", [((0, 1), (1, 2)), [[0, 1], [1, 2]], [(0, 1), [1, 2]],
+                                   (), [], np.array([[0, 1], [1, 2]], dtype=np.int32)])
+def test_graph_stores_edges_as_read_only_int64_array(edges):
+    g = Graph(n=3, edges=edges)
+    assert g.edges.dtype == np.int64
+    assert g.edges.shape == (len(edges), 2) == (g.m, 2)
+    assert g.edges.tolist() == [list(e) for e in edges]
+    with pytest.raises(ValueError):
+        g.edges[:] = 0
+
+
+def test_graph_leaves_the_callers_array_writable():
+    e = np.array([[0, 1], [1, 2]])
+    g = Graph(n=3, edges=e)
+    e[0, 0] = 2
+    assert g.edges.tolist() == [[0, 1], [1, 2]]
+
+
+@pytest.mark.parametrize("edges, message", [
+    (((0, 1), (1,)), "edges must be"),
+    (((0, 1, 2),), r"shape \(m, 2\), got \(1, 3\)"),
+    ((0, 1), r"shape \(m, 2\), got \(2,\)"),
+    (np.zeros((0, 3), dtype=np.int64), r"got \(0, 3\)"),
+    ((("a", "b"),), "must be integers"),
+    (((0.7, 1.0),), "must be integers"),
+])
+def test_graph_refuses_edges_not_shaped_m_by_2(edges, message):
+    with pytest.raises(GraphError, match=message):
+        Graph(n=3, edges=edges)
+
+
 def test_degrees_and_simple(k4):
     assert k4.degrees.tolist() == [3, 3, 3, 3]
     assert k4.simple
@@ -145,21 +176,23 @@ def _simple_loop(g: Graph) -> bool:
 
 
 @st.composite
-def multigraphs(draw):
-    """Edges in any order and orientation, with repeats and self-loops; the
-    vertex count may exceed the touched vertices (isolated, disconnected)."""
+def multigraph_edges(draw):
+    """(n, pairs): edges in any order and orientation, with repeats and
+    self-loops; n may exceed the touched vertices (isolated, disconnected)."""
     n = draw(st.integers(1, 12))
     vertex = st.integers(0, n - 1)
-    return Graph(n=n, edges=tuple(draw(st.lists(st.tuples(vertex, vertex), max_size=30))))
+    return n, draw(st.lists(st.tuples(vertex, vertex), max_size=30))
 
 
 @settings(max_examples=300, deadline=None)
-@given(multigraphs())
-def test_graph_arrays_match_loop_references(g):
+@given(multigraph_edges())
+def test_graph_arrays_match_loop_references(n_pairs):
+    n, pairs = n_pairs
+    g = Graph(n=n, edges=tuple(pairs))
     assert g.degrees.tolist() == _degrees_loop(g).tolist()
     assert g.simple == _simple_loop(g)
-    assert g.edge_array.shape == (g.m, 2)
-    assert g.edge_array.tolist() == [list(e) for e in g.edges]
+    assert g.edges.dtype == np.int64 and g.edges.shape == (g.m, 2) == (len(pairs), 2)
+    assert g.edges.tolist() == [list(e) for e in pairs]
     for source in range(g.n):
         dist, parent = bfs_parents(g, source)
         ref_dist, ref_parent = _bfs_parents_loop(g, source)
@@ -169,12 +202,12 @@ def test_graph_arrays_match_loop_references(g):
 
 def test_graph_arrays_on_edgeless_graph():
     g = Graph(n=3, edges=())
-    assert g.edge_array.shape == (0, 2)
+    assert g.edges.shape == (0, 2)
     assert g.degrees.tolist() == [0, 0, 0]
     assert g.simple
     assert bfs_parents(g, 1)[0].tolist() == [-1, 0, -1]
     with pytest.raises(ValueError):
-        g.edge_array[:] = 0
+        g.edges[:] = 0
 
 
 def test_connectivity():
@@ -197,7 +230,7 @@ def test_graph_roundtrip(tmp_path, petersen):
     write_graph(petersen, path)
     g2 = read_graph(path)
     assert g2.n == petersen.n
-    assert g2.edges == petersen.edges
+    assert np.array_equal(g2.edges, petersen.edges)
     assert path.read_text().splitlines()[0] == "10 15"
 
 
@@ -206,8 +239,8 @@ def test_graph_roundtrip_multi_edges(tmp_path):
     path = tmp_path / "g.txt"
     write_graph(g, path)
     back = read_graph(path)
-    assert back == g
-    assert all(type(x) is int for e in back.edges for x in e)
+    assert back.n == g.n and np.array_equal(back.edges, g.edges)
+    assert back.edges.dtype == np.int64
     assert not back.simple
     assert back.degrees.tolist() == [1, 3, 2, 3, 1]
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import shlex
 from dataclasses import fields
@@ -8,23 +9,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from univlb import experiments, rng
+from univlb import experiments
 from univlb.cli import build_parser, main as cli_main
-from univlb.expanders import lps_graph
 from univlb.experiments import (
     CertificateFalsification,
     ConfigError,
     ExperimentReport,
     RunConfig,
     emit_plot_data,
-    monte_carlo_lb,
     run_experiment,
 )
-from univlb.adversary import SteinerAdversaryConfig
-from univlb.frt import frt_sample, hst_to_spanning_tree
-from univlb.graphs import Graph, GraphError, read_graph
+from univlb.graphs import Graph, GraphError, diameter_ecc, read_graph, write_graph
 from univlb.metric import shortest_path_metric
-from univlb.solutions import bfs_tree, tree_to_path_collection
+from univlb.solutions import PathCollection, bfs_tree, tree_to_path_collection
 
 
 def test_config_rejects_unknown_keys():
@@ -93,9 +90,32 @@ def test_graph_paths_checked_only_in_certificate_mode(monkeypatch, t, checks):
     assert len(calls) == checks
 
 
-def test_load_instance_builds_the_metric_once(monkeypatch):
+def test_graph_paths_detects_a_metric_edge(lps_5_13):
+    g, _ = lps_5_13
+    spt = tree_to_path_collection(bfs_tree(g, 0))
+    assert experiments._graph_paths(spt, g)
+    v = next(v for v, path in enumerate(spt.paths) if len(path) >= 3)
+    paths = list(spt.paths)
+    paths[v] = (v,) + paths[v][2:]  # v is two hops from paths[v][2]; girth 8
+    shortcut = PathCollection(root=spt.root, paths=tuple(paths))
+    assert not experiments._graph_paths(shortcut, g)
+
+
+def _tailed_triangle(tmp_path) -> Path:
+    """Graph file: path 5-3-1-0-2-4-6 plus triangle 0-7-8. Girth 3, and
+    ecc(0) = 3 is half the diameter 6."""
+    g = Graph(n=9, edges=((0, 1), (1, 3), (3, 5), (0, 2), (2, 4), (4, 6),
+                          (0, 7), (7, 8), (0, 8)))
+    path = tmp_path / "tailed.txt"
+    write_graph(g, path)
+    return path
+
+
+def test_load_instance_builds_the_metric_once(monkeypatch, tmp_path):
+    # a file graph reads its diameter off the dense metric; tsp-lb reuses it
+    graph = _tailed_triangle(tmp_path)
     calls = _count_calls(monkeypatch, experiments, "shortest_path_metric")
-    run_experiment(RunConfig.make(pipeline="tsp-lb", graph="regular:60,3,3", trials=5))
+    run_experiment(RunConfig.make(pipeline="tsp-lb", graph=f"file:{graph}", trials=5))
     assert len(calls) == 1
 
 
@@ -168,34 +188,6 @@ def test_universal_pipeline_smoke(tmp_path):
     assert header.startswith("trial,n,x_size,mean_tree_cost,opt,ratio")
 
 
-def test_monte_carlo_lb_distribution(lps_5_13):
-    g, cert = lps_5_13
-    paths = tree_to_path_collection(bfs_tree(g, 0))
-    adv = SteinerAdversaryConfig(t=cert.girth // 3)
-    report = monte_carlo_lb([(paths, 1.0)], g, cert.girth, cert.diameter, adv,
-                            trials=200, master_seed=5)
-    assert report.aggregates["certified_samples"] > 0
-    assert 0 < report.aggregates["good_walk_frequency"] <= 1
-    assert len(report.rows) == 200
-
-
-def test_monte_carlo_lb_skips_certificates_on_metric_edges():
-    # Contracted FRT trees carry metric edges, so their stubs may overlap
-    # without any short graph cycle: measured, never certified.
-    g, cert = lps_graph(13, 5)
-    m = shortest_path_metric(g, 0)
-    solutions = [
-        (tree_to_path_collection(hst_to_spanning_tree(
-            frt_sample(m, rng.stream(2, rng.TREE, i)), m)), 0.25)
-        for i in range(4)
-    ]
-    report = monte_carlo_lb(solutions, g, cert.girth, cert.diameter,
-                            SteinerAdversaryConfig(t=1), trials=500, master_seed=0,
-                            metric=m)
-    assert report.aggregates["certified_samples"] == 0
-    assert len(report.rows) == 500
-
-
 def test_emit_plot_data_schema():
     rep = ExperimentReport(config={}, columns=[], rows=[],
                            series=[{"series": "s", "x": 1, "y": 2.0,
@@ -222,19 +214,48 @@ def test_emit_plot_data_multiple_series():
 
 def test_cli_gen_and_run(tmp_path):
     out = tmp_path / "g.txt"
-    rc = cli_main(["gen-expander", "--kind", "regular", "--n", "60", "--d", "3",
-                   "--seed", "3", "--out", str(out)])
+    rc = cli_main(["gen-expander", "--p", "5", "--q", "13", "--out", str(out)])
     assert rc == 0
     assert out.exists() and (tmp_path / "g.txt.cert.json").exists()
-    # ecc(0) is 6 on this graph; the certificate must hold the true diameter
     cert = json.loads((tmp_path / "g.txt.cert.json").read_text())
-    assert cert["diameter"] == shortest_path_metric(read_graph(out), 0).dist.max() == 8
+    assert cert["diameter"] == shortest_path_metric(read_graph(out), 0).dist.max() == 7
 
-    csv_path = tmp_path / "rows.csv"
-    rc = cli_main(["run-steiner-lb", "--graph", f"file:{out}", "--trials", "40",
-                   "--t", "1", "--seed", "4", "--csv", str(csv_path)])
+    # a file graph's report must hold its true diameter, not ecc(0)
+    graph = _tailed_triangle(tmp_path)
+    assert diameter_ecc(read_graph(graph)) == 3
+    csv_path, json_path = tmp_path / "rows.csv", tmp_path / "rep.json"
+    rc = cli_main(["run-steiner-lb", "--graph", f"file:{graph}", "--trials", "40",
+                   "--t", "1", "--seed", "4", "--csv", str(csv_path),
+                   "--json", str(json_path)])
     assert rc == 0
     assert csv_path.exists()
+    assert json.loads(json_path.read_text())["aggregates"]["diameter"] == 6
+
+
+def test_gen_expander_output_pinned(tmp_path):
+    # graph file bytes and certificate keys (a file format) of lps(5,13)
+    out = tmp_path / "g.txt"
+    assert cli_main(["gen-expander", "--p", "5", "--q", "13", "--out", str(out)]) == 0
+    assert (hashlib.sha256(out.read_bytes()).hexdigest()
+            == "7f3b21751bc47ce1a47dacbd58d693a57e101821bc807494cac839bfd0ada7b1")
+    cert = json.loads((tmp_path / "g.txt.cert.json").read_text())
+    assert sorted(cert) == ["beta", "bipartite", "construction", "d", "diameter", "girth",
+                            "n", "ramanujan_bound", "simple"]
+    assert cert["construction"] == "lps"
+
+
+@pytest.mark.parametrize("argv", [["--p", "5"], ["--q", "13"],
+                                  ["--kind", "lps", "--p", "5", "--q", "13"]])
+def test_gen_expander_takes_only_p_and_q(argv):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["gen-expander", *argv, "--out", "g.txt"])
+
+
+def test_cli_random_regular_spec_exit_1(capsys):
+    rc = cli_main(["run-steiner-lb", "--graph", "regular:60,3,3", "--trials", "1"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "regular:60,3,3" in err and err.count("\n") == 1
 
 
 def test_cli_config_file(tmp_path, capsys):

@@ -4,12 +4,8 @@ import numpy as np
 import pytest
 
 from univlb.graphs import Graph
-from univlb.rng import stream, trial_streams
-from univlb.walks import (
-    random_walk,
-    walk_confinement_stats,
-    walk_visit_stats,
-)
+from univlb.rng import stream
+from univlb.walks import random_walk, walk_confinement_stats
 
 
 def _edge_set(g: Graph) -> set[tuple[int, int]]:
@@ -47,7 +43,7 @@ def test_walk_reproducible(lps_5_13):
 
 
 def test_confinement_full_set(k4):
-    rngs = trial_streams(5, 1, 200)
+    rngs = [stream(5, 1, i) for i in range(200)]
     rep = walk_confinement_stats(k4, np.arange(4), t=3, beta=1.0 / 3.0,
                                  trials=200, rngs=rngs)
     assert rep.frequency == 1.0
@@ -55,7 +51,7 @@ def test_confinement_full_set(k4):
 
 
 def test_confinement_single_vertex_impossible(k4):
-    rngs = trial_streams(6, 1, 300)
+    rngs = [stream(6, 1, i) for i in range(300)]
     rep = walk_confinement_stats(k4, np.array([2]), t=2, beta=1.0 / 3.0,
                                  trials=300, rngs=rngs)
     assert rep.frequency == 0.0  # no self-loops: a 2-step walk cannot sit still
@@ -65,55 +61,24 @@ def test_confinement_bound_holds_on_expander(lps_5_13):
     g, cert = lps_5_13
     rng = stream(9, 0)
     subset = rng.choice(g.n, size=g.n // 3, replace=False)
-    rngs = trial_streams(9, 1, 2000)
+    rngs = [stream(9, 1, i) for i in range(2000)]
     rep = walk_confinement_stats(g, subset, t=4, beta=cert.beta, trials=2000, rngs=rngs)
     assert rep.within(3.0)
 
 
-def test_visit_stats_empty_and_trivial(k4):
-    rngs = trial_streams(7, 1, 100)
-    rep = walk_visit_stats(k4, np.array([], dtype=int), t=3, gamma=0.5,
-                           beta=1.0 / 3.0, trials=100, rngs=rngs)
-    assert rep.frequency == 0.0
-
-    rep = walk_visit_stats(k4, np.array([1]), t=2, gamma=0.0, beta=1.0 / 3.0,
-                           trials=100, rngs=rngs)
-    # bound 2^t is vacuous; frequency of "more than 0 visits" is below 1
-    assert rep.bound >= 1.0
-    assert rep.frequency < 1.0
-    assert rep.extra is not None and "distinct_frequency" in rep.extra
-
-
-def test_visit_stats_distinct_leq_positions(lps_5_13):
-    g, cert = lps_5_13
-    rng = stream(11, 0)
-    subset = rng.choice(g.n, size=g.n // 2, replace=False)
-    rngs = trial_streams(11, 1, 500)
-    rep = walk_visit_stats(g, subset, t=16, gamma=1.0 / 16.0, beta=cert.beta,
-                           trials=500, rngs=rngs)
-    assert rep.extra["distinct_frequency"] <= rep.frequency
-    assert rep.within(3.0)
-
-
 def test_stats_match_per_walk_reference(petersen):
-    # both validators against their own loop over the same per-trial streams
-    subset, t, gamma, trials = np.array([0, 2, 5, 7, 9]), 4, 0.5, 400
+    # the validator against its own loop over the same per-trial streams
+    subset, t, trials = np.array([0, 2, 5, 7, 9]), 4, 400
     mask = np.isin(np.arange(petersen.n), subset)
-    walks = [random_walk(petersen, t, r) for r in trial_streams(13, 1, trials)]
+    walks = [random_walk(petersen, t, stream(13, 1, i)) for i in range(trials)]
     inside = sum(all(mask[v] for v in w.vertices) for w in walks)
-    positions = sum(sum(mask[v] for v in w.vertices) > gamma * t for w in walks)
-    distinct = sum(sum(mask[v] for v in w.distinct()) > gamma * t for w in walks)
     conf = walk_confinement_stats(petersen, subset, t, 0.5, trials,
-                                  trial_streams(13, 1, trials))
-    visit = walk_visit_stats(petersen, subset, t, gamma, 0.5, trials,
-                             trial_streams(13, 1, trials))
+                                  [stream(13, 1, i) for i in range(trials)])
     assert conf.frequency == inside / trials
-    assert visit.frequency == positions / trials
-    assert visit.extra["distinct_frequency"] == distinct / trials
-    assert 0 < inside < positions
+    assert 0 < inside < trials
 
 
-def test_gamma_range_checked(k4):
-    with pytest.raises(ValueError):
-        walk_visit_stats(k4, np.array([0]), t=2, gamma=1.5, beta=0.3,
-                         trials=1, rngs=trial_streams(0, 1, 1))
+def test_confinement_needs_one_stream_per_trial(k4):
+    with pytest.raises(ValueError, match="one rng stream per trial"):
+        walk_confinement_stats(k4, np.array([0]), t=2, beta=1.0 / 3.0, trials=3,
+                               rngs=[stream(0, 1, i) for i in range(2)])
