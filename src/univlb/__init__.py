@@ -40,7 +40,6 @@ from .privacy import (
     exponential_mechanism,
     transfer_check,
     transfer_lower_bound,
-    yao_derandomize,
 )
 from .solutions import (
     PathCollection,

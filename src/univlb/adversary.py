@@ -165,7 +165,7 @@ def steiner_certificate(
         if overlap:
             break
 
-    lhs, _ = project_paths(p, X, m)
+    lhs = project_paths(p, X, m)
 
     rhs = len(X) * girth / 6.0
     stub_sum = sum(len(stubs[u]) - 1 for u in x_prime)

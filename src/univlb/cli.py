@@ -43,8 +43,17 @@ def _default_seed() -> int:
     return int(os.environ.get("UNIVLB_SEED", "0"))
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as ``ConfigError`` (exit code 1, one line);
+    argparse itself would exit with 2, the certificate-falsification code.
+    Subcommand parsers inherit this class."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="univlb", description=__doc__)
+    top = _Parser(prog="univlb", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-expander", help="construct an LPS expander and its certificate")
@@ -180,8 +189,8 @@ def cmd_report(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if args.command == "gen-expander":
             return cmd_gen_expander(args)
         if args.command == "gen-instance":

@@ -145,12 +145,6 @@ class RunConfig:
             values[key.strip()] = val.strip()
         return values
 
-    @staticmethod
-    def from_file(path: str | Path, **overrides) -> "RunConfig":
-        values: dict[str, object] = dict(RunConfig.parse_file(path))
-        values.update({k: v for k, v in overrides.items() if v is not None})
-        return RunConfig.make(**values)
-
 
 def _coerce(annotation: str, val: object) -> object:
     if annotation == "int | str":
@@ -299,7 +293,7 @@ def run_steiner_lb(cfg: RunConfig) -> ExperimentReport:
         walk = random_walk(inst.graph, adv.t, rngs.stream(cfg.seed, rngs.WALK, trial))
         x = frozenset(walk.distinct()) - {paths.root}
         good, _, _ = is_good_walk(walk, f_sets[sol_idx], adv)
-        lhs, _ = project_paths(paths, x, inst.metric)
+        lhs = project_paths(paths, x, inst.metric)
         if good:
             good_count += 1
             if certifiable[sol_idx]:
@@ -520,7 +514,7 @@ def run_universal_upper(cfg: RunConfig) -> ExperimentReport:
             contiguity_ok = True
             costs = []
             for tree, tour in zip(trees, tours):
-                c_tx, _ = project_tree(tree, x)
+                c_tx = project_tree(tree, x)
                 costs.append(c_tx)
                 c_sx = project_tour(tour, m, x)
                 if c_sx > 2.0 * c_tx + 1e-9:
@@ -579,8 +573,9 @@ def star_metric(universe_size: int) -> MetricSpace:
 def suite_mechanism(
     m: MetricSpace, universe: frozenset[int], eps: float, rng: np.random.Generator,
     groups: int = 4,
-) -> tuple[MechanismTable, LowerBoundWitness]:
-    """One structured suite mechanism with an exact transfer witness.
+) -> tuple[MechanismTable, np.ndarray, LowerBoundWitness]:
+    """One structured suite mechanism, its cost table ``cost[mask, j]`` (tree
+    j projected on terminal set ``mask``) and an exact transfer witness.
 
     The universe is randomly split into ``groups`` groups; candidate tree j
     serves group j with direct spokes and detours everyone else through the
@@ -608,7 +603,7 @@ def suite_mechanism(
         candidates[f"t{j}"] = SpanningTree(root=m.root, parent=tuple(parent),
                                            edge_cost=costs)
 
-    cost = np.array([[project_tree(tree, X)[0] for tree in candidates.values()]
+    cost = np.array([[project_tree(tree, X) for tree in candidates.values()]
                      for X in all_subsets(universe)])
     mech = exponential_mechanism(universe, candidates, cost, eps)
 
@@ -617,8 +612,8 @@ def suite_mechanism(
     beats = cost[[1 << i for i in range(len(items))]] <= alpha * opt
     rho_1 = float((beats * mech.probs[0]).sum(axis=1).max(initial=0.0))
     witness = LowerBoundWitness(alpha=alpha, rho={1: min(rho_1 + 1e-12, 1.0)},
-                                metric=m, sets=tuple(frozenset({v}) for v in items))
-    return mech, witness
+                                sets=tuple(frozenset({v}) for v in items))
+    return mech, cost, witness
 
 
 def run_dp_transfer(cfg: RunConfig) -> ExperimentReport:
@@ -630,8 +625,8 @@ def run_dp_transfer(cfg: RunConfig) -> ExperimentReport:
     transfer_failures = 0
     applicable = 0
     for i in range(cfg.mechanisms):
-        mech, witness = suite_mechanism(m, universe, cfg.eps,
-                                        rngs.stream(cfg.seed, rngs.SOLUTION, i))
+        mech, cost, witness = suite_mechanism(m, universe, cfg.eps,
+                                              rngs.stream(cfg.seed, rngs.SOLUTION, i))
         audit = dp_audit(mech, cfg.eps)
         if not audit.passed:
             audit_failures += 1
@@ -639,10 +634,8 @@ def run_dp_transfer(cfg: RunConfig) -> ExperimentReport:
         ok = prob_beat = bound = None
         if eps0 > 0 and cfg.eps <= eps0:
             applicable += 1
-            chk = transfer_check(
-                mech, m, witness, cfg.eps,
-                opt_fn=lambda X: steiner_exact(m, X),
-            )
+            chk = transfer_check(mech, cost, witness, cfg.eps,
+                                 opt_fn=lambda X: steiner_exact(m, X))
             ok, prob_beat, bound = chk.ok, chk.prob_beat, chk.bound
             if not ok:
                 transfer_failures += 1

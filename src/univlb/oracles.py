@@ -200,7 +200,6 @@ def tsp_exact_witness(
 class SurrogateBounds:
     steiner: float
     tsp: float
-    construction: str
 
 
 def opt_surrogates(
@@ -218,9 +217,7 @@ def opt_surrogates(
     if len(walks) == 1:
         steiner = walks[0].steps + diam
         tsp = 2.0 * steiner
-        construction = "walk+root"
     else:
         steiner = t_sum + len(walks) * diam
         tsp = t_sum + (len(walks) + 1) * diam
-        construction = "walk-tour"
-    return SurrogateBounds(steiner=float(steiner), tsp=float(tsp), construction=construction)
+    return SurrogateBounds(steiner=float(steiner), tsp=float(tsp))

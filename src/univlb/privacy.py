@@ -6,8 +6,10 @@ enumerated and compared with rational-strength arithmetic (floats plus a
 relative tolerance on ratio comparisons only).
 
 A terminal set is a bitmask over the universe: bit i stands for the i-th
-smallest element. A mechanism is one array of shape (2^|U|, solutions)
-whose row ``mask`` is the distribution at that set.
+smallest element. A mechanism is a distribution over rooted spanning trees
+at each terminal set: one array of shape (2^|U|, trees) whose row ``mask``
+is the distribution at that set. Its costs are one array of the same shape,
+``cost[mask, j]`` = c(T_j[X]), built once by whoever builds the trees.
 
 The transfer theorem machinery: an (alpha, rho) lower-bound witness for
 universal algorithms yields the privacy threshold
@@ -30,55 +32,23 @@ from pathlib import Path
 import numpy as np
 
 from .adversary import CertificateFalsification
-from .metric import MetricSpace
-from .solutions import (
-    PathCollection,
-    SpanningTree,
-    TourOrder,
-    project_paths,
-    project_tree,
-    project_tour,
-)
+from .solutions import SpanningTree
 
 #: Relative tolerance on probability-ratio comparisons.
 RATIO_RTOL = 1e-9
-
-Solution = SpanningTree | PathCollection | TourOrder
 
 
 class MechanismError(ValueError):
     pass
 
 
-def solution_covers(s: Solution, universe: frozenset[int]) -> bool:
-    """Feasibility at a terminal set: the solution must span/order all of it."""
-    if isinstance(s, SpanningTree):
-        return universe <= set(range(s.n))
-    if isinstance(s, PathCollection):
-        return all(v == s.root or (v < s.n and len(s.paths[v]) > 0) for v in universe)
-    if isinstance(s, TourOrder):
-        return universe <= set(s.order) | {s.root}
-    raise MechanismError(f"unknown solution type {type(s)!r}")
-
-
-def solution_cost(s: Solution, m: MetricSpace, X) -> float:
-    """Projected cost of a solution on terminal set X."""
-    if isinstance(s, SpanningTree):
-        return project_tree(s, X)[0]
-    if isinstance(s, PathCollection):
-        return project_paths(s, X, m)[0]
-    if isinstance(s, TourOrder):
-        return project_tour(s, m, X)
-    raise MechanismError(f"unknown solution type {type(s)!r}")
-
-
 @dataclass(frozen=True)
 class MechanismTable:
     """Explicit finite mechanism: read-only ``probs[mask, j]`` is the
-    probability of the j-th entry of ``solutions`` on terminal set ``mask``."""
+    probability of the j-th tree of ``solutions`` on terminal set ``mask``."""
 
     universe: frozenset[int]
-    solutions: dict[str, Solution]
+    solutions: dict[str, SpanningTree]
     probs: np.ndarray
     claimed_eps: float | None = None
 
@@ -98,12 +68,6 @@ class MechanismTable:
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
 
-    def distribution(self, X: frozenset[int]) -> dict[str, float]:
-        if not X <= self.universe:
-            raise MechanismError(f"mechanism not defined on X={sorted(X)}")
-        mask = sum(1 << i for i, v in enumerate(sorted(self.universe)) if v in X)
-        return dict(zip(self.solutions, self.probs[mask].tolist()))
-
 
 @dataclass(frozen=True)
 class AuditReport:
@@ -115,6 +79,13 @@ class AuditReport:
 
 def _members(mask: int, universe: frozenset[int]) -> frozenset[int]:
     return frozenset(v for i, v in enumerate(sorted(universe)) if mask >> i & 1)
+
+
+def _mask(X: frozenset[int], universe: frozenset[int]) -> int:
+    """The bitmask of terminal set X; the inverse of ``_members``."""
+    if not X <= universe:
+        raise MechanismError(f"mechanism not defined on X={sorted(X)}")
+    return sum(1 << i for i, v in enumerate(sorted(universe)) if v in X)
 
 
 def all_subsets(universe: frozenset[int]) -> list[frozenset[int]]:
@@ -165,7 +136,7 @@ def dp_audit(
 
 def exponential_mechanism(
     universe: frozenset[int],
-    candidates: dict[str, Solution],
+    candidates: dict[str, SpanningTree],
     cost: np.ndarray,
     eps: float,
 ) -> MechanismTable:
@@ -188,59 +159,27 @@ def exponential_mechanism(
 
 
 def empty_support_check(mech: MechanismTable) -> tuple[bool, str | None]:
-    """Every solution with mass at the empty set must be feasible for all of U.
+    """Every tree with mass at the empty set must span all of U.
 
     This is the first step of the transfer argument: privacy forces the
     empty-input distribution to stay inside the feasible set of the full
     universe, otherwise running the mechanism on U would emit an infeasible
     solution with positive probability.
     """
-    row = mech.distribution(frozenset())
-    for sid, prob in row.items():
-        if prob > 0.0 and not solution_covers(mech.solutions[sid], mech.universe):
+    for (sid, tree), prob in zip(mech.solutions.items(), mech.probs[0].tolist()):
+        if prob > 0.0 and not mech.universe <= set(range(tree.n)):
             return False, sid
     return True, None
 
 
-def yao_derandomize(
-    solution_probs: dict[str, float],
-    set_probs: dict[frozenset[int], float],
-    event,
-) -> tuple[frozenset[int], float]:
-    """Exchange the averaging order to extract a single hard terminal set.
-
-    Computes Pr_{s,X}[event] both ways (the double sums must agree), then
-    returns the X minimizing Pr_s[event(s, X)]; that minimum never exceeds
-    the X-average.
-    """
-    per_set = {
-        X: sum(p for sid, p in solution_probs.items() if event(sid, X))
-        for X in set_probs
-    }
-    total_sx = sum(
-        p_s * sum(px for X, px in set_probs.items() if event(sid, X))
-        for sid, p_s in solution_probs.items()
-    )
-    total_xs = sum(px * per_set[X] for X, px in set_probs.items())
-    if abs(total_sx - total_xs) > 1e-12 * max(1.0, abs(total_sx)):
-        raise CertificateFalsification(
-            f"summation interchange mismatch: {total_sx} != {total_xs}")
-    best = min(sorted(per_set, key=sorted), key=per_set.__getitem__)
-    if per_set[best] > total_xs + 1e-12:
-        raise CertificateFalsification(
-            f"minimum {per_set[best]} over sets exceeds their average {total_xs}")
-    return best, per_set[best]
-
-
 @dataclass(frozen=True)
 class LowerBoundWitness:
-    """(alpha, rho) lower bound: on instance ``metric``, any solution
-    distribution has a terminal set in ``sets`` where beating ratio alpha
-    has probability at most rho(|X|)."""
+    """(alpha, rho) lower bound: any solution distribution has a terminal
+    set in ``sets`` where beating ratio alpha has probability at most
+    rho(|X|)."""
 
     alpha: float
     rho: dict[int, float]
-    metric: MetricSpace | None = None
     sets: tuple[frozenset[int], ...] = ()
 
     def __post_init__(self) -> None:
@@ -281,13 +220,14 @@ class TransferCheck:
 
 def transfer_check(
     mech: MechanismTable,
-    m: MetricSpace,
+    cost: np.ndarray,
     witness: LowerBoundWitness,
     eps: float,
     opt_fn,
 ) -> TransferCheck:
     """Verify the transfer conclusion on a concrete audited mechanism.
 
+    ``cost[mask, j]`` is the cost of the j-th tree on terminal set ``mask``.
     Treats the mechanism's empty-input distribution as its universal
     solution, finds the witness set X for it (the rho-hardest of the witness
     family), and checks by exact arithmetic that
@@ -295,15 +235,17 @@ def transfer_check(
         Pr_{S ~ D_X}[cost(S on X) <= alpha * opt(X)]
             <= exp(eps |X|) * rho(|X|) <= 1/2.
     """
+    cost = np.asarray(cost)
+    if cost.shape != mech.probs.shape:
+        raise MechanismError(f"cost table has shape {cost.shape}, not {mech.probs.shape}")
     ok_support, bad = empty_support_check(mech)
     if not ok_support:
         raise MechanismError(f"solution {bad!r} infeasible at the full universe")
-    d_empty = mech.distribution(frozenset())
 
-    def beat_prob(row: dict[str, float], X: frozenset[int]) -> float:
+    def beat_prob(row: int, X: frozenset[int]) -> float:
+        costs = cost[_mask(X, mech.universe)].tolist()
         bar = witness.alpha * opt_fn(X)
-        return sum(prob for sid, prob in row.items()
-                   if solution_cost(mech.solutions[sid], m, X) <= bar)
+        return sum(prob for prob, c in zip(mech.probs[row].tolist(), costs) if c <= bar)
 
     if not witness.sets:
         raise ValueError("witness family is empty")
@@ -313,7 +255,7 @@ def transfer_check(
     best_x = None
     best_p = math.inf
     for X in sorted(witness.sets, key=sorted):
-        p = beat_prob(d_empty, X)
+        p = beat_prob(0, X)
         if p <= witness.rho[len(X)] + 1e-12 and p < best_p:
             best_x, best_p = X, p
     if best_x is None:
@@ -322,7 +264,7 @@ def transfer_check(
         )
     rho_k = witness.rho[len(best_x)]
 
-    prob_beat = beat_prob(mech.distribution(best_x), best_x)
+    prob_beat = beat_prob(_mask(best_x, mech.universe), best_x)
     bound = math.exp(eps * len(best_x)) * rho_k
     ok = prob_beat <= bound + 1e-12 and (bound <= 0.5 + 1e-12)
     return TransferCheck(
@@ -370,25 +312,14 @@ def read_mechanism(path: str | Path) -> MechanismTable:
                           claimed_eps=doc.get("claimed_eps"))
 
 
-def _solution_doc(s: Solution) -> dict:
-    if isinstance(s, SpanningTree):
-        return {"kind": "tree", "root": s.root, "parent": list(s.parent),
-                "edge_cost": list(s.edge_cost)}
-    if isinstance(s, PathCollection):
-        return {"kind": "paths", "root": s.root, "paths": [list(p) for p in s.paths]}
-    if isinstance(s, TourOrder):
-        return {"kind": "tour", "root": s.root, "order": list(s.order)}
-    raise MechanismError(f"unknown solution type {type(s)!r}")
+def _solution_doc(s: SpanningTree) -> dict:
+    return {"kind": "tree", "root": s.root, "parent": list(s.parent),
+            "edge_cost": list(s.edge_cost)}
 
 
-def _solution_from_doc(doc: dict) -> Solution:
+def _solution_from_doc(doc: dict) -> SpanningTree:
     kind = doc["kind"]
-    if kind == "tree":
-        return SpanningTree(root=doc["root"], parent=tuple(doc["parent"]),
-                            edge_cost=tuple(doc["edge_cost"]))
-    if kind == "paths":
-        return PathCollection(root=doc["root"],
-                              paths=tuple(tuple(p) for p in doc["paths"]))
-    if kind == "tour":
-        return TourOrder(root=doc["root"], order=tuple(doc["order"]))
-    raise MechanismError(f"unknown solution kind {kind!r}")
+    if kind != "tree":
+        raise MechanismError(f"unknown solution kind {kind!r}")
+    return SpanningTree(root=doc["root"], parent=tuple(doc["parent"]),
+                        edge_cost=tuple(doc["edge_cost"]))

@@ -31,6 +31,10 @@ class SpanningTree:
 
     def __post_init__(self) -> None:
         n = len(self.parent)
+        if len(self.edge_cost) != n:
+            raise ValueError(f"edge_cost has {len(self.edge_cost)} entries for {n} vertices")
+        if not (0 <= self.root < n and all(0 <= p < n for p in self.parent)):
+            raise ValueError(f"root and parents must be vertices 0..{n - 1}")
         if self.parent[self.root] != self.root:
             raise ValueError("root must be a fixed point of the parent map")
         seen_depth = [-1] * n
@@ -132,24 +136,23 @@ def bfs_tree(g: Graph, root: int) -> SpanningTree:
     return SpanningTree(root=root, parent=tuple(int(p) for p in parent), edge_cost=costs)
 
 
-def _tree_edge(v: int, parent: int) -> tuple[int, int]:
-    return (v, parent) if v < parent else (parent, v)
-
-
-def project_tree(t: SpanningTree, X) -> tuple[float, frozenset[tuple[int, int]]]:
-    """Cost and edges of the minimal rooted subtree containing X."""
-    edges: set[tuple[int, int]] = set()
+def _root_paths(t: SpanningTree, X) -> tuple[float, set[int]]:
+    """Walk each terminal of X up to the first vertex already reached; return
+    the cost of the edges walked and every vertex reached, root included."""
     cost = 0.0
     marked = {t.root}
     for x in X:
         v = x
         while v not in marked:
             marked.add(v)
-            p = t.parent[v]
-            edges.add(_tree_edge(v, p))
             cost += t.edge_cost[v]
-            v = p
-    return cost, frozenset(edges)
+            v = t.parent[v]
+    return cost, marked
+
+
+def project_tree(t: SpanningTree, X) -> float:
+    """Cost of the minimal rooted subtree containing X."""
+    return _root_paths(t, X)[0]
 
 
 def project_tour(sigma: TourOrder, m: MetricSpace, X) -> float:
@@ -167,9 +170,7 @@ def project_tour(sigma: TourOrder, m: MetricSpace, X) -> float:
     return cost
 
 
-def project_paths(
-    p: PathCollection, X, m: MetricSpace | None = None
-) -> tuple[float, frozenset[tuple[int, int]]]:
+def project_paths(p: PathCollection, X, m: MetricSpace | None = None) -> float:
     """Cost of the union of the root-paths of X; shared edges count once.
 
     Edge costs come from the metric when given, else unit cost per edge.
@@ -182,8 +183,8 @@ def project_paths(
         for a, b in zip(path, path[1:]):
             edges.add((a, b) if a < b else (b, a))
     if m is None:
-        return float(len(edges)), frozenset(edges)
-    return float(sum(m.d(a, b) for a, b in edges)), frozenset(edges)
+        return float(len(edges))
+    return float(sum(m.d(a, b) for a, b in edges))
 
 
 def tree_to_path_collection(t: SpanningTree) -> PathCollection:
@@ -216,8 +217,7 @@ def restricted_dfs_order(t: SpanningTree, X) -> tuple[int, ...]:
     Used to check contiguity: this must equal the restriction of
     ``tree_to_tour(t)`` to X.
     """
-    _, edges = project_tree(t, X)
-    keep = {v for e in edges for v in e} | {t.root}
+    _, keep = _root_paths(t, X)
     ch = t.children()
     order: list[int] = []
     xset = {v for v in X if v != t.root}

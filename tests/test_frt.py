@@ -149,7 +149,7 @@ def test_tree_projection_consistency(petersen):
     m = shortest_path_metric(petersen, 0)
     h = frt_sample(m, stream(7, 0))
     t = hst_to_spanning_tree(h, m)
-    full, _ = project_tree(t, set(range(1, 10)))
+    full = project_tree(t, set(range(1, 10)))
     assert full == pytest.approx(t.total_cost)
 
 
@@ -191,7 +191,7 @@ def test_tree_ratio_within_hst_ratio():
         t = hst_to_spanning_tree(h, m)
         xr = stream(8, 2, i)
         x = set(int(v) for v in xr.choice(range(1, 64), size=6, replace=False))
-        tree_cost, _ = project_tree(t, x)
+        tree_cost = project_tree(t, x)
         hst_cost = _hst_subtree_cost(h, x | {m.root})
         assert tree_cost <= hst_cost + 1e-9
         assert tree_cost <= 2.0 * hst_cost + 1e-9

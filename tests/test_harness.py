@@ -43,7 +43,7 @@ def test_config_file_and_overrides(tmp_path):
         "trials = 50\n"
         "seed = 9\n"
     )
-    cfg = RunConfig.from_file(cfg_file, trials=20)
+    cfg = RunConfig.make(**{**RunConfig.parse_file(cfg_file), "trials": 20})
     assert cfg.trials == 20
     assert cfg.seed == 9
     assert cfg.pipeline == "steiner-lb"
@@ -51,7 +51,7 @@ def test_config_file_and_overrides(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("pipeline steiner-lb\n")
     with pytest.raises(ConfigError, match="expected key=value"):
-        RunConfig.from_file(bad)
+        RunConfig.parse_file(bad)
 
 
 def test_config_fields_match_flags_and_files(tmp_path):
@@ -68,7 +68,7 @@ def test_config_fields_match_flags_and_files(tmp_path):
     cfg_file = tmp_path / "all.cfg"
     cfg_file.write_text("".join(f"{f.name} = {getattr(cfg, f.name)}\n"
                                 for f in fields(RunConfig)))
-    assert RunConfig.from_file(cfg_file) == cfg
+    assert RunConfig.make(**RunConfig.parse_file(cfg_file)) == cfg
 
 
 def _count_calls(monkeypatch, module, name) -> list:
@@ -247,7 +247,7 @@ def test_gen_expander_output_pinned(tmp_path):
 @pytest.mark.parametrize("argv", [["--p", "5"], ["--q", "13"],
                                   ["--kind", "lps", "--p", "5", "--q", "13"]])
 def test_gen_expander_takes_only_p_and_q(argv):
-    with pytest.raises(SystemExit):
+    with pytest.raises(ConfigError):
         build_parser().parse_args(["gen-expander", *argv, "--out", "g.txt"])
 
 
@@ -313,6 +313,29 @@ def test_cli_transfer(tmp_path, capsys):
 def test_cli_usage_error_exit_1(tmp_path):
     rc = cli_main(["run-steiner-lb", "--graph", "nonsense:x", "--trials", "1"])
     assert rc == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gen-expander", "--p", "5", "--out", "g.txt"],
+     "the following arguments are required: --q"),
+    (["run-steiner-lb", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+    (["gen-instance", "--n", "4", "--kind", "grid", "--out", "m.txt"],
+     "argument --kind: invalid choice: 'grid'"),
+])
+def test_cli_argparse_errors_exit_1(argv, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli_main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["gen-expander", "--help"]])
+def test_cli_help_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: univlb")
 
 
 @pytest.mark.parametrize("text, message", [
@@ -402,7 +425,7 @@ def test_cli_audit_dp(tmp_path):
     from univlb.rng import stream
 
     m = star_metric(4)
-    mech, _ = suite_mechanism(m, frozenset(range(1, 5)), 0.4, stream(19, 0))
+    mech, _, _ = suite_mechanism(m, frozenset(range(1, 5)), 0.4, stream(19, 0))
     write_mechanism(mech, tmp_path / "mech.json")
     rc = cli_main(["audit-dp", "--mech", str(tmp_path / "mech.json"), "--eps", "0.4"])
     assert rc == 0
@@ -416,6 +439,14 @@ def test_cli_audit_dp(tmp_path):
     (lambda doc: doc["table"].update({"16": doc["table"]["0"]}), "rows other than"),
     (lambda doc: doc.pop("universe"), "missing key 'universe'"),
     (lambda doc: doc["solutions"]["t0"].pop("kind"), "missing key 'kind'"),
+    (lambda doc: doc["solutions"].update(t0={"kind": "tour", "root": 0, "order": [1, 2, 3, 4]}),
+     "unknown solution kind 'tour'"),
+    (lambda doc: doc["solutions"].update(t0={"kind": "paths", "root": 0,
+                                             "paths": [[], [1, 0], [2, 0], [3, 0], [4, 0]]}),
+     "unknown solution kind 'paths'"),
+    (lambda doc: doc["solutions"]["t0"]["parent"].__setitem__(1, 9),
+     "root and parents must be vertices 0..4"),
+    (lambda doc: doc["solutions"]["t0"]["edge_cost"].pop(), "edge_cost has 4 entries"),
 ])
 def test_cli_audit_dp_bad_file_exit_1(tmp_path, capsys, breakage, message):
     from univlb.experiments import star_metric, suite_mechanism
@@ -423,7 +454,7 @@ def test_cli_audit_dp_bad_file_exit_1(tmp_path, capsys, breakage, message):
     from univlb.rng import stream
 
     path = tmp_path / "mech.json"
-    mech, _ = suite_mechanism(star_metric(4), frozenset(range(1, 5)), 0.4, stream(19, 0))
+    mech, _, _ = suite_mechanism(star_metric(4), frozenset(range(1, 5)), 0.4, stream(19, 0))
     write_mechanism(mech, path)
     doc = json.loads(path.read_text())
     breakage(doc)
@@ -431,3 +462,34 @@ def test_cli_audit_dp_bad_file_exit_1(tmp_path, capsys, breakage, message):
     assert cli_main(["audit-dp", "--mech", str(path), "--eps", "0.4"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
+def test_perfbench_traced_names_resolve():
+    """Every function the benchmark's tracer rebinds exists in the package,
+    with the leading parameters its counters read by position."""
+    import importlib
+    import importlib.util
+    import inspect
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    resolved = {}
+    for qual in tracer.TRACED:
+        module_name, _, attr = qual.partition(".")
+        obj = importlib.import_module(f"univlb.{module_name}")
+        for part in attr.split("."):
+            obj = getattr(obj, part)
+        assert callable(obj), qual
+        resolved[qual] = obj
+    leading = {
+        "metric.shortest_path_metric": [],  # its counter reads the result
+        "adversary.block_alternation": ["sigma"],
+        "oracles.steiner_exact": ["m", "X"],
+        "privacy.dp_audit": ["mech", "eps", "distance"],
+    }
+    assert set(tracer.COUNTERS) == set(leading)
+    for qual, names in leading.items():
+        params = list(inspect.signature(resolved[qual]).parameters)
+        assert params[:len(names)] == names, qual

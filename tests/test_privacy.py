@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from univlb import experiments, privacy
+from univlb import experiments, privacy, solutions
 from univlb.adversary import CertificateFalsification
 from univlb.experiments import RunConfig, run_experiment, star_metric, suite_mechanism
 from univlb.oracles import steiner_exact
@@ -21,14 +22,12 @@ from univlb.privacy import (
     exponential_mechanism,
     neighbor_pairs,
     read_mechanism,
-    solution_covers,
     transfer_check,
     transfer_lower_bound,
     write_mechanism,
-    yao_derandomize,
 )
 from univlb.rng import stream
-from univlb.solutions import SpanningTree, TourOrder
+from univlb.solutions import SpanningTree, project_tree
 
 
 def _const_tree(n: int = 2) -> SpanningTree:
@@ -152,8 +151,7 @@ def test_zero_eps_mechanism_uniform():
     sols = {"a": _const_tree(3), "b": _const_tree(3)}
     cost = np.array([[len(X) * 1.0, len(X) * 3.0] for X in all_subsets(universe)])
     mech = exponential_mechanism(universe, sols, cost, 0.0)
-    for X in all_subsets(universe):
-        assert mech.distribution(X)["a"] == pytest.approx(0.5)
+    assert mech.probs.tolist() == [[0.5, 0.5]] * 4
 
 
 def test_zero_probability_neighbor_fails_all_eps():
@@ -189,11 +187,9 @@ def test_probs_read_only_copy():
     mech = MechanismTable(universe=frozenset({1}), solutions={"a": _const_tree()},
                           probs=probs)
     probs[0, 0] = 0.0  # the caller's array stays writable and apart
-    assert mech.distribution(frozenset()) == {"a": 1.0}
+    assert mech.probs.tolist() == [[1.0], [1.0]]
     with pytest.raises(ValueError):
         mech.probs[0, 0] = 0.0
-    with pytest.raises(MechanismError):
-        mech.distribution(frozenset({2}))
 
 
 def test_random_cost_tables_pass_at_construction_eps():
@@ -241,56 +237,15 @@ def test_empty_support_check():
     good = _uniform_mech(universe, ["a"])
     assert empty_support_check(good) == (True, None)
 
-    small = TourOrder(root=0, order=(1, 2))  # misses vertex 3
-    assert not solution_covers(small, universe)
+    small = _const_tree(3)  # spans 0..2, misses vertex 3
     bad = MechanismTable(universe=universe, solutions={"s": small}, probs=np.ones((8, 1)))
-    ok, sid = empty_support_check(bad)
-    assert not ok and sid == "s"
-
-
-def test_yao_two_by_two():
-    sols = {"s1": 0.5, "s2": 0.5}
-    sets = {frozenset({1}): 0.5, frozenset({2}): 0.5}
-
-    def event(sid, X):
-        return (sid == "s1") == (X == frozenset({1}))
-
-    xstar, val = yao_derandomize(sols, sets, event)
-    assert val == pytest.approx(0.5)
-    assert xstar in (frozenset({1}), frozenset({2}))
-
-
-def test_yao_event_never():
-    sols = {"s1": 1.0}
-    sets = {frozenset({1}): 1.0}
-    xstar, val = yao_derandomize(sols, sets, lambda s, X: False)
-    assert val == 0.0
-
-
-def test_yao_min_below_average():
-    rng = stream(15, 0)
-    sols = {f"s{i}": 0.25 for i in range(4)}
-    sets = {frozenset({i}): 0.2 for i in range(1, 6)}
-    matrix = {(f"s{i}", frozenset({j})): bool(rng.integers(2))
-              for i in range(4) for j in range(1, 6)}
-    event = lambda s, X: matrix[(s, X)]
-    xstar, val = yao_derandomize(sols, sets, event)
-    avg = sum(p * sum(sp for s, sp in sols.items() if event(s, X))
-              for X, p in sets.items())
-    assert val <= avg + 1e-12
-
-
-def test_yao_interchange_mismatch_is_falsification():
-    # an event that is not a fixed function of (s, X) breaks the exchange
-    calls = []
-
-    def flaky(sid, X):
-        calls.append(sid)
-        return len(calls) <= 2  # true only while the per-set sums are taken
-
-    with pytest.raises(CertificateFalsification, match="interchange"):
-        yao_derandomize({"s1": 0.5, "s2": 0.5},
-                        {frozenset({1}): 0.5, frozenset({2}): 0.5}, flaky)
+    assert empty_support_check(bad) == (False, "s")
+    # a small tree is harmless while the empty set gives it no mass
+    probs = np.tile([0.0, 1.0], (8, 1))
+    probs[1:] = 0.5
+    mixed = MechanismTable(universe=universe, probs=probs,
+                           solutions={"s": small, "a": _const_tree(4)})
+    assert empty_support_check(mixed) == (True, None)
 
 
 def test_transfer_threshold_values():
@@ -313,11 +268,11 @@ def test_transfer_end_to_end():
     m = star_metric(8)
     universe = frozenset(range(1, 9))
     for i in range(6):
-        mech, witness = suite_mechanism(m, universe, 0.5, stream(16, i))
+        mech, cost, witness = suite_mechanism(m, universe, 0.5, stream(16, i))
         assert dp_audit(mech, 0.5).passed
         eps0 = transfer_lower_bound(witness)
         assert eps0 == pytest.approx(math.log(2.0), rel=1e-6)
-        chk = transfer_check(mech, m, witness, 0.5,
+        chk = transfer_check(mech, cost, witness, 0.5,
                              opt_fn=lambda X: steiner_exact(m, X))
         assert chk.ok
         assert chk.prob_beat <= chk.bound <= 0.5 + 1e-12
@@ -327,12 +282,55 @@ def test_transfer_witness_above_its_rho_is_falsified():
     # the empty-input distribution is uniform over 4 trees, so every singleton
     # is beaten with probability 1/4 > rho(1) = 0.1
     m = star_metric(4)
-    mech, witness = suite_mechanism(m, frozenset(range(1, 5)), 0.5, stream(16, 0))
+    mech, cost, witness = suite_mechanism(m, frozenset(range(1, 5)), 0.5, stream(16, 0))
     assert witness.rho[1] == pytest.approx(0.25)
-    false_witness = LowerBoundWitness(alpha=witness.alpha, rho={1: 0.1}, metric=m,
-                                      sets=witness.sets)
+    false_witness = LowerBoundWitness(alpha=witness.alpha, rho={1: 0.1}, sets=witness.sets)
     with pytest.raises(CertificateFalsification, match="rho bound"):
-        transfer_check(mech, m, false_witness, 0.5, opt_fn=lambda X: steiner_exact(m, X))
+        transfer_check(mech, cost, false_witness, 0.5, opt_fn=lambda X: steiner_exact(m, X))
+
+
+def test_suite_cost_table_is_the_tree_projections():
+    m = star_metric(5)
+    universe = frozenset(range(1, 6))
+    for i in range(3):
+        mech, cost, _ = suite_mechanism(m, universe, 0.5, stream(18, i))
+        expected = [[project_tree(tree, X) for tree in mech.solutions.values()]
+                    for X in all_subsets(universe)]
+        assert cost.tolist() == expected
+
+
+def test_transfer_check_reads_the_cost_table_only(monkeypatch):
+    m = star_metric(6)
+    universe = frozenset(range(1, 7))
+    mech, cost, witness = suite_mechanism(m, universe, 0.5, stream(16, 1))
+    calls = []
+    real = solutions.project_tree
+
+    def counting(t, X):
+        calls.append(X)
+        return real(t, X)
+
+    for module in (solutions, experiments):
+        monkeypatch.setattr(module, "project_tree", counting)
+    chk = transfer_check(mech, cost, witness, 0.5, opt_fn=lambda X: steiner_exact(m, X))
+    assert calls == []
+    # the same sum, re-projecting every tree on the chosen set
+    X = chk.witness_set
+    row = mech.probs[1 << sorted(universe).index(next(iter(X)))]
+    bar = witness.alpha * steiner_exact(m, X)
+    assert chk.prob_beat == sum(p for tree, p in zip(mech.solutions.values(), row.tolist())
+                                if real(tree, X) <= bar)
+
+
+def test_transfer_check_refuses_inputs_off_the_table():
+    m = star_metric(4)
+    mech, cost, witness = suite_mechanism(m, frozenset(range(1, 5)), 0.5, stream(16, 2))
+    opt = lambda X: steiner_exact(m, X)  # noqa: E731
+    with pytest.raises(MechanismError, match="cost table has shape"):
+        transfer_check(mech, cost[:, :-1], witness, 0.5, opt_fn=opt)
+    outside = LowerBoundWitness(alpha=1.0, rho={1: 1.0}, sets=(frozenset({9}),))
+    with pytest.raises(MechanismError, match=r"not defined on X=\[9\]"):
+        transfer_check(mech, cost, outside, 0.5, opt_fn=opt)
 
 
 def test_suite_mechanism_enumerates_subsets_once(monkeypatch):
@@ -352,7 +350,7 @@ def test_suite_mechanism_enumerates_subsets_once(monkeypatch):
 def test_mechanism_file_roundtrip(tmp_path):
     m = star_metric(4)
     universe = frozenset(range(1, 5))
-    mech, _ = suite_mechanism(m, universe, 0.4, stream(17, 0))
+    mech, _, _ = suite_mechanism(m, universe, 0.4, stream(17, 0))
     path = tmp_path / "mech.json"
     write_mechanism(mech, path)
     back = read_mechanism(path)
@@ -369,7 +367,8 @@ def test_mechanism_file_bit_order(tmp_path):
     mech = MechanismTable(universe=universe, probs=probs,
                           solutions={"a": _const_tree(8), "b": _const_tree(8)})
     write_mechanism(mech, tmp_path / "mech.json")
+    doc = json.loads((tmp_path / "mech.json").read_text())
+    assert doc["table"]["1"] == {"a": 0.75, "b": 0.25}  # X = {3}
+    assert doc["table"]["2"] == {"a": 0.5, "b": 0.5}    # X = {7}
     back = read_mechanism(tmp_path / "mech.json")
-    assert back.distribution(frozenset({3})) == {"a": 0.75, "b": 0.25}
-    assert back.distribution(frozenset({7})) == {"a": 0.5, "b": 0.5}
     assert np.array_equal(back.probs, probs)

@@ -25,6 +25,12 @@ def test_tree_validation():
         SpanningTree(root=0, parent=(1, 0), edge_cost=(0.0, 1.0))  # root not fixed
     with pytest.raises(ValueError):
         SpanningTree(root=0, parent=(0, 2, 1), edge_cost=(0.0, 1.0, 1.0))  # cycle
+    with pytest.raises(ValueError, match="vertices 0..1"):
+        SpanningTree(root=0, parent=(0, 5), edge_cost=(0.0, 1.0))
+    with pytest.raises(ValueError, match="vertices 0..1"):
+        SpanningTree(root=2, parent=(0, 0), edge_cost=(0.0, 1.0))
+    with pytest.raises(ValueError, match="edge_cost has 1 entries for 2 vertices"):
+        SpanningTree(root=0, parent=(0, 0), edge_cost=(0.0,))
 
 
 def test_spt_path_costs(petersen):
@@ -51,7 +57,7 @@ def test_spt_k_approximation_baseline(petersen):
     for _ in range(50):
         k = int(rng.integers(1, 10))
         x = set(int(v) for v in rng.choice(range(1, 10), size=k, replace=False))
-        cost, _ = project_tree(t, x)
+        cost = project_tree(t, x)
         root_sum = sum(m.d(v, 0) for v in x)
         assert cost <= root_sum + 1e-9
         assert root_sum <= len(x) * diam
@@ -59,10 +65,10 @@ def test_spt_k_approximation_baseline(petersen):
 
 def test_project_tree_conventions(star4):
     t = bfs_tree(star4, 0)
-    assert project_tree(t, set())[0] == 0.0
-    assert project_tree(t, {0})[0] == 0.0
-    assert project_tree(t, {1, 2})[0] == 2.0
-    assert project_tree(t, {1, 2, 3})[0] == t.total_cost
+    assert project_tree(t, set()) == 0.0
+    assert project_tree(t, {0}) == 0.0
+    assert project_tree(t, {1, 2}) == 2.0
+    assert project_tree(t, {1, 2, 3}) == t.total_cost
 
 
 def test_tour_validation():
@@ -103,12 +109,10 @@ def test_path_collection_star(star4):
     assert p.paths[1] == (1, 0)
     assert p.first_edges == frozenset({(0, 1), (0, 2), (0, 3)})
     m = shortest_path_metric(star4, 0)
-    assert project_paths(p, {1}, m)[0] == 1.0
-    # identical paths union once
+    assert project_paths(p, {1}, m) == 1.0
+    # identical paths union once: edges (1,2), (1,3) and the shared (0,1)
     p2 = PathCollection(root=0, paths=((), (1, 0), (2, 1, 0), (3, 1, 0)))
-    cost, edges = project_paths(p2, {2, 3}, None)
-    assert (1, 2) in edges and (1, 3) in edges and (0, 1) in edges
-    assert cost == 3.0  # edge (0,1) shared
+    assert project_paths(p2, {2, 3}, None) == 3.0
 
 
 def test_path_collection_validation():
@@ -138,10 +142,10 @@ def test_paths_equal_tree_projection(data):
     costs = tuple(0.0 if v == 0 else float(dist[v, parent[v]]) for v in range(n))
     t = SpanningTree(root=0, parent=parent, edge_cost=costs)
     p = tree_to_path_collection(t)
-    tree_cost, tree_edges = project_tree(t, x)
-    path_cost, path_edges = project_paths(p, x, m)
-    assert tree_edges == path_edges
-    assert path_cost == pytest.approx(tree_cost, rel=1e-12)
+    assert project_paths(p, x, m) == pytest.approx(project_tree(t, x), rel=1e-12)
+    # unit costs count edges: both sides count the same edge set
+    unit = SpanningTree(root=0, parent=parent, edge_cost=(0.0,) + (1.0,) * (n - 1))
+    assert project_paths(p, x, None) == project_tree(unit, x)
 
 
 @settings(max_examples=200, deadline=None)
@@ -155,9 +159,37 @@ def test_doubling_and_contiguity(data):
     costs = tuple(0.0 if v == 0 else float(dist[v, parent[v]]) for v in range(n))
     t = SpanningTree(root=0, parent=parent, edge_cost=costs)
     sigma = tree_to_tour(t)
-    c_tx, _ = project_tree(t, x)
+    c_tx = project_tree(t, x)
     c_sx = project_tour(sigma, m, x)
     assert c_sx <= 2 * c_tx + 1e-9
     pos = sigma.positions
     assert restricted_dfs_order(t, x) == tuple(sorted(
         (v for v in x if v != 0), key=pos.__getitem__))
+
+
+@st.composite
+def weighted_tree_and_set(draw):
+    """A random rooted tree with integer edge costs, zeros included, and a
+    terminal set that may hold the root and need not be sorted."""
+    n = draw(st.integers(1, 12))
+    parent = tuple([0] + [draw(st.integers(0, v - 1)) for v in range(1, n)])
+    costs = (0.0,) + tuple(float(draw(st.integers(0, 3))) for _ in range(n - 1))
+    x = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+    return SpanningTree(root=0, parent=parent, edge_cost=costs), x
+
+
+@settings(max_examples=300, deadline=None)
+@given(weighted_tree_and_set())
+def test_project_tree_is_root_path_union_cost(data):
+    t, x = data
+    union = {v for u in x for v in t.path_to_root(u)} - {t.root}
+    assert project_tree(t, x) == sum(t.edge_cost[v] for v in union)  # integer sums
+
+
+@settings(max_examples=300, deadline=None)
+@given(weighted_tree_and_set())
+def test_restricted_dfs_order_is_tour_restriction(data):
+    t, x = data
+    pos = tree_to_tour(t).positions
+    assert restricted_dfs_order(t, x) == tuple(sorted(
+        (v for v in x if v != t.root), key=pos.__getitem__))
