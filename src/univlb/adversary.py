@@ -94,12 +94,9 @@ def is_good_walk(
     semantics); edges compare undirected. Thresholds are closed: at most
     t/8 bad, at least t/2 distinct.
     """
-    bad = 0
-    for a, b in w.edges:
-        key = (a, b) if a < b else (b, a)
-        if key in F:
-            bad += 1
-    distinct = len(w.distinct())
+    vs = w.vertices
+    bad = len([1 for a, b in zip(vs, vs[1:]) if ((a, b) if a < b else (b, a)) in F])
+    distinct = len(w.vertex_set)
     good = bad <= cfg.bad_edge_budget and distinct >= cfg.distinct_required
     return good, bad, distinct
 
@@ -140,7 +137,7 @@ def steiner_certificate(
         raise PreconditionError("walk longer than girth/3")
 
     root = p.root
-    X = frozenset(w.distinct()) - {root}
+    X = w.vertex_set - {root}
     touched: set[int] = set()
     for a, b in w.edges:
         key = (a, b) if a < b else (b, a)
@@ -193,8 +190,8 @@ def check_separation(
     sep = m.d(q1.start, q2.start)
     if sep < 3 * t:
         return False
-    for u in q1.distinct():
-        for v in q2.distinct():
+    for u in q1.vertex_set:
+        for v in q2.vertex_set:
             if m.d(u, v) < t:
                 raise CertificateFalsification(
                     f"separation implication violated: d({u},{v}) < {t}"

@@ -163,10 +163,9 @@ class ExperimentReport:
 
     def csv_text(self) -> str:
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=self.columns, lineterminator="\n")
-        writer.writeheader()
-        for row in self.rows:
-            writer.writerow({k: _cell(row.get(k)) for k in self.columns})
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(self.columns)
+        writer.writerows([_cell(row.get(k)) for k in self.columns] for row in self.rows)
         return buf.getvalue()
 
     def write(self, csv_path: str | Path | None, json_path: str | Path | None) -> None:
@@ -291,7 +290,7 @@ def run_steiner_lb(cfg: RunConfig) -> ExperimentReport:
             sol_idx = int(rngs.stream(cfg.seed, rngs.SOLUTION, trial).integers(len(solutions)))
         paths = solutions[sol_idx]
         walk = random_walk(inst.graph, adv.t, rngs.stream(cfg.seed, rngs.WALK, trial))
-        x = frozenset(walk.distinct()) - {paths.root}
+        x = walk.vertex_set - {paths.root}
         good, _, _ = is_good_walk(walk, f_sets[sol_idx], adv)
         lhs = project_paths(paths, x, inst.metric)
         if good:
@@ -399,8 +398,8 @@ def run_tsp_lb(cfg: RunConfig) -> ExperimentReport:
         sigma = tours[tour_idx]
         q1 = random_walk(inst.graph, adv.t, rngs.stream(cfg.seed, rngs.WALK, trial))
         q2 = random_walk(inst.graph, adv.t, rngs.stream(cfg.seed, rngs.WALK2, trial))
-        x1 = set(q1.distinct()) - {sigma.root}
-        x2 = set(q2.distinct()) - {sigma.root}
+        x1 = q1.vertex_set - {sigma.root}
+        x2 = q2.vertex_set - {sigma.root}
         x = x1 | x2
         e1 = check_separation(q1, q2, m, adv.t)
         b1, b2, shared, e2 = block_alternation(sigma, x1, x2, adv.blocks,

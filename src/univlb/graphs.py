@@ -11,9 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 
 class GraphError(ValueError):
@@ -61,8 +64,12 @@ class Graph:
         return bool(np.all(self.adjacency.data == 1))
 
     @cached_property
-    def adjacency(self) -> sp.csr_matrix:
-        """Adjacency matrix with entry = edge multiplicity."""
+    def adjacency(self) -> scipy.sparse.csr_matrix:
+        """Adjacency matrix with entry = edge multiplicity. Importing scipy
+        is left to the first graph that needs it, so pipelines without a
+        graph never load it."""
+        import scipy.sparse as sp
+
         if self.m == 0:
             return sp.csr_matrix((self.n, self.n), dtype=np.int64)
         u, v = self.edges.T

@@ -69,21 +69,26 @@ def shortest_path_metric(g: Graph, root: int) -> MetricSpace:
 
 
 def _unit_all_pairs(g: Graph) -> np.ndarray:
+    """All BFS levels at once: column s of ``frontier`` is source s's
+    frontier. A bool CSR times a bool array sums with OR, so a vertex with
+    any number of frontier neighbours is reached (a uint8 product would
+    count them mod 256 and miss a vertex with 256 of them). A pair at
+    distance k is still unreached when each of levels 1..k starts, so
+    adding ``unreached`` at the start of every level counts out its
+    distance; pairs never reached get -1 at the end."""
     n = g.n
-    adj = (g.adjacency > 0).astype(np.uint8)
-    dist = np.full((n, n), -1, dtype=np.int32)
-    np.fill_diagonal(dist, 0)
-    frontier = np.eye(n, dtype=np.uint8)
-    known = frontier.copy()
-    level = 0
+    adj = g.adjacency > 0
+    dist = np.zeros((n, n), dtype=np.int32)
+    frontier = np.eye(n, dtype=bool)
+    unreached = ~frontier
     while True:
-        level += 1
-        frontier = (adj @ frontier > 0).astype(np.uint8)
-        frontier &= 1 - known
+        dist += unreached
+        frontier = adj @ frontier
+        frontier &= unreached
         if not frontier.any():
             break
-        dist[frontier.astype(bool).T] = level
-        known |= frontier
+        unreached ^= frontier
+    dist[unreached] = -1
     return dist
 
 

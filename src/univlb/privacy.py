@@ -321,5 +321,10 @@ def _solution_from_doc(doc: dict) -> SpanningTree:
     kind = doc["kind"]
     if kind != "tree":
         raise MechanismError(f"unknown solution kind {kind!r}")
-    return SpanningTree(root=doc["root"], parent=tuple(doc["parent"]),
-                        edge_cost=tuple(doc["edge_cost"]))
+    root, parent, edge_cost = doc["root"], doc["parent"], doc["edge_cost"]
+    # type(), not isinstance(): JSON true and false load as bool, an int subclass
+    if not (isinstance(parent, list) and all(type(v) is int for v in [root, *parent])):
+        raise MechanismError("tree root and parent entries must be integers")
+    if not (isinstance(edge_cost, list) and all(type(c) in (int, float) for c in edge_cost)):
+        raise MechanismError("tree edge_cost entries must be numbers")
+    return SpanningTree(root=root, parent=tuple(parent), edge_cost=tuple(edge_cost))

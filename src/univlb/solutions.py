@@ -8,12 +8,21 @@ set X is revealed; the cost charged is that of the induced sub-solution:
 * ``PathCollection`` -> union of the root-paths of X (``project_paths``).
 
 Projections of ``X`` that is empty or ``{root}`` cost 0 by convention.
+
+A path collection keeps its steps as a key table, ``PathCollection.edge_keys``:
+row v holds the steps of p_v, each undirected step {a, b} as the integer
+``min(a, b) * n + max(a, b)``, padded with -1 up to the longest path's step
+count (the root's row is all padding). Projecting onto X gathers the rows of
+X and counts the distinct keys that are not padding, so a trial pays array
+passes, not a Python loop over path tuples; the table costs 8 * n * L bytes
+for paths of at most L steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -92,6 +101,24 @@ class PathCollection:
     @property
     def n(self) -> int:
         return len(self.paths)
+
+    @cached_property
+    def edge_keys(self) -> np.ndarray:
+        """Read-only (n, L) int64 table: row v holds the undirected step keys
+        ``min * n + max`` of p_v in path order, then -1 padding."""
+        n = self.n
+        lengths = np.fromiter(map(len, self.paths), dtype=np.int64, count=n)
+        flat = np.fromiter(chain.from_iterable(self.paths), dtype=np.int64,
+                           count=int(lengths.sum()))
+        steps = np.maximum(lengths - 1, 0)
+        rows = np.repeat(np.arange(n), steps)  # each step's path ...
+        cols = np.arange(rows.size) - np.repeat(np.cumsum(steps) - steps, steps)  # ... index on it
+        at = np.repeat(np.cumsum(lengths) - lengths, steps) + cols  # ... and first vertex in flat
+        a, b = flat[at], flat[at + 1]
+        table = np.full((n, int(steps.max(initial=0))), -1, dtype=np.int64)
+        table[rows, cols] = np.minimum(a, b) * n + np.maximum(a, b)
+        table.setflags(write=False)
+        return table
 
     @cached_property
     def first_edges(self) -> frozenset[tuple[int, int]]:
@@ -175,16 +202,18 @@ def project_paths(p: PathCollection, X, m: MetricSpace | None = None) -> float:
 
     Edge costs come from the metric when given, else unit cost per edge.
     """
-    edges: set[tuple[int, int]] = set()
-    for x in X:
-        if x == p.root:
-            continue
-        path = p.paths[x]
-        for a, b in zip(path, path[1:]):
-            edges.add((a, b) if a < b else (b, a))
+    xs = np.fromiter(X, dtype=np.int64)
+    keys = np.sort(p.edge_keys[xs], axis=None)
+    keys = keys[np.searchsorted(keys, 0):]  # drop the -1 padding
+    if not keys.size:
+        return 0.0
+    first = np.empty(keys.size, dtype=bool)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
     if m is None:
-        return float(len(edges))
-    return float(sum(m.d(a, b) for a, b in edges))
+        return float(np.count_nonzero(first))
+    u, v = np.divmod(keys[first], p.n)
+    return float(m.dist[u, v].sum())
 
 
 def tree_to_path_collection(t: SpanningTree) -> PathCollection:

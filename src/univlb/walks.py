@@ -11,6 +11,7 @@ with the classical spectral bound (alpha + beta)^t, alpha = |B| / n.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,8 +35,10 @@ class WalkTrace:
     def start(self) -> int:
         return self.vertices[0]
 
-    def distinct(self) -> set[int]:
-        return set(self.vertices)
+    @cached_property
+    def vertex_set(self) -> frozenset[int]:
+        """The distinct vertices, built once per walk."""
+        return frozenset(self.vertices)
 
 
 def random_walk(g: Graph, t: int, rng: np.random.Generator) -> WalkTrace:
@@ -46,10 +49,11 @@ def random_walk(g: Graph, t: int, rng: np.random.Generator) -> WalkTrace:
     verts = [start]
     table = g.neighbor_table
     if table is not None and t > 0:
-        choices = rng.integers(0, table.shape[1], size=t)
+        d = table.shape[1]
+        flat = memoryview(table).cast("B").cast("q")  # flat[v * d + c] = table[v, c]
         v = start
-        for c in choices:
-            v = int(table[v, c])
+        for c in rng.integers(0, d, size=t).tolist():
+            v = flat[v * d + c]
             verts.append(v)
     else:
         indptr, indices = g.neighbors

@@ -133,8 +133,8 @@ def test_check_separation(lps_5_13, lps_5_13_metric):
         q2 = random_walk(g, 2, stream(8, i))
         if check_separation(q1, q2, m, 2):
             found += 1
-            for u in q1.distinct():
-                for v in q2.distinct():
+            for u in q1.vertex_set:
+                for v in q2.vertex_set:
                     assert m.d(u, v) >= 2
     assert found > 0
 
@@ -258,8 +258,8 @@ def test_tsp_certificate_on_qualifying_samples(lps_5_13, lps_5_13_metric):
             int(v) for v in stream(9, i).permutation(non_root)))
         q1 = random_walk(g, cfg.t, stream(10, i))
         q2 = random_walk(g, cfg.t, stream(11, i))
-        x1 = set(q1.distinct()) - {0}
-        x2 = set(q2.distinct()) - {0}
+        x1 = set(q1.vertex_set) - {0}
+        x2 = set(q2.vertex_set) - {0}
         if not check_separation(q1, q2, m, cfg.t):
             continue
         b1, b2, shared, e2 = block_alternation(sigma, x1, x2, cfg.blocks)

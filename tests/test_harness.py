@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import shlex
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -447,6 +450,14 @@ def test_cli_audit_dp(tmp_path):
     (lambda doc: doc["solutions"]["t0"]["parent"].__setitem__(1, 9),
      "root and parents must be vertices 0..4"),
     (lambda doc: doc["solutions"]["t0"]["edge_cost"].pop(), "edge_cost has 4 entries"),
+    (lambda doc: doc["solutions"]["t0"]["parent"].__setitem__(1, "0"),
+     "root and parent entries must be integers"),
+    (lambda doc: doc["solutions"]["t0"]["parent"].__setitem__(1, 0.0),
+     "root and parent entries must be integers"),
+    (lambda doc: doc["solutions"]["t0"].update(root=True),
+     "root and parent entries must be integers"),
+    (lambda doc: doc["solutions"]["t0"]["edge_cost"].__setitem__(1, "1"),
+     "edge_cost entries must be numbers"),
 ])
 def test_cli_audit_dp_bad_file_exit_1(tmp_path, capsys, breakage, message):
     from univlb.experiments import star_metric, suite_mechanism
@@ -462,6 +473,32 @@ def test_cli_audit_dp_bad_file_exit_1(tmp_path, capsys, breakage, message):
     assert cli_main(["audit-dp", "--mech", str(path), "--eps", "0.4"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
+
+def test_pipelines_without_a_graph_never_load_scipy(tmp_path):
+    # a fresh interpreter, so no other test has imported scipy yet
+    code = """
+import sys
+from univlb.experiments import RunConfig, run_experiment
+from univlb.graphs import Graph
+
+def scipy_loaded():
+    return any(name == "scipy" or name.startswith("scipy.") for name in sys.modules)
+
+run_experiment(RunConfig.make(pipeline="universal-upper", metrics=2, trees_per_metric=2,
+                              max_terminals=4))
+run_experiment(RunConfig.make(pipeline="dp-transfer", universe=4, mechanisms=2))
+print(scipy_loaded())
+Graph(n=2, edges=[(0, 1)]).adjacency
+print(scipy_loaded())
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
 
 
 def test_perfbench_traced_names_resolve():

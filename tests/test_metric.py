@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from univlb.graphs import Graph, GraphError
+from univlb.graphs import Graph, GraphError, bfs_parents
 from univlb.metric import (
     FLOAT_TOL,
     MetricSpace,
@@ -135,6 +135,39 @@ def test_metric_closure_is_metric(g):
     m = shortest_path_metric(g, 0)
     assert validate_metric(m) is None
     assert m.dist.max() <= g.n - 1
+
+
+
+def test_two_hubs_with_256_common_neighbours():
+    # K_{2,256}: a count of common neighbours taken mod 256 reads 0 here
+    k = Graph(n=258, edges=[(hub, leaf) for hub in (0, 1) for leaf in range(2, 258)])
+    m = shortest_path_metric(k, 0)
+    assert m.d(0, 1) == 2
+    assert m.dist[2:, 2:].max() == 2 and m.dist[:2, 2:].min() == 1
+
+
+@st.composite
+def hub_graphs(draw):
+    """1-3 hubs joined to 255-258 common leaves, plus a tail and random
+    extra edges; with 256 leaves two hubs share 256 neighbours."""
+    hubs = draw(st.integers(1, 3))
+    leaves = draw(st.integers(255, 258))
+    tail = draw(st.integers(0, 4))
+    n = hubs + leaves + tail
+    edges = [(h, hubs + i) for h in range(hubs) for i in range(leaves)]
+    edges += [(v - 1 if v > hubs + leaves else draw(st.integers(0, hubs + leaves - 1)), v)
+              for v in range(hubs + leaves, n)]
+    edges += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                           max_size=8))
+    return Graph(n=n, edges=edges)
+
+
+@settings(max_examples=25, deadline=None)
+@given(hub_graphs())
+def test_metric_closure_matches_per_source_bfs(g):
+    m = shortest_path_metric(g, 0)
+    for s in range(g.n):
+        assert m.dist[s].tolist() == bfs_parents(g, s)[0].tolist()
 
 
 def test_metric_roundtrip_int(tmp_path, petersen):

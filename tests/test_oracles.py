@@ -146,14 +146,14 @@ def test_surrogates_upper_bound(lps_5_13, lps_5_13_metric):
     m = lps_5_13_metric
     for i in range(30):
         w = random_walk(g, 2, stream(7, i))
-        x = set(w.distinct()) - {0}
+        x = set(w.vertex_set) - {0}
         if not x:
             continue
         bounds = opt_surrogates([w], 2, cert.diameter)
         assert bounds.steiner == 2 + cert.diameter
         assert bounds.steiner >= steiner_exact(m, x) - 1e-9
         w2 = random_walk(g, 2, stream(8, i))
-        x2 = (set(w.distinct()) | set(w2.distinct())) - {0}
+        x2 = (set(w.vertex_set) | set(w2.vertex_set)) - {0}
         pair = opt_surrogates([w, w2], 2, cert.diameter)
         assert pair.tsp >= tsp_exact(m, x2) - 1e-9
 
@@ -162,6 +162,6 @@ def test_surrogate_degenerate_walk(star4):
     m = shortest_path_metric(star4, 0)
     w = random_walk(star4, 0, stream(9, 0))
     b = opt_surrogates([w], 0, 2)
-    x = set(w.distinct()) - {0}
+    x = set(w.vertex_set) - {0}
     assert b.steiner == 2.0  # t=0 plus diameter; still an upper bound
     assert b.steiner >= steiner_exact(m, x)
