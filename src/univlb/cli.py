@@ -171,6 +171,11 @@ def cmd_audit_dp(args) -> int:
 
 def cmd_transfer(args) -> int:
     doc = json.loads(Path(args.witness).read_text())
+    if not (isinstance(doc, dict) and _is_number(doc.get("alpha"))
+            and isinstance(doc.get("rho"), dict)
+            and all(_is_number(v) for v in doc["rho"].values())):
+        raise ConfigError(f"{args.witness}: a witness is a JSON object with a numeric "
+                          "'alpha' and an object 'rho' of numbers")
     witness = LowerBoundWitness(
         alpha=float(doc["alpha"]),
         rho={int(k): float(v) for k, v in doc["rho"].items()},
@@ -178,6 +183,10 @@ def cmd_transfer(args) -> int:
     eps0 = transfer_lower_bound(witness)
     print(f"eps0 = {eps0}")
     return 0
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def cmd_report(args) -> int:

@@ -255,29 +255,32 @@ def second_eigenvalue(g: Graph, tol: float = 1e-9, max_iter: int = 20000, seed: 
     color = bipartition(g)
     alt = None
     if color is not None:
-        alt = np.where(color == 0, 1.0, -1.0)
-        alt /= np.linalg.norm(alt)
+        alt = np.where(color == 0, 1.0, -1.0) / math.sqrt(n)
+
+    # numpy's own pairwise sums, not BLAS dot/norm, whose summation order
+    # depends on the BLAS thread count: beta repeats bit for bit.
+    def norm(x: np.ndarray) -> float:
+        return math.sqrt((x * x).sum())
 
     def deflate(x: np.ndarray) -> np.ndarray:
-        x = x - (x @ ones) * ones
+        x = x - (x * ones).sum() * ones
         if alt is not None:
-            x = x - (x @ alt) * alt
+            x = x - (x * alt).sum() * alt
         return x
 
     rng = np.random.default_rng(seed)
     x = deflate(rng.standard_normal(n))
-    norm = np.linalg.norm(x)
-    if norm < 1e-12:
+    size = norm(x)
+    if size < 1e-12:
         return 0.0
-    x /= norm
+    x /= size
     est = 0.0
     for _ in range(max_iter):
         y = deflate(adj @ x)
-        norm = float(np.linalg.norm(y))
-        if norm < 1e-12:
+        new_est = norm(y)  # ||Ax|| with ||x|| = 1
+        if new_est < 1e-12:
             return 0.0
-        new_est = norm  # ||Ax|| with ||x|| = 1
-        x = y / norm
+        x = y / new_est
         if abs(new_est - est) < tol * d:
             return new_est / d
         est = new_est

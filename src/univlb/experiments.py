@@ -292,16 +292,19 @@ def run_steiner_lb(cfg: RunConfig) -> ExperimentReport:
         walk = random_walk(inst.graph, adv.t, rngs.stream(cfg.seed, rngs.WALK, trial))
         x = walk.vertex_set - {paths.root}
         good, _, _ = is_good_walk(walk, f_sets[sol_idx], adv)
-        lhs = project_paths(paths, x, inst.metric)
         if good:
             good_count += 1
-            if certifiable[sol_idx]:
-                cert = steiner_certificate(paths, walk, inst.girth, adv, inst.metric)
-                certified += 1
-                if not cert.holds:
-                    raise CertificateFalsification(
-                        f"steiner certificate failed at trial {trial}: {cert.witness}"
-                    )
+        if good and certifiable[sol_idx]:
+            # the certificate projects the same X on the same metric
+            cert = steiner_certificate(paths, walk, inst.girth, adv, inst.metric)
+            certified += 1
+            if not cert.holds:
+                raise CertificateFalsification(
+                    f"steiner certificate failed at trial {trial}: {cert.witness}"
+                )
+            lhs = cert.lhs
+        else:
+            lhs = project_paths(paths, x, inst.metric)
         opt, opt_kind = _opt("steiner", inst.metric, x, [walk], adv.t, inst.diameter,
                              budget, cfg.oracle_cap)
         ratio = lhs / opt if opt > 0 else float("nan")

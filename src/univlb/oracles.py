@@ -1,10 +1,11 @@
 """Exact optimum Steiner tree and TSP costs on small terminal sets.
 
 These are the ratio denominators for the experiments and the ground truth for
-everything else. Both solvers are exact dynamic programs:
+everything else. Each oracle fills one table by array passes:
 
-* ``steiner_exact`` -- Dreyfus-Wagner over the metric closure, with Steiner
-  vertices drawn from all of V (subset-merge plus min-plus extension).
+* ``steiner_table`` -- the Dreyfus-Wagner table dp[S, v] over the metric
+  closure, Steiner vertices drawn from all of V. ``steiner_exact`` reads one
+  cell; ``steiner_exact_witness`` backtracks an optimal tree through it.
 * ``tsp_exact`` -- Held-Karp bitmask DP with fixed start/end at the root.
 
 Each refuses instances above its budget instead of silently approximating;
@@ -40,19 +41,48 @@ class OracleBudget:
 DEFAULT_BUDGET = OracleBudget()
 
 
-def steiner_exact(
-    m: MetricSpace, X, budget: OracleBudget = DEFAULT_BUDGET
-) -> float:
-    """Cost of the optimal Steiner tree connecting X and the root."""
-    cost, _ = steiner_exact_witness(m, X, budget)
-    return cost
+def steiner_table(m: MetricSpace, terminals) -> np.ndarray:
+    """Dreyfus-Wagner table: dp[S, v] is the cost of a cheapest tree spanning
+    v and the terminals in S, where bit i of S stands for ``terminals[i]``
+    (i < k - 1). The last terminal has no bit: OPT of all k is
+    ``dp[-1, terminals[-1]]``, and dp[S, terminals[-1]] is OPT of S plus it."""
+    dist = m.dist.astype(np.float64, copy=False)
+    nbits = len(terminals) - 1
+    dp = np.zeros((1 << nbits, m.n))
+    for S in range(1, 1 << nbits):
+        if S & (S - 1):
+            sub = _splits(S)
+            cand = dp[sub]
+            cand += dp[S ^ sub]  # in place: one (splits, n) temporary fewer
+            merged = cand.min(axis=0)
+        else:
+            merged = dist[terminals[S.bit_length() - 1]]
+        dp[S] = np.min(merged[:, None] + dist, axis=0)
+    return dp
 
 
-def steiner_exact_witness(
-    m: MetricSpace, X, budget: OracleBudget = DEFAULT_BUDGET
-) -> tuple[float, list[tuple[int, int]]]:
-    """Optimal cost plus one optimal tree (as metric-closure edges)."""
+def _splits(S: int) -> np.ndarray:
+    """Each split of S into nonempty {sub, S ^ sub} once, as the sub with
+    sub < S ^ sub: the nonempty subsets of S without its top bit, ascending."""
+    low = S ^ (1 << (S.bit_length() - 1))
+    sub = np.zeros(1, dtype=np.int64)
+    while low:
+        bit = low & -low
+        sub = np.concatenate([sub, sub + bit])
+        low ^= bit
+    return sub[1:]
+
+
+def _check_vertices(m: MetricSpace, vertices: list) -> None:
+    for v in vertices:
+        if not 0 <= v < m.n:
+            raise ValueError(f"terminal {v} is not a vertex of the {m.n}-point metric")
+
+
+def _checked_table(m: MetricSpace, X, budget: OracleBudget) -> tuple[np.ndarray, list]:
+    """The table over sorted(X | {root}), after the range and budget checks."""
     terminals = sorted(set(X) | {m.root})
+    _check_vertices(m, terminals)
     k = len(terminals)
     if k > budget.steiner_terminals:
         raise OracleRefusal(
@@ -60,34 +90,24 @@ def steiner_exact_witness(
         )
     if (1 << k) * m.n > budget.max_table_entries:
         raise OracleRefusal("Dreyfus-Wagner table would exceed the memory guard")
-    if k == 1:
-        return 0.0, []
+    return steiner_table(m, terminals), terminals
 
+
+def steiner_exact(
+    m: MetricSpace, X, budget: OracleBudget = DEFAULT_BUDGET
+) -> float:
+    """Cost of the optimal Steiner tree connecting X and the root."""
+    dp, terminals = _checked_table(m, X, budget)
+    return float(dp[-1, terminals[-1]])
+
+
+def steiner_exact_witness(
+    m: MetricSpace, X, budget: OracleBudget = DEFAULT_BUDGET
+) -> tuple[float, list[tuple[int, int]]]:
+    """Optimal cost plus one optimal tree (as metric-closure edges)."""
+    dp, terminals = _checked_table(m, X, budget)
     dist = m.dist.astype(np.float64, copy=False)
-    n = m.n
-    # dp[S][v] = cheapest tree spanning terminal subset S plus vertex v.
-    # S indexes subsets of terminals[:-1]; the last terminal seeds the final join.
-    base = terminals[:-1]
-    t_last = terminals[-1]
-    nbits = len(base)
-    dp = np.full((1 << nbits, n), np.inf)
-    for i, t in enumerate(base):
-        dp[1 << i] = dist[t]
-    for S in range(1, 1 << nbits):
-        if S.bit_count() >= 2:
-            merged = dp[S]
-            sub = (S - 1) & S
-            while sub > 0:
-                comp = S ^ sub
-                if sub < comp:  # each split once
-                    cand = dp[sub] + dp[comp]
-                    np.minimum(merged, cand, out=merged)
-                sub = (sub - 1) & S
-        # Min-plus extension through every possible attachment vertex.
-        dp[S] = np.min(dp[S][:, None] + dist, axis=0)
-    best = float(dp[(1 << nbits) - 1][t_last])
-    edges = _dw_backtrack(dp, dist, base, t_last)
-    return best, edges
+    return float(dp[-1, terminals[-1]]), _dw_backtrack(dp, dist, terminals[:-1], terminals[-1])
 
 
 def _dw_backtrack(
@@ -96,7 +116,7 @@ def _dw_backtrack(
     """Recover one optimal tree by re-deriving each DP choice."""
     eps = 1e-9
     edges: list[tuple[int, int]] = []
-    stack = [((1 << len(base)) - 1, t_last)]
+    stack = [((1 << len(base)) - 1, t_last)] if base else []
     while stack:
         S, v = stack.pop()
         if S.bit_count() == 1 and dist[base[S.bit_length() - 1], v] <= dp[S][v] + eps:
@@ -108,34 +128,23 @@ def _dw_backtrack(
         # cheaper attachment w, then a split at v.
         target = dp[S][v]
         found = False
-        for w in np.argsort(dp[S]):
-            w = int(w)
-            if w == v:
-                continue
-            if dp[S][w] + dist[w, v] <= target + eps:
-                if w != v:
-                    edges.append((min(w, v), max(w, v)))
+        for w in map(int, np.argsort(dp[S])):
+            if w != v and dp[S][w] + dist[w, v] <= target + eps:
+                edges.append((min(w, v), max(w, v)))
                 stack.append((S, w))
                 found = True
                 break
-            if dp[S][w] > target:
+            if dp[S][w] > target:  # never at w == v, where dp[S][w] == target
                 break
-        if found:
-            continue
-        if S.bit_count() == 1:
-            continue  # singleton already attached at v
-        sub = (S - 1) & S
-        while sub > 0:
-            comp = S ^ sub
-            if sub < comp and dp[sub][v] + dp[comp][v] <= target + eps:
-                stack.append((sub, v))
-                stack.append((comp, v))
-                found = True
-                break
-            sub = (sub - 1) & S
-        if not found:
+        if found or S.bit_count() == 1:
+            continue  # attached through w, or a singleton already attached at v
+        sub = _splits(S)
+        sub = sub[dp[sub, v] + dp[S ^ sub, v] <= target + eps]
+        if not sub.size:
             raise CertificateFalsification(
                 "Dreyfus-Wagner backtrack failed to re-derive a choice")
+        split = int(sub[-1])  # the largest, as a descending scan finds first
+        stack += [(split, v), (S ^ split, v)]
     # The DP can produce zero-length self edges when a terminal doubles as
     # an attachment point; those were skipped above.
     return sorted(set(edges))
@@ -151,6 +160,7 @@ def tsp_exact_witness(
 ) -> tuple[float, list[int]]:
     """Optimal tour cost over X with fixed start/end at the root, plus the order."""
     xs = sorted(set(X) - {m.root})
+    _check_vertices(m, xs)
     k = len(xs)
     if k > budget.tsp_terminals:
         raise OracleRefusal(f"{k} terminals exceed the TSP cap {budget.tsp_terminals}")
@@ -162,38 +172,27 @@ def tsp_exact_witness(
         return 2.0 * float(dist[r, xs[0]]), xs
 
     full = (1 << k) - 1
+    d = dist[np.ix_(xs, xs)]
+    bits = np.arange(k)
+    # dp[S, j]: cheapest root path through S ending at j; inf for j outside S,
+    # so only predecessors in S ^ {j} can win, and argmin keeps the first tie.
     dp = np.full((1 << k, k), np.inf)
     parent = np.full((1 << k, k), -1, dtype=np.int64)
-    for j in range(k):
-        dp[1 << j][j] = dist[r, xs[j]]
+    dp[1 << bits, bits] = dist[r, xs]
     for S in range(1, full + 1):
-        if S.bit_count() < 2:
-            continue
-        for j in range(k):
-            bit = 1 << j
-            if not S & bit:
-                continue
-            prev = S ^ bit
-            best, arg = np.inf, -1
-            for i in range(k):
-                if prev & (1 << i):
-                    cand = dp[prev][i] + dist[xs[i], xs[j]]
-                    if cand < best:
-                        best, arg = cand, i
-            dp[S][j] = best
-            parent[S][j] = arg
-    closing = dp[full] + dist[np.array(xs), r]
+        if S & (S - 1):
+            js = bits[((S >> bits) & 1) == 1]
+            cand = dp[S ^ (1 << js)] + d[:, js].T  # cand[row of j, i]
+            arg = cand.argmin(axis=1)
+            dp[S, js] = cand[np.arange(len(js)), arg]
+            parent[S, js] = arg
+    closing = dp[full] + dist[xs, r]
     j = int(np.argmin(closing))
-    cost = float(closing[j])
-    order = []
-    S = full
+    cost, order, S = float(closing[j]), [], full
     while j >= 0:
         order.append(xs[j])
-        nj = int(parent[S][j])
-        S ^= 1 << j
-        j = nj
-    order.reverse()
-    return cost, order
+        S, j = S ^ (1 << j), int(parent[S, j])
+    return cost, order[::-1]
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,10 @@
 """Independent brute-force ground truth used only by the tests.
 
 These deliberately share no code with the package's solvers: the Steiner
-oracle minimizes MST cost over all vertex supersets of the terminals (on a
+oracles minimize MST cost over all vertex supersets of the terminals (on a
 symmetric cost table, some optimal Steiner tree is an MST of its own vertex
-set), the TSP oracle enumerates permutations, and the girth oracle
-enumerates simple cycles.
+set), for one terminal set or for every rooted set at once; the TSP oracle
+enumerates permutations, and the girth oracle enumerates simple cycles.
 """
 
 from __future__ import annotations
@@ -41,6 +41,19 @@ def steiner_brute(dist, n: int, terminals: set[int]) -> float:
     for r in range(len(others) + 1):
         for extra in itertools.combinations(others, r):
             best = min(best, mst_cost(dist, required + list(extra)))
+    return best
+
+
+def rooted_steiner_brute(dist, n: int) -> list[float]:
+    """OPT of X | {0} for every X within 1..n-1, indexed by the mask with
+    bit i standing for vertex i + 1: the MST of each vertex set holding 0,
+    then a superset minimum, one bit at a time."""
+    best = [mst_cost(dist, [0] + [v + 1 for v in range(n - 1) if mask >> v & 1])
+            for mask in range(1 << (n - 1))]
+    for bit in range(n - 1):
+        for mask in range(1 << (n - 1)):
+            if not mask >> bit & 1:
+                best[mask] = min(best[mask], best[mask | 1 << bit])
     return best
 
 

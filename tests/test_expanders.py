@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -246,6 +250,25 @@ def test_second_eigenvalue_matches_dense_on_petersen(petersen):
     dense = np.linalg.eigvalsh(petersen.adjacency.toarray().astype(float))
     assert beta == pytest.approx(sorted(abs(v) for v in dense)[-2] / 3, abs=1e-6)
     assert beta == pytest.approx(2.0 / 3.0, abs=1e-6)
+
+
+def test_second_eigenvalue_repeats_across_blas_thread_counts(tmp_path):
+    # BLAS dot and norm sum in an order set by the thread count; beta must not
+    code = """
+from univlb.expanders import lps_graph, second_eigenvalue
+g, _ = lps_graph(5, 29)
+print(repr(second_eigenvalue(g)))
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        out.append(proc.stdout.strip())
+    assert out[0] == out[1]
 
 
 def test_second_eigenvalue_requires_regular(path3):

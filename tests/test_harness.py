@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from univlb import experiments
+from univlb import adversary, experiments
+from univlb import rng as rngs
 from univlb.cli import build_parser, main as cli_main
 from univlb.experiments import (
     CertificateFalsification,
@@ -24,7 +25,9 @@ from univlb.experiments import (
 )
 from univlb.graphs import Graph, GraphError, diameter_ecc, read_graph, write_graph
 from univlb.metric import shortest_path_metric
+from univlb.oracles import opt_surrogates, steiner_exact, tsp_exact
 from univlb.solutions import PathCollection, bfs_tree, tree_to_path_collection
+from univlb.walks import random_walk
 
 
 def test_config_rejects_unknown_keys():
@@ -91,6 +94,44 @@ def test_graph_paths_checked_only_in_certificate_mode(monkeypatch, t, checks):
     calls = _count_calls(monkeypatch, experiments, "_graph_paths")
     run_experiment(RunConfig.make(pipeline="steiner-lb", graph="lps:5,13", t=t, trials=5))
     assert len(calls) == checks
+
+
+def test_steiner_lb_projects_each_trial_once(monkeypatch):
+    # a certified trial takes lhs from the certificate's own projection
+    in_loop = _count_calls(monkeypatch, experiments, "project_paths")
+    in_certificate = _count_calls(monkeypatch, adversary, "project_paths")
+    report = run_experiment(RunConfig.make(pipeline="steiner-lb", graph="lps:5,13",
+                                           t="auto", trials=200))
+    assert report.aggregates["certified_samples"] > 0
+    assert len(in_loop) + len(in_certificate) == 200
+
+
+# tsp-lb at oracle_cap=3 draws no X that small in 30 trials (two t=2 walks
+# mostly give |X| = 6), so its cap is 5: both sides of the cap are reached.
+@pytest.mark.parametrize("pipeline, t, cap", [("steiner-lb", "auto", 2), ("tsp-lb", 2, 5)])
+def test_oracle_rows_divide_by_the_exact_optimum(lps_5_13, lps_5_13_metric, pipeline, t, cap):
+    g, cert = lps_5_13
+    seed = 20250808
+    report = run_experiment(RunConfig.make(pipeline=pipeline, graph="lps:5,13", t=t,
+                                           trials=30, oracle_cap=cap, seed=seed))
+    kinds = {row["opt_kind"] for row in report.rows}
+    assert len(kinds) == 2 and "oracle" in kinds
+    for row in report.rows:
+        assert (row["opt_kind"] == "oracle") == (row["x_size"] <= cap)
+        if row["opt_kind"] != "oracle":
+            continue
+        walks = [random_walk(g, row["t"], rngs.stream(seed, rngs.WALK, row["trial"]))]
+        if pipeline == "tsp-lb":
+            walks.append(random_walk(g, row["t"], rngs.stream(seed, rngs.WALK2, row["trial"])))
+        x = set().union(*(w.vertex_set for w in walks)) - {0}
+        assert len(x) == row["x_size"]
+        bounds = opt_surrogates(walks, row["t"], cert.diameter)
+        if pipeline == "steiner-lb":
+            opt, surrogate = steiner_exact(lps_5_13_metric, x), bounds.steiner
+        else:
+            opt, surrogate = tsp_exact(lps_5_13_metric, x), bounds.tsp
+        assert row["ratio"] == row["lhs"] / opt
+        assert opt <= surrogate
 
 
 def test_graph_paths_detects_a_metric_edge(lps_5_13):
@@ -303,6 +344,19 @@ def test_cli_oracle_rejects_non_metric(tmp_path, capsys, problem):
     assert err.startswith("error: ") and "not a metric" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("problem", ["steiner", "tsp"])
+@pytest.mark.parametrize("terminal", ["99", "-1"])
+def test_cli_oracle_rejects_a_terminal_outside_the_metric(tmp_path, capsys, problem, terminal):
+    assert cli_main(["gen-instance", "--n", "6", "--out", str(tmp_path / "m.txt")]) == 0
+    capsys.readouterr()
+    rc = cli_main(["oracle", problem, "--metric", str(tmp_path / "m.txt"),
+                   "--terminals", f"2,{terminal}"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: terminal {terminal} is not a vertex of the 6-point metric\n"
+
+
 def test_cli_transfer(tmp_path, capsys):
     doc = {"alpha": 2.0, "rho": {str(k): 0.5 * np.exp(-k) for k in range(1, 5)}}
     wfile = tmp_path / "w.json"
@@ -311,6 +365,16 @@ def test_cli_transfer(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert float(out.split("=")[1]) == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("doc", [{"alpha": 1.0}, [1.0, {"1": 0.5}],
+                                 {"alpha": "1", "rho": {}}, {"alpha": 1.0, "rho": {"1": None}}])
+def test_cli_transfer_rejects_a_malformed_witness(tmp_path, capsys, doc):
+    wfile = tmp_path / "w.json"
+    wfile.write_text(json.dumps(doc))
+    assert cli_main(["transfer", "--witness", str(wfile)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'rho'" in err and err.count("\n") == 1
 
 
 def test_cli_usage_error_exit_1(tmp_path):

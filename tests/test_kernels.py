@@ -1,8 +1,10 @@
-"""Parity of the per-trial kernels with their loop references.
+"""Parity of the array kernels with their loop references.
 
 ``project_paths`` reads ``PathCollection.edge_keys``, ``random_walk`` reads
-a flat view of the neighbour table and ``is_good_walk`` counts in one pass;
-each must give exactly what the loops in ``kernels_ref`` give.
+a flat view of the neighbour table, ``is_good_walk`` counts in one pass, and
+the exact oracles fill their tables one array min (Dreyfus-Wagner) or argmin
+(Held-Karp) at a time; each must give exactly what the loops in
+``kernels_ref`` give.
 """
 
 from __future__ import annotations
@@ -11,10 +13,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kernels_ref import is_good_walk_ref, project_paths_ref, random_walk_ref
+from kernels_ref import (
+    is_good_walk_ref,
+    project_paths_ref,
+    random_walk_ref,
+    steiner_exact_ref,
+    tsp_exact_ref,
+)
 from univlb.adversary import SteinerAdversaryConfig, is_good_walk
 from univlb.graphs import Graph
 from univlb.metric import MetricSpace
+from univlb.oracles import DEFAULT_BUDGET, steiner_exact, steiner_exact_witness, tsp_exact_witness
 from univlb.rng import stream
 from univlb.solutions import PathCollection, bfs_tree, project_paths, tree_to_path_collection
 from univlb.walks import random_walk
@@ -125,3 +134,46 @@ def test_is_good_walk_matches_step_loop_reference(g, t, seed, data):
     cfg = SteinerAdversaryConfig(t=t, bad_edge_fraction=data.draw(st.floats(0, 1)),
                                  distinct_fraction=data.draw(st.floats(0, 1)))
     assert is_good_walk(w, F, cfg) == is_good_walk_ref(w, F, cfg)
+
+
+def _closed_metric(n: int, root: int, rng: np.random.Generator, integral: bool) -> MetricSpace:
+    """Shortest-path closure of random symmetric weights: small integers,
+    which tie often, or floats."""
+    d = _symmetric(n, rng, integral).astype(np.float64)
+    if integral:
+        d = np.minimum(d, 3.0)
+    for k in range(n):
+        d = np.minimum(d, d[:, k, None] + d[None, k, :])
+    return MetricSpace(n=n, dist=d, root=root)
+
+
+@st.composite
+def oracle_instances(draw):
+    """A metric on up to 16 points, integral or float, any root, and X of
+    any size up to both caps, the root possibly in it."""
+    n = draw(st.integers(1, 16))
+    root = draw(st.integers(0, n - 1))
+    m = _closed_metric(n, root, stream(draw(st.integers(0, 2 ** 16))), draw(st.booleans()))
+    cap = min(DEFAULT_BUDGET.steiner_terminals - 1, DEFAULT_BUDGET.tsp_terminals)
+    x = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=cap))
+    return m, x
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_instances())
+def test_oracle_tables_match_the_loop_references(instance):
+    m, x = instance
+    cost, edges = steiner_exact_witness(m, x)
+    assert (cost, edges) == steiner_exact_ref(m, x)
+    assert steiner_exact(m, x) == cost
+    assert tsp_exact_witness(m, x) == tsp_exact_ref(m, x)
+
+
+@pytest.mark.parametrize("integral", [True, False])
+def test_oracle_tables_match_the_loop_references_at_the_caps(integral):
+    m = _closed_metric(16, 0, stream(41, int(integral)), integral)
+    steiner_x = range(1, DEFAULT_BUDGET.steiner_terminals)
+    cost, edges = steiner_exact_witness(m, steiner_x)
+    assert (cost, edges) == steiner_exact_ref(m, steiner_x)
+    tsp_x = range(1, DEFAULT_BUDGET.tsp_terminals + 1)
+    assert tsp_exact_witness(m, tsp_x) == tsp_exact_ref(m, tsp_x)

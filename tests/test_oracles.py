@@ -141,6 +141,16 @@ def test_refusals():
         steiner_exact(m, {1, 2, 3}, guard)
 
 
+@pytest.mark.parametrize("oracle", [steiner_exact, tsp_exact])
+@pytest.mark.parametrize("terminal", [20, -1])
+def test_terminal_outside_the_metric_is_an_error_not_a_refusal(oracle, terminal):
+    # a refusal would fall back to a surrogate; a bad vertex is bad input
+    m = random_euclidean_metric(20, stream(6, 0))
+    with pytest.raises(ValueError, match=f"terminal {terminal} is not a vertex") as exc:
+        oracle(m, {1, terminal})
+    assert not isinstance(exc.value, OracleRefusal)
+
+
 def test_surrogates_upper_bound(lps_5_13, lps_5_13_metric):
     g, cert = lps_5_13
     m = lps_5_13_metric
