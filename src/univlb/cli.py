@@ -111,7 +111,7 @@ def cmd_gen_expander(args) -> int:
     write_graph(g, args.out)
     write_certificate(cert, str(args.out) + ".cert.json")
     print(f"wrote {args.out} (n={g.n}, m={g.m}) and {args.out}.cert.json "
-          f"(beta={cert.beta:.6f})")
+          f"(beta in [{cert.beta_lo:.6f}, {cert.beta:.6f}])")
     return 0
 
 

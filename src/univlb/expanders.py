@@ -10,9 +10,9 @@ multiplies a whole level by every generator in one array pass, finds repeats
 through a table indexed by the packed canonical matrix, and yields the
 (n, p+1) neighbour table the edges are read from.
 
-Certification measures the second-largest normalized adjacency eigenvalue by
-power iteration with deflation of the trivial eigenvector(s); the raw
-eigenvalue is never exposed, only ``beta = |lambda_2| / d``.
+Certification encloses beta = |lambda_2| / d by the trace method on the walk
+operator A/d (``second_eigenvalue``), and gates the enclosure's upper end,
+the certificate's ``beta``, on the Ramanujan bound 2*sqrt(p)/(p+1).
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .graphs import Graph, bipartition, diameter_ecc, girth, is_connected
+from .walks import walk_operator
 
 
 class ExpanderError(ValueError):
@@ -37,7 +38,8 @@ class ExpanderError(ValueError):
 class ExpanderCertificate:
     n: int
     d: int
-    beta: float
+    beta: float  # certified upper end of the enclosure; the gate reads it
+    beta_lo: float
     girth: int | None
     diameter: int
     construction: str  # always "lps"; kept as a key of the .cert.json format
@@ -45,16 +47,9 @@ class ExpanderCertificate:
     bipartite: bool = False
     simple: bool = True
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "ExpanderCertificate":
-        return ExpanderCertificate(**json.loads(text))
-
 
 def write_certificate(cert: ExpanderCertificate, path: str | Path) -> None:
-    Path(path).write_text(cert.to_json() + "\n")
+    Path(path).write_text(json.dumps(asdict(cert), indent=2, sort_keys=True) + "\n")
 
 
 def is_prime(x: int) -> bool:
@@ -123,7 +118,7 @@ def lps_generators(p: int, q: int) -> np.ndarray:
 
 
 @functools.cache
-def lps_graph(p: int, q: int, beta_tol: float = 1e-7) -> tuple[Graph, ExpanderCertificate]:
+def lps_graph(p: int, q: int) -> tuple[Graph, ExpanderCertificate]:
     """Construct the LPS Ramanujan graph X(p, q) with its certificate.
 
     Construction is deterministic, so results are memoized per (p, q);
@@ -159,16 +154,16 @@ def lps_graph(p: int, q: int, beta_tol: float = 1e-7) -> tuple[Graph, ExpanderCe
     if not is_connected(g):
         raise ExpanderError("Cayley graph is not connected")
 
-    beta = second_eigenvalue(g, tol=beta_tol)
-    bound = 2.0 * math.sqrt(p) / (p + 1)
+    beta_lo, beta_hi = second_eigenvalue(g)
     cert = ExpanderCertificate(
         n=g.n,
         d=p + 1,
-        beta=beta,
+        beta=beta_hi,
+        beta_lo=beta_lo,
         girth=girth(g, roots=(0,)),
         diameter=diameter_ecc(g),
         construction="lps",
-        ramanujan_bound=bound,
+        ramanujan_bound=2.0 * math.sqrt(p) / (p + 1),
         bipartite=bipartition(g) is not None,
         simple=g.simple,
     )
@@ -232,56 +227,75 @@ def _pack(mats: np.ndarray, q: int) -> np.ndarray:
     return ((mats[:, 0] * q + mats[:, 1]) * q + mats[:, 2]) * q + mats[:, 3]
 
 
-def second_eigenvalue(g: Graph, tol: float = 1e-9, max_iter: int = 20000, seed: int = 7) -> float:
-    """Normalized second adjacency eigenvalue magnitude |lambda_2| / d.
+BETA_MAX_STEPS = 1000  # lps(5,29), the slowest acceptance graph, needs 334
+BETA_MARGIN = 1e-9  # relative widening of both ends, over the rounding error
 
-    Power iteration on the adjacency operator after deflating the all-ones
-    eigenvector (and, for bipartite graphs, the alternating +/-1 eigenvector
-    that carries -d). The estimate is the norm ratio ||Ax|| / ||x||,
-    which converges to the largest remaining magnitude even when positive and
-    negative eigenvalues tie.
+
+def second_eigenvalue(g: Graph) -> tuple[float, float]:
+    """Certified enclosure (beta_lo, beta_hi) of beta, the largest magnitude
+    of a non-trivial eigenvalue of A/d, for a connected, d-regular and
+    vertex-transitive ``g`` (a Cayley graph, as every LPS graph is).
+
+    Trace method: y_0 = P e_0 and y_k = P A y_{k-1} / d, where P projects off
+    the all-ones vector and, if the graph is bipartite, the +/-1 vector.
+    Vertex transitivity makes every diagonal entry of P (A/d)^{2k} equal, so
+    n ||y_k||^2 sums (lambda/d)^{2k} over the non-trivial eigenvalues and
+    beta <= beta_hi = (n ||y_k||^2)^{1/2k}; as ||P A/d|| = beta,
+    beta_lo = ||y_k|| / ||y_{k-1}|| <= beta. The loop stops once beta_hi is
+    under the Ramanujan bound 2 sqrt(d-1)/d and within 1% of beta_lo, and
+    raises ``ExpanderError`` if beta_lo is over the bound or after
+    ``BETA_MAX_STEPS`` steps.
+
+    Floating point: y is rescaled each step and its log norm kept. A step has
+    relative error eta <= (d + 2 log2 n + 6) u, u = 2^-53. An error at step j
+    reaches y_k through (P A/d)^{k-j}, of norm beta^{k-j}, while
+    ||y_j|| <= beta^j and ||y_k|| >= beta^k / sqrt(n); so beta_hi is off by a
+    relative eta sqrt(n) / beta at most, under 1e-10 for the LPS graphs built
+    here (beta > 0.25, n <= 2^17, d <= 62) and inside ``BETA_MARGIN``. Sums
+    are numpy's pairwise ones, not BLAS dot/norm, whose order depends on the
+    BLAS thread count, so the enclosure repeats bit for bit.
     """
     d = g.regular_degree
     if d is None:
         raise ExpanderError("second_eigenvalue requires a regular graph")
-    if g.n == 1 or d == 0:
-        return 0.0
     if not is_connected(g):
         raise ExpanderError("graph must be connected")
-
-    adj = g.adjacency.astype(np.float64)
     n = g.n
-    ones = np.full(n, 1.0 / math.sqrt(n))
+    trivial = [np.full(n, 1.0 / math.sqrt(n))]
     color = bipartition(g)
-    alt = None
     if color is not None:
-        alt = np.where(color == 0, 1.0, -1.0) / math.sqrt(n)
+        trivial.append(np.where(color == 0, 1.0, -1.0) / math.sqrt(n))
+    if n <= len(trivial):  # K1, K2: no non-trivial eigenvalue
+        return 0.0, 0.0
 
-    # numpy's own pairwise sums, not BLAS dot/norm, whose summation order
-    # depends on the BLAS thread count: beta repeats bit for bit.
     def norm(x: np.ndarray) -> float:
         return math.sqrt((x * x).sum())
 
-    def deflate(x: np.ndarray) -> np.ndarray:
-        x = x - (x * ones).sum() * ones
-        if alt is not None:
-            x = x - (x * alt).sum() * alt
+    def project(x: np.ndarray) -> np.ndarray:
+        for v in trivial:
+            x = x - (x * v).sum() * v
         return x
 
-    rng = np.random.default_rng(seed)
-    x = deflate(rng.standard_normal(n))
-    size = norm(x)
-    if size < 1e-12:
-        return 0.0
-    x /= size
-    est = 0.0
-    for _ in range(max_iter):
-        y = deflate(adj @ x)
-        new_est = norm(y)  # ||Ax|| with ||x|| = 1
-        if new_est < 1e-12:
-            return 0.0
-        x = y / new_est
-        if abs(new_est - est) < tol * d:
-            return new_est / d
-        est = new_est
-    raise ExpanderError(f"power iteration did not converge within {max_iter} iterations")
+    y = project(np.eye(1, n).ravel())
+    size = norm(y)
+    y /= size
+    walk = walk_operator(g)
+    bound = 2.0 * math.sqrt(d - 1) / d
+    log_sqrt_n_norm = 0.5 * math.log(n) + math.log(size)  # log(sqrt(n) ||y_k||)
+    for k in range(1, BETA_MAX_STEPS + 1):
+        y = project(walk @ y)
+        ratio = norm(y)
+        if ratio < BETA_MARGIN:
+            # K_{d,d}: ratios never fall, so k = 1 and beta <= sqrt(n) ||y_1|| ~ 0
+            return 0.0, 2.0 * math.sqrt(n) * BETA_MARGIN
+        y /= ratio
+        log_sqrt_n_norm += math.log(ratio)
+        lo = ratio * (1.0 - BETA_MARGIN)
+        hi = math.exp(log_sqrt_n_norm / k) * (1.0 + BETA_MARGIN)
+        if lo > bound:
+            raise ExpanderError(f"beta in [{lo!r}, {hi!r}] exceeds the Ramanujan bound "
+                                f"{bound!r} after {k} steps")
+        if hi <= bound and hi <= 1.01 * lo:
+            return lo, hi
+    raise ExpanderError(f"beta in [{lo!r}, {hi!r}] not certified below the Ramanujan "
+                        f"bound {bound!r} within {BETA_MAX_STEPS} steps")

@@ -44,7 +44,7 @@ class MetricSpace:
 
 @dataclass(frozen=True)
 class MetricViolation:
-    kind: str  # "negative" | "self" | "symmetry" | "triangle"
+    kind: str  # "self" | "symmetry" | "negative" | "nonpositive" (zero) | "triangle"
     triple: tuple[int, ...]
 
     def __str__(self) -> str:
@@ -110,10 +110,10 @@ def validate_metric(m: MetricSpace) -> MetricViolation | None:
         return MetricViolation("symmetry", (u, v))
     off = d.copy()
     np.fill_diagonal(off, np.inf)
-    neg = np.argwhere(off <= tol)
-    if neg.size:
-        u, v = map(int, neg[0])
-        return MetricViolation("negative", (u, v))
+    bad = np.argwhere(off <= tol)
+    if bad.size:
+        u, v = map(int, bad[0])
+        return MetricViolation("negative" if d[u, v] < 0 else "nonpositive", (u, v))
     slack = np.empty_like(d)
     viol = np.empty(d.shape, dtype=bool)
     for w in range(m.n):

@@ -125,16 +125,17 @@ def _dw_backtrack(
                 edges.append((min(t, v), max(t, v)))
             continue
         # Try extension: dp[S][v] = dp[S][w] + dist(w, v) with a strictly
-        # cheaper attachment w, then a split at v.
+        # cheaper attachment w, then a split at v. A twin w at distance 0 ties
+        # dp[S][w] to dp[S][v] and has v's dp rows, so the split at v works.
         target = dp[S][v]
         found = False
         for w in map(int, np.argsort(dp[S])):
-            if w != v and dp[S][w] + dist[w, v] <= target + eps:
+            if dp[S][w] >= target:
+                break
+            if dp[S][w] + dist[w, v] <= target + eps:
                 edges.append((min(w, v), max(w, v)))
                 stack.append((S, w))
                 found = True
-                break
-            if dp[S][w] > target:  # never at w == v, where dp[S][w] == target
                 break
         if found or S.bit_count() == 1:
             continue  # attached through w, or a singleton already attached at v

@@ -1,11 +1,12 @@
-"""Random walks on graphs and Monte Carlo validation of the expander-walk
-confinement bound.
+"""Random walks on graphs and the walk operator of a regular graph.
 
 A t-step walk starts at a uniform vertex and moves to a uniform neighbor at
 each step. Traces are reproducible bit-exactly from (graph, generator state).
 
-``walk_confinement_stats`` estimates Pr[walk stays inside B] and compares it
-with the classical spectral bound (alpha + beta)^t, alpha = |B| / n.
+``walk_operator`` (A/d) is the one operator behind the spectral certificate
+(``expanders.second_eigenvalue``) and ``confinement_probability``, the exact
+Pr[a walk stays inside S] that the expander-walk bound (alpha + beta)^t,
+alpha = |S| / n, caps (Hoory, Linial and Wigderson 2006).
 """
 
 from __future__ import annotations
@@ -67,45 +68,27 @@ def random_walk(g: Graph, t: int, rng: np.random.Generator) -> WalkTrace:
     return WalkTrace(vertices=tuple(verts))
 
 
-@dataclass(frozen=True)
-class WalkBoundReport:
-    frequency: float
-    bound: float
-    trials: int
-    stderr: float
-
-    def within(self, sigmas: float = 3.0) -> bool:
-        return self.frequency <= self.bound + sigmas * self.stderr
-
-
-def _binomial_stderr(freq: float, trials: int) -> float:
-    if trials == 0:
-        return 0.0
-    return float(np.sqrt(max(freq * (1.0 - freq), 0.0) / trials))
+def walk_operator(g: Graph):
+    """The transition matrix A/d of a d-regular graph, as a float64 CSR copy of
+    ``g.adjacency`` (its products sum each row in index order, whatever the
+    BLAS thread count). Symmetric, so it also moves a distribution one step."""
+    d = g.regular_degree
+    if not d:
+        raise ValueError("the walk operator needs a regular graph of positive degree")
+    walk = g.adjacency.astype(np.float64)
+    walk.data /= d
+    return walk
 
 
-def walk_confinement_stats(
-    g: Graph,
-    subset: np.ndarray,
-    t: int,
-    beta: float,
-    trials: int,
-    rngs: list[np.random.Generator],
-) -> WalkBoundReport:
-    """Monte Carlo Pr[all t+1 walk positions lie in ``subset``] with its bound.
-
-    ``rngs`` supplies one independent stream per trial.
-    """
-    mask = np.zeros(g.n, dtype=bool)
-    mask[subset] = True
-    if not mask.any():
-        raise ValueError("subset must be nonempty")
-    if len(rngs) < trials:
-        raise ValueError("need one rng stream per trial")
-    alpha = float(mask.sum()) / g.n
-    hits = sum(bool(mask[list(random_walk(g, t, rngs[i]).vertices)].all())
-               for i in range(trials))
-    freq = hits / trials if trials else 0.0
-    bound = (alpha + beta) ** t
-    return WalkBoundReport(frequency=freq, bound=bound, trials=trials,
-                           stderr=_binomial_stderr(freq, trials))
+def confinement_probability(g: Graph, mask: np.ndarray, t: int) -> float:
+    """Exact Pr[all t+1 positions of a uniform-start t-step walk lie in S],
+    S the vertices where the boolean ``mask`` is set: the sum of x_t, where
+    x_0 = 1_S / n and x_{s+1} = 1_S * (A x_s) / d."""
+    if t < 0:
+        raise ValueError("walk length must be nonnegative")
+    walk = walk_operator(g)
+    inside = np.asarray(mask, dtype=np.float64)
+    x = inside / g.n
+    for _ in range(t):
+        x = inside * (walk @ x)
+    return float(x.sum())

@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from univlb import expanders, experiments, graphs, solutions
 from univlb.expanders import (
@@ -44,7 +47,7 @@ def test_lps_5_13_certificate(lps_5_13):
     assert g.regular_degree == 6
     assert cert.bipartite
     assert cert.simple
-    assert cert.beta <= 2 * math.sqrt(5) / 6 + 1e-6
+    assert cert.beta_lo <= cert.beta <= cert.ramanujan_bound == 2 * math.sqrt(5) / 6
     assert cert.girth == girth(g, roots=(0,))
     assert is_connected(g)
 
@@ -122,8 +125,9 @@ def _two_pass_lps(p: int, q: int) -> tuple[Graph, ExpanderCertificate]:
         assert count % 2 == 0
         edges.extend([key] * (count // 2))
     g = Graph(n=len(order), edges=tuple(edges))
+    beta_lo, beta_hi = second_eigenvalue(g)
     cert = ExpanderCertificate(
-        n=g.n, d=p + 1, beta=second_eigenvalue(g, tol=1e-7), girth=girth(g, roots=(0,)),
+        n=g.n, d=p + 1, beta=beta_hi, beta_lo=beta_lo, girth=girth(g, roots=(0,)),
         diameter=diameter_ecc(g), construction="lps",
         ramanujan_bound=2.0 * math.sqrt(p) / (p + 1),
         bipartite=bipartition(g) is not None, simple=g.simple,
@@ -206,7 +210,7 @@ def test_lps_psl_case():
     assert legendre_symbol(13, 17) == 1
     assert cert.n == 17 * (17 ** 2 - 1) // 2
     assert not cert.bipartite
-    assert cert.beta <= 2 * math.sqrt(13) / 14 + 1e-6
+    assert cert.beta <= cert.ramanujan_bound == 2 * math.sqrt(13) / 14
 
 
 def test_lps_small_q_still_certifies():
@@ -217,7 +221,7 @@ def test_lps_small_q_still_certifies():
     assert cert.n == 120
     assert cert.d == 14
     assert (g.degrees == 14).all()
-    assert cert.beta <= cert.ramanujan_bound + 1e-6
+    assert cert.beta <= cert.ramanujan_bound
     assert cert.simple == g.simple
 
 
@@ -230,26 +234,40 @@ def test_lps_parameter_validation():
         lps_graph(5, 15)  # not prime
 
 
+def _dense_beta(g: Graph) -> float:
+    """beta from dense ``eigvalsh``: drop the trivial eigenvalue d, and -d when
+    the graph is bipartite; 0 when nothing is left (K2)."""
+    dense = np.linalg.eigvalsh(g.adjacency.toarray().astype(float))
+    nontrivial = dense[1:-1] if bipartition(g) is not None else dense[:-1]
+    return float(np.abs(nontrivial).max(initial=0.0)) / g.regular_degree
+
+
+def _assert_encloses_dense(g: Graph) -> tuple[float, float]:
+    lo, hi = second_eigenvalue(g)
+    assert lo <= _dense_beta(g) <= hi
+    assert hi <= 2 * math.sqrt(g.regular_degree - 1) / g.regular_degree
+    assert hi <= 1.01 * lo or hi < 1e-7  # K_{3,3}: lo = 0
+    return lo, hi
+
+
 def test_second_eigenvalue_k4(k4):
-    # adjacency spectrum {3, -1, -1, -1} -> beta = 1/3
-    assert second_eigenvalue(k4, tol=1e-10) == pytest.approx(1.0 / 3.0, abs=1e-6)
+    # adjacency spectrum {3, -1, -1, -1}: every non-trivial magnitude is 1, so the
+    # norm ratio is exact from the first step and beta_lo is beta = 1/3
+    lo, _ = _assert_encloses_dense(k4)
+    assert lo == pytest.approx(1.0 / 3.0, rel=1e-8)
 
 
 def test_second_eigenvalue_c6():
     c6 = Graph(n=6, edges=tuple((i, (i + 1) % 6) for i in range(6)))
-    # circulant eigenvalues 2cos(2 pi k / 6); after deflating +/-2, max is 1
-    expected = max(abs(2 * math.cos(2 * math.pi * k / 6)) for k in (1, 2, 4, 5)) / 2
-    assert second_eigenvalue(c6, tol=1e-10) == pytest.approx(expected, abs=1e-6)
-    dense = np.linalg.eigvalsh(c6.adjacency.toarray().astype(float))
-    nontrivial = sorted(abs(v) for v in dense)[:-2]  # drop the +/-2 pair
-    assert max(nontrivial) / 2 == pytest.approx(expected, abs=1e-9)
+    # circulant eigenvalues 2cos(2 pi k / 6); after deflating +/-2, all are +/-1
+    lo, _ = _assert_encloses_dense(c6)
+    assert lo == pytest.approx(0.5, rel=1e-8)
 
 
 def test_second_eigenvalue_matches_dense_on_petersen(petersen):
-    beta = second_eigenvalue(petersen, tol=1e-10)
-    dense = np.linalg.eigvalsh(petersen.adjacency.toarray().astype(float))
-    assert beta == pytest.approx(sorted(abs(v) for v in dense)[-2] / 3, abs=1e-6)
-    assert beta == pytest.approx(2.0 / 3.0, abs=1e-6)
+    # spectrum {3, 1^5, -2^4}: beta = 2/3
+    lo, _ = _assert_encloses_dense(petersen)
+    assert lo == pytest.approx(2.0 / 3.0, rel=1e-8)
 
 
 def test_second_eigenvalue_repeats_across_blas_thread_counts(tmp_path):
@@ -279,29 +297,85 @@ def test_second_eigenvalue_requires_regular(path3):
 def test_second_eigenvalue_degenerate_spectra():
     # K2: only trivial eigenvalues (+1, -1), both deflated
     k2 = Graph(n=2, edges=((0, 1),))
-    assert second_eigenvalue(k2, tol=1e-10) == pytest.approx(0.0, abs=1e-9)
+    assert second_eigenvalue(k2) == (0.0, 0.0)
+    _assert_encloses_dense(k2)
     # K_{3,3}: spectrum {3, 0, 0, 0, 0, -3}
     k33 = Graph(n=6, edges=tuple((u, v) for u in (0, 1, 2) for v in (3, 4, 5)))
-    assert second_eigenvalue(k33, tol=1e-10) == pytest.approx(0.0, abs=1e-6)
+    lo, hi = _assert_encloses_dense(k33)
+    assert lo == 0.0 and hi < 1e-7
     # K1: no edges at all
-    assert second_eigenvalue(Graph(n=1, edges=())) == 0.0
+    assert second_eigenvalue(Graph(n=1, edges=())) == (0.0, 0.0)
 
 
 # PGL and bipartite, PSL with multi-edges, and the pinned-CSV graph
 @pytest.mark.parametrize("p, q", [(13, 5), (29, 5), (5, 13)])
 def test_second_eigenvalue_matches_dense_on_lps(p, q):
-    g, _ = lps_graph(p, q)
-    beta = second_eigenvalue(g, tol=1e-10)
-    dense = np.linalg.eigvalsh(g.adjacency.toarray().astype(float))
-    # drop the trivial eigenvalue d, and -d when the graph is bipartite
-    nontrivial = dense[1:-1] if bipartition(g) is not None else dense[:-1]
-    want = np.abs(nontrivial).max() / (p + 1)
-    assert beta == pytest.approx(want, abs=1e-6)
+    g, cert = lps_graph(p, q)
+    assert _assert_encloses_dense(g) == (cert.beta_lo, cert.beta)
+
+
+def _trace_beta_hi(g: Graph, k: int) -> float:
+    """Reference beta_hi at step k in exact integers: n ||A^k e_0||^2 counts
+    the closed walks of length 2k at every vertex, minus the trivial
+    eigenvalues' share (1 + bipartite) d^{2k}."""
+    d, table = g.regular_degree, g.neighbor_table.tolist()
+    counts = [1] + [0] * (g.n - 1)  # A^k e_0: walks of length k from vertex 0
+    for _ in range(k):
+        nxt = [0] * g.n
+        for u, c in enumerate(counts):
+            if c:
+                for v in table[u]:
+                    nxt[v] += c
+        counts = nxt
+    trace = g.n * sum(c * c for c in counts) - (1 + (bipartition(g) is not None)) * d ** (2 * k)
+    return math.exp(math.log(trace) / (2 * k)) / d
+
+
+def _enclosure_in(err: ExpanderError) -> tuple[float, float]:
+    lo, hi = re.search(r"beta in \[(\S+), (\S+)\]", str(err)).groups()
+    return float(lo), float(hi)
+
+
+def test_beta_hi_matches_the_integer_trace(monkeypatch, lps_5_13):
+    # a cap of k steps, far below the 241 lps(5,13) needs, leaves the loop's
+    # last enclosure, at step k, in the error
+    g, k = lps_5_13[0], 40
+    monkeypatch.setattr(expanders, "BETA_MAX_STEPS", k)
+    with pytest.raises(ExpanderError, match=r"within 40 steps") as info:
+        second_eigenvalue(g)
+    _, hi = _enclosure_in(info.value)
+    assert hi == pytest.approx(_trace_beta_hi(g, k) * (1 + expanders.BETA_MARGIN), rel=1e-12)
+
+
+@st.composite
+def circulants(draw):
+    """A connected circulant graph C_n(S): a Cayley graph of Z_n, so
+    vertex-transitive. 1 is in S so that it is connected; n/2, if drawn,
+    is one edge per vertex pair."""
+    n = draw(st.integers(3, 40))
+    jumps = {1} | set(draw(st.lists(st.integers(1, n // 2), max_size=4)))
+    edges = [(u, (u + s) % n) for s in sorted(jumps) for u in range(n if 2 * s != n else s)]
+    return Graph(n=n, edges=tuple(edges))
+
+
+@settings(max_examples=60, deadline=None)
+@given(circulants())
+def test_second_eigenvalue_encloses_dense_beta_on_circulants(g):
+    want = _dense_beta(g)
+    d = g.regular_degree
+    bound = 2 * math.sqrt(d - 1) / d
+    try:
+        lo, hi = second_eigenvalue(g)
+    except ExpanderError as err:
+        lo, hi = _enclosure_in(err)
+        assert want > bound or bound - want <= hi - lo
+        return
+    assert lo <= want <= hi
 
 
 def test_certificate_json_roundtrip(tmp_path, lps_5_13):
     _, cert = lps_5_13
     path = tmp_path / "c.json"
     write_certificate(cert, path)
-    back = ExpanderCertificate.from_json(path.read_text())
+    back = ExpanderCertificate(**json.loads(path.read_text()))
     assert back == cert

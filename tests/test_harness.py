@@ -276,15 +276,16 @@ def test_cli_gen_and_run(tmp_path):
     assert json.loads(json_path.read_text())["aggregates"]["diameter"] == 6
 
 
-def test_gen_expander_output_pinned(tmp_path):
+def test_gen_expander_output_pinned(tmp_path, capsys):
     # graph file bytes and certificate keys (a file format) of lps(5,13)
     out = tmp_path / "g.txt"
     assert cli_main(["gen-expander", "--p", "5", "--q", "13", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.rstrip().endswith("(beta in [0.708137, 0.715189])")
     assert (hashlib.sha256(out.read_bytes()).hexdigest()
             == "7f3b21751bc47ce1a47dacbd58d693a57e101821bc807494cac839bfd0ada7b1")
     cert = json.loads((tmp_path / "g.txt.cert.json").read_text())
-    assert sorted(cert) == ["beta", "bipartite", "construction", "d", "diameter", "girth",
-                            "n", "ramanujan_bound", "simple"]
+    assert sorted(cert) == ["beta", "beta_lo", "bipartite", "construction", "d", "diameter",
+                            "girth", "n", "ramanujan_bound", "simple"]
     assert cert["construction"] == "lps"
 
 

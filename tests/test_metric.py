@@ -59,6 +59,10 @@ def test_validate_metric_violations():
 
     zero = np.array([[0, 0], [0, 0]], dtype=np.int64)
     v = validate_metric(MetricSpace(n=2, dist=zero, root=0))
+    assert v is not None and str(v) == "nonpositive violation at (0, 1)"
+
+    below = np.array([[0, -1], [-1, 0]], dtype=np.int64)
+    v = validate_metric(MetricSpace(n=2, dist=below, root=0))
     assert v is not None and v.kind == "negative"
 
     one = np.zeros((1, 1), dtype=np.int64)
@@ -82,7 +86,7 @@ def _validate_metric_loop(m: MetricSpace) -> MetricViolation | None:
     neg = np.argwhere(off <= tol)
     if neg.size:
         u, v = map(int, neg[0])
-        return MetricViolation("negative", (u, v))
+        return MetricViolation("negative" if d[u, v] < 0 else "nonpositive", (u, v))
     for w in range(m.n):
         slack = d - (d[:, w, None] + d[None, w, :])
         viol = np.argwhere(slack > tol)
@@ -96,7 +100,7 @@ def _validate_metric_loop(m: MetricSpace) -> MetricViolation | None:
 def perturbed_metrics(draw):
     """A Euclidean or integral graph metric with a few entries moved, most
     often symmetrically (triangle violations), sometimes onto the diagonal
-    or one side only."""
+    or one side only, sometimes to 0 or below."""
     n = draw(st.integers(1, 9))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     if draw(st.booleans()):
@@ -106,8 +110,8 @@ def perturbed_metrics(draw):
         dist = shortest_path_metric(Graph(n=n, edges=edges), 0).dist.copy()
     for _ in range(draw(st.integers(0, 3))):
         u, v = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
-        x = dist.dtype.type(draw(st.integers(0, 6)) if dist.dtype.kind == "i"
-                            else draw(st.floats(0.0, 3.0)))
+        x = dist.dtype.type(draw(st.integers(-1, 6)) if dist.dtype.kind == "i"
+                            else draw(st.floats(-1.0, 3.0)))
         dist[u, v] = x
         if draw(st.integers(0, 4)):
             dist[v, u] = x

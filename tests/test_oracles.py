@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import contextlib
+import signal
+
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from univlb.graphs import Graph
-from univlb.metric import random_euclidean_metric, shortest_path_metric
+from univlb.metric import MetricSpace, random_euclidean_metric, shortest_path_metric
 from univlb.oracles import (
     OracleBudget,
     OracleRefusal,
@@ -115,6 +120,78 @@ def test_witness_backtrack_stress():
                     seen.add(w)
                     stack.append(w)
         assert x <= seen
+
+
+@contextlib.contextmanager
+def _time_limit(seconds: int):
+    """Fail, instead of stalling the suite, when the body runs too long."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _assert_optimal_tree(m: MetricSpace, x: set[int], cost: float, edges) -> None:
+    """The witness is a tree holding X and the root, and costs OPT."""
+    assert cost == pytest.approx(steiner_exact(m, x), rel=1e-12)
+    assert sum(m.d(u, v) for u, v in edges) == pytest.approx(cost, rel=1e-9, abs=1e-12)
+    verts = {v for e in edges for v in e} | {m.root}
+    assert x <= verts and len(edges) == len(verts) - 1
+    parent = {v: v for v in verts}
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for u, v in edges:  # n - 1 edges, none closing a cycle: a spanning tree
+        ru, rv = find(u), find(v)
+        assert ru != rv
+        parent[ru] = rv
+
+
+def test_witness_ends_on_a_zero_distance():
+    # 1 and 2 coincide: the backtrack used to hop between them for ever
+    m = MetricSpace(n=3, dist=np.array([[0, 1, 1], [1, 0, 0], [1, 0, 0]]), root=0)
+    with _time_limit(10):
+        cost, edges = steiner_exact_witness(m, {1, 2})
+    assert cost == 1.0
+    _assert_optimal_tree(m, {1, 2}, cost, edges)
+
+
+@st.composite
+def metrics_with_twins(draw):
+    """A closed random metric on k base points, then n >= k points each a
+    copy of a base point: every pair of copies is at distance 0."""
+    k = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    integral = draw(st.booleans())
+    a = rng.integers(1, 4, size=(k, k)) if integral else rng.uniform(0.5, 2.0, size=(k, k))
+    base = np.triu(a, 1).astype(np.float64)
+    base += base.T
+    for w in range(k):
+        base = np.minimum(base, base[:, w, None] + base[None, w, :])
+    copy_of = draw(st.lists(st.integers(0, k - 1), min_size=k, max_size=10))
+    copy_of[:k] = range(k)  # each base point at least once
+    n = len(copy_of)
+    root = draw(st.integers(0, n - 1))
+    x = set(draw(st.lists(st.integers(0, n - 1), max_size=7)))
+    return MetricSpace(n=n, dist=base[np.ix_(copy_of, copy_of)], root=root), x
+
+
+@settings(max_examples=150, deadline=None)
+@given(metrics_with_twins())
+def test_witness_ends_on_zero_distances(instance):
+    m, x = instance
+    with _time_limit(10):
+        cost, edges = steiner_exact_witness(m, x)
+    _assert_optimal_tree(m, x, cost, edges)
 
 
 def test_sandwich():

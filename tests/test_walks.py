@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from univlb.expanders import lps_graph
 from univlb.graphs import Graph
 from univlb.rng import stream
-from univlb.walks import random_walk, walk_confinement_stats
+from univlb.walks import confinement_probability, random_walk
 
 
 def _edge_set(g: Graph) -> set[tuple[int, int]]:
@@ -43,42 +45,62 @@ def test_walk_reproducible(lps_5_13):
 
 
 def test_confinement_full_set(k4):
-    rngs = [stream(5, 1, i) for i in range(200)]
-    rep = walk_confinement_stats(k4, np.arange(4), t=3, beta=1.0 / 3.0,
-                                 trials=200, rngs=rngs)
-    assert rep.frequency == 1.0
-    assert rep.bound >= 1.0
+    assert confinement_probability(k4, np.ones(4, dtype=bool), 3) == pytest.approx(1.0)
 
 
 def test_confinement_single_vertex_impossible(k4):
-    rngs = [stream(6, 1, i) for i in range(300)]
-    rep = walk_confinement_stats(k4, np.array([2]), t=2, beta=1.0 / 3.0,
-                                 trials=300, rngs=rngs)
-    assert rep.frequency == 0.0  # no self-loops: a 2-step walk cannot sit still
+    mask = np.arange(4) == 2
+    assert confinement_probability(k4, mask, 0) == 0.25
+    assert confinement_probability(k4, mask, 2) == 0.0  # no self-loops: a walk cannot sit still
 
 
 def test_confinement_bound_holds_on_expander(lps_5_13):
     g, cert = lps_5_13
-    rng = stream(9, 0)
-    subset = rng.choice(g.n, size=g.n // 3, replace=False)
-    rngs = [stream(9, 1, i) for i in range(2000)]
-    rep = walk_confinement_stats(g, subset, t=4, beta=cert.beta, trials=2000, rngs=rngs)
-    assert rep.within(3.0)
+    mask = np.zeros(g.n, dtype=bool)
+    mask[stream(9, 0).choice(g.n, size=g.n // 3, replace=False)] = True
+    assert confinement_probability(g, mask, 4) <= (mask.mean() + cert.beta) ** 4
 
 
-def test_stats_match_per_walk_reference(petersen):
-    # the validator against its own loop over the same per-trial streams
-    subset, t, trials = np.array([0, 2, 5, 7, 9]), 4, 400
-    mask = np.isin(np.arange(petersen.n), subset)
-    walks = [random_walk(petersen, t, stream(13, 1, i)) for i in range(trials)]
-    inside = sum(all(mask[v] for v in w.vertices) for w in walks)
-    conf = walk_confinement_stats(petersen, subset, t, 0.5, trials,
-                                  [stream(13, 1, i) for i in range(trials)])
-    assert conf.frequency == inside / trials
-    assert 0 < inside < trials
+def _enumerated_confinement(g: Graph, mask: np.ndarray, t: int) -> float:
+    """Reference: every one of the n * d^t walks kept apart, start by start,
+    and the share that never leaves the mask."""
+    table, d = g.neighbor_table, g.regular_degree
+    hits = 0
+    for start in range(g.n):
+        ends, inside = np.array([start]), mask[[start]]
+        for _ in range(t):
+            ends = table[ends].ravel()
+            inside = np.repeat(inside, d) & mask[ends]
+        hits += int(inside.sum())
+    return hits / (g.n * d ** t)
 
 
-def test_confinement_needs_one_stream_per_trial(k4):
-    with pytest.raises(ValueError, match="one rng stream per trial"):
-        walk_confinement_stats(k4, np.array([0]), t=2, beta=1.0 / 3.0, trials=3,
-                               rngs=[stream(0, 1, i) for i in range(2)])
+def _c6() -> Graph:
+    return Graph(n=6, edges=tuple((i, (i + 1) % 6) for i in range(6)))
+
+
+# the graph fixtures are immutable, so sharing them across examples is safe
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(["k4", "c6", "petersen", (13, 5), (29, 5)]), st.data())
+def test_confinement_matches_walk_enumeration(k4, petersen, name, data):
+    if isinstance(name, tuple):
+        g = lps_graph(*name)[0]
+    else:
+        g = {"k4": k4, "c6": _c6(), "petersen": petersen}[name]
+    # lps(13,5) has 120 * 14^t walks, and the multigraph lps(29,5) 60 * 30^t
+    t = data.draw(st.integers(0, {(13, 5): 4, (29, 5): 3}.get(name, 5)), label="t")
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n), label="mask"))
+    assert confinement_probability(g, mask, t) == pytest.approx(
+        _enumerated_confinement(g, mask, t), rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("p, q, t", [(13, 5, 5), (29, 5, 4)])
+def test_confinement_matches_walk_enumeration_at_the_longest_walks(p, q, t):
+    g, cert = lps_graph(p, q)
+    assert g.simple == (p == 13)  # lps(29,5) carries multi-edges
+    mask = np.zeros(g.n, dtype=bool)
+    mask[stream(11, 0).choice(g.n, size=g.n // 2, replace=False)] = True
+    exact = confinement_probability(g, mask, t)
+    assert exact == pytest.approx(_enumerated_confinement(g, mask, t), rel=0, abs=1e-12)
+    assert 0 < exact <= (0.5 + cert.beta) ** t
