@@ -11,6 +11,11 @@ The TSP adversary is two independent walks; when their starts are far
 apart (event E1) and both walks spread over many tour blocks (event E2),
 every shared block forces one expensive leg of the projected tour.
 
+The events have a form per walk (``is_good_walk``, ``check_separation``,
+``block_alternation``) and one per block of walks, one walk per row
+(``good_walks``, ``separated``, ``alternation``), which the pipelines use;
+separation and alternation are one rule, the per-walk form a one-row block.
+
 Certificates never estimate: ``holds`` is a statement about exactly computed
 quantities, and a False on inputs meeting the preconditions would falsify
 the argument the certificate encodes (treated as a fatal event by the
@@ -24,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .metric import MetricSpace
-from .solutions import PathCollection, TourOrder, project_paths, project_tour
+from .solutions import PathCollection, TourOrder, distinct_counts, project_paths, project_tour
 from .walks import WalkTrace, random_walk  # noqa: F401 (perfbench's tracer test checks this binding)
 
 
@@ -98,6 +103,22 @@ def is_good_walk(
     bad = len([1 for a, b in zip(vs, vs[1:]) if ((a, b) if a < b else (b, a)) in F])
     distinct = len(w.vertex_set)
     good = bad <= cfg.bad_edge_budget and distinct >= cfg.distinct_required
+    return good, bad, distinct
+
+
+def good_walks(
+    walks: np.ndarray, after: np.ndarray, cfg: SteinerAdversaryConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``is_good_walk`` for each row of a (B, t+1) walk block: arrays of
+    (good?, bad traversal count, distinct vertex count).
+
+    ``after[b, s]`` is ``first_steps[walks[b, s]]`` of row b's collection,
+    so the step (a, b) runs along a first edge exactly when the first step
+    of one end leads to the other.
+    """
+    bad = ((after[:, :-1] == walks[:, 1:]) | (after[:, 1:] == walks[:, :-1])).sum(axis=1)
+    distinct = distinct_counts(walks)
+    good = (bad <= cfg.bad_edge_budget) & (distinct >= cfg.distinct_required)
     return good, bad, distinct
 
 
@@ -187,22 +208,35 @@ def check_separation(
     at least t; that implication is re-verified exhaustively and a failure
     (impossible for a true metric) raises ``CertificateFalsification``.
     """
-    sep = m.d(q1.start, q2.start)
-    if sep < 3 * t:
-        return False
-    for u in q1.vertex_set:
-        for v in q2.vertex_set:
-            if m.d(u, v) < t:
-                raise CertificateFalsification(
-                    f"separation implication violated: d({u},{v}) < {t}"
-                )
-    return True
+    return bool(separated(np.array([q1.vertices]), np.array([q2.vertices]), m, t)[0])
 
 
-def _block_of_position(i: int, order_len: int, blocks: int) -> int:
-    """Contiguous blocks of size floor(len/blocks); remainder joins the last."""
+def separated(walks1: np.ndarray, walks2: np.ndarray, m: MetricSpace, t: int) -> np.ndarray:
+    """``check_separation`` for each row pair of two walk blocks: E1 per
+    row, after checking every cross pair of every E1 row."""
+    e1 = m.dist[walks1[:, 0], walks2[:, 0]] >= 3 * t
+    w1, w2 = walks1[e1], walks2[e1]
+    near = np.argwhere(m.dist[w1[:, :, None], w2[:, None, :]] < t)
+    if near.size:
+        b, i, j = near[0]
+        raise CertificateFalsification(
+            f"separation implication violated: d({w1[b, i]},{w2[b, j]}) < {t}"
+        )
+    return e1
+
+
+def _block_of_position(i, order_len: int, blocks: int):
+    """Contiguous blocks of size floor(len/blocks); remainder joins the last.
+    ``i`` is one tour position or an array of them."""
     size = max(1, order_len // blocks)
-    return min(i // size, blocks - 1)
+    return np.minimum(i // size, blocks - 1)
+
+
+def tour_blocks(positions: np.ndarray, blocks: int) -> np.ndarray:
+    """The block of every vertex on every tour, -1 at the root, from the
+    tours' ``solutions.tour_tables`` positions."""
+    return np.where(positions >= 0,
+                    _block_of_position(positions, positions.shape[1] - 1, blocks), -1)
 
 
 def _blocks_hit(
@@ -231,11 +265,24 @@ def block_alternation(
     (checked -- a failure would be an arithmetic impossibility and raises
     ``CertificateFalsification``).
     """
-    hit1, hit2 = _blocks_hit(sigma, x1, x2, blocks)
-    b1, b2 = len(hit1), len(hit2)
-    shared = len(hit1 & hit2)
-    e2 = b1 >= alternation_fraction * blocks and b2 >= alternation_fraction * blocks
-    if e2 and alternation_fraction >= 3.0 / 4.0 and shared < blocks / 4.0:
+    hits = [np.array([sorted(hit)], dtype=np.int64)
+            for hit in _blocks_hit(sigma, x1, x2, blocks)]
+    b1, b2, shared, e2 = alternation(*hits, blocks, alternation_fraction)
+    return int(b1[0]), int(b2[0]), int(shared[0]), bool(e2[0])
+
+
+def alternation(
+    blocks1: np.ndarray, blocks2: np.ndarray, blocks: int,
+    alternation_fraction: float = 3.0 / 4.0,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``block_alternation`` for each row: ``blocks1[b]`` and ``blocks2[b]``
+    hold the blocks that row b's two terminal classes hit, -1 for none, in
+    any order and with repeats. Returns the arrays (blocks1, blocks2, shared,
+    E2) of the per-walk form, one entry per row."""
+    b1, b2 = distinct_counts(blocks1), distinct_counts(blocks2)
+    shared = b1 + b2 - distinct_counts(np.concatenate([blocks1, blocks2], axis=1))
+    e2 = (b1 >= alternation_fraction * blocks) & (b2 >= alternation_fraction * blocks)
+    if alternation_fraction >= 3.0 / 4.0 and np.any(e2 & (shared < blocks / 4.0)):
         raise CertificateFalsification(
             "inclusion-exclusion violated: E2 with < blocks/4 shared")
     return b1, b2, shared, e2

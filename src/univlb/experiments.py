@@ -15,6 +15,19 @@ byte-for-byte, because each trial consumes only its own derived substreams.
 A certificate that fails on inputs meeting its preconditions contradicts a
 theorem; the harness raises ``CertificateFalsification`` and the CLI maps it
 to exit code 2.
+
+``steiner-lb`` and ``tsp-lb`` run their trials in chunks of at most
+``CHUNK_BYTES // row_bytes`` trials, so a run's peak memory does not grow
+with its trial count. Within a chunk each trial still draws only from its
+own substreams, exactly what a lone trial draws: its solution index
+(SOLUTION, only when there are several solutions) and its walk (WALK, and
+WALK2 for tsp-lb's second walk: the start, then the neighbour slots).
+Everything after the draws is an array pass over the chunk's rows: the
+walks advance in lockstep, then the good-walk, separation and block tests
+and the path and tour projections. Only the certificates and the exact
+oracles run one trial at a time, on the rows that call for them, so the
+rows equal those of a per-trial loop, and a falsification names the first
+failing trial.
 """
 
 from __future__ import annotations
@@ -34,10 +47,11 @@ from .adversary import (
     CertificateFalsification,
     SteinerAdversaryConfig,
     TspAdversaryConfig,
-    block_alternation,
-    check_separation,
-    is_good_walk,
+    alternation,
+    good_walks,
+    separated,
     steiner_certificate,
+    tour_blocks,
     tsp_certificate,
 )
 from .expanders import lps_graph
@@ -59,14 +73,19 @@ from .solutions import (
     SpanningTree,
     TourOrder,
     bfs_tree,
-    project_paths,
+    distinct_counts,
+    project_path_rows,
     project_tour,
+    project_tour_rows,
     project_tree,
     restricted_dfs_order,
+    stack_edge_keys,
+    tour_tables,
     tree_to_path_collection,
     tree_to_tour,
 )
-from .walks import random_walk
+from .walks import WalkTrace, walk_block
+from .walks import random_walk  # noqa: F401 (perfbench's tracer test checks this binding)
 
 
 class ConfigError(ValueError):
@@ -265,6 +284,33 @@ def _steiner_solutions(cfg: RunConfig, inst: InstanceBundle) -> list[PathCollect
     raise ConfigError(f"unknown steiner solution {cfg.solution!r}")
 
 
+#: Bytes one chunk of trials may spend on its largest gather: the (B, t+1, L)
+#: path keys of steiner-lb, the (B, t+1, t+1) cross distances of tsp-lb.
+#: Chunks keep the peak memory of a run independent of its trial count.
+CHUNK_BYTES = 1 << 21
+
+
+def _chunks(trials: int, row_bytes: int) -> list[range]:
+    """Consecutive ranges of the trials, each of CHUNK_BYTES // row_bytes
+    trials or fewer (at least one)."""
+    size = max(1, CHUNK_BYTES // row_bytes)
+    return [range(lo, min(lo + size, trials)) for lo in range(0, trials, size)]
+
+
+def _picks(cfg: RunConfig, count: int, trials: range) -> np.ndarray:
+    """Each trial's solution index, drawn from its own SOLUTION substream
+    when there is more than one solution."""
+    if count == 1:
+        return np.zeros(len(trials), dtype=np.int64)
+    return np.array([rngs.stream(cfg.seed, rngs.SOLUTION, trial).integers(count)
+                     for trial in trials], dtype=np.int64)
+
+
+def _walks(cfg: RunConfig, g: Graph, t: int, tag: int, trials: range) -> np.ndarray:
+    """The trials' walks, row i drawn from trial i's own ``tag`` substream."""
+    return walk_block(g, t, [rngs.stream(cfg.seed, tag, trial) for trial in trials])
+
+
 def run_steiner_lb(cfg: RunConfig) -> ExperimentReport:
     inst = load_instance(cfg.graph, cfg.metric_cap,
                          need_metric=(cfg.solution == "frt" or cfg.oracle_cap > 0))
@@ -273,49 +319,53 @@ def run_steiner_lb(cfg: RunConfig) -> ExperimentReport:
     t = max(1, inst.girth // 3) if cfg.t == "auto" else int(cfg.t)
     adv = SteinerAdversaryConfig(t=t, certificate_mode=(3 * t <= inst.girth))
     solutions = _steiner_solutions(cfg, inst)
-    f_sets = [p.first_edges for p in solutions]
+    keys = stack_edge_keys(solutions)
+    first_steps = np.stack([p.first_steps for p in solutions])
+    roots = np.array([p.root for p in solutions])
     # The girth certificate argues about graph cycles; it only applies to
     # collections whose paths are walks in the graph (SPT yes; contracted
     # tree solutions carry metric edges and are measured, not certified).
-    certifiable = [adv.certificate_mode and _graph_paths(p, inst.graph) for p in solutions]
+    certifiable = np.array([adv.certificate_mode and _graph_paths(p, inst.graph)
+                            for p in solutions])
     budget = _budget(cfg.oracle_cap)
+    surrogate = _surrogate("steiner", 1, adv.t, inst.diameter)
 
     rows: list[dict[str, object]] = []
     good_count = 0
     certified = 0
     ratios: list[float] = []
-    for trial in range(cfg.trials):
-        sol_idx = 0
-        if len(solutions) > 1:
-            sol_idx = int(rngs.stream(cfg.seed, rngs.SOLUTION, trial).integers(len(solutions)))
-        paths = solutions[sol_idx]
-        walk = random_walk(inst.graph, adv.t, rngs.stream(cfg.seed, rngs.WALK, trial))
-        x = walk.vertex_set - {paths.root}
-        good, _, _ = is_good_walk(walk, f_sets[sol_idx], adv)
-        if good:
-            good_count += 1
-        if good and certifiable[sol_idx]:
+    for trials in _chunks(cfg.trials, (adv.t + 1) * keys.shape[2] * 8):
+        pick = _picks(cfg, len(solutions), trials)
+        walks = _walks(cfg, inst.graph, adv.t, rngs.WALK, trials)
+        good, _, distinct = good_walks(walks, first_steps[pick[:, None], walks], adv)
+        x_size = distinct - (walks == roots[pick, None]).any(axis=1)
+        certify = good & certifiable[pick]
+        lhs = np.empty(len(trials))
+        lhs[~certify] = project_path_rows(keys, pick[~certify], walks[~certify], inst.metric)
+        for i in np.flatnonzero(certify):
             # the certificate projects the same X on the same metric
-            cert = steiner_certificate(paths, walk, inst.girth, adv, inst.metric)
-            certified += 1
+            walk = WalkTrace(vertices=tuple(walks[i].tolist()))
+            cert = steiner_certificate(solutions[pick[i]], walk, inst.girth, adv, inst.metric)
             if not cert.holds:
                 raise CertificateFalsification(
-                    f"steiner certificate failed at trial {trial}: {cert.witness}"
+                    f"steiner certificate failed at trial {trials[i]}: {cert.witness}"
                 )
-            lhs = cert.lhs
-        else:
-            lhs = project_paths(paths, x, inst.metric)
-        opt, opt_kind = _opt("steiner", inst.metric, x, [walk], adv.t, inst.diameter,
-                             budget, cfg.oracle_cap)
-        ratio = lhs / opt if opt > 0 else float("nan")
-        if x:
-            ratios.append(ratio)
-        rows.append({
-            "trial": trial, "n": inst.graph.n, "d": inst.d, "girth": inst.girth,
-            "t": adv.t, "x_size": len(x), "good": good, "e1": None, "e2": None,
-            "shared": None, "lhs": lhs, "rhs": len(x) * inst.girth / 6.0, "ratio": ratio,
-            "opt_kind": opt_kind,
-        })
+            lhs[i] = cert.lhs
+        good_count += int(good.sum())
+        certified += int(certify.sum())
+        opts = _optima("steiner", inst.metric, [walks], x_size, surrogate, budget,
+                       cfg.oracle_cap)
+        for trial, size, is_good, cost, (opt, opt_kind) in zip(
+                trials, x_size.tolist(), good.tolist(), lhs.tolist(), opts):
+            ratio = cost / opt if opt > 0 else float("nan")
+            if size:
+                ratios.append(ratio)
+            rows.append({
+                "trial": trial, "n": inst.graph.n, "d": inst.d, "girth": inst.girth,
+                "t": adv.t, "x_size": size, "good": is_good, "e1": None, "e2": None,
+                "shared": None, "lhs": cost, "rhs": size * inst.girth / 6.0, "ratio": ratio,
+                "opt_kind": opt_kind,
+            })
 
     report = ExperimentReport(config=cfg.values, columns=LB_COLUMNS, rows=rows)
     arr = np.array(ratios) if ratios else np.array([np.nan])
@@ -364,19 +414,31 @@ def _budget(oracle_cap: int) -> OracleBudget:
                         tsp_terminals=max(2, oracle_cap))
 
 
-def _opt(problem: str, m, x, walks, t, diam, budget, oracle_cap) -> tuple[float, str]:
-    """OPT of ``problem`` ("steiner" or "tsp") on X: the exact oracle when
-    the metric is built and |X| <= oracle_cap, else the walk surrogate."""
-    if m is not None and 0 < oracle_cap and len(x) <= oracle_cap:
-        try:
-            exact = steiner_exact if problem == "steiner" else tsp_exact
-            return exact(m, x, budget), "oracle"
-        except OracleRefusal:
-            pass
-    bounds = opt_surrogates(walks, t, diam)
+def _surrogate(problem: str, walk_count: int, t: int, diam: int) -> tuple[float, str]:
+    """The walk surrogate of ``problem`` ("steiner" or "tsp") for every trial
+    of a run: the bounds read only the walks' step counts, t each."""
+    bounds = opt_surrogates([WalkTrace(vertices=(0,) * (t + 1))] * walk_count, t, diam)
     if problem == "steiner":
         return bounds.steiner, "walk-bound"
     return bounds.tsp, "walk-tour"
+
+
+def _optima(problem, m, walk_blocks, x_size, surrogate, budget,
+            oracle_cap) -> list[tuple[float, str]]:
+    """OPT of ``problem`` on each row's X, the row's vertices in all
+    ``walk_blocks`` less the root: the exact oracle when the metric is built
+    and |X| <= oracle_cap, else the run's walk surrogate."""
+    opts = [surrogate] * len(x_size)
+    if m is None or oracle_cap <= 0:
+        return opts
+    exact = steiner_exact if problem == "steiner" else tsp_exact
+    for i in np.flatnonzero(x_size <= oracle_cap):
+        x = set(np.concatenate([w[i] for w in walk_blocks]).tolist()) - {m.root}
+        try:
+            opts[i] = exact(m, x, budget), "oracle"
+        except OracleRefusal:
+            pass
+    return opts
 
 
 def run_tsp_lb(cfg: RunConfig) -> ExperimentReport:
@@ -388,47 +450,47 @@ def run_tsp_lb(cfg: RunConfig) -> ExperimentReport:
     blocks = base.blocks if cfg.blocks == "auto" else int(cfg.blocks)
     adv = TspAdversaryConfig(t=t, blocks=blocks)
     tours = _tour_solutions(cfg, inst)
+    positions, orders = tour_tables(tours)
+    block_of = tour_blocks(positions, adv.blocks)
     budget = _budget(cfg.oracle_cap)
+    surrogate = _surrogate("tsp", 2, adv.t, inst.diameter)
 
     rows: list[dict[str, object]] = []
     qualifying = 0
     e1_count = 0
     ratios: list[float] = []
-    for trial in range(cfg.trials):
-        tour_idx = 0
-        if len(tours) > 1:
-            tour_idx = int(rngs.stream(cfg.seed, rngs.SOLUTION, trial).integers(len(tours)))
-        sigma = tours[tour_idx]
-        q1 = random_walk(inst.graph, adv.t, rngs.stream(cfg.seed, rngs.WALK, trial))
-        q2 = random_walk(inst.graph, adv.t, rngs.stream(cfg.seed, rngs.WALK2, trial))
-        x1 = q1.vertex_set - {sigma.root}
-        x2 = q2.vertex_set - {sigma.root}
-        x = x1 | x2
-        e1 = check_separation(q1, q2, m, adv.t)
-        b1, b2, shared, e2 = block_alternation(sigma, x1, x2, adv.blocks,
-                                               adv.alternation_fraction)
-        lhs = project_tour(sigma, m, x)
-        rhs = float(shared * adv.t)
-        if e1:
-            e1_count += 1
-        if e1 and e2:
-            qualifying += 1
-            cert = tsp_certificate(sigma, m, x1, x2, adv.t, adv.blocks)
+    for trials in _chunks(cfg.trials, (adv.t + 1) ** 2 * 8):
+        pick = _picks(cfg, len(tours), trials)
+        q1 = _walks(cfg, inst.graph, adv.t, rngs.WALK, trials)
+        q2 = _walks(cfg, inst.graph, adv.t, rngs.WALK2, trials)
+        both = np.concatenate([q1, q2], axis=1)
+        x_size = distinct_counts(np.where(both == m.root, -1, both))
+        e1 = separated(q1, q2, m, adv.t)
+        _, _, shared, e2 = alternation(block_of[pick[:, None], q1], block_of[pick[:, None], q2],
+                                       adv.blocks, adv.alternation_fraction)
+        lhs = project_tour_rows(positions, orders, pick, both, m)
+        for i in np.flatnonzero(e1 & e2):
+            x1, x2 = (set(q[i].tolist()) - {m.root} for q in (q1, q2))
+            cert = tsp_certificate(tours[pick[i]], m, x1, x2, adv.t, adv.blocks)
             if not cert.holds:
                 raise CertificateFalsification(
-                    f"tsp certificate failed at trial {trial}: {cert.witness}"
+                    f"tsp certificate failed at trial {trials[i]}: {cert.witness}"
                 )
-        opt, opt_kind = _opt("tsp", m, x, [q1, q2], adv.t, inst.diameter, budget,
-                             cfg.oracle_cap)
-        ratio = lhs / opt if opt > 0 else float("nan")
-        if x:
-            ratios.append(ratio)
-        rows.append({
-            "trial": trial, "n": inst.graph.n, "d": inst.d, "girth": inst.girth,
-            "t": adv.t, "x_size": len(x), "good": None, "e1": e1, "e2": e2,
-            "shared": shared, "lhs": lhs, "rhs": rhs, "ratio": ratio,
-            "opt_kind": opt_kind,
-        })
+        e1_count += int(e1.sum())
+        qualifying += int((e1 & e2).sum())
+        opts = _optima("tsp", m, [q1, q2], x_size, surrogate, budget, cfg.oracle_cap)
+        for trial, size, is_e1, is_e2, hits, cost, (opt, opt_kind) in zip(
+                trials, x_size.tolist(), e1.tolist(), e2.tolist(), shared.tolist(),
+                lhs.tolist(), opts):
+            ratio = cost / opt if opt > 0 else float("nan")
+            if size:
+                ratios.append(ratio)
+            rows.append({
+                "trial": trial, "n": inst.graph.n, "d": inst.d, "girth": inst.girth,
+                "t": adv.t, "x_size": size, "good": None, "e1": is_e1, "e2": is_e2,
+                "shared": hits, "lhs": cost, "rhs": float(hits * adv.t), "ratio": ratio,
+                "opt_kind": opt_kind,
+            })
 
     report = ExperimentReport(config=cfg.values, columns=LB_COLUMNS, rows=rows)
     arr = np.array(ratios) if ratios else np.array([np.nan])
@@ -437,7 +499,8 @@ def run_tsp_lb(cfg: RunConfig) -> ExperimentReport:
         "e1_samples": e1_count,
         "ratio_median": float(np.median(arr)),
         "blocks": adv.blocks, "t": adv.t,
-        "girth": inst.girth, "diameter": inst.diameter, "label": inst.label,
+        "girth": inst.girth, "diameter": inst.diameter, "beta": inst.beta,
+        "label": inst.label,
     }
     report.series = [{
         "series": "ratio-vs-n", "x": inst.graph.n,

@@ -16,6 +16,11 @@ count (the root's row is all padding). Projecting onto X gathers the rows of
 X and counts the distinct keys that are not padding, so a trial pays array
 passes, not a Python loop over path tuples; the table costs 8 * n * L bytes
 for paths of at most L steps.
+
+The ``*_rows`` projections do the same for a block of terminal sets at once,
+one per row, each against its own solution: ``project_path_rows`` reads the
+stacked key tables of ``stack_edge_keys``, and ``project_tour_rows`` the
+position and order tables of ``tour_tables``.
 """
 
 from __future__ import annotations
@@ -121,6 +126,16 @@ class PathCollection:
         return table
 
     @cached_property
+    def first_steps(self) -> np.ndarray:
+        """Read-only (n,) int64 array: the vertex after v on p_v, -1 on the
+        root's path. The step (a, b) is a first edge exactly when
+        ``first_steps[a] == b`` or ``first_steps[b] == a``."""
+        out = np.fromiter((p[1] if len(p) >= 2 else -1 for p in self.paths),
+                          dtype=np.int64, count=self.n)
+        out.setflags(write=False)
+        return out
+
+    @cached_property
     def first_edges(self) -> frozenset[tuple[int, int]]:
         """The set F of first edges (v, v1), undirected."""
         out = set()
@@ -197,23 +212,92 @@ def project_tour(sigma: TourOrder, m: MetricSpace, X) -> float:
     return cost
 
 
+def tour_tables(tours) -> tuple[np.ndarray, np.ndarray]:
+    """The tours as two (S, n) int64 tables: ``positions[s, v]`` is v's
+    index in ``tours[s].order`` (-1 at the root), and ``orders[s]`` is that
+    order followed by the root."""
+    n = tours[0].n
+    positions = np.full((len(tours), n), -1, dtype=np.int64)
+    orders = np.empty((len(tours), n), dtype=np.int64)
+    for s, sigma in enumerate(tours):
+        orders[s] = (*sigma.order, sigma.root)
+        positions[s, orders[s, :-1]] = np.arange(n - 1)
+    return positions, orders
+
+
+def project_tour_rows(positions: np.ndarray, orders: np.ndarray, pick: np.ndarray,
+                      xs: np.ndarray, m: MetricSpace) -> np.ndarray:
+    """Row b: ``project_tour`` of tour ``pick[b]`` on the vertices of
+    ``xs[b]``, for ``tour_tables(tours)``, adding the legs in its order.
+
+    Sorting a row's distinct positions, padded with the root's slot n - 1,
+    gives the walk r, x_1, ..., x_k, r, r, ...: leg 0 is c(r, x_1), leg k
+    is c(x_k, r), legs 1..k-1 join consecutive terminals and later legs
+    are the root standing still.
+    """
+    n = positions.shape[1]
+    pos = np.sort(positions[pick[:, None], xs], axis=1)
+    keep = distinct_mask(pos)
+    k = keep.sum(axis=1)
+    pos = np.sort(np.where(keep, pos, n - 1), axis=1)
+    pick = pick[:, None]
+    root = orders[pick, n - 1]
+    stops = np.concatenate([root, orders[pick, pos], root], axis=1)
+    legs = m.dist[stops[:, :-1], stops[:, 1:]].astype(np.float64)
+    cost = legs[:, 0] + legs[np.arange(len(k)), k]
+    for j in range(1, legs.shape[1] - 1):
+        cost += np.where(j < k, legs[:, j], 0.0)
+    return cost
+
+
 def project_paths(p: PathCollection, X, m: MetricSpace | None = None) -> float:
     """Cost of the union of the root-paths of X; shared edges count once.
 
     Edge costs come from the metric when given, else unit cost per edge.
     """
     xs = np.fromiter(X, dtype=np.int64)
-    keys = np.sort(p.edge_keys[xs], axis=None)
-    keys = keys[np.searchsorted(keys, 0):]  # drop the -1 padding
-    if not keys.size:
-        return 0.0
-    first = np.empty(keys.size, dtype=bool)
-    first[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return float(project_path_rows(p.edge_keys[None], np.zeros(1, dtype=np.int64),
+                                   xs[None], m)[0])
+
+
+def stack_edge_keys(collections) -> np.ndarray:
+    """The (S, n, L) stack of the collections' ``edge_keys``, each padded
+    with -1 to the widest."""
+    tables = [p.edge_keys for p in collections]
+    out = np.full((len(tables), tables[0].shape[0], max(t.shape[1] for t in tables)), -1,
+                  dtype=np.int64)
+    for s, table in enumerate(tables):
+        out[s, :, :table.shape[1]] = table
+    return out
+
+
+def project_path_rows(keys: np.ndarray, pick: np.ndarray, xs: np.ndarray,
+                      m: MetricSpace | None = None) -> np.ndarray:
+    """Row b: ``project_paths`` of collection ``pick[b]`` on the vertices of
+    ``xs[b]``, for ``keys = stack_edge_keys(collections)``.
+
+    A row's keys are gathered, sorted and counted once each when not padding;
+    repeated vertices and the root (whose row is all padding) add nothing.
+    """
+    rows = keys[pick[:, None], xs].reshape(len(xs), xs.shape[1] * keys.shape[2])
+    rows.sort(axis=1)
+    first = distinct_mask(rows)
     if m is None:
-        return float(np.count_nonzero(first))
-    u, v = np.divmod(keys[first], p.n)
-    return float(m.dist[u, v].sum())
+        return first.sum(axis=1).astype(np.float64)
+    u, v = np.divmod(np.where(first, rows, 0), keys.shape[1])
+    return np.where(first, m.dist[u, v], 0).sum(axis=1).astype(np.float64)
+
+
+def distinct_mask(rows: np.ndarray) -> np.ndarray:
+    """For row-sorted ``rows``: True at the first copy of each entry >= 0."""
+    first = rows >= 0
+    first[:, 1:] &= rows[:, 1:] != rows[:, :-1]
+    return first
+
+
+def distinct_counts(rows: np.ndarray) -> np.ndarray:
+    """The number of distinct entries >= 0 in each row."""
+    return distinct_mask(np.sort(rows, axis=1)).sum(axis=1)
 
 
 def tree_to_path_collection(t: SpanningTree) -> PathCollection:

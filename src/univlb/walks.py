@@ -1,7 +1,9 @@
 """Random walks on graphs and the walk operator of a regular graph.
 
 A t-step walk starts at a uniform vertex and moves to a uniform neighbor at
-each step. Traces are reproducible bit-exactly from (graph, generator state).
+each step. Traces are reproducible bit-exactly from (graph, generator state):
+``walk_block`` walks one generator per row, and its row i is the walk
+``random_walk`` draws from that generator alone.
 
 ``walk_operator`` (A/d) is the one operator behind the spectral certificate
 (``expanders.second_eigenvalue``) and ``confinement_probability``, the exact
@@ -44,28 +46,42 @@ class WalkTrace:
 
 def random_walk(g: Graph, t: int, rng: np.random.Generator) -> WalkTrace:
     """Uniform-start t-step random walk; each step is a uniform neighbor."""
+    return WalkTrace(vertices=tuple(walk_block(g, t, [rng])[0].tolist()))
+
+
+def walk_block(g: Graph, t: int, generators) -> np.ndarray:
+    """One t-step walk per generator, as a (len(generators), t + 1) int64 block.
+
+    Each generator draws exactly what a lone walk draws: ``integers(n)`` for
+    the start, then, on a regular graph, ``integers(0, d, size=t)`` for the
+    neighbour slots, which all walks then follow in lockstep over
+    ``g.neighbor_table``. Elsewhere the draws depend on the vertex reached,
+    so each walk takes one ``integers(deg)`` CSR slot per step on its own.
+    """
     if t < 0:
         raise ValueError("walk length must be nonnegative")
-    start = int(rng.integers(g.n))
-    verts = [start]
+    generators = list(generators)
+    walks = np.empty((len(generators), t + 1), dtype=np.int64)
     table = g.neighbor_table
     if table is not None and t > 0:
         d = table.shape[1]
-        flat = memoryview(table).cast("B").cast("q")  # flat[v * d + c] = table[v, c]
-        v = start
-        for c in rng.integers(0, d, size=t).tolist():
-            v = flat[v * d + c]
-            verts.append(v)
-    else:
-        indptr, indices = g.neighbors
-        v = start
-        for _ in range(t):
+        slots = np.empty((len(generators), t), dtype=np.int64)
+        for i, rng in enumerate(generators):
+            walks[i, 0] = rng.integers(g.n)
+            slots[i] = rng.integers(0, d, size=t)
+        flat = table.ravel()
+        for s in range(t):
+            walks[:, s + 1] = flat[walks[:, s] * d + slots[:, s]]
+        return walks
+    indptr, indices = g.neighbors
+    for i, rng in enumerate(generators):
+        v = walks[i, 0] = rng.integers(g.n)
+        for s in range(1, t + 1):
             deg = indptr[v + 1] - indptr[v]
             if deg == 0:
                 raise ValueError(f"walk stuck at isolated vertex {v}")
-            v = int(indices[indptr[v] + rng.integers(deg)])
-            verts.append(v)
-    return WalkTrace(vertices=tuple(verts))
+            v = walks[i, s] = indices[indptr[v] + rng.integers(deg)]
+    return walks
 
 
 def walk_operator(g: Graph):

@@ -2,18 +2,32 @@
 
 These are the straightforward Python forms the package's array kernels
 replaced: the path projection as a set of edge tuples, the good-walk test as
-a loop over the walk's steps, the walk as one neighbour lookup per step, and
-the exact oracles' Dreyfus-Wagner and Held-Karp tables filled one split or
-one predecessor at a time. The walk draws the same random numbers as
-``univlb.walks.random_walk``, and the oracles do the same float additions as
-``univlb.oracles``, so parity tests compare exactly.
+a loop over the walk's steps, the walk as one neighbour lookup per step,
+separation and block alternation over Python sets, the exact oracles'
+Dreyfus-Wagner and Held-Karp tables filled one split or one predecessor at a
+time, and the steiner-lb and tsp-lb trial loops, one trial at a time. The
+walk draws the same random numbers as ``univlb.walks.random_walk``, and the
+oracles and tour legs do the same float additions as the package, so parity
+tests compare exactly.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from univlb.adversary import CertificateFalsification
+from univlb import experiments, rng as rngs
+from univlb.adversary import (
+    CertificateFalsification,
+    SteinerAdversaryConfig,
+    TspAdversaryConfig,
+    is_good_walk,
+    steiner_certificate,
+    tsp_certificate,
+)
+from univlb.experiments import LB_COLUMNS, ConfigError, ExperimentReport
+from univlb.oracles import OracleRefusal, opt_surrogates, steiner_exact, tsp_exact
+from univlb.solutions import project_tour
+from univlb.walks import WalkTrace
 
 
 def project_paths_ref(p, X, m=None) -> float:
@@ -189,3 +203,130 @@ def tsp_exact_ref(m, X) -> tuple[float, list[int]]:
         j = nj
     order.reverse()
     return cost, order
+
+
+def check_separation_ref(q1, q2, m, t) -> bool:
+    """E1 with the cross-pair implication checked over the walks' vertex sets."""
+    if m.d(q1.start, q2.start) < 3 * t:
+        return False
+    for u in q1.vertex_set:
+        for v in q2.vertex_set:
+            if m.d(u, v) < t:
+                raise CertificateFalsification(
+                    f"separation implication violated: d({u},{v}) < {t}")
+    return True
+
+
+def block_alternation_ref(sigma, x1, x2, blocks, fraction=3.0 / 4.0):
+    """(blocks1, blocks2, shared, E2) from the block sets of x1 and x2."""
+    pos, size = sigma.positions, max(1, len(sigma.order) // blocks)
+    hit1, hit2 = ({min(pos[v] // size, blocks - 1) for v in x if v != sigma.root}
+                  for x in (x1, x2))
+    b1, b2, shared = len(hit1), len(hit2), len(hit1 & hit2)
+    e2 = b1 >= fraction * blocks and b2 >= fraction * blocks
+    if e2 and fraction >= 3.0 / 4.0 and shared < blocks / 4.0:
+        raise CertificateFalsification("inclusion-exclusion violated: E2 with < blocks/4 shared")
+    return b1, b2, shared, e2
+
+
+def _walk_ref(cfg, g, t, tag, trial) -> WalkTrace:
+    return WalkTrace(vertices=random_walk_ref(g, t, rngs.stream(cfg.seed, tag, trial)))
+
+
+def _pick_ref(cfg, count, trial) -> int:
+    if count == 1:
+        return 0
+    return int(rngs.stream(cfg.seed, rngs.SOLUTION, trial).integers(count))
+
+
+def _opt_ref(problem, m, x, walks, t, diam, budget, oracle_cap):
+    if m is not None and 0 < oracle_cap and len(x) <= oracle_cap:
+        try:
+            exact = steiner_exact if problem == "steiner" else tsp_exact
+            return exact(m, x, budget), "oracle"
+        except OracleRefusal:
+            pass
+    bounds = opt_surrogates(walks, t, diam)
+    if problem == "steiner":
+        return bounds.steiner, "walk-bound"
+    return bounds.tsp, "walk-tour"
+
+
+def steiner_lb_ref(cfg) -> ExperimentReport:
+    """steiner-lb one trial at a time: rows and the trial counts."""
+    inst = experiments.load_instance(
+        cfg.graph, cfg.metric_cap, need_metric=(cfg.solution == "frt" or cfg.oracle_cap > 0))
+    if inst.girth is None:
+        raise ConfigError("acyclic graph has no girth; steiner-lb needs cycles")
+    t = max(1, inst.girth // 3) if cfg.t == "auto" else int(cfg.t)
+    adv = SteinerAdversaryConfig(t=t, certificate_mode=(3 * t <= inst.girth))
+    solutions = experiments._steiner_solutions(cfg, inst)
+    certifiable = [adv.certificate_mode and experiments._graph_paths(p, inst.graph)
+                   for p in solutions]
+    budget = experiments._budget(cfg.oracle_cap)
+    rows, good_count, certified = [], 0, 0
+    for trial in range(cfg.trials):
+        pick = _pick_ref(cfg, len(solutions), trial)
+        paths = solutions[pick]
+        walk = _walk_ref(cfg, inst.graph, adv.t, rngs.WALK, trial)
+        x = walk.vertex_set - {paths.root}
+        good, _, _ = is_good_walk(walk, paths.first_edges, adv)
+        good_count += good
+        lhs = project_paths_ref(paths, x, inst.metric)
+        if good and certifiable[pick]:
+            cert = steiner_certificate(paths, walk, inst.girth, adv, inst.metric)
+            certified += 1
+            if not cert.holds:
+                raise CertificateFalsification(
+                    f"steiner certificate failed at trial {trial}: {cert.witness}")
+            assert cert.lhs == lhs
+        opt, opt_kind = _opt_ref("steiner", inst.metric, x, [walk], adv.t, inst.diameter,
+                                 budget, cfg.oracle_cap)
+        rows.append({
+            "trial": trial, "n": inst.graph.n, "d": inst.d, "girth": inst.girth,
+            "t": adv.t, "x_size": len(x), "good": good, "e1": None, "e2": None,
+            "shared": None, "lhs": lhs, "rhs": len(x) * inst.girth / 6.0,
+            "ratio": lhs / opt if opt > 0 else float("nan"), "opt_kind": opt_kind,
+        })
+    return ExperimentReport(config=cfg.values, columns=LB_COLUMNS, rows=rows, aggregates={
+        "good_walk_frequency": good_count / cfg.trials if cfg.trials else 0.0,
+        "certified_samples": certified})
+
+
+def tsp_lb_ref(cfg) -> ExperimentReport:
+    """tsp-lb one trial at a time: rows and the trial counts."""
+    inst = experiments.load_instance(cfg.graph, cfg.metric_cap, need_metric=True)
+    m = inst.metric
+    base = TspAdversaryConfig.paper_default(inst.graph.n, inst.d)
+    adv = TspAdversaryConfig(t=base.t if cfg.t == "auto" else int(cfg.t),
+                             blocks=base.blocks if cfg.blocks == "auto" else int(cfg.blocks))
+    tours = experiments._tour_solutions(cfg, inst)
+    budget = experiments._budget(cfg.oracle_cap)
+    rows, qualifying, e1_count = [], 0, 0
+    for trial in range(cfg.trials):
+        sigma = tours[_pick_ref(cfg, len(tours), trial)]
+        q1 = _walk_ref(cfg, inst.graph, adv.t, rngs.WALK, trial)
+        q2 = _walk_ref(cfg, inst.graph, adv.t, rngs.WALK2, trial)
+        x1, x2 = q1.vertex_set - {sigma.root}, q2.vertex_set - {sigma.root}
+        x = x1 | x2
+        e1 = check_separation_ref(q1, q2, m, adv.t)
+        _, _, shared, e2 = block_alternation_ref(sigma, x1, x2, adv.blocks,
+                                                 adv.alternation_fraction)
+        lhs = project_tour(sigma, m, x)
+        e1_count += e1
+        if e1 and e2:
+            qualifying += 1
+            cert = tsp_certificate(sigma, m, x1, x2, adv.t, adv.blocks)
+            if not cert.holds:
+                raise CertificateFalsification(
+                    f"tsp certificate failed at trial {trial}: {cert.witness}")
+        opt, opt_kind = _opt_ref("tsp", m, x, [q1, q2], adv.t, inst.diameter, budget,
+                                 cfg.oracle_cap)
+        rows.append({
+            "trial": trial, "n": inst.graph.n, "d": inst.d, "girth": inst.girth,
+            "t": adv.t, "x_size": len(x), "good": None, "e1": e1, "e2": e2,
+            "shared": shared, "lhs": lhs, "rhs": float(shared * adv.t),
+            "ratio": lhs / opt if opt > 0 else float("nan"), "opt_kind": opt_kind,
+        })
+    return ExperimentReport(config=cfg.values, columns=LB_COLUMNS, rows=rows, aggregates={
+        "qualifying_samples": qualifying, "e1_samples": e1_count})

@@ -204,6 +204,21 @@ def test_lps_guard_connected(monkeypatch):
         lps_graph.__wrapped__(5, 13)
 
 
+def test_lps_beta_gate_fails_end_to_end(monkeypatch):
+    # C_2184(+-1, +-2, +-3): connected and 6-regular like lps(5,13), but no
+    # expander, so its beta is over the Ramanujan bound 2 sqrt(5) / 6
+    def circulant(p, q):
+        n = 2184
+        return Graph(n=n, edges=[(i, (i + k) % n) for k in (1, 2, 3) for i in range(n)])
+
+    monkeypatch.setattr(expanders, "_cayley_graph", circulant)
+    lps_graph.cache_clear()
+    with pytest.raises(ExpanderError, match="exceeds the Ramanujan bound"):
+        lps_graph(5, 13)
+    with pytest.raises(ExpanderError, match="exceeds the Ramanujan bound"):
+        run_experiment(RunConfig.make(pipeline="steiner-lb", graph="lps:5,13", trials=1))
+
+
 def test_lps_psl_case():
     # 13 is a quadratic residue mod 17, so the graph lives on PSL(2,17).
     g, cert = lps_graph(13, 17)

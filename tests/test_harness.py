@@ -97,13 +97,14 @@ def test_graph_paths_checked_only_in_certificate_mode(monkeypatch, t, checks):
 
 
 def test_steiner_lb_projects_each_trial_once(monkeypatch):
-    # a certified trial takes lhs from the certificate's own projection
-    in_loop = _count_calls(monkeypatch, experiments, "project_paths")
+    # a certified trial takes lhs from the certificate's own projection, and
+    # the chunk projection takes every other row (args[2] is its walk block)
+    in_chunks = _count_calls(monkeypatch, experiments, "project_path_rows")
     in_certificate = _count_calls(monkeypatch, adversary, "project_paths")
     report = run_experiment(RunConfig.make(pipeline="steiner-lb", graph="lps:5,13",
                                            t="auto", trials=200))
-    assert report.aggregates["certified_samples"] > 0
-    assert len(in_loop) + len(in_certificate) == 200
+    assert report.aggregates["certified_samples"] == len(in_certificate) > 0
+    assert sum(len(args[2]) for args in in_chunks) + len(in_certificate) == 200
 
 
 # tsp-lb at oracle_cap=3 draws no X that small in 30 trials (two t=2 walks

@@ -1,10 +1,11 @@
 """Parity of the array kernels with their loop references.
 
-``project_paths`` reads ``PathCollection.edge_keys``, ``random_walk`` reads
-a flat view of the neighbour table, ``is_good_walk`` counts in one pass, and
-the exact oracles fill their tables one array min (Dreyfus-Wagner) or argmin
-(Held-Karp) at a time; each must give exactly what the loops in
-``kernels_ref`` give.
+``project_paths`` and ``project_path_rows`` read ``PathCollection.edge_keys``,
+``walk_block`` walks its rows in lockstep over the neighbour table,
+``good_walks`` tests a block of walks in one pass, ``project_tour_rows`` sums
+the legs of a block of tours, and the exact oracles fill their tables one
+array min (Dreyfus-Wagner) or argmin (Held-Karp) at a time; each must give
+exactly what the loops in ``kernels_ref`` give.
 """
 
 from __future__ import annotations
@@ -20,13 +21,24 @@ from kernels_ref import (
     steiner_exact_ref,
     tsp_exact_ref,
 )
-from univlb.adversary import SteinerAdversaryConfig, is_good_walk
+from univlb.adversary import SteinerAdversaryConfig, good_walks, is_good_walk
 from univlb.graphs import Graph
 from univlb.metric import MetricSpace
 from univlb.oracles import DEFAULT_BUDGET, steiner_exact, steiner_exact_witness, tsp_exact_witness
 from univlb.rng import stream
-from univlb.solutions import PathCollection, bfs_tree, project_paths, tree_to_path_collection
-from univlb.walks import random_walk
+from univlb.solutions import (
+    PathCollection,
+    TourOrder,
+    bfs_tree,
+    project_path_rows,
+    project_paths,
+    project_tour,
+    project_tour_rows,
+    stack_edge_keys,
+    tour_tables,
+    tree_to_path_collection,
+)
+from univlb.walks import WalkTrace, random_walk, walk_block
 
 
 @st.composite
@@ -117,6 +129,17 @@ def test_random_walk_matches_per_step_reference(g, t, seed):
     assert w.vertices == random_walk_ref(g, t, stream(seed, 1))
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(regular_graphs(), irregular_graphs()), st.integers(0, 40),
+       st.lists(st.integers(0, 2 ** 16), max_size=6))
+def test_walk_block_rows_are_the_lone_walks(g, t, seeds):
+    block = walk_block(g, t, [stream(seed, 1) for seed in seeds])
+    assert block.shape == (len(seeds), t + 1) and block.dtype == np.int64
+    for row, seed in zip(block.tolist(), seeds):
+        assert tuple(row) == random_walk(g, t, stream(seed, 1)).vertices
+        assert tuple(row) == random_walk_ref(g, t, stream(seed, 1))
+
+
 def test_random_walk_matches_reference_on_lps(lps_5_13):
     g, _ = lps_5_13
     assert g.neighbor_table is not None
@@ -134,6 +157,53 @@ def test_is_good_walk_matches_step_loop_reference(g, t, seed, data):
     cfg = SteinerAdversaryConfig(t=t, bad_edge_fraction=data.draw(st.floats(0, 1)),
                                  distinct_fraction=data.draw(st.floats(0, 1)))
     assert is_good_walk(w, F, cfg) == is_good_walk_ref(w, F, cfg)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(path_collections(), min_size=1, max_size=3), st.integers(1, 12), st.data())
+def test_block_kernels_match_the_per_walk_references(collections, t, data):
+    # collections of one n, rows of arbitrary vertices: the good-walk test
+    # and the projection read the path tables, not the graph
+    n = collections[0][0].n
+    collections = [p for p, _ in collections if p.n == n]
+    rows = data.draw(st.lists(st.lists(st.integers(0, n - 1), min_size=t + 1, max_size=t + 1),
+                              max_size=5))
+    walks = np.array(rows, dtype=np.int64).reshape(len(rows), t + 1)
+    pick = np.array(data.draw(st.lists(st.integers(0, len(collections) - 1),
+                                       min_size=len(rows), max_size=len(rows))), dtype=np.int64)
+    cfg = SteinerAdversaryConfig(t=t, bad_edge_fraction=data.draw(st.floats(0, 1)),
+                                 distinct_fraction=data.draw(st.floats(0, 1)))
+    firsts = np.stack([p.first_steps for p in collections])
+    good, bad, distinct = good_walks(walks, firsts[pick[:, None], walks], cfg)
+    metric = MetricSpace(n=n, dist=_symmetric(n, stream(t), integral=True), root=0)
+    keys = stack_edge_keys(collections)
+    costs = project_path_rows(keys, pick, walks)
+    metric_costs = project_path_rows(keys, pick, walks, metric)
+    for i, row in enumerate(rows):
+        p = collections[pick[i]]
+        ref = is_good_walk_ref(WalkTrace(vertices=tuple(row)), p.first_edges, cfg)
+        assert (bool(good[i]), int(bad[i]), int(distinct[i])) == ref
+        assert costs[i] == project_paths_ref(p, row)
+        assert metric_costs[i] == project_paths_ref(p, row, metric)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 12), st.integers(1, 3), st.booleans(), st.data())
+def test_project_tour_rows_adds_the_legs_as_project_tour(n, count, integral, data):
+    root = data.draw(st.integers(0, n - 1))
+    others = [v for v in range(n) if v != root]
+    tours = [TourOrder(root=root, order=tuple(data.draw(st.permutations(others))))
+             for _ in range(count)]
+    width = data.draw(st.integers(0, 8))
+    rows = data.draw(st.lists(st.lists(st.integers(0, n - 1), min_size=width, max_size=width),
+                              max_size=5))
+    xs = np.array(rows, dtype=np.int64).reshape(len(rows), width)
+    pick = np.array(data.draw(st.lists(st.integers(0, count - 1), min_size=len(rows),
+                                       max_size=len(rows))), dtype=np.int64)
+    m = MetricSpace(n=n, dist=_symmetric(n, stream(n, width), integral), root=root)
+    costs = project_tour_rows(*tour_tables(tours), pick, xs, m)
+    for i, row in enumerate(rows):
+        assert costs[i] == project_tour(tours[pick[i]], m, set(row))
 
 
 def _closed_metric(n: int, root: int, rng: np.random.Generator, integral: bool) -> MetricSpace:
