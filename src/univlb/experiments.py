@@ -18,16 +18,19 @@ to exit code 2.
 
 ``steiner-lb`` and ``tsp-lb`` run their trials in chunks of at most
 ``CHUNK_BYTES // row_bytes`` trials, so a run's peak memory does not grow
-with its trial count. Within a chunk each trial still draws only from its
-own substreams, exactly what a lone trial draws: its solution index
-(SOLUTION, only when there are several solutions) and its walk (WALK, and
-WALK2 for tsp-lb's second walk: the start, then the neighbour slots).
-Everything after the draws is an array pass over the chunk's rows: the
-walks advance in lockstep, then the good-walk, separation and block tests
-and the path and tour projections. Only the certificates and the exact
-oracles run one trial at a time, on the rows that call for them, so the
-rows equal those of a per-trial loop, and a falsification names the first
-failing trial.
+with its trial count. Each trial draws only from its own substreams: its
+solution index (SOLUTION, only when there are several solutions) and its
+walk (WALK, and WALK2 for tsp-lb's second walk: the start, then the
+neighbour slots). A chunk's draws are computed in bulk by ``rng.draw_rows``,
+bit for bit what each trial's own stream gives; its first row is checked
+against ``stream``, and the rare rows the array pass does not cover are
+drawn by ``stream`` itself. Only walks on an irregular graph, whose draws
+depend on the vertices reached, take one generator per trial. Everything
+after the draws is an array pass over the chunk's rows: the walks advance
+in lockstep, then the good-walk, separation and block tests and the path
+and tour projections. Only the certificates and the exact oracles run one
+trial at a time, on the rows that call for them, so the rows equal those
+of a per-trial loop, and a falsification names the first failing trial.
 """
 
 from __future__ import annotations
@@ -84,7 +87,7 @@ from .solutions import (
     tree_to_path_collection,
     tree_to_tour,
 )
-from .walks import WalkTrace, walk_block
+from .walks import WalkTrace, slot_bounds, walk_block
 from .walks import random_walk  # noqa: F401 (perfbench's tracer test checks this binding)
 
 
@@ -302,13 +305,16 @@ def _picks(cfg: RunConfig, count: int, trials: range) -> np.ndarray:
     when there is more than one solution."""
     if count == 1:
         return np.zeros(len(trials), dtype=np.int64)
-    return np.array([rngs.stream(cfg.seed, rngs.SOLUTION, trial).integers(count)
-                     for trial in trials], dtype=np.int64)
+    return rngs.draw_rows(cfg.seed, rngs.SOLUTION, trials, [count])[:, 0]
 
 
 def _walks(cfg: RunConfig, g: Graph, t: int, tag: int, trials: range) -> np.ndarray:
-    """The trials' walks, row i drawn from trial i's own ``tag`` substream."""
-    return walk_block(g, t, [rngs.stream(cfg.seed, tag, trial) for trial in trials])
+    """The trials' walks, row i drawn from trial i's own ``tag`` substream:
+    in bulk on a regular graph, one generator per trial elsewhere."""
+    bounds = slot_bounds(g, t)
+    if bounds is None:
+        return walk_block(g, t, [rngs.stream(cfg.seed, tag, trial) for trial in trials])
+    return walk_block(g, t, rngs.draw_rows(cfg.seed, tag, trials, bounds))
 
 
 def run_steiner_lb(cfg: RunConfig) -> ExperimentReport:
@@ -417,7 +423,7 @@ def _budget(oracle_cap: int) -> OracleBudget:
 def _surrogate(problem: str, walk_count: int, t: int, diam: int) -> tuple[float, str]:
     """The walk surrogate of ``problem`` ("steiner" or "tsp") for every trial
     of a run: the bounds read only the walks' step counts, t each."""
-    bounds = opt_surrogates([WalkTrace(vertices=(0,) * (t + 1))] * walk_count, t, diam)
+    bounds = opt_surrogates([t] * walk_count, diam)
     if problem == "steiner":
         return bounds.steiner, "walk-bound"
     return bounds.tsp, "walk-tour"
@@ -499,6 +505,8 @@ def run_tsp_lb(cfg: RunConfig) -> ExperimentReport:
         "e1_samples": e1_count,
         "ratio_median": float(np.median(arr)),
         "blocks": adv.blocks, "t": adv.t,
+        # E1 needs walks that start 3t apart, so no sample qualifies
+        "vacuous": 3 * adv.t > inst.diameter,
         "girth": inst.girth, "diameter": inst.diameter, "beta": inst.beta,
         "label": inst.label,
     }
@@ -514,11 +522,11 @@ def _tour_solutions(cfg: RunConfig, inst: InstanceBundle) -> list[TourOrder]:
     if cfg.solution == "spt-tour":
         return [tree_to_tour(bfs_tree(inst.graph, root))]
     if cfg.solution in ("random-tour", "spt"):
-        non_root = np.array([v for v in range(inst.graph.n) if v != root])
+        non_root = np.delete(np.arange(inst.graph.n), root)
         out = []
         for i in range(cfg.solution_count):
             perm = rngs.stream(cfg.seed, rngs.TOUR, i).permutation(non_root)
-            out.append(TourOrder(root=root, order=tuple(int(v) for v in perm)))
+            out.append(TourOrder(root=root, order=tuple(perm.tolist())))
         return out
     raise ConfigError(f"unknown tour solution {cfg.solution!r}")
 

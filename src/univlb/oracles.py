@@ -20,7 +20,6 @@ import numpy as np
 
 from .adversary import CertificateFalsification
 from .metric import MetricSpace
-from .walks import WalkTrace
 
 
 class OracleRefusal(ValueError):
@@ -202,22 +201,21 @@ class SurrogateBounds:
     tsp: float
 
 
-def opt_surrogates(
-    walks: list[WalkTrace], girth_t: int, diam: float
-) -> SurrogateBounds:
-    """Walk-based upper bounds on the optima for walk-induced terminal sets.
+def opt_surrogates(step_counts: list[int], diam: float) -> SurrogateBounds:
+    """Walk-based upper bounds on the optima for walk-induced terminal sets,
+    from the walks' step counts.
 
     Steiner: traverse the single walk (t edges) and connect once to the root
     (at most the diameter): t + diam. TSP with two walks: root to first walk,
     traverse it, hop to the second, traverse it, return: t1 + t2 + 3*diam.
     """
-    if not walks:
+    if not step_counts:
         raise ValueError("need at least one walk")
-    t_sum = sum(w.steps for w in walks)
-    if len(walks) == 1:
-        steiner = walks[0].steps + diam
+    t_sum = sum(step_counts)
+    if len(step_counts) == 1:
+        steiner = t_sum + diam
         tsp = 2.0 * steiner
     else:
-        steiner = t_sum + len(walks) * diam
-        tsp = t_sum + (len(walks) + 1) * diam
+        steiner = t_sum + len(step_counts) * diam
+        tsp = t_sum + (len(step_counts) + 1) * diam
     return SurrogateBounds(steiner=float(steiner), tsp=float(tsp))

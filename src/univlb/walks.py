@@ -1,9 +1,15 @@
 """Random walks on graphs and the walk operator of a regular graph.
 
 A t-step walk starts at a uniform vertex and moves to a uniform neighbor at
-each step. Traces are reproducible bit-exactly from (graph, generator state):
-``walk_block`` walks one generator per row, and its row i is the walk
-``random_walk`` draws from that generator alone.
+each step. Traces are reproducible bit-exactly from (graph, generator state).
+On a regular graph a walk's draws do not depend on where it goes: the
+``slot_bounds`` of a walk are ``integers(n)`` for its start and ``integers(d)``
+for each step's neighbour slot. So a whole chunk of trials' draws can be
+computed in bulk (``rng.draw_rows``, bit for bit what each trial's own stream
+gives) and ``walk_block`` only follows the slots in lockstep. Elsewhere the
+bound of a step is the degree of the vertex reached, and ``walk_block`` takes
+one generator per row. ``random_walk`` is one row of the same block, drawn
+from its generator.
 
 ``walk_operator`` (A/d) is the one operator behind the spectral certificate
 (``expanders.second_eigenvalue``) and ``confinement_probability``, the exact
@@ -46,33 +52,50 @@ class WalkTrace:
 
 def random_walk(g: Graph, t: int, rng: np.random.Generator) -> WalkTrace:
     """Uniform-start t-step random walk; each step is a uniform neighbor."""
-    return WalkTrace(vertices=tuple(walk_block(g, t, [rng])[0].tolist()))
+    table = g.neighbor_table
+    if table is None:
+        block = walk_block(g, t, [rng])
+    else:
+        # the draws of slot_bounds, the t slots in one call
+        draws = np.concatenate([[rng.integers(g.n)], rng.integers(0, table.shape[1], size=t)])
+        block = walk_block(g, t, draws[None])
+    return WalkTrace(vertices=tuple(block[0].tolist()))
 
 
-def walk_block(g: Graph, t: int, generators) -> np.ndarray:
-    """One t-step walk per generator, as a (len(generators), t + 1) int64 block.
+def slot_bounds(g: Graph, t: int) -> list[int] | None:
+    """What a t-step walk on a regular graph draws, in order: ``integers(n)``
+    for its start, then ``integers(d)`` for each step's neighbour slot. None
+    on other graphs, where a step's bound depends on the vertex reached."""
+    table = g.neighbor_table
+    return None if table is None else [g.n] + [table.shape[1]] * t
 
-    Each generator draws exactly what a lone walk draws: ``integers(n)`` for
-    the start, then, on a regular graph, ``integers(0, d, size=t)`` for the
-    neighbour slots, which all walks then follow in lockstep over
-    ``g.neighbor_table``. Elsewhere the draws depend on the vertex reached,
-    so each walk takes one ``integers(deg)`` CSR slot per step on its own.
+
+def walk_block(g: Graph, t: int, draws) -> np.ndarray:
+    """One t-step walk per row of ``draws``, as a (rows, t + 1) int64 block.
+
+    On a regular graph ``draws`` is a (rows, t + 1) int64 array drawn to
+    ``slot_bounds``: each row's start, then its t neighbour slots, which all
+    walks follow in lockstep over ``g.neighbor_table``. On any graph it may
+    instead be one generator per row; each walk then draws ``integers(n)``
+    and one ``integers(deg)`` CSR slot per step on its own, which on a regular
+    graph are the same draws and the same walk.
     """
     if t < 0:
         raise ValueError("walk length must be nonnegative")
-    generators = list(generators)
-    walks = np.empty((len(generators), t + 1), dtype=np.int64)
-    table = g.neighbor_table
-    if table is not None and t > 0:
-        d = table.shape[1]
-        slots = np.empty((len(generators), t), dtype=np.int64)
-        for i, rng in enumerate(generators):
-            walks[i, 0] = rng.integers(g.n)
-            slots[i] = rng.integers(0, d, size=t)
-        flat = table.ravel()
+    if isinstance(draws, np.ndarray):
+        table = g.neighbor_table
+        if table is None:
+            raise ValueError("drawn neighbour slots need a regular graph")
+        if draws.shape[1:] != (t + 1,):
+            raise ValueError(f"a {t}-step walk needs {t + 1} draws per row")
+        walks = np.empty_like(draws)
+        walks[:, 0] = draws[:, 0]
+        d, flat = table.shape[1], table.ravel()
         for s in range(t):
-            walks[:, s + 1] = flat[walks[:, s] * d + slots[:, s]]
+            walks[:, s + 1] = flat[walks[:, s] * d + draws[:, s + 1]]
         return walks
+    generators = list(draws)
+    walks = np.empty((len(generators), t + 1), dtype=np.int64)
     indptr, indices = g.neighbors
     for i, rng in enumerate(generators):
         v = walks[i, 0] = rng.integers(g.n)

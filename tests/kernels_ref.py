@@ -239,14 +239,14 @@ def _pick_ref(cfg, count, trial) -> int:
     return int(rngs.stream(cfg.seed, rngs.SOLUTION, trial).integers(count))
 
 
-def _opt_ref(problem, m, x, walks, t, diam, budget, oracle_cap):
+def _opt_ref(problem, m, x, walks, diam, budget, oracle_cap):
     if m is not None and 0 < oracle_cap and len(x) <= oracle_cap:
         try:
             exact = steiner_exact if problem == "steiner" else tsp_exact
             return exact(m, x, budget), "oracle"
         except OracleRefusal:
             pass
-    bounds = opt_surrogates(walks, t, diam)
+    bounds = opt_surrogates([w.steps for w in walks], diam)
     if problem == "steiner":
         return bounds.steiner, "walk-bound"
     return bounds.tsp, "walk-tour"
@@ -280,8 +280,8 @@ def steiner_lb_ref(cfg) -> ExperimentReport:
                 raise CertificateFalsification(
                     f"steiner certificate failed at trial {trial}: {cert.witness}")
             assert cert.lhs == lhs
-        opt, opt_kind = _opt_ref("steiner", inst.metric, x, [walk], adv.t, inst.diameter,
-                                 budget, cfg.oracle_cap)
+        opt, opt_kind = _opt_ref("steiner", inst.metric, x, [walk], inst.diameter, budget,
+                                 cfg.oracle_cap)
         rows.append({
             "trial": trial, "n": inst.graph.n, "d": inst.d, "girth": inst.girth,
             "t": adv.t, "x_size": len(x), "good": good, "e1": None, "e2": None,
@@ -320,7 +320,7 @@ def tsp_lb_ref(cfg) -> ExperimentReport:
             if not cert.holds:
                 raise CertificateFalsification(
                     f"tsp certificate failed at trial {trial}: {cert.witness}")
-        opt, opt_kind = _opt_ref("tsp", m, x, [q1, q2], adv.t, inst.diameter, budget,
+        opt, opt_kind = _opt_ref("tsp", m, x, [q1, q2], inst.diameter, budget,
                                  cfg.oracle_cap)
         rows.append({
             "trial": trial, "n": inst.graph.n, "d": inst.d, "girth": inst.girth,

@@ -126,7 +126,7 @@ def test_oracle_rows_divide_by_the_exact_optimum(lps_5_13, lps_5_13_metric, pipe
             walks.append(random_walk(g, row["t"], rngs.stream(seed, rngs.WALK2, row["trial"])))
         x = set().union(*(w.vertex_set for w in walks)) - {0}
         assert len(x) == row["x_size"]
-        bounds = opt_surrogates(walks, row["t"], cert.diameter)
+        bounds = opt_surrogates([w.steps for w in walks], cert.diameter)
         if pipeline == "steiner-lb":
             opt, surrogate = steiner_exact(lps_5_13_metric, x), bounds.steiner
         else:
@@ -207,6 +207,19 @@ def test_json_report_written(tmp_path):
     assert doc["config"]["universe"] == 5
     assert doc["row_count"] == 2
     assert doc["aggregates"]["audit_failures"] == 0
+
+
+@pytest.mark.parametrize("t, vacuous", [(2, False), (3, True)])
+def test_tsp_lb_marks_a_vacuous_config(t, vacuous, tmp_path):
+    # lps(5,13) has diameter 7: E1 asks for walks starting 3t apart
+    cfg = RunConfig.make(pipeline="tsp-lb", graph="lps:5,13", t=t, trials=200, seed=5,
+                         json=str(tmp_path / "rep.json"))
+    report = run_experiment(cfg)
+    doc = json.loads((tmp_path / "rep.json").read_text())
+    assert doc["aggregates"]["diameter"] == 7
+    assert doc["aggregates"]["vacuous"] is vacuous
+    assert (doc["aggregates"]["e1_samples"] == 0) is vacuous
+    assert "vacuous" not in report.csv_text()
 
 
 def test_frt_solution_measured_not_certified(tmp_path):

@@ -25,7 +25,7 @@ from univlb.adversary import SteinerAdversaryConfig, good_walks, is_good_walk
 from univlb.graphs import Graph
 from univlb.metric import MetricSpace
 from univlb.oracles import DEFAULT_BUDGET, steiner_exact, steiner_exact_witness, tsp_exact_witness
-from univlb.rng import stream
+from univlb.rng import WALK, draw_rows, stream
 from univlb.solutions import (
     PathCollection,
     TourOrder,
@@ -38,7 +38,7 @@ from univlb.solutions import (
     tour_tables,
     tree_to_path_collection,
 )
-from univlb.walks import WalkTrace, random_walk, walk_block
+from univlb.walks import WalkTrace, random_walk, slot_bounds, walk_block
 
 
 @st.composite
@@ -131,13 +131,23 @@ def test_random_walk_matches_per_step_reference(g, t, seed):
 
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(regular_graphs(), irregular_graphs()), st.integers(0, 40),
-       st.lists(st.integers(0, 2 ** 16), max_size=6))
-def test_walk_block_rows_are_the_lone_walks(g, t, seeds):
-    block = walk_block(g, t, [stream(seed, 1) for seed in seeds])
-    assert block.shape == (len(seeds), t + 1) and block.dtype == np.int64
-    for row, seed in zip(block.tolist(), seeds):
-        assert tuple(row) == random_walk(g, t, stream(seed, 1)).vertices
-        assert tuple(row) == random_walk_ref(g, t, stream(seed, 1))
+       st.integers(0, 2 ** 16), st.lists(st.integers(0, 2 ** 16), max_size=6))
+def test_walk_block_rows_are_the_lone_walks(g, t, seed, trials):
+    # the trial engine's input: bulk slot draws on a regular graph, else generators
+    generators = [stream(seed, WALK, trial) for trial in trials]
+    bounds = slot_bounds(g, t)
+    block = walk_block(g, t, generators if bounds is None
+                       else draw_rows(seed, WALK, trials, bounds))
+    assert block.shape == (len(trials), t + 1) and block.dtype == np.int64
+    for row, trial in zip(block.tolist(), trials):
+        assert tuple(row) == random_walk(g, t, stream(seed, WALK, trial)).vertices
+        assert tuple(row) == random_walk_ref(g, t, stream(seed, WALK, trial))
+    if bounds is not None:  # generators walk a regular graph the same way
+        again = walk_block(g, t, [stream(seed, WALK, trial) for trial in trials])
+        assert again.tolist() == block.tolist()
+    else:
+        with pytest.raises(ValueError, match="need a regular graph"):
+            walk_block(g, t, np.zeros((1, t + 1), dtype=np.int64))
 
 
 def test_random_walk_matches_reference_on_lps(lps_5_13):
