@@ -246,10 +246,9 @@ def _blocks_hit(
 
     The root is not on the tour, so it hits no block.
     """
-    pos, size = sigma.positions, len(sigma.order)
-
     def hit(x: set[int]) -> set[int]:
-        return {_block_of_position(pos[v], size, blocks) for v in x if v != sigma.root}
+        pos = sigma.positions[np.fromiter(x, dtype=np.int64, count=len(x))]
+        return set(_block_of_position(pos[pos >= 0], len(sigma.order), blocks).tolist())
 
     return hit(x1), hit(x2)
 
@@ -307,17 +306,17 @@ def tsp_certificate(
     """
     if x1 & x2:
         raise PreconditionError("terminal classes overlap; E1 cannot have held")
-    pos = sigma.positions
-    xs = sorted((v for v in (x1 | x2) if v != sigma.root), key=pos.__getitem__)
+    xs = np.fromiter(x1 | x2, dtype=np.int64, count=len(x1 | x2))
+    pos = sigma.positions[xs]
+    keep = np.argsort(pos)[np.count_nonzero(pos < 0):]  # in tour order, the root dropped
+    xs, block = xs[keep].tolist(), _block_of_position(pos[keep], len(sigma.order), blocks).tolist()
     hit1, hit2 = _blocks_hit(sigma, x1, x2, blocks)
     shared = len(hit1 & hit2)
     lhs = project_tour(sigma, m, xs)
 
     pairs: list[tuple[int, int]] = []
     used: set[int] = set()
-    for a, b in zip(xs, xs[1:]):
-        ba = _block_of_position(pos[a], len(sigma.order), blocks)
-        bb = _block_of_position(pos[b], len(sigma.order), blocks)
+    for a, b, ba, bb in zip(xs, xs[1:], block, block[1:]):
         if ba != bb or ba in used:
             continue
         if (a in x1 and b in x2) or (a in x2 and b in x1):

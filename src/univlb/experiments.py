@@ -61,11 +61,17 @@ from .expanders import lps_graph
 from .frt import frt_sample, hst_dominates, hst_to_spanning_tree, stretch_stats
 from .graphs import Graph, diameter_ecc, girth as graph_girth, read_graph
 from .metric import MetricSpace, random_euclidean_metric, shortest_path_metric
-from .oracles import OracleBudget, OracleRefusal, opt_surrogates, steiner_exact, tsp_exact
+from .oracles import (
+    OracleBudget,
+    OracleRefusal,
+    opt_surrogates,
+    steiner_exact,
+    steiner_table,
+    tsp_exact,
+)
 from .privacy import (
     LowerBoundWitness,
     MechanismTable,
-    all_subsets,
     dp_audit,
     exponential_mechanism,
     transfer_check,
@@ -676,8 +682,7 @@ def suite_mechanism(
         candidates[f"t{j}"] = SpanningTree(root=m.root, parent=tuple(parent),
                                            edge_cost=costs)
 
-    cost = np.array([[project_tree(tree, X) for tree in candidates.values()]
-                     for X in all_subsets(universe)])
+    cost = _subtree_mask_costs(m, items, list(candidates.values()))
     mech = exponential_mechanism(universe, candidates, cost, eps)
 
     # Singleton {items[i]} is row 1 << i; its optimum is one spoke of cost 1.
@@ -689,9 +694,42 @@ def suite_mechanism(
     return mech, cost, witness
 
 
+def _subtree_mask_costs(m: MetricSpace, items: list[int],
+                        trees: list[SpanningTree]) -> np.ndarray:
+    """``cost[mask, j]``: ``project_tree`` of tree j on the terminal set
+    ``mask`` over ``items`` (bit i for ``items[i]``), for every mask at once.
+
+    Vertex v's edge to its parent is in tree j's projection on X exactly when
+    X meets the items below v, ``sub_j(v)`` as a mask, so
+    ``cost[mask, j] = sum_v w(v) [mask & sub_j(v) != 0]``. The weights are
+    the metric's distances along the tree edges, summed as int64, so the
+    table is exact; a metric whose tree edges are not integral is refused."""
+    masks = np.arange(1 << len(items), dtype=np.int64)
+    bits = 1 << np.arange(len(items), dtype=np.int64)
+    cost = np.zeros((len(masks), len(trees)), dtype=np.int64)
+    for j, tree in enumerate(trees):
+        parent = np.asarray(tree.parent, dtype=np.int64)
+        w = m.dist[np.arange(m.n), parent]
+        if not np.array_equal(w, np.round(w)):
+            raise ConfigError("suite mechanism costs need integral tree edges in the metric")
+        below = np.zeros(m.n, dtype=np.int64)
+        node = np.asarray(items, dtype=np.int64)
+        while (live := node != tree.root).any():  # each item's bit on its root path
+            np.bitwise_or.at(below, node[live], bits[live])
+            node = parent[node]
+        hit = (masks[:, None] & below[None, :]) != 0
+        cost[:, j] = hit @ w.astype(np.int64)
+    return cost.astype(np.float64)
+
+
 def run_dp_transfer(cfg: RunConfig) -> ExperimentReport:
     m = star_metric(cfg.universe)
-    universe = frozenset(range(1, cfg.universe + 1))
+    items = list(range(1, cfg.universe + 1))
+    universe = frozenset(items)
+    # One Dreyfus-Wagner table with the root last: its root column holds the
+    # optimum of every terminal set X plus the root, row X's mask.
+    opt = steiner_table(m, [*items, m.root])[:, m.root]
+    bit = {v: 1 << i for i, v in enumerate(items)}
 
     rows: list[dict[str, object]] = []
     audit_failures = 0
@@ -708,7 +746,7 @@ def run_dp_transfer(cfg: RunConfig) -> ExperimentReport:
         if eps0 > 0 and cfg.eps <= eps0:
             applicable += 1
             chk = transfer_check(mech, cost, witness, cfg.eps,
-                                 opt_fn=lambda X: steiner_exact(m, X))
+                                 opt_fn=lambda X: float(opt[sum(bit[v] for v in X)]))
             ok, prob_beat, bound = chk.ok, chk.prob_beat, chk.bound
             if not ok:
                 transfer_failures += 1

@@ -3,9 +3,15 @@
 ``frt_sample`` draws one hierarchically well-separated tree: a shared random
 permutation settles every point into the ball of the first permutation point
 within radius beta * 2^(i-1) at each level i, with beta uniform in [1, 2) and
-the top scale the smallest power of two at least the diameter. Tree distances
-dominate metric distances on every sample by construction; the O(log n)
-expected stretch is measured, not assumed.
+the top scale the smallest power of two at least the diameter. A level's
+balls are settled for all points at once, one array pass per level. Tree
+distances dominate metric distances on every sample by construction; the
+O(log n) expected stretch is measured, not assumed.
+
+``tree_distances`` finds the lowest common ancestor of every pair of points
+in one pass over a (points x depth) table of their ancestors, so the HST
+domination check and the stretch statistics pay O(points^2 * depth) array
+work and no per-pair loop.
 
 ``hst_to_spanning_tree`` collapses an HST onto a spanning tree of the metric
 points by contracting every internal node to a representative member, losing
@@ -14,6 +20,7 @@ only bounded cost (total tree cost never exceeds total HST weight).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -54,30 +61,61 @@ class HST:
 
 
 def frt_sample(m: MetricSpace, rng: np.random.Generator) -> HST:
-    """One HST from the ball-carving distribution over ``m``."""
+    """One HST from the ball-carving distribution over ``m``.
+
+    Draws beta, then the permutation pi. A level's carving does not depend
+    on the cluster: every point of a cluster at level L joins the child of
+    the first point in pi order within beta * 2^(L-1) of it, so each level
+    settles all points still in clusters of two or more at once, as the
+    first True of their rows of ``dist[:, pi] <= radius``. Nodes are then
+    numbered as a depth-first carving would number them: a pending stack,
+    children pushed in pi order of their ball's point."""
     n = m.n
     beta = float(rng.uniform(1.0, 2.0))
-    pi = [int(v) for v in rng.permutation(n)]
-    rank = {v: i for i, v in enumerate(pi)}
+    perm = rng.permutation(n)
 
     if n == 1:
         leaf = HstNode(level=0, center=0, members=(0,), parent=-1, parent_weight=0.0)
         return HST(nodes=(leaf,), root=0, leaf_of=(0,))
 
+    if np.count_nonzero(m.dist == 0) > n:  # ball carving never parts two such points
+        u, v = next((u, v) for u, v in np.argwhere(m.dist == 0).tolist() if u != v)
+        raise ValueError(f"points {u} and {v} are at distance 0; an HST needs distinct points")
     diam = float(m.dist.max())
     top = max(0, math.ceil(math.log2(diam))) if diam > 0 else 0
+    rank = [0] * n
+    for i, v in enumerate(perm.tolist()):
+        rank[v] = i
 
-    nodes: list[HstNode] = []
+    # carved[i]: the clusters at level top - 1 - i, in the order of their
+    # parent cluster and then of their ball's point in pi, as (first child
+    # cluster of each cluster one level up, center, members). `points` are
+    # the points of clusters with two or more members, each cluster's run
+    # ascending, `cluster` their cluster there, and `parents` the number of
+    # clusters there.
+    carved = []
+    by_rank = m.dist[:, perm]
+    points, cluster, parents, level = list(range(n)), [0] * n, 1, top
+    while points:
+        ball = np.argmax(by_rank[points] <= beta * 2.0 ** (level - 1), axis=1).tolist()
+        groups: dict[int, list[int]] = {}
+        for u, c, w in zip(points, cluster, ball):
+            groups.setdefault(c * n + w, []).append(u)
+        keys = sorted(groups)
+        members = [tuple(groups[k]) for k in keys]
+        first = [0] * (parents + 1)
+        for k in keys:
+            first[k // n + 1] += 1
+        carved.append((list(itertools.accumulate(first)),
+                       [min(g, key=rank.__getitem__) for g in members], members))
+        points = [u for g in members if len(g) > 1 for u in g]
+        cluster = [c for c, g in enumerate(members) if len(g) > 1 for _ in g]
+        parents, level = len(members), level - 1
+
+    nodes = [HstNode(level=top, center=int(perm[0]), members=tuple(range(n)),
+                     parent=-1, parent_weight=0.0)]
+    where = [0]  # the cluster index of each node at its level
     leaf_of = [-1] * n
-
-    def rep(members: tuple[int, ...]) -> int:
-        return min(members, key=rank.__getitem__)
-
-    root = HstNode(level=top, center=rep(tuple(range(n))), members=tuple(range(n)),
-                   parent=-1, parent_weight=0.0)
-    nodes.append(root)
-
-    # Carve top-down; a cluster becomes a leaf once it is a singleton.
     pending = [0]
     while pending:
         idx = pending.pop()
@@ -85,24 +123,14 @@ def frt_sample(m: MetricSpace, rng: np.random.Generator) -> HST:
         if len(node.members) == 1:
             leaf_of[node.members[0]] = idx
             continue
-        level = node.level
-        radius = beta * 2.0 ** (level - 1)
-        groups: dict[int, list[int]] = {}
-        for u in node.members:
-            for w in pi:
-                if m.dist[u, w] <= radius:
-                    groups.setdefault(w, []).append(u)
-                    break
+        first, centers, members = carved[top - node.level]
         # Any two members of the level-`level` cluster are within 2*beta*2^level
         # of each other, so this weight dominates every contracted edge.
-        child_weight = beta * 2.0 ** (level + 1)
-        for w in pi:
-            if w not in groups:
-                continue
-            members = tuple(sorted(groups[w]))
-            child = HstNode(level=level - 1, center=rep(members), members=members,
-                            parent=idx, parent_weight=child_weight)
-            nodes.append(child)
+        child_weight = beta * 2.0 ** (node.level + 1)
+        for c in range(first[where[idx]], first[where[idx] + 1]):
+            nodes.append(HstNode(level=node.level - 1, center=centers[c], members=members[c],
+                                 parent=idx, parent_weight=child_weight))
+            where.append(c)
             node.children.append(len(nodes) - 1)
             pending.append(len(nodes) - 1)
 
@@ -174,9 +202,13 @@ def tree_distances(parent, weight, points) -> np.ndarray:
     ``parent[v]`` is v's parent, with the root its own parent or -1, and
     ``weight[v]`` the cost of the edge from v to its parent. With c(v) the
     root-path cost, accumulated from the root down, the distance is
-    c(u) + c(v) - 2 c(lca); the LCA of all pairs is found at once by
-    stepping the deeper end of every unmet pair up one edge per round.
-    """
+    c(u) + c(v) - 2 c(lca). The LCA of all pairs comes from one
+    (points x depth) table of ancestors, ``up[i, d]`` the ancestor of
+    ``points[i]`` at depth d and the point itself below its own depth: two
+    points' ancestors agree down to their LCA's depth and nowhere below,
+    so the LCA depth is the number of depths where they agree, less one.
+    A point paired with itself agrees at every depth, down to the table's
+    last column, which holds the point."""
     n = len(parent)
     par = np.asarray(parent, dtype=np.int64)
     par = np.where(par < 0, np.arange(n), par)
@@ -191,11 +223,14 @@ def tree_distances(parent, weight, points) -> np.ndarray:
         cost[ready] = cost[par[ready]] + w[ready]
 
     pts = np.asarray(points, dtype=np.int64)
-    a = np.repeat(pts[:, None], len(pts), axis=1)
-    b = a.T.copy()
-    while (unmet := a != b).any():
-        up_a = unmet & (depth[a] >= depth[b])
-        up_b = unmet & ~up_a
-        a[up_a] = par[a[up_a]]
-        b[up_b] = par[b[up_b]]
-    return cost[pts][:, None] + cost[pts][None, :] - 2 * cost[a]
+    rows = np.arange(len(pts))
+    up = np.repeat(pts[:, None], depth[pts].max(initial=0) + 1, axis=1)
+    node = pts
+    for _ in range(up.shape[1]):  # the deepest point reaches the root last
+        up[rows, depth[node]] = node
+        node = par[node]
+    agree = np.zeros((len(pts), len(pts)), dtype=np.int64)
+    for d in range(up.shape[1]):
+        agree += up[:, d, None] == up[None, :, d]
+    lca = up[rows[:, None], agree - 1]
+    return cost[pts][:, None] + cost[pts][None, :] - 2 * cost[lca]

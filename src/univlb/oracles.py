@@ -4,7 +4,10 @@ These are the ratio denominators for the experiments and the ground truth for
 everything else. Each oracle fills one table by array passes:
 
 * ``steiner_table`` -- the Dreyfus-Wagner table dp[S, v] over the metric
-  closure, Steiner vertices drawn from all of V. ``steiner_exact`` reads one
+  closure, Steiner vertices drawn from all of V, filled one popcount level
+  at a time. Each gathered merge temporary holds at most ``_CHUNK`` cells
+  (128 KB; one split row of n cells where n is larger), and every other
+  temporary is the size of the level's rows. ``steiner_exact`` reads one
   cell; ``steiner_exact_witness`` backtracks an optimal tree through it.
 * ``tsp_exact`` -- Held-Karp bitmask DP with fixed start/end at the root.
 
@@ -14,6 +17,7 @@ callers fall back to the walk-based surrogate bounds of ``opt_surrogates``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,32 +48,74 @@ def steiner_table(m: MetricSpace, terminals) -> np.ndarray:
     """Dreyfus-Wagner table: dp[S, v] is the cost of a cheapest tree spanning
     v and the terminals in S, where bit i of S stands for ``terminals[i]``
     (i < k - 1). The last terminal has no bit: OPT of all k is
-    ``dp[-1, terminals[-1]]``, and dp[S, terminals[-1]] is OPT of S plus it."""
+    ``dp[-1, terminals[-1]]``, and dp[S, terminals[-1]] is OPT of S plus it.
+
+    A popcount level at a time, every S of the level merges its splits,
+    ``dp[sub] + dp[S ^ sub]`` gathered from the lower levels and reduced to
+    a per-S min, and then extends through every attachment vertex u,
+    ``min_u merged[:, u] + dist[u]``. Each cell adds the same two operands
+    as a one-subset-at-a-time fill and min is exact, so the table is bit
+    for bit the same."""
     dist = m.dist.astype(np.float64, copy=False)
     nbits = len(terminals) - 1
     dp = np.zeros((1 << nbits, m.n))
-    for S in range(1, 1 << nbits):
-        if S & (S - 1):
-            sub = _splits(S)
-            cand = dp[sub]
-            cand += dp[S ^ sub]  # in place: one (splits, n) temporary fewer
-            merged = cand.min(axis=0)
-        else:
-            merged = dist[terminals[S.bit_length() - 1]]
-        dp[S] = np.min(merged[:, None] + dist, axis=0)
+    if nbits:
+        dp[1 << np.arange(nbits)] = _extend(dist[terminals[:-1]], dist)
+    for S, sub in _level_splits(nbits):
+        merged = np.full((len(S), m.n), np.inf)
+        cols = max(1, _CHUNK // m.n)  # splits per gathered chunk, then S per chunk
+        rows = max(1, _CHUNK // (min(cols, sub.shape[1]) * m.n))
+        for a in range(0, len(S), rows):
+            for b in range(0, sub.shape[1], cols):
+                part = sub[a:a + rows, b:b + cols]
+                cand = dp[part]
+                cand += dp[S[a:a + rows, None] ^ part]  # in place: one temporary fewer
+                np.minimum(merged[a:a + rows], cand.min(axis=1), out=merged[a:a + rows])
+        dp[S] = _extend(merged, dist)
     return dp
 
 
-def _splits(S: int) -> np.ndarray:
-    """Each split of S into nonempty {sub, S ^ sub} once, as the sub with
-    sub < S ^ sub: the nonempty subsets of S without its top bit, ascending."""
-    low = S ^ (1 << (S.bit_length() - 1))
-    sub = np.zeros(1, dtype=np.int64)
-    while low:
-        bit = low & -low
-        sub = np.concatenate([sub, sub + bit])
-        low ^= bit
-    return sub[1:]
+#: Cells of one gathered merge temporary: 128 KB of float64.
+_CHUNK = 1 << 14
+
+
+def _extend(merged: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    """Row s: ``min_u merged[s, u] + dist[u]``, one attachment vertex at a
+    time, so the temporaries stay the size of ``merged``."""
+    out = merged[:, 0, None] + dist[0]
+    for u in range(1, len(dist)):
+        np.minimum(out, merged[:, u, None] + dist[u], out=out)
+    return out
+
+
+@functools.cache
+def _level_splits(nbits: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Per popcount level k = 2..nbits, read-only (S, sub): the masks S with
+    k bits, ascending, and row-wise each split of S into nonempty
+    {sub, S ^ sub} once, as the sub without S's top bit, ascending. Held in
+    the smallest unsigned dtype that fits a mask."""
+    masks = np.arange(1 << nbits)
+    count = np.bitwise_count(masks)
+    dtype = np.min_scalar_type(masks[-1])
+    levels = []
+    for k in range(2, nbits + 1):
+        S = masks[count == k]
+        sub, rest = np.zeros((len(S), 1), dtype=np.int64), S.copy()
+        for _ in range(k - 1):  # double the subsets over S's low bits, lowest first
+            bit = rest & -rest
+            sub = np.concatenate([sub, sub + bit[:, None]], axis=1)
+            rest ^= bit
+        level = (S.astype(dtype), sub[:, 1:].astype(dtype))
+        for table in level:
+            table.setflags(write=False)
+        levels.append(level)
+    return tuple(levels)
+
+
+def _splits(S: int, nbits: int) -> np.ndarray:
+    """The row of ``_level_splits(nbits)`` that holds the splits of S."""
+    masks, sub = _level_splits(nbits)[S.bit_count() - 2]
+    return sub[np.searchsorted(masks, S)]
 
 
 def _check_vertices(m: MetricSpace, vertices: list) -> None:
@@ -138,7 +184,7 @@ def _dw_backtrack(
                 break
         if found or S.bit_count() == 1:
             continue  # attached through w, or a singleton already attached at v
-        sub = _splits(S)
+        sub = _splits(S, len(base))
         sub = sub[dp[sub, v] + dp[S ^ sub, v] <= target + eps]
         if not sub.size:
             raise CertificateFalsification(

@@ -25,7 +25,7 @@ position and order tables of ``tour_tables``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 
@@ -152,21 +152,28 @@ class TourOrder:
 
     root: int
     order: tuple[int, ...]
+    #: Read-only (n,) int64: v's index in ``order``, -1 at the root. Built
+    #: by the check that ``order`` lists each non-root vertex once.
+    positions: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.order) + 1
-        expected = set(range(n)) - {self.root}
-        if set(self.order) != expected:
+        order = np.array(self.order)
+        positions = np.full(n, -1, dtype=np.int64)
+        valid = 0 <= self.root < n and (order.size == 0 or (
+            order.dtype.kind in "iu" and 0 <= order.min() and order.max() < n))
+        if valid:
+            positions[order.astype(np.int64)] = np.arange(n - 1)
+            # the root unlisted and n - 1 distinct slots filled: no repeats
+            valid = positions[self.root] < 0 and np.count_nonzero(positions >= 0) == n - 1
+        if not valid:
             raise ValueError("order must list each non-root vertex exactly once")
+        positions.setflags(write=False)
+        object.__setattr__(self, "positions", positions)
 
     @property
     def n(self) -> int:
         return len(self.order) + 1
-
-    @cached_property
-    def positions(self) -> dict[int, int]:
-        """Vertex -> index in ``order``; built once per tour."""
-        return {v: i for i, v in enumerate(self.order)}
 
 
 def bfs_tree(g: Graph, root: int) -> SpanningTree:
@@ -213,15 +220,14 @@ def project_tour(sigma: TourOrder, m: MetricSpace, X) -> float:
 
 
 def tour_tables(tours) -> tuple[np.ndarray, np.ndarray]:
-    """The tours as two (S, n) int64 tables: ``positions[s, v]`` is v's
-    index in ``tours[s].order`` (-1 at the root), and ``orders[s]`` is that
-    order followed by the root."""
-    n = tours[0].n
-    positions = np.full((len(tours), n), -1, dtype=np.int64)
-    orders = np.empty((len(tours), n), dtype=np.int64)
-    for s, sigma in enumerate(tours):
-        orders[s] = (*sigma.order, sigma.root)
-        positions[s, orders[s, :-1]] = np.arange(n - 1)
+    """The tours as two (S, n) int64 tables: ``positions[s]`` is
+    ``tours[s].positions``, and ``orders[s]`` is that tour's order followed
+    by the root."""
+    positions = np.stack([sigma.positions for sigma in tours])
+    n = positions.shape[1]
+    orders = np.empty_like(positions)
+    np.put_along_axis(orders, np.where(positions < 0, n - 1, positions),
+                      np.arange(n)[None, :], axis=1)
     return positions, orders
 
 

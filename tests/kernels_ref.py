@@ -5,13 +5,18 @@ replaced: the path projection as a set of edge tuples, the good-walk test as
 a loop over the walk's steps, the walk as one neighbour lookup per step,
 separation and block alternation over Python sets, the exact oracles'
 Dreyfus-Wagner and Held-Karp tables filled one split or one predecessor at a
-time, and the steiner-lb and tsp-lb trial loops, one trial at a time. The
-walk draws the same random numbers as ``univlb.walks.random_walk``, and the
-oracles and tour legs do the same float additions as the package, so parity
-tests compare exactly.
+time, the Dreyfus-Wagner table filled one subset at a time, the FRT ball
+carving one member and one permutation point at a time, the tree-distance
+LCA found by stepping the deeper end of every pair up one edge per round,
+and the steiner-lb and tsp-lb trial loops, one trial at a time. The walk
+draws the same random numbers as ``univlb.walks.random_walk``, and the
+oracles, tree distances and tour legs do the same float additions as the
+package, so parity tests compare exactly.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -25,6 +30,7 @@ from univlb.adversary import (
     tsp_certificate,
 )
 from univlb.experiments import LB_COLUMNS, ConfigError, ExperimentReport
+from univlb.frt import HST, HstNode
 from univlb.oracles import OracleRefusal, opt_surrogates, steiner_exact, tsp_exact
 from univlb.solutions import project_tour
 from univlb.walks import WalkTrace
@@ -156,6 +162,108 @@ def _dw_backtrack_ref(
     # The DP can produce zero-length self edges when a terminal doubles as
     # an attachment point; those were skipped above.
     return sorted(set(edges))
+
+
+def steiner_table_ref(m, terminals) -> np.ndarray:
+    """``oracles.steiner_table`` one subset S at a time, in increasing S:
+    all splits of S gathered and reduced, then S extended through every
+    attachment vertex in one (n, n) pass."""
+    dist = m.dist.astype(np.float64, copy=False)
+    nbits = len(terminals) - 1
+    dp = np.zeros((1 << nbits, m.n))
+    for S in range(1, 1 << nbits):
+        if S & (S - 1):
+            sub = _splits_ref(S)
+            cand = dp[sub]
+            cand += dp[S ^ sub]
+            merged = cand.min(axis=0)
+        else:
+            merged = dist[terminals[S.bit_length() - 1]]
+        dp[S] = np.min(merged[:, None] + dist, axis=0)
+    return dp
+
+
+def _splits_ref(S: int) -> np.ndarray:
+    """Each split of S into nonempty {sub, S ^ sub} once, as the sub without
+    S's top bit, ascending."""
+    low = S ^ (1 << (S.bit_length() - 1))
+    sub = np.zeros(1, dtype=np.int64)
+    while low:
+        bit = low & -low
+        sub = np.concatenate([sub, sub + bit])
+        low ^= bit
+    return sub[1:]
+
+
+def frt_sample_ref(m, rng) -> HST:
+    """``frt.frt_sample`` carving one cluster at a time: each member scans
+    the permutation for the first point within the level's radius."""
+    n = m.n
+    beta = float(rng.uniform(1.0, 2.0))
+    pi = [int(v) for v in rng.permutation(n)]
+    rank = {v: i for i, v in enumerate(pi)}
+    if n == 1:
+        leaf = HstNode(level=0, center=0, members=(0,), parent=-1, parent_weight=0.0)
+        return HST(nodes=(leaf,), root=0, leaf_of=(0,))
+    diam = float(m.dist.max())
+    top = max(0, math.ceil(math.log2(diam))) if diam > 0 else 0
+
+    def rep(members: tuple[int, ...]) -> int:
+        return min(members, key=rank.__getitem__)
+
+    nodes = [HstNode(level=top, center=rep(tuple(range(n))), members=tuple(range(n)),
+                     parent=-1, parent_weight=0.0)]
+    leaf_of = [-1] * n
+    pending = [0]
+    while pending:
+        idx = pending.pop()
+        node = nodes[idx]
+        if len(node.members) == 1:
+            leaf_of[node.members[0]] = idx
+            continue
+        radius = beta * 2.0 ** (node.level - 1)
+        groups: dict[int, list[int]] = {}
+        for u in node.members:
+            for w in pi:
+                if m.dist[u, w] <= radius:
+                    groups.setdefault(w, []).append(u)
+                    break
+        child_weight = beta * 2.0 ** (node.level + 1)
+        for w in pi:
+            if w not in groups:
+                continue
+            members = tuple(sorted(groups[w]))
+            nodes.append(HstNode(level=node.level - 1, center=rep(members), members=members,
+                                 parent=idx, parent_weight=child_weight))
+            node.children.append(len(nodes) - 1)
+            pending.append(len(nodes) - 1)
+    return HST(nodes=tuple(nodes), root=0, leaf_of=tuple(leaf_of))
+
+
+def tree_distances_ref(parent, weight, points) -> np.ndarray:
+    """``frt.tree_distances`` with the LCA of every pair found by stepping
+    the deeper end of each unmet pair up one edge per round."""
+    n = len(parent)
+    par = np.asarray(parent, dtype=np.int64)
+    par = np.where(par < 0, np.arange(n), par)
+    w = np.asarray(weight, dtype=np.float64)
+    depth = np.where(par == np.arange(n), 0, -1)
+    cost = np.zeros(n)
+    while (todo := depth < 0).any():
+        ready = todo & (depth[par] >= 0)
+        if not ready.any():
+            raise ValueError("parent map does not reach a root")
+        depth[ready] = depth[par[ready]] + 1
+        cost[ready] = cost[par[ready]] + w[ready]
+    pts = np.asarray(points, dtype=np.int64)
+    a = np.repeat(pts[:, None], len(pts), axis=1)
+    b = a.T.copy()
+    while (unmet := a != b).any():
+        up_a = unmet & (depth[a] >= depth[b])
+        up_b = unmet & ~up_a
+        a[up_a] = par[a[up_a]]
+        b[up_b] = par[b[up_b]]
+    return cost[pts][:, None] + cost[pts][None, :] - 2 * cost[a]
 
 
 def tsp_exact_ref(m, X) -> tuple[float, list[int]]:

@@ -3,28 +3,41 @@
 ``project_paths`` and ``project_path_rows`` read ``PathCollection.edge_keys``,
 ``walk_block`` walks its rows in lockstep over the neighbour table,
 ``good_walks`` tests a block of walks in one pass, ``project_tour_rows`` sums
-the legs of a block of tours, and the exact oracles fill their tables one
-array min (Dreyfus-Wagner) or argmin (Held-Karp) at a time; each must give
-exactly what the loops in ``kernels_ref`` give.
+the legs of a block of tours, the exact oracles fill their tables one
+array min (Dreyfus-Wagner) or argmin (Held-Karp) at a time,
+``steiner_table`` fills one popcount level at a time, ``frt_sample`` settles
+every point of a level at once, and ``tree_distances`` reads each pair's LCA
+from one ancestor table; each must give exactly what the loops in
+``kernels_ref`` give.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kernels_ref import (
+    frt_sample_ref,
     is_good_walk_ref,
     project_paths_ref,
     random_walk_ref,
     steiner_exact_ref,
+    steiner_table_ref,
+    tree_distances_ref,
     tsp_exact_ref,
 )
 from univlb.adversary import SteinerAdversaryConfig, good_walks, is_good_walk
+from univlb.frt import frt_sample, tree_distances
 from univlb.graphs import Graph
 from univlb.metric import MetricSpace
-from univlb.oracles import DEFAULT_BUDGET, steiner_exact, steiner_exact_witness, tsp_exact_witness
+from univlb.oracles import (
+    DEFAULT_BUDGET,
+    steiner_exact,
+    steiner_exact_witness,
+    steiner_table,
+    tsp_exact_witness,
+)
 from univlb.rng import WALK, draw_rows, stream
 from univlb.solutions import (
     PathCollection,
@@ -257,3 +270,123 @@ def test_oracle_tables_match_the_loop_references_at_the_caps(integral):
     assert (cost, edges) == steiner_exact_ref(m, steiner_x)
     tsp_x = range(1, DEFAULT_BUDGET.tsp_terminals + 1)
     assert tsp_exact_witness(m, tsp_x) == tsp_exact_ref(m, tsp_x)
+
+
+def _with_twins(m: MetricSpace, twins: list[tuple[int, int]]) -> MetricSpace:
+    """``m`` with point b moved onto point a for each (a, b): b copies a's
+    distances and sits at distance 0 from it, still a (pseudo)metric."""
+    d = np.array(m.dist)
+    for a, b in twins:
+        if a != b:
+            d[b, :], d[:, b] = d[a, :], d[a, :]
+            d[b, b] = d[a, b] = d[b, a] = 0
+    return MetricSpace(n=m.n, dist=d, root=m.root)
+
+
+@st.composite
+def table_instances(draw):
+    """k = 1..11 distinct terminals in any order on a metric of k..k+4
+    points, integral or float, with twin points at distance 0."""
+    k = draw(st.integers(1, 11))
+    n = draw(st.integers(k, k + 4))
+    m = _closed_metric(n, 0, stream(draw(st.integers(0, 2 ** 16))), draw(st.booleans()))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    m = _with_twins(m, draw(st.lists(pairs, max_size=3)))
+    return m, draw(st.permutations(range(n)))[:k]
+
+
+@settings(max_examples=200, deadline=None)
+@given(table_instances())
+def test_steiner_table_levels_match_the_per_subset_reference(instance):
+    m, terminals = instance
+    table = steiner_table(m, terminals)
+    assert table.tobytes() == steiner_table_ref(m, terminals).tobytes()
+
+
+@pytest.mark.parametrize("k", range(2, 12))
+def test_steiner_table_levels_match_the_per_subset_reference_at_every_k(k):
+    m = _with_twins(_closed_metric(14, 3, stream(44, k), integral=k % 2 == 0), [(1, 2)])
+    terminals = [*range(k - 1, -1, -1)]  # the twins among them from k = 3
+    assert steiner_table(m, terminals).tobytes() == steiner_table_ref(m, terminals).tobytes()
+
+
+def _hst_fields(h):
+    return ([(nd.level, nd.center, nd.members, nd.parent, nd.parent_weight, nd.children)
+             for nd in h.nodes], h.root, h.leaf_of)
+
+
+class _FixedBeta:
+    """A generator whose beta draw is fixed, so that radii beta * 2^(L-1)
+    can equal integral distances; the permutation is drawn as usual."""
+
+    def __init__(self, beta: float, seed: int) -> None:
+        self.beta, self.rng = beta, stream(seed, 1)
+
+    def uniform(self, low: float, high: float) -> float:
+        return self.beta
+
+    def permutation(self, n: int) -> np.ndarray:
+        return self.rng.permutation(n)
+
+
+@settings(max_examples=200, deadline=None)
+@example(n=1, integral=False, beta=None, seed=0)
+@example(n=2, integral=False, beta=None, seed=0)
+@example(n=2, integral=True, beta=1.0, seed=1)
+@given(st.integers(1, 24), st.booleans(), st.sampled_from([None, 1.0, 1.5]),
+       st.integers(0, 2 ** 16))
+def test_frt_sample_matches_the_carving_loop(n, integral, beta, seed):
+    # integral metrics tie often, so first-in-pi choices matter, and with
+    # beta 1 or 1.5 some distances sit exactly on a radius
+    m = _closed_metric(n, 0, stream(seed), integral)
+
+    def rng():
+        return stream(seed, 1) if beta is None else _FixedBeta(beta, seed)
+
+    h = frt_sample(m, rng())
+    assert _hst_fields(h) == _hst_fields(frt_sample_ref(m, rng()))
+    assert all(type(v) is int for nd in h.nodes for v in (nd.level, nd.center, *nd.members))
+
+
+@pytest.mark.parametrize("n", [2, 5])
+def test_frt_sample_refuses_duplicate_points(n):
+    # the carving loop never parts two points at distance 0; it would not end
+    m = _with_twins(_closed_metric(n, 0, stream(45, n), integral=True), [(0, n - 1)])
+    with pytest.raises(ValueError, match=f"points 0 and {n - 1} are at distance 0"):
+        frt_sample(m, stream(45))
+
+
+@st.composite
+def tree_instances(draw):
+    """A parent map with float weights: a path of depth n - 1, a star, a
+    random tree, or an FRT tree whose leaves sit at different levels; the
+    root is its own parent or -1, and the points any subset, repeats allowed."""
+    kind = draw(st.sampled_from(["path", "star", "random", "hst"]))
+    n = draw(st.integers(1, 24))
+    rng = stream(draw(st.integers(0, 2 ** 16)))
+    if kind == "hst":
+        h = frt_sample(_closed_metric(n, 0, rng, draw(st.booleans())), rng)
+        parent = [nd.parent for nd in h.nodes]
+        weight = [nd.parent_weight for nd in h.nodes]
+        nodes = list(h.leaf_of) + draw(st.lists(st.integers(0, len(parent) - 1), max_size=4))
+    else:
+        if kind == "path":
+            parent = [-1, *range(n - 1)]
+        elif kind == "star":
+            parent = [-1] + [0] * (n - 1)
+        else:
+            parent = [-1] + [int(rng.integers(v)) for v in range(1, n)]
+        weight = rng.uniform(0.0, 3.0, size=n).tolist()
+        nodes = list(range(n))
+    if draw(st.booleans()):
+        parent[0] = 0
+    points = draw(st.lists(st.sampled_from(nodes), min_size=1, max_size=16))
+    return parent, weight, points
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree_instances())
+def test_tree_distances_match_the_step_up_reference(data):
+    parent, weight, points = data
+    got = tree_distances(parent, weight, points)
+    assert got.tobytes() == tree_distances_ref(parent, weight, points).tobytes()

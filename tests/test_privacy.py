@@ -9,7 +9,15 @@ from hypothesis import given, settings, strategies as st
 
 from univlb import experiments, privacy, solutions
 from univlb.adversary import CertificateFalsification
-from univlb.experiments import RunConfig, run_experiment, star_metric, suite_mechanism
+from univlb.experiments import (
+    ConfigError,
+    RunConfig,
+    run_experiment,
+    star_metric,
+    suite_mechanism,
+)
+from univlb.graphs import Graph
+from univlb.metric import MetricSpace, shortest_path_metric
 from univlb.oracles import steiner_exact
 from univlb.privacy import (
     RATIO_RTOL,
@@ -290,13 +298,18 @@ def test_transfer_witness_above_its_rho_is_falsified():
 
 
 def test_suite_cost_table_is_the_tree_projections():
-    m = star_metric(5)
-    universe = frozenset(range(1, 6))
-    for i in range(3):
-        mech, cost, _ = suite_mechanism(m, universe, 0.5, stream(18, i))
-        expected = [[project_tree(tree, X) for tree in mech.solutions.values()]
-                    for X in all_subsets(universe)]
-        assert cost.tolist() == expected
+    # every universe size the suite runs at, on the star and on a cycle with
+    # vertices off the universe, so tree edges cost more than 2 and some
+    # vertices hold no item
+    for size in range(1, 11):
+        universe = frozenset(range(1, size + 1))
+        cycle = Graph(n=size + 3, edges=[(v, (v + 1) % (size + 3)) for v in range(size + 3)])
+        for m in (star_metric(size), shortest_path_metric(cycle, 0)):
+            for i in range(3):
+                mech, cost, _ = suite_mechanism(m, universe, 0.5, stream(18, size, i))
+                expected = [[project_tree(tree, X) for tree in mech.solutions.values()]
+                            for X in all_subsets(universe)]
+                assert cost.dtype == np.float64 and cost.tolist() == expected
 
 
 def test_transfer_check_reads_the_cost_table_only(monkeypatch):
@@ -333,18 +346,35 @@ def test_transfer_check_refuses_inputs_off_the_table():
         transfer_check(mech, cost, outside, 0.5, opt_fn=opt)
 
 
-def test_suite_mechanism_enumerates_subsets_once(monkeypatch):
+def test_dp_transfer_solves_and_projects_no_set_alone(monkeypatch):
+    # the cost table is one pass over subtree masks and the optima one
+    # Dreyfus-Wagner table per run: no terminal set is listed, projected or
+    # solved on its own
     calls = []
-    real = privacy.all_subsets
 
-    def counting(universe):
-        calls.append(universe)
-        return real(universe)
+    def counting(name, real):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapped
 
-    monkeypatch.setattr(privacy, "all_subsets", counting)
-    monkeypatch.setattr(experiments, "all_subsets", counting)
-    run_experiment(RunConfig.make(pipeline="dp-transfer", universe=5, mechanisms=3))
-    assert len(calls) == 3
+    for module, name in ((privacy, "all_subsets"), (solutions, "project_tree"),
+                         (experiments, "project_tree"), (experiments, "steiner_exact"),
+                         (experiments, "steiner_table")):
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    report = run_experiment(RunConfig.make(pipeline="dp-transfer", universe=5, mechanisms=3))
+    assert calls == ["steiner_table"]
+    assert report.aggregates["transfer_applicable"] == 3
+
+
+def test_suite_mechanism_refuses_fractional_tree_edges():
+    star = star_metric(4)
+    dist = star.dist.astype(np.float64)
+    dist[1:, 1:] *= 1.25  # leaves 2.5 apart: every detour through a hub is fractional
+    m = MetricSpace(n=star.n, dist=dist, root=0)
+    with pytest.raises(ConfigError, match="integral tree edges") as exc:
+        suite_mechanism(m, frozenset(range(1, 5)), 0.5, stream(21))
+    assert "\n" not in str(exc.value)
 
 
 def test_mechanism_file_roundtrip(tmp_path):

@@ -15,6 +15,7 @@ from univlb.solutions import (
     project_tour,
     project_tree,
     restricted_dfs_order,
+    tour_tables,
     tree_to_path_collection,
     tree_to_tour,
 )
@@ -76,6 +77,33 @@ def test_tour_validation():
         TourOrder(root=0, order=(1, 1, 2))
     with pytest.raises(ValueError):
         TourOrder(root=0, order=(0, 1, 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 9), st.data())
+def test_tour_check_is_the_set_comparison(n, data):
+    # one array pass checks the order and indexes it; it must accept
+    # exactly the orders that list each non-root vertex once
+    root = data.draw(st.integers(-1, n))
+    order = tuple(data.draw(st.lists(st.integers(-1, n), min_size=n - 1, max_size=n - 1)))
+    if data.draw(st.booleans()) and 0 <= root < n:  # a valid order, half the time
+        order = tuple(data.draw(st.permutations([v for v in range(n) if v != root])))
+    valid = set(order) == set(range(n)) - {root}
+    if not valid:
+        with pytest.raises(ValueError, match="each non-root vertex exactly once"):
+            TourOrder(root=root, order=order)
+        return
+    sigma = TourOrder(root=root, order=order)
+    assert sigma.positions.dtype == np.int64 and not sigma.positions.flags.writeable
+    assert sigma.positions.tolist() == [order.index(v) if v != root else -1 for v in range(n)]
+    assert sigma == TourOrder(root=root, order=order) and "positions" not in repr(sigma)
+
+
+def test_tour_check_refuses_non_integer_entries():
+    with pytest.raises(ValueError, match="exactly once"):
+        TourOrder(root=0, order=(1.5, 2))
+    with pytest.raises(ValueError, match="exactly once"):
+        TourOrder(root=0, order=("1", "2"))
 
 
 def test_project_tour_examples(cycle4):
@@ -193,3 +221,12 @@ def test_restricted_dfs_order_is_tour_restriction(data):
     pos = tree_to_tour(t).positions
     assert restricted_dfs_order(t, x) == tuple(sorted(
         (v for v in x if v != t.root), key=pos.__getitem__))
+
+
+def test_tour_tables_stack_the_tours_positions():
+    tours = [TourOrder(root=r, order=tuple(int(v) for v in stream(46, r).permutation(
+        [v for v in range(7) if v != r]))) for r in (0, 3, 6)]
+    positions, orders = tour_tables(tours)
+    for s, sigma in enumerate(tours):
+        assert positions[s].tolist() == sigma.positions.tolist()
+        assert orders[s].tolist() == [*sigma.order, sigma.root]
