@@ -4,11 +4,12 @@ The one construction is ``lps_graph(p, q)``: the Lubotzky-Phillips-Sarnak
 Ramanujan Cayley graphs on PSL(2,q) / PGL(2,q), giving (p+1)-regular graphs
 whose normalized second eigenvalue is at most 2*sqrt(p)/(p+1) and whose girth
 grows logarithmically. Group elements are 2x2 matrices mod q in projective
-canonical form (first nonzero entry 1), held as rows (a, b, c, d) of int64
+canonical form (first nonzero entry 1), held as rows (a, b, c, d) of int32
 arrays. The group is closed by a breadth-first search from the identity that
 multiplies a whole level by every generator in one array pass, finds repeats
 through a table indexed by the packed canonical matrix, and yields the
-(n, p+1) neighbour table the edges are read from.
+(n, p+1) neighbour table. Sorted row by row, that table is the graph's CSR
+as it stands, and the edges are read off it.
 
 Certification encloses beta = |lambda_2| / d by the trace method on the walk
 operator A/d (``second_eigenvalue``), and gates the enclosure's upper end,
@@ -100,7 +101,7 @@ def _canon_rows(mats: np.ndarray, q: int) -> np.ndarray:
     lead = mats[np.arange(len(mats)), np.argmax(mats != 0, axis=1)]
     if not lead.all():
         raise ExpanderError("zero matrix cannot be normalized")
-    inverse = np.array([pow(x, q - 2, q) for x in range(q)], dtype=np.int64)
+    inverse = np.array([pow(x, q - 2, q) for x in range(q)], dtype=mats.dtype)
     return mats * inverse[lead, None] % q
 
 
@@ -179,15 +180,16 @@ def _cayley_graph(p: int, q: int) -> Graph:
     gens, first, gen_mult = np.unique(lps_generators(p, q), axis=0,
                                       return_index=True, return_counts=True)
     by_first = np.argsort(first)
-    gens, gen_mult = gens[by_first], gen_mult[by_first]
-    k = len(gens)
+    # int32 products: entries are below q, so intermediates stay under
+    # 2 (q-1)^2 < 2^31 for any q whose ``slot`` table fits in memory.
+    gens, gen_mult = gens[by_first].astype(np.int32), gen_mult[by_first]
 
     # Level-synchronous closure. A canonical matrix leads with 0 or 1, so it
     # packs into an index below 2*q^3 of ``slot`` (its element index, or -1).
     # Numbering new products by first occurrence in (frontier x generator)
     # order reproduces the queue order of a one-element-at-a-time BFS.
     slot = np.full(2 * q ** 3, -1, dtype=np.int64)
-    frontier = np.array([[1, 0, 0, 1]], dtype=np.int64)
+    frontier = np.array([[1, 0, 0, 1]], dtype=np.int32)
     slot[_pack(frontier, q)] = 0
     n = 1
     nbr_levels = []
@@ -198,8 +200,10 @@ def _cayley_graph(p: int, q: int) -> Graph:
             q)
         key = _pack(prod, q)
         unseen = np.flatnonzero(slot[key] < 0)
-        _, first = np.unique(key[unseen], return_index=True)
-        fresh = unseen[np.sort(first)]
+        # each new key's first position, parked in ``slot`` until numbered
+        slot[key[unseen]] = len(key)
+        np.minimum.at(slot, key[unseen], unseen)
+        fresh = unseen[slot[key[unseen]] == unseen]
         slot[key[fresh]] = np.arange(n, n + len(fresh))
         n += len(fresh)
         nbr_levels.append(slot[key])
@@ -210,21 +214,21 @@ def _cayley_graph(p: int, q: int) -> Graph:
     if n != expected:
         raise ExpanderError(f"group closure has {n} elements, expected {expected}")
 
-    # v is the (n, k) neighbour table flattened: v[u*k + j] is u * gens[j].
-    # Each undirected edge is produced twice (once from either endpoint via
-    # the inverse generator), so halve the multiplicities.
-    u = np.repeat(np.arange(n), k)
-    v = np.concatenate(nbr_levels)
-    pairs, pair_of = np.unique(np.minimum(u, v) * n + np.maximum(u, v), return_inverse=True)
-    count = np.bincount(pair_of, weights=np.tile(gen_mult, n)).astype(np.int64)
-    if np.any(count % 2):
+    # Row u lists u * gens[j]; repeated by multiplicity and sorted, it is u's
+    # neighbour row. Left multiplication is an automorphism, so the rows are
+    # symmetric once vertex 0's are, and list self-loops in pairs once row 0
+    # lists vertex 0 an even number of times.
+    rows = np.sort(np.repeat(np.concatenate(nbr_levels).reshape(n, -1), gen_mult, axis=1), axis=1)
+    lists_identity = (rows == 0).sum(axis=1)
+    if (not np.array_equal(np.bincount(rows[0], minlength=n), lists_identity)
+            or lists_identity[0] % 2):
         raise ExpanderError("generator set is not closed under inverses")
-    return Graph(n=n, edges=np.stack(np.divmod(np.repeat(pairs, count // 2), n), axis=1))
+    return Graph.from_neighbor_rows(rows)
 
 
 def _pack(mats: np.ndarray, q: int) -> np.ndarray:
     """Index of each canonical row (a, b, c, d) in [0, 2*q^3)."""
-    return ((mats[:, 0] * q + mats[:, 1]) * q + mats[:, 2]) * q + mats[:, 3]
+    return ((mats[:, 0].astype(np.int64) * q + mats[:, 1]) * q + mats[:, 2]) * q + mats[:, 3]
 
 
 BETA_MAX_STEPS = 1000  # lps(5,29), the slowest acceptance graph, needs 334
@@ -283,7 +287,7 @@ def second_eigenvalue(g: Graph) -> tuple[float, float]:
     bound = 2.0 * math.sqrt(d - 1) / d
     log_sqrt_n_norm = 0.5 * math.log(n) + math.log(size)  # log(sqrt(n) ||y_k||)
     for k in range(1, BETA_MAX_STEPS + 1):
-        y = project(walk @ y)
+        y = project(walk(y))
         ratio = norm(y)
         if ratio < BETA_MARGIN:
             # K_{d,d}: ratios never fall, so k = 1 and beta <= sqrt(n) ||y_1|| ~ 0

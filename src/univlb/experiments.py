@@ -59,7 +59,7 @@ from .adversary import (
 )
 from .expanders import lps_graph
 from .frt import frt_sample, hst_dominates, hst_to_spanning_tree, stretch_stats
-from .graphs import Graph, diameter_ecc, girth as graph_girth, read_graph
+from .graphs import Graph, csr_rows, diameter_ecc, girth as graph_girth, read_graph
 from .metric import MetricSpace, random_euclidean_metric, shortest_path_metric
 from .oracles import (
     OracleBudget,
@@ -190,10 +190,13 @@ class ExperimentReport:
     wall_clock_sec: float = 0.0
 
     def csv_text(self) -> str:
+        """The rows as CSV, each cell as ``_cell`` writes it, converted a
+        column at a time (``_column``)."""
+        columns = [_column([row.get(k) for row in self.rows]) for k in self.columns]
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(self.columns)
-        writer.writerows([_cell(row.get(k)) for k in self.columns] for row in self.rows)
+        writer.writerows(zip(*columns))
         return buf.getvalue()
 
     def write(self, csv_path: str | Path | None, json_path: str | Path | None) -> None:
@@ -218,6 +221,22 @@ def _cell(value) -> object:
     if value is None:
         return ""
     return value
+
+
+def _column(values: list) -> list:
+    """``_cell`` of each value, by one converter when all share a type."""
+    kinds = set(map(type, values))
+    if len(kinds) == 1:
+        kind = kinds.pop()
+        if kind is float:
+            return list(map(float.__repr__, values))
+        if kind is bool:
+            return list(map(int, values))
+        if kind is type(None):
+            return [""] * len(values)
+        if kind is int or kind is str:
+            return values
+    return list(map(_cell, values))
 
 
 @dataclass(frozen=True)
@@ -252,6 +271,7 @@ def load_instance(spec_str: str, metric_cap: int, need_metric: bool) -> Instance
         gir = graph_girth(g)
         beta = None
         diam, metric = _diameter_bound(g, metric_cap)
+    g.neighbors  # the walk rows: built with the instance, not in the first trial
     if not need_metric:
         metric = None
     elif g.n > metric_cap:
@@ -408,15 +428,15 @@ def run_steiner_lb(cfg: RunConfig) -> ExperimentReport:
 
 
 def _graph_paths(p: PathCollection, g: Graph) -> bool:
-    """Whether every step of every root path in ``p`` is an edge of ``g``;
-    an unordered pair {u, v} is keyed as min * n + max."""
-    steps = np.array([step for path in p.paths for step in zip(path, path[1:])],
-                     dtype=np.int64).reshape(-1, 2)
-
-    def keys(pairs: np.ndarray) -> np.ndarray:
-        return pairs.min(axis=1) * g.n + pairs.max(axis=1)
-
-    return bool(np.isin(keys(steps), keys(g.edges)).all())
+    """Whether every step of every root path in ``p`` (paths over ``g``'s
+    vertices) is an edge of ``g``. A step's key u * n + v (u <= v, from
+    ``p.edge_keys``) is looked up by ``searchsorted`` among the keys
+    row * n + col of ``g.csr``, which ascend because its rows are sorted."""
+    _, indices = g.csr
+    keys = csr_rows(g) * g.n + indices
+    steps = p.edge_keys[p.edge_keys >= 0]
+    at = np.searchsorted(keys, steps)
+    return bool(np.all(at < keys.size) and np.array_equal(keys[at], steps))
 
 
 def _budget(oracle_cap: int) -> OracleBudget:

@@ -4,6 +4,11 @@ Graphs are immutable after construction. Vertices are ``0..n-1``; edges are
 unordered pairs, stored once as a read-only int64 (m, 2) array. Multi-edges
 and self-loops are representable (the ``simple`` flag reports their absence);
 LPS graphs are simple whenever q > 2*sqrt(p).
+
+The adjacency is one numpy CSR with sorted rows, ``Graph.csr``: built from the
+edges by one lexsort, or handed over by the LPS closure (``from_neighbor_rows``).
+BFS, ``bipartition``, ``simple``, ``girth``, the walk rows, the walk operator
+and the metric closure all read it.
 """
 
 from __future__ import annotations
@@ -11,12 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    import scipy.sparse
 
 
 class GraphError(ValueError):
@@ -50,6 +51,24 @@ class Graph:
             u, v = e[bad[0]]
             raise GraphError(f"edge ({u},{v}) out of range for n={self.n}")
 
+    @classmethod
+    def from_neighbor_rows(cls, rows: np.ndarray) -> Graph:
+        """The regular multigraph whose ``csr`` is the (n, d) array ``rows``:
+        row u lists u's neighbours ascending, u itself twice per self-loop.
+        The caller checks that the rows are symmetric. The edges are row u's
+        entries v > u and half of its entries v == u, in ascending order."""
+        rows = np.array(rows, dtype=np.int64)
+        n, d = rows.shape
+        own = np.arange(n)[:, None]
+        loop = rows == own
+        half = (rows < own).sum(axis=1, keepdims=True) + loop.sum(axis=1, keepdims=True) // 2
+        u, slot = np.nonzero((rows > own) | (loop & (np.arange(d) < half)))
+        g = cls(n=n, edges=np.stack([u, rows[u, slot]], axis=1))
+        indices = rows.reshape(-1)
+        indices.setflags(write=False)
+        g.__dict__["csr"] = (np.arange(n + 1) * d, indices)
+        return g
+
     @property
     def m(self) -> int:
         return len(self.edges)
@@ -59,39 +78,47 @@ class Graph:
         return np.bincount(self.edges.ravel(), minlength=self.n)
 
     @cached_property
-    def simple(self) -> bool:
-        # an adjacency entry is an edge's multiplicity, and 2 for a self-loop
-        return bool(np.all(self.adjacency.data == 1))
-
-    @cached_property
-    def adjacency(self) -> scipy.sparse.csr_matrix:
-        """Adjacency matrix with entry = edge multiplicity. Importing scipy
-        is left to the first graph that needs it, so pipelines without a
-        graph never load it."""
-        import scipy.sparse as sp
-
-        if self.m == 0:
-            return sp.csr_matrix((self.n, self.n), dtype=np.int64)
-        u, v = self.edges.T
-        rows = np.concatenate([u, v])
-        cols = np.concatenate([v, u])
-        data = np.ones(2 * self.m, dtype=np.int64)
-        return sp.csr_matrix((data, (rows, cols)), shape=(self.n, self.n))
-
-    @cached_property
-    def neighbors(self) -> tuple[np.ndarray, np.ndarray]:
-        """CSR-style (indptr, indices); repeated neighbors encode multi-edges."""
-        if self.m == 0:
-            return np.zeros(self.n + 1, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (indptr, indices) of the adjacency, every row sorted
+        ascending: a neighbour appears as often as its edge multiplicity, and
+        u twice in row u per self-loop."""
         u, v = self.edges.T
         src = np.concatenate([u, v])
         dst = np.concatenate([v, u])
-        order = np.argsort(src, kind="stable")
-        indices = dst[order]
-        counts = np.bincount(src, minlength=self.n)
+        indices = dst[np.lexsort((dst, src))]
         indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
+        np.cumsum(np.bincount(src, minlength=self.n), out=indptr[1:])
+        indices.setflags(write=False)
         return indptr, indices
+
+    @cached_property
+    def simple(self) -> bool:
+        """No self-loop and no repeated neighbour in any sorted ``csr`` row,
+        whose keys row * n + col then strictly ascend."""
+        _, indices = self.csr
+        row = csr_rows(self)
+        return bool(np.all(indices != row) and np.all(np.diff(row * self.n + indices) > 0))
+
+    @cached_property
+    def neighbors(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (indptr, indices) of the walk rows, which every pinned
+        walk follows: row u lists u's neighbours > u ascending, then those
+        < u, with one entry of each self-loop at either end. That is row u of
+        ``csr`` rotated left past its entries < u and half its entries == u."""
+        indptr, indices = self.csr
+        row = csr_rows(self)
+        shift = (np.bincount(row[indices < row], minlength=self.n)
+                 + np.bincount(row[indices == row], minlength=self.n) // 2)
+        # in place, one (nnz,) temporary at a time: the target of each entry
+        at = np.arange(len(indices))
+        at -= indptr[row]
+        at -= shift[row]
+        at %= np.diff(indptr)[row]
+        at += indptr[row]
+        walk = np.empty_like(indices)
+        walk[at] = indices
+        walk.setflags(write=False)
+        return indptr, walk
 
     @cached_property
     def bfs_from_0(self) -> tuple[np.ndarray, np.ndarray]:
@@ -117,7 +144,7 @@ class Graph:
 
     @cached_property
     def neighbor_table(self) -> np.ndarray | None:
-        """(n, d) neighbor matrix for regular graphs; None otherwise."""
+        """(n, d) matrix of the walk rows for regular graphs; None otherwise."""
         d = self.regular_degree
         if d is None:
             return None
@@ -125,18 +152,47 @@ class Graph:
         return indices.reshape(self.n, d)
 
 
+def csr_rows(g: Graph) -> np.ndarray:
+    """The row of each entry of ``g.csr``'s indices."""
+    indptr, _ = g.csr
+    return np.repeat(np.arange(g.n), np.diff(indptr))
+
+
+def neighbor_slots(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """(cols, mult): (w, n) tables whose column u lists u's distinct
+    neighbours, ascending, and their multiplicities in ``g.csr`` (2 per
+    self-loop), padded with column n and multiplicity 0. Row j holds every
+    vertex's slot j, so a pass over the slots reads contiguous rows."""
+    indptr, indices = g.csr
+    fresh = np.ones(len(indices), dtype=bool)  # the first entry of each run
+    np.not_equal(indices[1:], indices[:-1], out=fresh[1:])
+    fresh[indptr[:-1][np.diff(indptr) > 0]] = True
+    first = np.append(np.flatnonzero(fresh), len(indices))
+    start = np.searchsorted(first, indptr)
+    distinct = np.diff(start)
+    width = int(distinct.max(initial=0))
+    cols = np.full((width, g.n), g.n, dtype=np.int64)
+    mult = np.zeros((width, g.n), dtype=np.int64)
+    for j in range(width):
+        has = np.flatnonzero(distinct > j)
+        at = start[has] + j
+        cols[j, has] = indices[first[at]]
+        mult[j, has] = first[at + 1] - first[at]
+    return cols, mult
+
+
 def bfs_parents(g: Graph, source: int) -> tuple[np.ndarray, np.ndarray]:
     """(dist, parent) of a BFS tree; -1 marks unreachable vertices.
 
-    Level-synchronous over the canonical CSR ``g.adjacency``, whose rows are
-    sorted: a new vertex takes as parent the first frontier vertex, in
-    frontier order, whose row reaches it, and joins the next frontier in
-    that order -- the queue order of a one-vertex-at-a-time BFS.
+    Level-synchronous over ``g.csr``, whose rows are sorted: a new vertex
+    takes as parent the first frontier vertex, in frontier order, whose row
+    reaches it, and joins the next frontier in that order -- the queue order
+    of a one-vertex-at-a-time BFS.
     """
-    adj = g.adjacency
-    indptr, indices = adj.indptr, adj.indices
+    indptr, indices = g.csr
     dist = np.full(g.n, -1, dtype=np.int64)
     parent = np.full(g.n, -1, dtype=np.int64)
+    first = np.empty(g.n, dtype=np.int64)  # a new vertex's first position in reach
     dist[source] = 0
     parent[source] = source
     frontier = np.array([source])
@@ -149,8 +205,9 @@ def bfs_parents(g: Graph, source: int) -> tuple[np.ndarray, np.ndarray]:
         slots = np.arange(ends[-1]) + np.repeat(start - ends + lens, lens)
         reach, via = indices[slots], np.repeat(frontier, lens)
         unseen = np.flatnonzero(dist[reach] < 0)
-        _, first = np.unique(reach[unseen], return_index=True)
-        hit = unseen[np.sort(first)]
+        first[reach[unseen]] = len(reach)
+        np.minimum.at(first, reach[unseen], unseen)
+        hit = unseen[first[reach[unseen]] == unseen]
         frontier = reach[hit]
         dist[frontier] = level
         parent[frontier] = via[hit]
@@ -171,7 +228,9 @@ def bipartition(g: Graph) -> np.ndarray | None:
     if np.any(g.levels < 0):
         raise GraphError("graph is disconnected")
     color = g.levels % 2
-    one_nbrs = g.adjacency @ color
+    indptr, indices = g.csr
+    seen = np.concatenate([[0], np.cumsum(color[indices])])
+    one_nbrs = seen[indptr[1:]] - seen[indptr[:-1]]
     if np.array_equal(one_nbrs, np.where(color == 0, g.degrees, 0)):
         return color
     return None
@@ -190,7 +249,7 @@ def girth(g: Graph, roots: tuple[int, ...] | None = None) -> int | None:
         u, v = g.edges.T
         return 1 if np.any(u == v) else 2
 
-    indptr, indices = g.neighbors
+    indptr, indices = g.csr
     best: int | None = None
     scan = range(g.n) if roots is None else roots
     dist = np.empty(g.n, dtype=np.int64)

@@ -1,7 +1,8 @@
 """Rooted finite metric spaces and shortest-path metric closure.
 
-Distances of graph metrics are exact integers; general metrics (random test
-instances, metric files) use floats with a fixed comparison tolerance.
+Distances of graph metrics are exact integers, found for all sources at once
+by a BFS over the graph's distinct-neighbour slots; general metrics (random
+test instances, metric files) use floats with a fixed comparison tolerance.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graphs import Graph, GraphError
+from .graphs import Graph, GraphError, neighbor_slots
 
 #: Comparison tolerance for float-valued metrics.
 FLOAT_TOL = 1e-9
@@ -70,24 +71,28 @@ def shortest_path_metric(g: Graph, root: int) -> MetricSpace:
 
 def _unit_all_pairs(g: Graph) -> np.ndarray:
     """All BFS levels at once: column s of ``frontier`` is source s's
-    frontier. A bool CSR times a bool array sums with OR, so a vertex with
-    any number of frontier neighbours is reached (a uint8 product would
-    count them mod 256 and miss a vertex with 256 of them). A pair at
-    distance k is still unreached when each of levels 1..k starts, so
-    adding ``unreached`` at the start of every level counts out its
-    distance; pairs never reached get -1 at the end."""
+    frontier, and a vertex joins the next one if any of its neighbour slots
+    holds a frontier vertex (an OR, so no count can wrap at 256; padding
+    reads the empty row n). A pair at distance k is still unreached when
+    each of levels 1..k starts, so adding ``unreached`` at the start of
+    every level counts out its distance; pairs never reached get -1."""
     n = g.n
-    adj = g.adjacency > 0
+    cols, _ = neighbor_slots(g)
     dist = np.zeros((n, n), dtype=np.int32)
-    frontier = np.eye(n, dtype=bool)
-    unreached = ~frontier
+    frontier = np.zeros((n + 1, n), dtype=bool)
+    np.fill_diagonal(frontier, True)
+    unreached = ~frontier[:n]
+    reached = np.empty((n, n), dtype=bool)
     while True:
         dist += unreached
-        frontier = adj @ frontier
-        frontier &= unreached
-        if not frontier.any():
+        reached.fill(False)
+        for slot in cols:
+            reached |= frontier[slot]
+        reached &= unreached
+        if not reached.any():
             break
-        unreached ^= frontier
+        unreached ^= reached
+        frontier[:n] = reached
     dist[unreached] = -1
     return dist
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import operator
 
 import numpy as np
+import numpy.random  # noqa: F401 (numpy loads it lazily; load it here, not in a trial)
 
 # Fixed component tags keep substreams of different pipeline stages disjoint.
 WALK = 1

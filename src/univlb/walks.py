@@ -14,17 +14,19 @@ from its generator.
 ``walk_operator`` (A/d) is the one operator behind the spectral certificate
 (``expanders.second_eigenvalue``) and ``confinement_probability``, the exact
 Pr[a walk stays inside S] that the expander-walk bound (alpha + beta)^t,
-alpha = |S| / n, caps (Hoory, Linial and Wigderson 2006).
+alpha = |S| / n, caps (Hoory, Linial and Wigderson 2006); its products are
+a canonical sparse product's, bit for bit.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, neighbor_slots
 
 
 @dataclass(frozen=True)
@@ -107,16 +109,38 @@ def walk_block(g: Graph, t: int, draws) -> np.ndarray:
     return walks
 
 
-def walk_operator(g: Graph):
-    """The transition matrix A/d of a d-regular graph, as a float64 CSR copy of
-    ``g.adjacency`` (its products sum each row in index order, whatever the
-    BLAS thread count). Symmetric, so it also moves a distribution one step."""
+def walk_operator(g: Graph) -> Callable[[np.ndarray], np.ndarray]:
+    """The transition matrix A/d of a d-regular graph, as the map x -> A x / d
+    on float64 vectors. Entry u sums (mult(u, v) / d) * x[v] over u's distinct
+    neighbours v, ascending, one at a time from +0.0: bit for bit the product
+    of a canonical (sorted, deduplicated) CSR matrix. Symmetric, so it also
+    moves a distribution one step. x is scaled once per distinct weight and
+    the terms gathered from those copies, slot by slot (``neighbor_slots``,
+    whose padding reads the +0.0 in column n)."""
     d = g.regular_degree
     if not d:
         raise ValueError("the walk operator needs a regular graph of positive degree")
-    walk = g.adjacency.astype(np.float64)
-    walk.data /= d
-    return walk
+    n = g.n
+    cols, mult = neighbor_slots(g)
+    present = np.bincount(mult.ravel(), minlength=d + 1) > 0
+    weights = np.flatnonzero(present) / d
+    index = (np.cumsum(present) - 1)[mult]  # the row of mult / d in ``scaled``
+    index *= n + 1
+    index += cols
+    scaled = np.zeros((len(weights), n + 1))
+    terms = np.empty(index.shape)
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        np.multiply(weights[:, None], x, out=scaled[:, :n])
+        np.take(scaled, index, out=terms, mode="clip")
+        # a row's sum starts from +0.0, so a first term of -0.0 gives +0.0;
+        # a sum from +0.0 is never -0.0, so adding the padding's +0.0 keeps it
+        y = terms[0] + 0.0
+        for term in terms[1:]:
+            y += term
+        return y
+
+    return apply
 
 
 def confinement_probability(g: Graph, mask: np.ndarray, t: int) -> float:
@@ -129,5 +153,5 @@ def confinement_probability(g: Graph, mask: np.ndarray, t: int) -> float:
     inside = np.asarray(mask, dtype=np.float64)
     x = inside / g.n
     for _ in range(t):
-        x = inside * (walk @ x)
+        x = inside * walk(x)
     return float(x.sum())

@@ -12,13 +12,23 @@ and the steiner-lb and tsp-lb trial loops, one trial at a time. The walk
 draws the same random numbers as ``univlb.walks.random_walk``, and the
 oracles, tree distances and tour legs do the same float additions as the
 package, so parity tests compare exactly.
+
+The graph layer's references are the scipy forms the package once used, and
+this file is the only place that imports scipy: the sparse adjacency, the
+walk operator as its float copy, the metric closure as a boolean sparse
+product, the walk rows by a stable argsort of the edge list, the LPS edges
+by a global ``np.unique`` over the closure's pairs, the path check by
+``np.isin`` over edge keys, and the CSV written one ``_cell`` at a time.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 
 import numpy as np
+import scipy.sparse as sp
 
 from univlb import experiments, rng as rngs
 from univlb.adversary import (
@@ -29,8 +39,10 @@ from univlb.adversary import (
     steiner_certificate,
     tsp_certificate,
 )
+from univlb.expanders import ExpanderError, _canon_rows, _pack, legendre_symbol, lps_generators
 from univlb.experiments import LB_COLUMNS, ConfigError, ExperimentReport
 from univlb.frt import HST, HstNode
+from univlb.graphs import Graph
 from univlb.oracles import OracleRefusal, opt_surrogates, steiner_exact, tsp_exact
 from univlb.solutions import project_tour
 from univlb.walks import WalkTrace
@@ -369,7 +381,7 @@ def steiner_lb_ref(cfg) -> ExperimentReport:
     t = max(1, inst.girth // 3) if cfg.t == "auto" else int(cfg.t)
     adv = SteinerAdversaryConfig(t=t, certificate_mode=(3 * t <= inst.girth))
     solutions = experiments._steiner_solutions(cfg, inst)
-    certifiable = [adv.certificate_mode and experiments._graph_paths(p, inst.graph)
+    certifiable = [adv.certificate_mode and graph_paths_ref(p, inst.graph)
                    for p in solutions]
     budget = experiments._budget(cfg.oracle_cap)
     rows, good_count, certified = [], 0, 0
@@ -438,3 +450,117 @@ def tsp_lb_ref(cfg) -> ExperimentReport:
         })
     return ExperimentReport(config=cfg.values, columns=LB_COLUMNS, rows=rows, aggregates={
         "qualifying_samples": qualifying, "e1_samples": e1_count})
+
+
+def adjacency_ref(g: Graph) -> sp.csr_matrix:
+    """The canonical scipy CSR adjacency: sorted, deduplicated rows whose
+    entry is the edge multiplicity, 2 for a self-loop."""
+    if g.m == 0:
+        return sp.csr_matrix((g.n, g.n), dtype=np.int64)
+    u, v = g.edges.T
+    return sp.csr_matrix((np.ones(2 * g.m, dtype=np.int64),
+                          (np.concatenate([u, v]), np.concatenate([v, u]))), shape=(g.n, g.n))
+
+
+def neighbors_ref(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, indices) of the walk rows by a stable argsort of the edge
+    list read from each edge's u side, then from its v side."""
+    u, v = g.edges.T
+    src = np.concatenate([u, v])
+    dst = np.concatenate([v, u])
+    indptr = np.zeros(g.n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=g.n), out=indptr[1:])
+    return indptr, dst[np.argsort(src, kind="stable")]
+
+
+def bipartition_ref(g: Graph) -> np.ndarray | None:
+    """The BFS-level parity if the sparse product counts, for every vertex,
+    exactly its neighbours of the other colour, else None."""
+    color = g.levels % 2
+    one_nbrs = adjacency_ref(g) @ color
+    return color if np.array_equal(one_nbrs, np.where(color == 0, g.degrees, 0)) else None
+
+
+def walk_operator_ref(g: Graph) -> sp.csr_matrix:
+    """A/d as a float64 copy of the scipy adjacency."""
+    walk = adjacency_ref(g).astype(np.float64)
+    walk.data /= g.regular_degree
+    return walk
+
+
+def unit_all_pairs_ref(g: Graph) -> np.ndarray:
+    """All-pairs BFS levels by boolean sparse products, -1 when unreached."""
+    n = g.n
+    adj = adjacency_ref(g) > 0
+    dist = np.zeros((n, n), dtype=np.int32)
+    frontier = np.eye(n, dtype=bool)
+    unreached = ~frontier
+    while True:
+        dist += unreached
+        frontier = adj @ frontier
+        frontier &= unreached
+        if not frontier.any():
+            break
+        unreached ^= frontier
+    dist[unreached] = -1
+    return dist
+
+
+def cayley_graph_ref(p: int, q: int) -> Graph:
+    """The LPS closure in int64, its edges read off by a global ``np.unique``
+    over the (u, v) pair keys of the neighbour table, the pairs' counts
+    halved."""
+    gens, first, gen_mult = np.unique(lps_generators(p, q), axis=0,
+                                      return_index=True, return_counts=True)
+    by_first = np.argsort(first)
+    gens, gen_mult = gens[by_first], gen_mult[by_first]
+    slot = np.full(2 * q ** 3, -1, dtype=np.int64)
+    frontier = np.array([[1, 0, 0, 1]], dtype=np.int64)
+    slot[_pack(frontier, q)] = 0
+    n = 1
+    nbr_levels = []
+    while len(frontier):
+        prod = _canon_rows(
+            (frontier[:, None, [0, 0, 2, 2]] * gens[None, :, [0, 1, 0, 1]]
+             + frontier[:, None, [1, 1, 3, 3]] * gens[None, :, [2, 3, 2, 3]]).reshape(-1, 4) % q,
+            q)
+        key = _pack(prod, q)
+        unseen = np.flatnonzero(slot[key] < 0)
+        _, first = np.unique(key[unseen], return_index=True)
+        fresh = unseen[np.sort(first)]
+        slot[key[fresh]] = np.arange(n, n + len(fresh))
+        n += len(fresh)
+        nbr_levels.append(slot[key])
+        frontier = prod[fresh]
+    expected = q * (q * q - 1) // (2 if legendre_symbol(p, q) == 1 else 1)
+    if n != expected:
+        raise ExpanderError(f"group closure has {n} elements, expected {expected}")
+    u = np.repeat(np.arange(n), len(gens))
+    v = np.concatenate(nbr_levels)
+    pairs, pair_of = np.unique(np.minimum(u, v) * n + np.maximum(u, v), return_inverse=True)
+    count = np.bincount(pair_of, weights=np.tile(gen_mult, n)).astype(np.int64)
+    if np.any(count % 2):
+        raise ExpanderError("generator set is not closed under inverses")
+    return Graph(n=n, edges=np.stack(np.divmod(np.repeat(pairs, count // 2), n), axis=1))
+
+
+def graph_paths_ref(p, g: Graph) -> bool:
+    """Every step of every root path of ``p`` is an edge of ``g``, by
+    ``np.isin`` over the min * n + max keys of the steps and of the edges."""
+    steps = np.array([step for path in p.paths for step in zip(path, path[1:])],
+                     dtype=np.int64).reshape(-1, 2)
+
+    def keys(pairs: np.ndarray) -> np.ndarray:
+        return pairs.min(axis=1) * g.n + pairs.max(axis=1)
+
+    return bool(np.isin(keys(steps), keys(g.edges)).all())
+
+
+def csv_text_ref(report: ExperimentReport) -> str:
+    """The report's CSV written one ``_cell`` at a time."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(report.columns)
+    writer.writerows([experiments._cell(row.get(k)) for k in report.columns]
+                     for row in report.rows)
+    return buf.getvalue()

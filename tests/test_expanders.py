@@ -182,6 +182,21 @@ def test_lps_guard_inverse_closure(monkeypatch):
     monkeypatch.setattr(expanders, "lps_generators", lambda p, q: real(p, q)[:-1])
     with pytest.raises(ExpanderError, match="not closed under inverses"):
         lps_graph.__wrapped__(5, 13)
+    # the identity once is half a self-loop
+    monkeypatch.setattr(expanders, "lps_generators",
+                        lambda p, q: np.vstack([real(p, q), [[1, 0, 0, 1]]]))
+    with pytest.raises(ExpanderError, match="not closed under inverses"):
+        lps_graph.__wrapped__(5, 13)
+    # g twice in place of its inverse: every pair's count stays even, but
+    # u lists u * g twice while u * g lists u never
+    gens = real(5, 13)
+    a, b, c, d = gens[0].tolist()
+    inverse = list(_canon((d, -b % 13, -c % 13, a), 13))
+    twice = np.vstack([[row for row in gens.tolist() if row != inverse], gens[:1]])
+    assert len(twice) == 6
+    monkeypatch.setattr(expanders, "lps_generators", lambda p, q: twice)
+    with pytest.raises(ExpanderError, match="not closed under inverses"):
+        lps_graph.__wrapped__(5, 13)
 
 
 def test_lps_guard_regular_degree(monkeypatch):
@@ -195,11 +210,12 @@ def test_lps_guard_regular_degree(monkeypatch):
 
 def test_lps_guard_connected(monkeypatch):
     # 312 disjoint copies of K7: 6-regular on 2184 vertices, disconnected
-    def disjoint_k7s(n, edges):
+    def disjoint_k7s(p, q):
+        n = 2184
         return Graph(n=n, edges=tuple((b + i, b + j) for b in range(0, n, 7)
                                       for i in range(7) for j in range(i + 1, 7)))
 
-    monkeypatch.setattr(expanders, "Graph", disjoint_k7s)
+    monkeypatch.setattr(expanders, "_cayley_graph", disjoint_k7s)
     with pytest.raises(ExpanderError, match="Cayley graph is not connected"):
         lps_graph.__wrapped__(5, 13)
 
@@ -252,7 +268,10 @@ def test_lps_parameter_validation():
 def _dense_beta(g: Graph) -> float:
     """beta from dense ``eigvalsh``: drop the trivial eigenvalue d, and -d when
     the graph is bipartite; 0 when nothing is left (K2)."""
-    dense = np.linalg.eigvalsh(g.adjacency.toarray().astype(float))
+    indptr, indices = g.csr
+    adjacency = np.zeros((g.n, g.n))  # entry = multiplicity, 2 per self-loop
+    np.add.at(adjacency, (np.repeat(np.arange(g.n), np.diff(indptr)), indices), 1.0)
+    dense = np.linalg.eigvalsh(adjacency)
     nontrivial = dense[1:-1] if bipartition(g) is not None else dense[:-1]
     return float(np.abs(nontrivial).max(initial=0.0)) / g.regular_degree
 

@@ -110,9 +110,15 @@ def test_levels_cached_and_read_only(petersen):
         diameter_ecc(Graph(n=3, edges=((0, 1),)))
 
 
+def _rows_sorted(g: Graph) -> bool:
+    indptr, indices = g.csr
+    return all(indices[a:b].tolist() == sorted(indices[a:b].tolist())
+               for a, b in zip(indptr[:-1], indptr[1:]))
+
+
 def test_bfs_parents_shortest(petersen):
     # the BFS scans CSR rows in order, so they must be sorted
-    assert petersen.adjacency.has_sorted_indices
+    assert _rows_sorted(petersen)
     dist, parent = bfs_parents(petersen, 0)
     for v in range(petersen.n):
         # walking up the parents must take exactly dist steps
@@ -125,17 +131,25 @@ def test_bfs_parents_shortest(petersen):
     # Multi-edges listed out of order: 3 is reached from both 1 and 2 and
     # takes the smaller index as its parent.
     multi = Graph(n=4, edges=((0, 2), (2, 3), (0, 2), (3, 2), (3, 1), (1, 0)))
-    assert multi.adjacency.has_sorted_indices
+    assert _rows_sorted(multi)
     dist, parent = bfs_parents(multi, 0)
     assert dist.tolist() == [0, 1, 1, 2]
     assert parent.tolist() == [0, 0, 0, 1]
 
 
+def _sorted_rows_loop(g: Graph) -> list[list[int]]:
+    """Each vertex's neighbours, ascending, one entry per edge end."""
+    rows: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edges.tolist():
+        rows[u].append(v)
+        rows[v].append(u)
+    return [sorted(row) for row in rows]
+
+
 def _bfs_parents_loop(g: Graph, source: int) -> tuple[np.ndarray, np.ndarray]:
-    """Reference BFS, one vertex at a time: each vertex scans its sorted CSR
-    row in index order and ties go to the earlier frontier vertex."""
-    adj = g.adjacency
-    indptr, indices = adj.indptr, adj.indices
+    """Reference BFS, one vertex at a time: each vertex scans its sorted
+    neighbour row in index order and ties go to the earlier frontier vertex."""
+    rows = _sorted_rows_loop(g)
     dist = np.full(g.n, -1, dtype=np.int64)
     parent = np.full(g.n, -1, dtype=np.int64)
     dist[source] = 0
@@ -146,11 +160,11 @@ def _bfs_parents_loop(g: Graph, source: int) -> tuple[np.ndarray, np.ndarray]:
         level += 1
         nxt = []
         for u in frontier:
-            for w in indices[indptr[u]:indptr[u + 1]]:
+            for w in rows[u]:
                 if dist[w] < 0:
                     dist[w] = level
                     parent[w] = u
-                    nxt.append(int(w))
+                    nxt.append(w)
         frontier = nxt
     return dist, parent
 
@@ -193,6 +207,8 @@ def test_graph_arrays_match_loop_references(n_pairs):
     assert g.simple == _simple_loop(g)
     assert g.edges.dtype == np.int64 and g.edges.shape == (g.m, 2) == (len(pairs), 2)
     assert g.edges.tolist() == [list(e) for e in pairs]
+    indptr, indices = g.csr
+    assert [indices[a:b].tolist() for a, b in zip(indptr[:-1], indptr[1:])] == _sorted_rows_loop(g)
     for source in range(g.n):
         dist, parent = bfs_parents(g, source)
         ref_dist, ref_parent = _bfs_parents_loop(g, source)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -11,7 +12,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from kernels_ref import csv_text_ref, graph_paths_ref
 from univlb import adversary, experiments
 from univlb import rng as rngs
 from univlb.cli import build_parser, main as cli_main
@@ -23,6 +26,7 @@ from univlb.experiments import (
     emit_plot_data,
     run_experiment,
 )
+from univlb.frt import frt_sample, hst_to_spanning_tree
 from univlb.graphs import Graph, GraphError, diameter_ecc, read_graph, write_graph
 from univlb.metric import shortest_path_metric
 from univlb.oracles import opt_surrogates, steiner_exact, tsp_exact
@@ -144,6 +148,81 @@ def test_graph_paths_detects_a_metric_edge(lps_5_13):
     paths[v] = (v,) + paths[v][2:]  # v is two hops from paths[v][2]; girth 8
     shortcut = PathCollection(root=spt.root, paths=tuple(paths))
     assert not experiments._graph_paths(shortcut, g)
+
+
+def test_graph_paths_matches_the_isin_reference_on_frt_trees(lps_5_13, lps_5_13_metric):
+    # FRT-contracted trees carry metric edges. Each is checked whole, and
+    # the SPT with one path swapped for an FRT path, for a detour through a
+    # neighbour (graph edges only) or through a vertex at distance 7 (a
+    # non-edge step)
+    g, _ = lps_5_13
+    spt = tree_to_path_collection(bfs_tree(g, 0))
+    assert experiments._graph_paths(spt, g) and graph_paths_ref(spt, g)
+    verdicts = set()
+    for i in range(4):
+        h = frt_sample(lps_5_13_metric, rngs.stream(8, rngs.TREE, i))
+        frt = tree_to_path_collection(hst_to_spanning_tree(h, lps_5_13_metric))
+        assert not experiments._graph_paths(frt, g) and not graph_paths_ref(frt, g)
+        for v in range(1, g.n, 271):
+            far = int(np.argmax(lps_5_13_metric.dist[v]))
+            w = int(g.neighbor_table[v, i])
+            for path in (frt.paths[v], (v, w, *spt.paths[w][1:]),
+                         (v, far, *spt.paths[far][1:])):
+                paths = list(spt.paths)
+                paths[v] = path
+                q = PathCollection(root=spt.root, paths=tuple(paths))
+                verdicts.add(experiments._graph_paths(q, g))
+                assert experiments._graph_paths(q, g) == graph_paths_ref(q, g)
+    assert verdicts == {True, False}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 9), st.data())
+def test_graph_paths_matches_the_isin_reference(n, data):
+    vertex = st.integers(0, n - 1)
+    g = Graph(n=n, edges=data.draw(st.lists(st.tuples(vertex, vertex), max_size=20)))
+    root = data.draw(vertex)
+    paths = tuple(() if v == root else (v, *data.draw(st.lists(vertex, max_size=4)), root)
+                  for v in range(n))
+    p = PathCollection(root=root, paths=paths)
+    assert experiments._graph_paths(p, g) == graph_paths_ref(p, g)
+
+
+_CELL_VALUES = {
+    "bool": st.booleans(),
+    "int": st.integers(-2 ** 70, 2 ** 70),
+    "float": st.one_of(st.floats(), st.sampled_from([float("nan"), float("inf"),
+                                                     float("-inf"), -0.0, 0.0])),
+    "none": st.none(),
+    "str": st.one_of(st.text(), st.sampled_from(['a,b', 'say "x"', "two\nlines",
+                                                 "cr\r", ",\"\n", ""])),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([*_CELL_VALUES, "mixed"]), min_size=1, max_size=5),
+       st.integers(0, 8), st.data())
+def test_csv_text_matches_the_per_cell_writer(kinds, count, data):
+    mixed = st.one_of(*_CELL_VALUES.values())
+    columns = [f"c{i}" for i in range(len(kinds))]
+    rows = []
+    for _ in range(count):
+        row = {c: data.draw(mixed if kind == "mixed" else _CELL_VALUES[kind])
+               for c, kind in zip(columns, kinds)}
+        if data.draw(st.booleans()):  # a missing key reads as None
+            row.pop(data.draw(st.sampled_from(columns)))
+        rows.append(row)
+    report = ExperimentReport(config={}, columns=columns, rows=rows)
+    assert report.csv_text() == csv_text_ref(report)
+
+
+def test_csv_text_matches_the_per_cell_writer_on_pipeline_rows():
+    for cfg in (dict(pipeline="steiner-lb", graph="lps:5,13", trials=300, oracle_cap=2),
+                dict(pipeline="tsp-lb", graph="lps:5,13", trials=300, t=2),
+                dict(pipeline="universal-upper", metrics=3),
+                dict(pipeline="dp-transfer", universe=4, mechanisms=3)):
+        report = run_experiment(RunConfig.make(**cfg))
+        assert report.csv_text() == csv_text_ref(report)
 
 
 def _tailed_triangle(tmp_path) -> Path:
@@ -555,29 +634,57 @@ def test_cli_audit_dp_bad_file_exit_1(tmp_path, capsys, breakage, message):
 
 
 
-def test_pipelines_without_a_graph_never_load_scipy(tmp_path):
-    # a fresh interpreter, so no other test has imported scipy yet
+def test_no_pipeline_or_cli_command_loads_scipy(tmp_path):
+    # a fresh interpreter, so no other test has imported scipy yet: every
+    # pipeline and every CLI command, the graph ones on lps(5,13)
     code = """
-import sys
-from univlb.experiments import RunConfig, run_experiment
-from univlb.graphs import Graph
+import json, sys
+from univlb.cli import main
+from univlb.experiments import star_metric, suite_mechanism
+from univlb.privacy import write_mechanism
+from univlb.rng import stream
 
-def scipy_loaded():
-    return any(name == "scipy" or name.startswith("scipy.") for name in sys.modules)
-
-run_experiment(RunConfig.make(pipeline="universal-upper", metrics=2, trees_per_metric=2,
-                              max_terminals=4))
-run_experiment(RunConfig.make(pipeline="dp-transfer", universe=4, mechanisms=2))
-print(scipy_loaded())
-Graph(n=2, edges=[(0, 1)]).adjacency
-print(scipy_loaded())
+runs = [
+    ["run-steiner-lb", "--graph", "lps:5,13", "--trials", "20", "--oracle-cap", "2"],
+    ["run-steiner-lb", "--graph", "lps:5,13", "--trials", "5", "--solution", "frt"],
+    ["run-tsp-lb", "--graph", "lps:5,13", "--trials", "20", "--t", "2"],
+    ["run-universal", "--metrics", "2"],
+    ["run-dp-transfer", "--universe", "4", "--mechanisms", "2"],
+]
+for i, run in enumerate(runs):
+    assert main(run + ["--json", f"r{i}.json"]) == 0
+mech, _, _ = suite_mechanism(star_metric(4), frozenset(range(1, 5)), 0.4, stream(19, 0))
+write_mechanism(mech, "mech.json")
+with open("w.json", "w") as f:
+    json.dump({"alpha": 2.0, "rho": {"1": 0.1, "2": 0.01}}, f)
+for command in (
+    ["gen-expander", "--p", "5", "--q", "13", "--out", "g.txt"],
+    ["gen-instance", "--n", "6", "--out", "m.txt"],
+    ["oracle", "steiner", "--metric", "m.txt", "--terminals", "2,5"],
+    ["oracle", "tsp", "--metric", "m.txt", "--terminals", "2,5"],
+    ["audit-dp", "--mech", "mech.json", "--eps", "0.4"],
+    ["transfer", "--witness", "w.json"],
+    ["report", "--json", "r0.json", "r2.json", "--csv", "plot.csv"],
+    ["run-steiner-lb", "--graph", "file:g.txt", "--trials", "5"],
+):
+    assert main(command) == 0, command
+print(sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy.")))
 """
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120)
+                          text=True, env=dict(os.environ, PYTHONPATH=path), timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "True"]
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_no_package_module_imports_scipy():
+    package = Path(__file__).resolve().parents[1] / "src" / "univlb"
+    modules = sorted(package.glob("*.py"))
+    assert len(modules) > 10
+    for module in modules:
+        text = module.read_text()
+        assert re.search(r"^\s*(import|from)\s+scipy\b", text, re.MULTILINE) is None, module
 
 
 def test_perfbench_traced_names_resolve():
