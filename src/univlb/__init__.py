@@ -52,6 +52,6 @@ from .solutions import (
     tree_to_path_collection,
     tree_to_tour,
 )
-from .walks import WalkTrace, confinement_probability, random_walk, walk_operator
+from .walks import confinement_probability, random_walk, walk_operator
 
 __version__ = "0.1.0"

@@ -11,10 +11,11 @@ The TSP adversary is two independent walks; when their starts are far
 apart (event E1) and both walks spread over many tour blocks (event E2),
 every shared block forces one expensive leg of the projected tour.
 
-The events have a form per walk (``is_good_walk``, ``check_separation``,
-``block_alternation``) and one per block of walks, one walk per row
-(``good_walks``, ``separated``, ``alternation``), which the pipelines use;
-separation and alternation are one rule, the per-walk form a one-row block.
+A walk is a (t + 1,) int64 row of vertices, and each event has one kernel
+over a block of walks, one walk per row (``good_walks``, ``separated``,
+``alternation``), which the pipelines use. The per-walk names
+(``is_good_walk``, ``check_separation``, ``block_alternation``) are one-row
+calls of those kernels, kept for perfbench's tracer, which rebinds them.
 
 Certificates never estimate: ``holds`` is a statement about exactly computed
 quantities, and a False on inputs meeting the preconditions would falsify
@@ -30,7 +31,7 @@ import numpy as np
 
 from .metric import MetricSpace
 from .solutions import PathCollection, TourOrder, distinct_counts, project_paths, project_tour
-from .walks import WalkTrace, random_walk  # noqa: F401 (perfbench's tracer test checks this binding)
+from .walks import random_walk  # noqa: F401 (perfbench's tracer test checks this binding)
 
 
 class PreconditionError(ValueError):
@@ -91,25 +92,24 @@ class CertificateResult:
 
 
 def is_good_walk(
-    w: WalkTrace, F: frozenset[tuple[int, int]], cfg: SteinerAdversaryConfig
+    w: np.ndarray, p: PathCollection, cfg: SteinerAdversaryConfig
 ) -> tuple[bool, int, int]:
-    """(good?, bad traversal count, distinct vertex count).
+    """(good?, bad traversal count, distinct vertex count) of the walk row
+    ``w`` against the first edges of ``p``: ``good_walks`` on one row.
 
-    Bad traversals count every walk step along an F edge (multiset
+    Bad traversals count every walk step along a first edge (multiset
     semantics); edges compare undirected. Thresholds are closed: at most
     t/8 bad, at least t/2 distinct.
     """
-    vs = w.vertices
-    bad = len([1 for a, b in zip(vs, vs[1:]) if ((a, b) if a < b else (b, a)) in F])
-    distinct = len(w.vertex_set)
-    good = bad <= cfg.bad_edge_budget and distinct >= cfg.distinct_required
-    return good, bad, distinct
+    w = np.asarray(w, dtype=np.int64)[None]
+    good, bad, distinct = good_walks(w, p.first_steps[w], cfg)
+    return bool(good[0]), int(bad[0]), int(distinct[0])
 
 
 def good_walks(
     walks: np.ndarray, after: np.ndarray, cfg: SteinerAdversaryConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``is_good_walk`` for each row of a (B, t+1) walk block: arrays of
+    """The good-walk test of each row of a (B, t+1) walk block: arrays of
     (good?, bad traversal count, distinct vertex count).
 
     ``after[b, s]`` is ``first_steps[walks[b, s]]`` of row b's collection,
@@ -124,47 +124,48 @@ def good_walks(
 
 def steiner_certificate(
     p: PathCollection,
-    w: WalkTrace,
+    w: np.ndarray,
     girth: int,
     cfg: SteinerAdversaryConfig,
     m: MetricSpace | None = None,
 ) -> CertificateResult:
-    """Exact girth certificate: a good walk forces c(P[X]) >= |X| * girth / 6.
+    """Exact girth certificate: the good walk row ``w`` forces
+    c(P[X]) >= |X| * girth / 6.
 
     Verification steps, all exact:
 
     1. X' = distinct walk vertices (root excluded) incident to no traversed
-       F-edge; a good walk guarantees |X'| >= |X| / 2.
-    2. The path stubs (prefixes of each p_u, u in X') are pairwise
-       vertex-disjoint. Stub length is floor(girth/3) capped so that
-       2*stub + t stays strictly below the girth: any intersection would
-       then close a cycle shorter than the girth, so a violation genuinely
-       falsifies the girth argument and is returned as holds=False with
-       the offending pair.
+       first edge, read from ``p.first_steps``; a good walk guarantees
+       |X'| >= |X| / 2.
+    2. The path stubs (prefixes of each p_u, u in X', read from the
+       ``p.paths`` tuples, not from the key table the projection reads) are
+       pairwise vertex-disjoint. Stub length is floor(girth/3) capped so
+       that 2*stub + t stays strictly below the girth: any intersection
+       would then close a cycle shorter than the girth, so a violation
+       genuinely falsifies the girth argument and is returned as
+       holds=False with the offending pair.
     3. The stub edges all belong to P[X] and are disjoint, so
-       c(P[X]) >= sum of stub lengths; the headline bound |X| * girth / 6
-       is checked directly against c(P[X]).
+       c(P[X]) >= sum of stub lengths, which cross-checks the projection;
+       the headline bound |X| * girth / 6 is checked directly against
+       c(P[X]).
 
     Paths must be walks in the underlying graph (the girth argument is
     about graph cycles); callers with metric-edge path collections must
     not request certificates. Unit-cost comparisons are exact integer
     arithmetic.
     """
-    F = p.first_edges
-    good, bad, distinct = is_good_walk(w, F, cfg)
+    w = np.asarray(w, dtype=np.int64)
+    good, bad, distinct = is_good_walk(w, p, cfg)
     if not good:
         raise PreconditionError("certificate requires a good walk")
     if 3 * cfg.t > girth:
         raise PreconditionError("walk longer than girth/3")
 
-    root = p.root
-    X = w.vertex_set - {root}
-    touched: set[int] = set()
-    for a, b in w.edges:
-        key = (a, b) if a < b else (b, a)
-        if key in F:
-            touched.update((a, b))
-    x_prime = sorted(v for v in X if v not in touched)
+    after = p.first_steps[w]
+    on_first = (after[:-1] == w[1:]) | (after[1:] == w[:-1])
+    X = set(w.tolist()) - {p.root}
+    touched = set(w[:-1][on_first].tolist()) | set(w[1:][on_first].tolist())
+    x_prime = sorted(X - touched)
 
     # Strictness cap: with 2*stub + t <= girth - 1 an intersection always
     # yields a cycle shorter than the girth (exactly-girth closed walks are
@@ -183,7 +184,7 @@ def steiner_certificate(
         if overlap:
             break
 
-    lhs = project_paths(p, X, m)
+    lhs = project_paths(p, w, m)
 
     rhs = len(X) * girth / 6.0
     stub_sum = sum(len(stubs[u]) - 1 for u in x_prime)
@@ -199,21 +200,20 @@ def steiner_certificate(
     return CertificateResult(holds=holds, lhs=lhs, rhs=rhs, witness=witness)
 
 
-def check_separation(
-    q1: WalkTrace, q2: WalkTrace, m: MetricSpace, t: int
-) -> bool:
-    """Event E1: walk starts at distance >= 3t.
+def check_separation(q1: np.ndarray, q2: np.ndarray, m: MetricSpace, t: int) -> bool:
+    """Event E1 for two walk rows: their starts lie at distance >= 3t.
 
     When E1 holds, the triangle inequality puts every cross pair at distance
     at least t; that implication is re-verified exhaustively and a failure
     (impossible for a true metric) raises ``CertificateFalsification``.
+    ``separated`` on one row pair.
     """
-    return bool(separated(np.array([q1.vertices]), np.array([q2.vertices]), m, t)[0])
+    return bool(separated(np.asarray(q1)[None], np.asarray(q2)[None], m, t)[0])
 
 
 def separated(walks1: np.ndarray, walks2: np.ndarray, m: MetricSpace, t: int) -> np.ndarray:
-    """``check_separation`` for each row pair of two walk blocks: E1 per
-    row, after checking every cross pair of every E1 row."""
+    """E1 for each row pair of two walk blocks, after checking every cross
+    pair of every E1 row."""
     e1 = m.dist[walks1[:, 0], walks2[:, 0]] >= 3 * t
     w1, w2 = walks1[e1], walks2[e1]
     near = np.argwhere(m.dist[w1[:, :, None], w2[:, None, :]] < t)
@@ -225,48 +225,31 @@ def separated(walks1: np.ndarray, walks2: np.ndarray, m: MetricSpace, t: int) ->
     return e1
 
 
-def _block_of_position(i, order_len: int, blocks: int):
-    """Contiguous blocks of size floor(len/blocks); remainder joins the last.
-    ``i`` is one tour position or an array of them."""
-    size = max(1, order_len // blocks)
-    return np.minimum(i // size, blocks - 1)
-
-
 def tour_blocks(positions: np.ndarray, blocks: int) -> np.ndarray:
     """The block of every vertex on every tour, -1 at the root, from the
-    tours' ``solutions.tour_tables`` positions."""
-    return np.where(positions >= 0,
-                    _block_of_position(positions, positions.shape[1] - 1, blocks), -1)
-
-
-def _blocks_hit(
-    sigma: TourOrder, x1: set[int], x2: set[int], blocks: int
-) -> tuple[set[int], set[int]]:
-    """The blocks of the tour that hold a vertex of x1, and those of x2.
-
-    The root is not on the tour, so it hits no block.
-    """
-    def hit(x: set[int]) -> set[int]:
-        pos = sigma.positions[np.fromiter(x, dtype=np.int64, count=len(x))]
-        return set(_block_of_position(pos[pos >= 0], len(sigma.order), blocks).tolist())
-
-    return hit(x1), hit(x2)
+    tours' ``solutions.tour_tables`` positions: contiguous blocks of
+    floor(len/blocks) tour positions, the remainder joining the last."""
+    size = max(1, (positions.shape[1] - 1) // blocks)
+    return np.where(positions >= 0, np.minimum(positions // size, blocks - 1), -1)
 
 
 def block_alternation(
-    sigma: TourOrder, x1: set[int], x2: set[int], blocks: int,
+    sigma: TourOrder, q1: np.ndarray, q2: np.ndarray, blocks: int,
     alternation_fraction: float = 3.0 / 4.0,
 ) -> tuple[int, int, int, bool]:
-    """Block visit counts (blocks1, blocks2, shared, E2).
+    """Block visit counts (blocks1, blocks2, shared, E2) of the vertex rows
+    ``q1`` and ``q2`` on ``sigma``: ``alternation`` on one row.
 
     E2 holds when both terminal sets touch at least 3/4 of the blocks;
     inclusion-exclusion then forces at least blocks/4 shared blocks
     (checked -- a failure would be an arithmetic impossibility and raises
-    ``CertificateFalsification``).
+    ``CertificateFalsification``). The root is not on the tour, so it hits
+    no block.
     """
-    hits = [np.array([sorted(hit)], dtype=np.int64)
-            for hit in _blocks_hit(sigma, x1, x2, blocks)]
-    b1, b2, shared, e2 = alternation(*hits, blocks, alternation_fraction)
+    block_of = tour_blocks(sigma.positions[None], blocks)[0]
+    b1, b2, shared, e2 = alternation(
+        *(block_of[np.asarray(q, dtype=np.int64)][None] for q in (q1, q2)),
+        blocks, alternation_fraction)
     return int(b1[0]), int(b2[0]), int(shared[0]), bool(e2[0])
 
 
@@ -274,10 +257,10 @@ def alternation(
     blocks1: np.ndarray, blocks2: np.ndarray, blocks: int,
     alternation_fraction: float = 3.0 / 4.0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``block_alternation`` for each row: ``blocks1[b]`` and ``blocks2[b]``
+    """Block alternation for each row: ``blocks1[b]`` and ``blocks2[b]``
     hold the blocks that row b's two terminal classes hit, -1 for none, in
     any order and with repeats. Returns the arrays (blocks1, blocks2, shared,
-    E2) of the per-walk form, one entry per row."""
+    E2), one entry per row."""
     b1, b2 = distinct_counts(blocks1), distinct_counts(blocks2)
     shared = b1 + b2 - distinct_counts(np.concatenate([blocks1, blocks2], axis=1))
     e2 = (b1 >= alternation_fraction * blocks) & (b2 >= alternation_fraction * blocks)
@@ -290,28 +273,30 @@ def alternation(
 def tsp_certificate(
     sigma: TourOrder,
     m: MetricSpace,
-    x1: set[int],
-    x2: set[int],
+    q1: np.ndarray,
+    q2: np.ndarray,
     t: int,
     blocks: int,
 ) -> CertificateResult:
-    """Exact alternation certificate: c(sigma_X) >= shared_blocks * t.
+    """Exact alternation certificate: c(sigma_X) >= shared_blocks * t, for
+    the terminal classes X1 and X2 of the walk rows ``q1`` and ``q2`` (their
+    vertices less the root).
 
     Preconditions (E1 and E2, verified by the caller) make the two terminal
     classes disjoint and t-separated. The terminals inside one block form a
     contiguous run of the projected tour; a block visited by both classes
     therefore contains a consecutive crossing pair, whose leg costs at least
     t, and legs found in different blocks are different tour legs. The
-    witness lists one crossing pair per shared block.
+    witness lists one crossing pair per shared block, so the bound follows
+    from the pairs alone.
     """
+    x1, x2 = ({int(v) for v in q} - {sigma.root} for q in (q1, q2))
     if x1 & x2:
         raise PreconditionError("terminal classes overlap; E1 cannot have held")
-    xs = np.fromiter(x1 | x2, dtype=np.int64, count=len(x1 | x2))
-    pos = sigma.positions[xs]
-    keep = np.argsort(pos)[np.count_nonzero(pos < 0):]  # in tour order, the root dropped
-    xs, block = xs[keep].tolist(), _block_of_position(pos[keep], len(sigma.order), blocks).tolist()
-    hit1, hit2 = _blocks_hit(sigma, x1, x2, blocks)
-    shared = len(hit1 & hit2)
+    xs = sorted(x1 | x2, key=sigma.positions.__getitem__)
+    block_of = tour_blocks(sigma.positions[None], blocks)[0]
+    block = block_of[xs].tolist()
+    shared = len({block_of[v] for v in x1} & {block_of[v] for v in x2})
     lhs = project_tour(sigma, m, xs)
 
     pairs: list[tuple[int, int]] = []

@@ -84,7 +84,6 @@ from .solutions import (
     bfs_tree,
     distinct_counts,
     project_path_rows,
-    project_tour,
     project_tour_rows,
     project_tree,
     restricted_dfs_order,
@@ -93,7 +92,7 @@ from .solutions import (
     tree_to_path_collection,
     tree_to_tour,
 )
-from .walks import WalkTrace, slot_bounds, walk_block
+from .walks import slot_bounds, walk_block
 from .walks import random_walk  # noqa: F401 (perfbench's tracer test checks this binding)
 
 
@@ -376,8 +375,7 @@ def run_steiner_lb(cfg: RunConfig) -> ExperimentReport:
         lhs[~certify] = project_path_rows(keys, pick[~certify], walks[~certify], inst.metric)
         for i in np.flatnonzero(certify):
             # the certificate projects the same X on the same metric
-            walk = WalkTrace(vertices=tuple(walks[i].tolist()))
-            cert = steiner_certificate(solutions[pick[i]], walk, inst.girth, adv, inst.metric)
+            cert = steiner_certificate(solutions[pick[i]], walks[i], inst.girth, adv, inst.metric)
             if not cert.holds:
                 raise CertificateFalsification(
                     f"steiner certificate failed at trial {trials[i]}: {cert.witness}"
@@ -502,8 +500,7 @@ def run_tsp_lb(cfg: RunConfig) -> ExperimentReport:
                                        adv.blocks, adv.alternation_fraction)
         lhs = project_tour_rows(positions, orders, pick, both, m)
         for i in np.flatnonzero(e1 & e2):
-            x1, x2 = (set(q[i].tolist()) - {m.root} for q in (q1, q2))
-            cert = tsp_certificate(tours[pick[i]], m, x1, x2, adv.t, adv.blocks)
+            cert = tsp_certificate(tours[pick[i]], m, q1[i], q2[i], adv.t, adv.blocks)
             if not cert.holds:
                 raise CertificateFalsification(
                     f"tsp certificate failed at trial {trials[i]}: {cert.witness}"
@@ -531,8 +528,10 @@ def run_tsp_lb(cfg: RunConfig) -> ExperimentReport:
         "e1_samples": e1_count,
         "ratio_median": float(np.median(arr)),
         "blocks": adv.blocks, "t": adv.t,
-        # E1 needs walks that start 3t apart, so no sample qualifies
-        "vacuous": 3 * adv.t > inst.diameter,
+        # no sample qualifies when E1's walks cannot start 3t apart, or when
+        # E2 asks a walk's t + 1 vertices to hit more blocks than that
+        "vacuous": (3 * adv.t > inst.diameter
+                    or adv.t + 1 < adv.alternation_fraction * adv.blocks),
         "girth": inst.girth, "diameter": inst.diameter, "beta": inst.beta,
         "label": inst.label,
     }
@@ -602,6 +601,8 @@ def run_universal_upper(cfg: RunConfig) -> ExperimentReport:
         st = stretch_stats(m, trees)
         stretch_max_all.append(st["max_pair_stretch"])
         stretch_mean_all.append(st["mean_pair_stretch"])
+        tables = tour_tables(tours)
+        every_tour = np.arange(len(tours))
 
         for xi in range(cfg.terminals_per_metric):
             xr = rngs.stream(cfg.seed, rngs.SUBSET, mi, xi)
@@ -612,10 +613,12 @@ def run_universal_upper(cfg: RunConfig) -> ExperimentReport:
             doubling_ok = True
             contiguity_ok = True
             costs = []
-            for tree, tour in zip(trees, tours):
+            xs = np.fromiter(x, dtype=np.int64)
+            tour_costs = project_tour_rows(*tables, every_tour,
+                                           np.broadcast_to(xs, (len(tours), len(xs))), m)
+            for tree, tour, c_sx in zip(trees, tours, tour_costs.tolist()):
                 c_tx = project_tree(tree, x)
                 costs.append(c_tx)
-                c_sx = project_tour(tour, m, x)
                 if c_sx > 2.0 * c_tx + 1e-9:
                     doubling_ok = False
                     violations["doubling"] += 1

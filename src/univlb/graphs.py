@@ -7,8 +7,9 @@ LPS graphs are simple whenever q > 2*sqrt(p).
 
 The adjacency is one numpy CSR with sorted rows, ``Graph.csr``: built from the
 edges by one lexsort, or handed over by the LPS closure (``from_neighbor_rows``).
-BFS, ``bipartition``, ``simple``, ``girth``, the walk rows, the walk operator
-and the metric closure all read it.
+The BFS (``bfs_parents``, behind ``bipartition`` and ``girth`` too),
+``simple``, the walk rows, the walk operator and the metric closure all
+read it.
 """
 
 from __future__ import annotations
@@ -239,9 +240,12 @@ def bipartition(g: Graph) -> np.ndarray | None:
 def girth(g: Graph, roots: tuple[int, ...] | None = None) -> int | None:
     """Length of the shortest cycle, or None for acyclic graphs.
 
-    Runs a truncated BFS from every vertex (the classic n * BFS shortest-cycle
-    search). ``roots`` restricts the scan, which is exact for vertex-transitive
-    graphs where a single root suffices.
+    For each root (every vertex, or ``roots``, which is exact for
+    vertex-transitive graphs where a single root suffices) the BFS tree of
+    ``bfs_parents`` gives a candidate dist[u] + dist[w] + 1 for each edge
+    {u, w} it reaches that is not a tree edge. A candidate is the length of
+    a closed walk around a cycle, so none is below the girth, and a root on
+    a shortest cycle has that cycle's length among its candidates.
 
     Self-loops count as 1-cycles and parallel edges as 2-cycles.
     """
@@ -249,34 +253,15 @@ def girth(g: Graph, roots: tuple[int, ...] | None = None) -> int | None:
         u, v = g.edges.T
         return 1 if np.any(u == v) else 2
 
-    indptr, indices = g.csr
+    _, w = g.csr
+    u = csr_rows(g)
     best: int | None = None
-    scan = range(g.n) if roots is None else roots
-    dist = np.empty(g.n, dtype=np.int64)
-    for root in scan:
-        dist.fill(-1)
-        dist[root] = 0
-        parent = {root: -1}
-        frontier = [root]
-        depth = 0
-        while frontier:
-            # Expanding a frontier at depth L yields candidates of length >= 2L.
-            if best is not None and 2 * depth >= best:
-                break
-            depth += 1
-            nxt = []
-            for u in frontier:
-                du = dist[u]
-                for w in indices[indptr[u]:indptr[u + 1]]:
-                    if dist[w] < 0:
-                        dist[w] = du + 1
-                        parent[int(w)] = u
-                        nxt.append(int(w))
-                    elif parent[u] != w:
-                        cand = int(du + dist[w] + 1)
-                        if best is None or cand < best:
-                            best = cand
-            frontier = nxt
+    for root in range(g.n) if roots is None else roots:
+        dist, parent = g.bfs_from_0 if root == 0 else bfs_parents(g, root)
+        cycle = (dist[u] >= 0) & (parent[u] != w) & (parent[w] != u)
+        if cycle.any():
+            cand = int((dist[u[cycle]] + dist[w[cycle]]).min()) + 1
+            best = cand if best is None else min(best, cand)
     return best
 
 

@@ -20,7 +20,9 @@ for paths of at most L steps.
 The ``*_rows`` projections do the same for a block of terminal sets at once,
 one per row, each against its own solution: ``project_path_rows`` reads the
 stacked key tables of ``stack_edge_keys``, and ``project_tour_rows`` the
-position and order tables of ``tour_tables``.
+position and order tables of ``tour_tables``. ``project_paths`` and
+``project_tour`` are one-row calls of them, kept as the per-set names that
+perfbench's tracer rebinds.
 """
 
 from __future__ import annotations
@@ -135,16 +137,6 @@ class PathCollection:
         out.setflags(write=False)
         return out
 
-    @cached_property
-    def first_edges(self) -> frozenset[tuple[int, int]]:
-        """The set F of first edges (v, v1), undirected."""
-        out = set()
-        for v, p in enumerate(self.paths):
-            if v != self.root and len(p) >= 2:
-                a, b = p[0], p[1]
-                out.add((a, b) if a < b else (b, a))
-        return frozenset(out)
-
 
 @dataclass(frozen=True)
 class TourOrder:
@@ -209,14 +201,9 @@ def project_tour(sigma: TourOrder, m: MetricSpace, X) -> float:
 
     c(sigma_X) = c(r, x_1) + sum c(x_i, x_{i+1}) + c(x_k, r).
     """
-    pos = sigma.positions
-    xs = sorted((v for v in X if v != sigma.root), key=pos.__getitem__)
-    if not xs:
-        return 0.0
-    cost = m.d(sigma.root, xs[0]) + m.d(xs[-1], sigma.root)
-    for a, b in zip(xs, xs[1:]):
-        cost += m.d(a, b)
-    return cost
+    xs = np.fromiter(X, dtype=np.int64)
+    return float(project_tour_rows(*tour_tables([sigma]), np.zeros(1, dtype=np.int64),
+                                   xs[None], m)[0])
 
 
 def tour_tables(tours) -> tuple[np.ndarray, np.ndarray]:

@@ -1,17 +1,18 @@
 """Loop references for the per-trial kernels, used only by the tests.
 
 These are the straightforward Python forms the package's array kernels
-replaced: the path projection as a set of edge tuples, the good-walk test as
-a loop over the walk's steps, the walk as one neighbour lookup per step,
-separation and block alternation over Python sets, the exact oracles'
-Dreyfus-Wagner and Held-Karp tables filled one split or one predecessor at a
-time, the Dreyfus-Wagner table filled one subset at a time, the FRT ball
-carving one member and one permutation point at a time, the tree-distance
-LCA found by stepping the deeper end of every pair up one edge per round,
-and the steiner-lb and tsp-lb trial loops, one trial at a time. The walk
-draws the same random numbers as ``univlb.walks.random_walk``, and the
-oracles, tree distances and tour legs do the same float additions as the
-package, so parity tests compare exactly.
+replaced: the path projection as a set of edge tuples, the first edges as a
+set of edge tuples and the good-walk test as a loop over the walk's steps
+along them, the walk as one neighbour lookup per step, separation and block
+alternation over Python sets, the tour projection as a loop over its legs,
+the exact oracles' Dreyfus-Wagner and Held-Karp tables filled one split or
+one predecessor at a time, the Dreyfus-Wagner table filled one subset at a
+time, the FRT ball carving one member and one permutation point at a time,
+the tree-distance LCA found by stepping the deeper end of every pair up one
+edge per round, and the steiner-lb and tsp-lb trial loops, one trial at a
+time. The walk draws the same random numbers as
+``univlb.walks.random_walk``, and the oracles, tree distances and tour legs
+do the same float additions as the package, so parity tests compare exactly.
 
 The graph layer's references are the scipy forms the package once used, and
 this file is the only place that imports scipy: the sparse adjacency, the
@@ -35,7 +36,6 @@ from univlb.adversary import (
     CertificateFalsification,
     SteinerAdversaryConfig,
     TspAdversaryConfig,
-    is_good_walk,
     steiner_certificate,
     tsp_certificate,
 )
@@ -44,8 +44,6 @@ from univlb.experiments import LB_COLUMNS, ConfigError, ExperimentReport
 from univlb.frt import HST, HstNode
 from univlb.graphs import Graph
 from univlb.oracles import OracleRefusal, opt_surrogates, steiner_exact, tsp_exact
-from univlb.solutions import project_tour
-from univlb.walks import WalkTrace
 
 
 def project_paths_ref(p, X, m=None) -> float:
@@ -62,13 +60,24 @@ def project_paths_ref(p, X, m=None) -> float:
     return float(sum(m.d(a, b) for a, b in edges))
 
 
+def first_edges_ref(p) -> frozenset[tuple[int, int]]:
+    """The set F of first edges (v, v1) of the collection, undirected."""
+    out = set()
+    for v, path in enumerate(p.paths):
+        if v != p.root and len(path) >= 2:
+            a, b = path[0], path[1]
+            out.add((a, b) if a < b else (b, a))
+    return frozenset(out)
+
+
 def is_good_walk_ref(w, F, cfg) -> tuple[bool, int, int]:
-    """(good?, bad traversal count, distinct vertex count)."""
+    """(good?, bad traversal count, distinct vertex count) of the walk's
+    vertex sequence ``w`` against the first-edge set ``F``."""
     bad = 0
-    for a, b in zip(w.vertices, w.vertices[1:]):
+    for a, b in zip(w, w[1:]):
         if ((a, b) if a < b else (b, a)) in F:
             bad += 1
-    distinct = len(set(w.vertices))
+    distinct = len(set(w))
     good = bad <= cfg.bad_edge_budget and distinct >= cfg.distinct_required
     return good, bad, distinct
 
@@ -91,6 +100,19 @@ def random_walk_ref(g, t: int, rng) -> tuple[int, ...]:
             v = int(indices[indptr[v] + rng.integers(indptr[v + 1] - indptr[v])])
             verts.append(v)
     return tuple(verts)
+
+
+def project_tour_ref(sigma, m, X) -> float:
+    """c(r, x_1) + sum c(x_i, x_{i+1}) + c(x_k, r) over X in sigma's order,
+    one leg at a time."""
+    pos = sigma.positions
+    xs = sorted((v for v in X if v != sigma.root), key=pos.__getitem__)
+    if not xs:
+        return 0.0
+    cost = m.d(sigma.root, xs[0]) + m.d(xs[-1], sigma.root)
+    for a, b in zip(xs, xs[1:]):
+        cost += m.d(a, b)
+    return cost
 
 
 def steiner_exact_ref(m, X) -> tuple[float, list[tuple[int, int]]]:
@@ -327,10 +349,10 @@ def tsp_exact_ref(m, X) -> tuple[float, list[int]]:
 
 def check_separation_ref(q1, q2, m, t) -> bool:
     """E1 with the cross-pair implication checked over the walks' vertex sets."""
-    if m.d(q1.start, q2.start) < 3 * t:
+    if m.d(q1[0], q2[0]) < 3 * t:
         return False
-    for u in q1.vertex_set:
-        for v in q2.vertex_set:
+    for u in set(q1):
+        for v in set(q2):
             if m.d(u, v) < t:
                 raise CertificateFalsification(
                     f"separation implication violated: d({u},{v}) < {t}")
@@ -349,8 +371,8 @@ def block_alternation_ref(sigma, x1, x2, blocks, fraction=3.0 / 4.0):
     return b1, b2, shared, e2
 
 
-def _walk_ref(cfg, g, t, tag, trial) -> WalkTrace:
-    return WalkTrace(vertices=random_walk_ref(g, t, rngs.stream(cfg.seed, tag, trial)))
+def _walk_ref(cfg, g, t, tag, trial) -> tuple[int, ...]:
+    return random_walk_ref(g, t, rngs.stream(cfg.seed, tag, trial))
 
 
 def _pick_ref(cfg, count, trial) -> int:
@@ -366,7 +388,7 @@ def _opt_ref(problem, m, x, walks, diam, budget, oracle_cap):
             return exact(m, x, budget), "oracle"
         except OracleRefusal:
             pass
-    bounds = opt_surrogates([w.steps for w in walks], diam)
+    bounds = opt_surrogates([len(w) - 1 for w in walks], diam)
     if problem == "steiner":
         return bounds.steiner, "walk-bound"
     return bounds.tsp, "walk-tour"
@@ -389,12 +411,12 @@ def steiner_lb_ref(cfg) -> ExperimentReport:
         pick = _pick_ref(cfg, len(solutions), trial)
         paths = solutions[pick]
         walk = _walk_ref(cfg, inst.graph, adv.t, rngs.WALK, trial)
-        x = walk.vertex_set - {paths.root}
-        good, _, _ = is_good_walk(walk, paths.first_edges, adv)
+        x = set(walk) - {paths.root}
+        good, _, _ = is_good_walk_ref(walk, first_edges_ref(paths), adv)
         good_count += good
         lhs = project_paths_ref(paths, x, inst.metric)
         if good and certifiable[pick]:
-            cert = steiner_certificate(paths, walk, inst.girth, adv, inst.metric)
+            cert = steiner_certificate(paths, np.array(walk), inst.girth, adv, inst.metric)
             certified += 1
             if not cert.holds:
                 raise CertificateFalsification(
@@ -427,16 +449,16 @@ def tsp_lb_ref(cfg) -> ExperimentReport:
         sigma = tours[_pick_ref(cfg, len(tours), trial)]
         q1 = _walk_ref(cfg, inst.graph, adv.t, rngs.WALK, trial)
         q2 = _walk_ref(cfg, inst.graph, adv.t, rngs.WALK2, trial)
-        x1, x2 = q1.vertex_set - {sigma.root}, q2.vertex_set - {sigma.root}
+        x1, x2 = set(q1) - {sigma.root}, set(q2) - {sigma.root}
         x = x1 | x2
         e1 = check_separation_ref(q1, q2, m, adv.t)
         _, _, shared, e2 = block_alternation_ref(sigma, x1, x2, adv.blocks,
                                                  adv.alternation_fraction)
-        lhs = project_tour(sigma, m, x)
+        lhs = project_tour_ref(sigma, m, x)
         e1_count += e1
         if e1 and e2:
             qualifying += 1
-            cert = tsp_certificate(sigma, m, x1, x2, adv.t, adv.blocks)
+            cert = tsp_certificate(sigma, m, np.array(q1), np.array(q2), adv.t, adv.blocks)
             if not cert.holds:
                 raise CertificateFalsification(
                     f"tsp certificate failed at trial {trial}: {cert.witness}")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from univlb import experiments
 from univlb.adversary import (
     CertificateFalsification,
     PreconditionError,
@@ -15,58 +16,68 @@ from univlb.adversary import (
     steiner_certificate,
     tsp_certificate,
 )
+from univlb.experiments import RunConfig, run_experiment
 from univlb.graphs import Graph
 from univlb.metric import MetricSpace, shortest_path_metric
 from univlb.rng import stream
-from univlb.solutions import TourOrder, bfs_tree, tree_to_path_collection
-from univlb.walks import WalkTrace, random_walk
+from univlb.solutions import PathCollection, TourOrder, bfs_tree, tree_to_path_collection
+from univlb.walks import random_walk
+
+from kernels_ref import first_edges_ref, project_paths_ref, project_tour_ref
 
 
-def _walk(verts) -> WalkTrace:
-    return WalkTrace(vertices=tuple(verts))
+def _walk(verts) -> np.ndarray:
+    return np.array(verts, dtype=np.int64)
+
+
+def _collection(n: int, first: dict[int, int]) -> PathCollection:
+    """Paths on n + 1 vertices to the root n: v steps to ``first[v]`` when
+    given, else straight to the root, which no walk below visits. The first
+    edges the walks can traverse are then exactly ``first``'s."""
+    return PathCollection(root=n, paths=tuple(
+        (v, first[v], n) if v in first else (v, n) for v in range(n)) + ((),))
 
 
 def test_first_edge_set_examples(star4):
     p = tree_to_path_collection(bfs_tree(star4, 0))
-    F = p.first_edges
-    assert F == frozenset({(0, 1), (0, 2), (0, 3)})
-    assert len(F) <= star4.n
+    assert p.first_steps.tolist() == [-1, 0, 0, 0]
+    assert first_edges_ref(p) == frozenset({(0, 1), (0, 2), (0, 3)})
 
 
 def test_first_edge_set_tree_parents(petersen):
     t = bfs_tree(petersen, 0)
-    F = tree_to_path_collection(t).first_edges
-    for v in range(1, petersen.n):
-        e = (v, t.parent[v])
-        assert (min(e), max(e)) in F
-    assert len(F) == petersen.n - 1
+    p = tree_to_path_collection(t)
+    assert p.first_steps.tolist() == [-1, *t.parent[1:]]
+    assert not p.first_steps.flags.writeable
+    assert len(first_edges_ref(p)) == petersen.n - 1
 
 
 def test_good_walk_thresholds():
     cfg = SteinerAdversaryConfig(t=8)
-    F = frozenset({(0, 1)})
-    # zero F-edges, all distinct -> good
+    p = _collection(9, {0: 1})
+    # zero first edges walked, all distinct -> good
     w = _walk(range(9))
-    good, bad, distinct = is_good_walk(w, frozenset(), cfg)
+    good, bad, distinct = is_good_walk(w, _collection(9, {}), cfg)
     assert good and bad == 0 and distinct == 9
 
-    # two traversals of an F-edge exceed 8/8 = 1
+    # two traversals of a first edge exceed 8/8 = 1
     w = _walk([0, 1, 0, 1, 2, 3, 4, 5, 6])
-    good, bad, _ = is_good_walk(w, F, cfg)
+    good, bad, _ = is_good_walk(w, p, cfg)
     assert bad == 3 and not good
 
     # boundary: exactly 1 bad edge and exactly 4 distinct is still good
     w = _walk([0, 1, 2, 1, 2, 1, 2, 3, 2])
-    good, bad, distinct = is_good_walk(w, F, cfg)
+    good, bad, distinct = is_good_walk(w, p, cfg)
     assert bad == 1 and distinct == 4
     assert good
 
 
 def test_multiset_bad_edge_counting():
     cfg = SteinerAdversaryConfig(t=4, bad_edge_fraction=0.5)
-    F = frozenset({(0, 1)})
+    # the first edge of 1 is (1, 0): steps along it count from either end
+    p = _collection(2, {1: 0})
     w = _walk([0, 1, 0, 1, 0])  # traverses (0,1) four times
-    good, bad, _ = is_good_walk(w, F, cfg)
+    good, bad, _ = is_good_walk(w, p, cfg)
     assert bad == 4
     assert not good
 
@@ -75,13 +86,12 @@ def test_steiner_certificate_on_good_walks(lps_5_13):
     g, cert = lps_5_13
     cfg = SteinerAdversaryConfig(t=cert.girth // 3)
     paths = tree_to_path_collection(bfs_tree(g, 0))
-    F = paths.first_edges
     checked = 0
     i = 0
     while checked < 400:
         w = random_walk(g, cfg.t, stream(2, i))
         i += 1
-        good, _, _ = is_good_walk(w, F, cfg)
+        good, _, _ = is_good_walk(w, paths, cfg)
         if not good:
             continue
         cert_res = steiner_certificate(paths, w, cert.girth, cfg)
@@ -133,8 +143,8 @@ def test_check_separation(lps_5_13, lps_5_13_metric):
         q2 = random_walk(g, 2, stream(8, i))
         if check_separation(q1, q2, m, 2):
             found += 1
-            for u in q1.vertex_set:
-                for v in q2.vertex_set:
+            for u in q1.tolist():
+                for v in q2.tolist():
                     assert m.d(u, v) >= 2
     assert found > 0
 
@@ -159,12 +169,12 @@ def test_separation_violation_is_falsification():
 
 def test_block_alternation_boundaries():
     sigma = TourOrder(root=0, order=tuple(range(1, 9)))  # 8 entries, blocks of 2
-    b1, b2, shared, e2 = block_alternation(sigma, {1}, {2}, 4)
+    b1, b2, shared, e2 = block_alternation(sigma, [1], [2], 4)
     assert (b1, b2, shared) == (1, 1, 1)
     assert not e2
     # both hit exactly 3 of 4 blocks: boundary of 3l/4
-    x1 = {1, 3, 5}
-    x2 = {2, 4, 6}
+    x1 = [1, 3, 5]
+    x2 = [2, 4, 6]
     b1, b2, shared, e2 = block_alternation(sigma, x1, x2, 4)
     assert b1 == 3 and b2 == 3
     assert e2
@@ -178,13 +188,13 @@ def test_e2_implies_shared_quarter(data):
     blocks = data.draw(st.integers(1, 8))
     order = tuple(data.draw(st.permutations(range(1, n))))
     sigma = TourOrder(root=0, order=order)
-    x1 = set(data.draw(st.lists(st.integers(1, n - 1), max_size=10, unique=True)))
-    x2 = set(data.draw(st.lists(st.integers(1, n - 1), max_size=10, unique=True)))
+    x1 = data.draw(st.lists(st.integers(1, n - 1), max_size=10, unique=True))
+    x2 = data.draw(st.lists(st.integers(1, n - 1), max_size=10, unique=True))
     b1, b2, shared, e2 = block_alternation(sigma, x1, x2, blocks)
     if e2:
         assert shared >= blocks / 4.0  # asserted internally as well
     # Both rules count shared blocks with the same scan.
-    x1 -= x2
+    x1 = [v for v in x1 if v not in x2]
     m = shortest_path_metric(Graph(n=n, edges=tuple((i, i + 1) for i in range(n - 1))), 0)
     cert = tsp_certificate(sigma, m, x1, x2, t=1, blocks=blocks)
     assert cert.witness["shared"] == block_alternation(sigma, x1, x2, blocks)[2]
@@ -218,14 +228,14 @@ def test_block_alternation_matches_full_scan(data):
         x1.add(root)
     x2 |= set(data.draw(st.lists(st.sampled_from(sorted(x1)), max_size=4))) if x1 else set()
     fraction = data.draw(st.sampled_from([0.0, 0.5, 0.75, 1.0]))
-    assert block_alternation(sigma, x1, x2, blocks, fraction) == \
+    assert block_alternation(sigma, sorted(x1), sorted(x2), blocks, fraction) == \
         _scan_blocks(sigma, x1, x2, blocks, fraction)
 
 
 def test_tsp_certificate_shared_zero(lps_5_13_metric):
     m = lps_5_13_metric
     sigma = TourOrder(root=0, order=tuple(v for v in range(m.n) if v != 0))
-    res = tsp_certificate(sigma, m, set(), set(), t=2, blocks=4)
+    res = tsp_certificate(sigma, m, [], [], t=2, blocks=4)
     assert res.holds and res.rhs == 0.0
 
 
@@ -234,8 +244,7 @@ def test_tsp_certificate_single_crossing():
     g = Graph(n=8, edges=tuple((i, i + 1) for i in range(7)))
     m = shortest_path_metric(g, 0)
     sigma = TourOrder(root=0, order=(1, 5, 2, 6, 3, 7, 4))
-    x1, x2 = {1}, {5}
-    res = tsp_certificate(sigma, m, x1, x2, t=4, blocks=1)
+    res = tsp_certificate(sigma, m, [1], [5], t=4, blocks=1)
     assert res.holds
     assert res.witness["pairs"] == [(1, 5)]
     assert res.lhs >= res.rhs == 4.0
@@ -244,7 +253,7 @@ def test_tsp_certificate_single_crossing():
 def test_tsp_certificate_rejects_overlap(lps_5_13_metric):
     sigma = TourOrder(root=0, order=tuple(v for v in range(lps_5_13_metric.n) if v != 0))
     with pytest.raises(PreconditionError):
-        tsp_certificate(sigma, lps_5_13_metric, {1, 2}, {2, 3}, 2, 4)
+        tsp_certificate(sigma, lps_5_13_metric, [1, 2], [2, 3], 2, 4)
 
 
 def test_tsp_certificate_on_qualifying_samples(lps_5_13, lps_5_13_metric):
@@ -258,15 +267,77 @@ def test_tsp_certificate_on_qualifying_samples(lps_5_13, lps_5_13_metric):
             int(v) for v in stream(9, i).permutation(non_root)))
         q1 = random_walk(g, cfg.t, stream(10, i))
         q2 = random_walk(g, cfg.t, stream(11, i))
-        x1 = set(q1.vertex_set) - {0}
-        x2 = set(q2.vertex_set) - {0}
         if not check_separation(q1, q2, m, cfg.t):
             continue
-        b1, b2, shared, e2 = block_alternation(sigma, x1, x2, cfg.blocks)
+        b1, b2, shared, e2 = block_alternation(sigma, q1, q2, cfg.blocks)
         if not e2:
             continue
         qualifying += 1
-        res = tsp_certificate(sigma, m, x1, x2, cfg.t, cfg.blocks)
+        res = tsp_certificate(sigma, m, q1, q2, cfg.t, cfg.blocks)
         assert res.holds
         assert res.lhs >= shared * cfg.t
     assert qualifying > 0
+
+
+def _recorded_certificates(monkeypatch, certificate: str, **config):
+    """Run a pipeline and return each certificate call's (args, result)."""
+    real = getattr(experiments, certificate)
+    calls = []
+
+    def record(*args):
+        calls.append((args, real(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(experiments, certificate, record)
+    run_experiment(RunConfig.make(graph="lps:5,13", seed=20250808, **config))
+    assert calls
+    return calls
+
+
+def test_steiner_certificates_hold_apart_from_the_fast_path(monkeypatch):
+    # X' from the first-edge set, stubs from the path tuples, lhs from the
+    # edge-set projection: none of them reads the kernels' tables
+    calls = _recorded_certificates(monkeypatch, "steiner_certificate", pipeline="steiner-lb",
+                                   t="auto", trials=2000)
+    for (p, w, girth, cfg, m), res in calls:
+        walk = w.tolist()
+        F = first_edges_ref(p)
+        touched = {v for a, b in zip(walk, walk[1:]) if (min(a, b), max(a, b)) in F
+                   for v in (a, b)}
+        x_prime = sorted(set(walk) - {p.root} - touched)
+        stub_len = max(0, min(girth // 3, (girth - 1 - cfg.t) // 2))
+        stubs = [p.paths[u][:stub_len + 1] for u in x_prime]
+        covered = [v for stub in stubs for v in stub]
+        assert len(covered) == len(set(covered))  # pairwise disjoint
+        assert res.holds and res.witness["x_prime_size"] == len(x_prime)
+        assert res.witness["stub_edge_sum"] == sum(len(s) - 1 for s in stubs) <= res.lhs
+        assert res.lhs == project_paths_ref(p, walk, m)
+
+
+@pytest.mark.parametrize("blocks", ["auto", 2])
+def test_tsp_certificates_hold_apart_from_the_fast_path(blocks, monkeypatch):
+    # the bound follows from the witness pairs alone: consecutive legs of the
+    # projected tour, each at least t, one in each shared block (2 blocks
+    # hold several terminals of a class, so a block can hold several
+    # crossings)
+    calls = _recorded_certificates(monkeypatch, "tsp_certificate", pipeline="tsp-lb",
+                                   solution="random-tour", solution_count=8, t=2,
+                                   blocks=blocks, trials=3000)
+    for (sigma, m, q1, q2, t, blocks), res in calls:
+        x1, x2 = set(q1.tolist()) - {sigma.root}, set(q2.tolist()) - {sigma.root}
+        pos = {v: i for i, v in enumerate(sigma.order)}
+        order = sorted(x1 | x2, key=pos.__getitem__)
+        size = max(1, len(sigma.order) // blocks)
+
+        def block(v):
+            return min(pos[v] // size, blocks - 1)
+
+        pairs = res.witness["pairs"]
+        shared = len({block(v) for v in x1} & {block(v) for v in x2})
+        assert res.holds and res.witness["shared"] == shared <= len(pairs)
+        for a, b in pairs:
+            assert order[order.index(a) + 1] == b
+            assert (a in x1) != (b in x1) and block(a) == block(b)
+            assert m.d(a, b) >= t
+        assert len({block(a) for a, _ in pairs}) == len(pairs)
+        assert res.lhs == project_tour_ref(sigma, m, x1 | x2) >= len(pairs) * t

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from univlb.expanders import lps_graph
 from univlb.graphs import (
     Graph,
     GraphError,
@@ -214,6 +215,77 @@ def test_graph_arrays_match_loop_references(n_pairs):
         ref_dist, ref_parent = _bfs_parents_loop(g, source)
         assert dist.tolist() == ref_dist.tolist()
         assert parent.tolist() == ref_parent.tolist()
+
+
+def _girth_loop(g: Graph, roots: tuple[int, ...] | None = None) -> int | None:
+    """Reference girth: a truncated BFS from every root with a dict of
+    parents, one vertex and one neighbour at a time; a non-tree edge (u, w)
+    met from the frontier offers the cycle dist[u] + dist[w] + 1."""
+    if not g.simple:
+        u, v = g.edges.T
+        return 1 if np.any(u == v) else 2
+
+    indptr, indices = g.csr
+    best: int | None = None
+    scan = range(g.n) if roots is None else roots
+    dist = np.empty(g.n, dtype=np.int64)
+    for root in scan:
+        dist.fill(-1)
+        dist[root] = 0
+        parent = {root: -1}
+        frontier = [root]
+        depth = 0
+        while frontier:
+            # Expanding a frontier at depth L yields candidates of length >= 2L.
+            if best is not None and 2 * depth >= best:
+                break
+            depth += 1
+            nxt = []
+            for u in frontier:
+                du = dist[u]
+                for w in indices[indptr[u]:indptr[u + 1]]:
+                    if dist[w] < 0:
+                        dist[w] = du + 1
+                        parent[int(w)] = u
+                        nxt.append(int(w))
+                    elif parent[u] != w:
+                        cand = int(du + dist[w] + 1)
+                        if best is None or cand < best:
+                            best = cand
+            frontier = nxt
+    return best
+
+
+@st.composite
+def forests(draw):
+    """Acyclic graphs: each vertex after the first hangs off an earlier
+    one or starts a new tree."""
+    n = draw(st.integers(1, 12))
+    return Graph(n=n, edges=tuple((v, draw(st.integers(0, v - 1))) for v in range(1, n)
+                                  if draw(st.booleans())))
+
+
+@st.composite
+def disjoint_unions(draw):
+    a, b = draw(small_graphs()), draw(small_graphs())
+    return Graph(n=a.n + b.n, edges=a.edges.tolist() + (b.edges + a.n).tolist())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(small_graphs(), forests(), disjoint_unions(),
+                 multigraph_edges().map(lambda n_pairs: Graph(n=n_pairs[0],
+                                                              edges=tuple(n_pairs[1])))))
+def test_girth_matches_dict_bfs_reference(g):
+    # simple, acyclic, disconnected and multigraphs; all roots, then each alone
+    assert girth(g) == _girth_loop(g)
+    for root in range(g.n):
+        assert girth(g, roots=(root,)) == _girth_loop(g, roots=(root,))
+
+
+@pytest.mark.parametrize("p, q, roots", [(13, 5, None), (5, 13, (0,)), (5, 13, (7, 1000))])
+def test_girth_matches_dict_bfs_reference_on_lps(p, q, roots):
+    g, _ = lps_graph(p, q)
+    assert girth(g, roots) == _girth_loop(g, roots)
 
 
 def test_graph_arrays_on_edgeless_graph():

@@ -128,9 +128,9 @@ def test_oracle_rows_divide_by_the_exact_optimum(lps_5_13, lps_5_13_metric, pipe
         walks = [random_walk(g, row["t"], rngs.stream(seed, rngs.WALK, row["trial"]))]
         if pipeline == "tsp-lb":
             walks.append(random_walk(g, row["t"], rngs.stream(seed, rngs.WALK2, row["trial"])))
-        x = set().union(*(w.vertex_set for w in walks)) - {0}
+        x = set().union(*(w.tolist() for w in walks)) - {0}
         assert len(x) == row["x_size"]
-        bounds = opt_surrogates([w.steps for w in walks], cert.diameter)
+        bounds = opt_surrogates([len(w) - 1 for w in walks], cert.diameter)
         if pipeline == "steiner-lb":
             opt, surrogate = steiner_exact(lps_5_13_metric, x), bounds.steiner
         else:
@@ -288,16 +288,21 @@ def test_json_report_written(tmp_path):
     assert doc["aggregates"]["audit_failures"] == 0
 
 
-@pytest.mark.parametrize("t, vacuous", [(2, False), (3, True)])
-def test_tsp_lb_marks_a_vacuous_config(t, vacuous, tmp_path):
-    # lps(5,13) has diameter 7: E1 asks for walks starting 3t apart
-    cfg = RunConfig.make(pipeline="tsp-lb", graph="lps:5,13", t=t, trials=200, seed=5,
-                         json=str(tmp_path / "rep.json"))
+@pytest.mark.parametrize("t, vacuous, blocks", [
+    pytest.param(2, False, "auto", id="2-False"), pytest.param(3, True, "auto", id="3-True"),
+    pytest.param(2, True, 6, id="2-True-6-blocks")])
+def test_tsp_lb_marks_a_vacuous_config(t, vacuous, blocks, tmp_path):
+    # lps(5,13) has diameter 7: E1 asks for walks starting 3t apart. E2 asks
+    # each walk's t + 1 vertices to hit 3/4 of the blocks: 3 of the 4 auto
+    # blocks at t = 2, but 4.5 of 6 cannot be hit by 3 vertices
+    cfg = RunConfig.make(pipeline="tsp-lb", graph="lps:5,13", t=t, blocks=blocks, trials=200,
+                         seed=5, json=str(tmp_path / "rep.json"))
     report = run_experiment(cfg)
-    doc = json.loads((tmp_path / "rep.json").read_text())
-    assert doc["aggregates"]["diameter"] == 7
-    assert doc["aggregates"]["vacuous"] is vacuous
-    assert (doc["aggregates"]["e1_samples"] == 0) is vacuous
+    agg = json.loads((tmp_path / "rep.json").read_text())["aggregates"]
+    assert agg["diameter"] == 7
+    assert agg["vacuous"] is vacuous
+    assert (agg["e1_samples"] == 0) is (3 * t > 7)
+    assert (agg["qualifying_samples"] == 0) is vacuous
     assert "vacuous" not in report.csv_text()
 
 

@@ -18,9 +18,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from kernels_ref import (
+    first_edges_ref,
     frt_sample_ref,
     is_good_walk_ref,
     project_paths_ref,
+    project_tour_ref,
     random_walk_ref,
     steiner_exact_ref,
     steiner_table_ref,
@@ -51,7 +53,7 @@ from univlb.solutions import (
     tour_tables,
     tree_to_path_collection,
 )
-from univlb.walks import WalkTrace, random_walk, slot_bounds, walk_block
+from univlb.walks import random_walk, slot_bounds, walk_block
 
 
 @st.composite
@@ -139,7 +141,8 @@ def irregular_graphs(draw):
        st.integers(0, 2 ** 16))
 def test_random_walk_matches_per_step_reference(g, t, seed):
     w = random_walk(g, t, stream(seed, 1))
-    assert w.vertices == random_walk_ref(g, t, stream(seed, 1))
+    assert w.dtype == np.int64 and w.shape == (t + 1,)
+    assert tuple(w.tolist()) == random_walk_ref(g, t, stream(seed, 1))
 
 
 @settings(max_examples=150, deadline=None)
@@ -153,7 +156,7 @@ def test_walk_block_rows_are_the_lone_walks(g, t, seed, trials):
                        else draw_rows(seed, WALK, trials, bounds))
     assert block.shape == (len(trials), t + 1) and block.dtype == np.int64
     for row, trial in zip(block.tolist(), trials):
-        assert tuple(row) == random_walk(g, t, stream(seed, WALK, trial)).vertices
+        assert row == random_walk(g, t, stream(seed, WALK, trial)).tolist()
         assert tuple(row) == random_walk_ref(g, t, stream(seed, WALK, trial))
     if bounds is not None:  # generators walk a regular graph the same way
         again = walk_block(g, t, [stream(seed, WALK, trial) for trial in trials])
@@ -167,7 +170,8 @@ def test_random_walk_matches_reference_on_lps(lps_5_13):
     g, _ = lps_5_13
     assert g.neighbor_table is not None
     for i in range(200):
-        assert random_walk(g, 16, stream(5, i)).vertices == random_walk_ref(g, 16, stream(5, i))
+        assert tuple(random_walk(g, 16, stream(5, i)).tolist()) == \
+            random_walk_ref(g, 16, stream(5, i))
 
 
 @settings(max_examples=200, deadline=None)
@@ -175,11 +179,16 @@ def test_random_walk_matches_reference_on_lps(lps_5_13):
        st.integers(0, 2 ** 16), st.data())
 def test_is_good_walk_matches_step_loop_reference(g, t, seed, data):
     w = random_walk(g, t, stream(seed, 2))
-    steps = sorted({(min(a, b), max(a, b)) for a, b in g.edges.tolist()})
-    F = frozenset(data.draw(st.lists(st.sampled_from(steps), unique=True)))
+    # each vertex's first step: a graph neighbour, itself or any vertex, so F
+    # ranges over edges walked, self-steps and steps no walk takes
+    root = data.draw(st.integers(0, g.n - 1))
+    paths = tuple(() if v == root else (v, data.draw(st.integers(0, g.n - 1)), root)
+                  for v in range(g.n))
+    p = PathCollection(root=root, paths=paths)
     cfg = SteinerAdversaryConfig(t=t, bad_edge_fraction=data.draw(st.floats(0, 1)),
                                  distinct_fraction=data.draw(st.floats(0, 1)))
-    assert is_good_walk(w, F, cfg) == is_good_walk_ref(w, F, cfg)
+    assert is_good_walk(w, p, cfg) == is_good_walk_ref(tuple(w.tolist()), first_edges_ref(p),
+                                                       cfg)
 
 
 @settings(max_examples=200, deadline=None)
@@ -204,7 +213,7 @@ def test_block_kernels_match_the_per_walk_references(collections, t, data):
     metric_costs = project_path_rows(keys, pick, walks, metric)
     for i, row in enumerate(rows):
         p = collections[pick[i]]
-        ref = is_good_walk_ref(WalkTrace(vertices=tuple(row)), p.first_edges, cfg)
+        ref = is_good_walk_ref(row, first_edges_ref(p), cfg)
         assert (bool(good[i]), int(bad[i]), int(distinct[i])) == ref
         assert costs[i] == project_paths_ref(p, row)
         assert metric_costs[i] == project_paths_ref(p, row, metric)
@@ -226,7 +235,8 @@ def test_project_tour_rows_adds_the_legs_as_project_tour(n, count, integral, dat
     m = MetricSpace(n=n, dist=_symmetric(n, stream(n, width), integral), root=root)
     costs = project_tour_rows(*tour_tables(tours), pick, xs, m)
     for i, row in enumerate(rows):
-        assert costs[i] == project_tour(tours[pick[i]], m, set(row))
+        assert costs[i] == project_tour_ref(tours[pick[i]], m, set(row))
+        assert project_tour(tours[pick[i]], m, row) == costs[i]
 
 
 def _closed_metric(n: int, root: int, rng: np.random.Generator, integral: bool) -> MetricSpace:

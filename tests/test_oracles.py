@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from univlb.graphs import Graph
-from univlb.metric import MetricSpace, random_euclidean_metric, shortest_path_metric
+from univlb.metric import (
+    MetricSpace,
+    random_euclidean_metric,
+    random_uniform_metric,
+    shortest_path_metric,
+)
 from univlb.oracles import (
     OracleBudget,
     OracleRefusal,
@@ -206,6 +211,33 @@ def test_sandwich():
         assert ts_opt <= 2 * st_opt + 1e-9
 
 
+@st.composite
+def sandwich_metrics(draw):
+    """A random Euclidean or uniform metric, or the integral shortest-path
+    metric of a random connected graph (a random tree plus extra edges)."""
+    n = draw(st.integers(2, 12))
+    kind = draw(st.sampled_from(["euclidean", "uniform", "graph"]))
+    root = draw(st.integers(0, n - 1))
+    if kind == "graph":
+        edges = [(v, draw(st.integers(0, v - 1))) for v in range(1, n)]
+        edges += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                               .filter(lambda e: e[0] != e[1]), max_size=n))
+        return shortest_path_metric(Graph(n=n, edges=edges), root)
+    make = random_euclidean_metric if kind == "euclidean" else random_uniform_metric
+    return make(n, stream(draw(st.integers(0, 2 ** 16)), n), root)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sandwich_metrics(), st.data())
+def test_sandwich_on_random_metrics(m, data):
+    # DW <= HK: a tour less one leg spans X and the root; HK <= 2 DW: doubling
+    x = set(data.draw(st.lists(st.integers(0, m.n - 1), min_size=1, max_size=7)))
+    st_opt, ts_opt = steiner_exact(m, x), tsp_exact(m, x)
+    slack = 0 if m.dist.dtype.kind in "iu" else 1e-9
+    assert st_opt <= ts_opt + slack
+    assert ts_opt <= 2 * st_opt + slack
+
+
 def test_refusals():
     m = random_euclidean_metric(20, stream(6, 0))
     tight = OracleBudget(steiner_terminals=3, tsp_terminals=3)
@@ -233,22 +265,22 @@ def test_surrogates_upper_bound(lps_5_13, lps_5_13_metric):
     m = lps_5_13_metric
     for i in range(30):
         w = random_walk(g, 2, stream(7, i))
-        x = set(w.vertex_set) - {0}
+        x = set(w.tolist()) - {0}
         if not x:
             continue
-        bounds = opt_surrogates([w.steps], cert.diameter)
+        bounds = opt_surrogates([len(w) - 1], cert.diameter)
         assert bounds.steiner == 2 + cert.diameter
         assert bounds.steiner >= steiner_exact(m, x) - 1e-9
         w2 = random_walk(g, 2, stream(8, i))
-        x2 = (set(w.vertex_set) | set(w2.vertex_set)) - {0}
-        pair = opt_surrogates([w.steps, w2.steps], cert.diameter)
+        x2 = set(w.tolist() + w2.tolist()) - {0}
+        pair = opt_surrogates([len(w) - 1, len(w2) - 1], cert.diameter)
         assert pair.tsp >= tsp_exact(m, x2) - 1e-9
 
 
 def test_surrogate_degenerate_walk(star4):
     m = shortest_path_metric(star4, 0)
     w = random_walk(star4, 0, stream(9, 0))
-    b = opt_surrogates([w.steps], 2)
-    x = set(w.vertex_set) - {0}
+    b = opt_surrogates([len(w) - 1], 2)
+    x = set(w.tolist()) - {0}
     assert b.steiner == 2.0  # t=0 plus diameter; still an upper bound
     assert b.steiner >= steiner_exact(m, x)

@@ -135,7 +135,7 @@ def test_path_collection_star(star4):
     t = bfs_tree(star4, 0)
     p = tree_to_path_collection(t)
     assert p.paths[1] == (1, 0)
-    assert p.first_edges == frozenset({(0, 1), (0, 2), (0, 3)})
+    assert p.first_steps.tolist() == [-1, 0, 0, 0]
     m = shortest_path_metric(star4, 0)
     assert project_paths(p, {1}, m) == 1.0
     # identical paths union once: edges (1,2), (1,3) and the shared (0,1)
