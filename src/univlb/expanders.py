@@ -12,8 +12,9 @@ through a table indexed by the packed canonical matrix, and yields the
 as it stands, and the edges are read off it.
 
 Certification encloses beta = |lambda_2| / d by the trace method on the walk
-operator A/d (``second_eigenvalue``), and gates the enclosure's upper end,
-the certificate's ``beta``, on the Ramanujan bound 2*sqrt(p)/(p+1).
+operator A/d, filtered by a Chebyshev polynomial (``second_eigenvalue``), and
+gates the enclosure's upper end, the certificate's ``beta``, on the Ramanujan
+bound 2*sqrt(p)/(p+1).
 """
 
 from __future__ import annotations
@@ -231,7 +232,8 @@ def _pack(mats: np.ndarray, q: int) -> np.ndarray:
     return ((mats[:, 0].astype(np.int64) * q + mats[:, 1]) * q + mats[:, 2]) * q + mats[:, 3]
 
 
-BETA_MAX_STEPS = 1000  # lps(5,29), the slowest acceptance graph, needs 334
+BETA_MAX_STEPS = 1000  # walk-operator products; lps(5,61), the slowest acceptance graph, needs 89
+BETA_WARMUP_STEPS = 25  # power steps before the Chebyshev filter; they give its scale a
 BETA_MARGIN = 1e-9  # relative widening of both ends, over the rounding error
 
 
@@ -240,24 +242,43 @@ def second_eigenvalue(g: Graph) -> tuple[float, float]:
     of a non-trivial eigenvalue of A/d, for a connected, d-regular and
     vertex-transitive ``g`` (a Cayley graph, as every LPS graph is).
 
-    Trace method: y_0 = P e_0 and y_k = P A y_{k-1} / d, where P projects off
-    the all-ones vector and, if the graph is bipartite, the +/-1 vector.
-    Vertex transitivity makes every diagonal entry of P (A/d)^{2k} equal, so
-    n ||y_k||^2 sums (lambda/d)^{2k} over the non-trivial eigenvalues and
-    beta <= beta_hi = (n ||y_k||^2)^{1/2k}; as ||P A/d|| = beta,
-    beta_lo = ||y_k|| / ||y_{k-1}|| <= beta. The loop stops once beta_hi is
-    under the Ramanujan bound 2 sqrt(d-1)/d and within 1% of beta_lo, and
-    raises ``ExpanderError`` if beta_lo is over the bound or after
-    ``BETA_MAX_STEPS`` steps.
+    Trace method, filtered by a Chebyshev polynomial. Let M = P A/d, where P
+    projects off the all-ones vector and, if the graph is bipartite, the +/-1
+    vector, so that ||M|| = beta. Vertex transitivity makes every diagonal
+    entry of P f(M) P equal, so n ||f(M) P e_0||^2 sums f(mu)^2 over the
+    non-trivial eigenvalues mu of A/d.
 
-    Floating point: y is rescaled each step and its log norm kept. A step has
-    relative error eta <= (d + 2 log2 n + 6) u, u = 2^-53. An error at step j
-    reaches y_k through (P A/d)^{k-j}, of norm beta^{k-j}, while
-    ||y_j|| <= beta^j and ||y_k|| >= beta^k / sqrt(n); so beta_hi is off by a
-    relative eta sqrt(n) / beta at most, under 1e-10 for the LPS graphs built
-    here (beta > 0.25, n <= 2^17, d <= 62) and inside ``BETA_MARGIN``. Sums
-    are numpy's pairwise ones, not BLAS dot/norm, whose order depends on the
-    BLAS thread count, so the enclosure repeats bit for bit.
+    Warm-up: ``BETA_WARMUP_STEPS`` power steps y_k = M^k e_0, with
+    beta_hi = (n ||y_k||^2)^{1/2k} and beta_lo = ||y_k|| / ||y_{k-1}|| <= beta.
+    Their last beta_lo is the filter's scale a <= beta. Filter: w_0 = P e_0,
+    w_1 = (M/a) w_0 and w_{j+1} = 2 (M/a) w_j - w_{j-1}, so w_k = T_k(M/a) w_0
+    for the Chebyshev polynomial T_k, and S = n ||w_k||^2 sums T_k(mu/a)^2.
+    If beta > a then T_k(beta/a)^2 <= S, as |T_k| grows on [1, inf); so
+    beta <= beta_hi = a cosh(arccosh(max(1, sqrt S)) / k) either way. The
+    product M w_j that the step takes gives beta_lo = ||M w_j|| / ||w_j||
+    <= beta, the largest of which is kept. Either phase stops once beta_hi
+    is under the Ramanujan bound 2 sqrt(d-1)/d and within 1% of beta_lo, and
+    raises ``ExpanderError`` if beta_lo is over the bound or after
+    ``BETA_MAX_STEPS`` products in all.
+
+    Floating point: w is rescaled each step and the log of sqrt(n) ||w_k||
+    kept, so S never overflows. A product with its projection has relative
+    error eta <= (d + 2 log2 n + 6) u, u = 2^-53. Write x = beta/a = cosh(theta).
+    Power ratios never fall, so a >= beta n^{-1/2W} after the W = 25 warm-up
+    steps: x <= 1.266 and theta <= 0.714 for n <= 2^17. For the exact w_j,
+    ||w_j|| <= T_j(x), and ||w_k|| >= T_k(x) / sqrt(n) as e_0 puts weight
+    1/n or more on beta's eigenspace. Step j adds an error of at most
+    3 x eta T_j(x), which reaches w_k through U_{k-j}(M/a), U the Chebyshev
+    polynomial of the second kind, of norm U_{k-j}(x) <= min(k-j+1, C)
+    T_{k-j}(x) with C = e^theta / sinh(theta); and T_j T_{k-j} <= T_k. So
+    sqrt S is off by a relative 3 x eta sqrt(n) k min(k, C) at most, and
+    beta_hi by that times phi coth(phi) / k^2 <= (1 + phi) / k^2, where
+    phi = arccosh(sqrt S) <= ln(2 sqrt n) + k theta. As C theta <= 1 + 2 theta,
+    beta_hi is off by a relative 3 x eta sqrt(n) (2 + 2 theta + ln(2 sqrt n))
+    at most, whatever k: under 2e-10 for n <= 2^17 and d <= 62, and inside
+    ``BETA_MARGIN``. beta_lo is off by 2 eta at most. Sums are numpy's
+    pairwise ones, not BLAS dot/norm, whose order depends on the BLAS thread
+    count, so the enclosure repeats bit for bit.
     """
     d = g.regular_degree
     if d is None:
@@ -272,6 +293,8 @@ def second_eigenvalue(g: Graph) -> tuple[float, float]:
     if n <= len(trivial):  # K1, K2: no non-trivial eigenvalue
         return 0.0, 0.0
 
+    bound = 2.0 * math.sqrt(d - 1) / d
+
     def norm(x: np.ndarray) -> float:
         return math.sqrt((x * x).sum())
 
@@ -280,13 +303,20 @@ def second_eigenvalue(g: Graph) -> tuple[float, float]:
             x = x - (x * v).sum() * v
         return x
 
-    y = project(np.eye(1, n).ravel())
-    size = norm(y)
-    y /= size
+    def certified(lo: float, hi: float, k: int) -> bool:
+        if lo > bound:
+            raise ExpanderError(f"beta in [{lo!r}, {hi!r}] exceeds the Ramanujan bound "
+                                f"{bound!r} after {k} steps")
+        return hi <= bound and hi <= 1.01 * lo
+
     walk = walk_operator(g)
-    bound = 2.0 * math.sqrt(d - 1) / d
-    log_sqrt_n_norm = 0.5 * math.log(n) + math.log(size)  # log(sqrt(n) ||y_k||)
-    for k in range(1, BETA_MAX_STEPS + 1):
+    w0 = project(np.eye(1, n).ravel())
+    size = norm(w0)
+    w0 /= size
+    log_sqrt_n_w0 = 0.5 * math.log(n) + math.log(size)  # log(sqrt(n) ||P e_0||)
+
+    y, log_sqrt_n_norm = w0, log_sqrt_n_w0  # log(sqrt(n) ||y_k||)
+    for k in range(1, BETA_WARMUP_STEPS + 1):
         y = project(walk(y))
         ratio = norm(y)
         if ratio < BETA_MARGIN:
@@ -296,10 +326,24 @@ def second_eigenvalue(g: Graph) -> tuple[float, float]:
         log_sqrt_n_norm += math.log(ratio)
         lo = ratio * (1.0 - BETA_MARGIN)
         hi = math.exp(log_sqrt_n_norm / k) * (1.0 + BETA_MARGIN)
-        if lo > bound:
-            raise ExpanderError(f"beta in [{lo!r}, {hi!r}] exceeds the Ramanujan bound "
-                                f"{bound!r} after {k} steps")
-        if hi <= bound and hi <= 1.01 * lo:
+        if certified(lo, hi, k):
+            return lo, hi
+
+    a = lo
+    prev, w, log_sqrt_n_norm = np.zeros(n), w0, log_sqrt_n_w0  # log(sqrt(n) ||w_j||)
+    for k in range(1, BETA_MAX_STEPS - BETA_WARMUP_STEPS + 1):
+        mw = project(walk(w))
+        lo = max(lo, norm(mw) * (1.0 - BETA_MARGIN))
+        mw *= (2.0 if k > 1 else 1.0) / a
+        mw -= prev
+        size = norm(mw)
+        prev, w = w / size, mw / size
+        log_sqrt_n_norm += math.log(size)
+        # arccosh(e^L) = L + log(1 + sqrt(1 - e^{-2L})), L = log max(1, sqrt S)
+        log_sqrt_s = max(log_sqrt_n_norm, 0.0)
+        phi = log_sqrt_s + math.log1p(math.sqrt(-math.expm1(-2.0 * log_sqrt_s)))
+        hi = a * math.cosh(phi / k) * (1.0 + BETA_MARGIN)
+        if certified(lo, hi, BETA_WARMUP_STEPS + k):
             return lo, hi
     raise ExpanderError(f"beta in [{lo!r}, {hi!r}] not certified below the Ramanujan "
                         f"bound {bound!r} within {BETA_MAX_STEPS} steps")

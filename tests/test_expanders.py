@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ from univlb.expanders import (
 )
 from univlb.experiments import RunConfig, run_experiment
 from univlb.graphs import Graph, bipartition, diameter_ecc, girth, is_connected
+from univlb.walks import walk_operator
 
 
 def test_legendre_and_sqrt():
@@ -349,20 +351,50 @@ def test_second_eigenvalue_matches_dense_on_lps(p, q):
 
 
 def _trace_beta_hi(g: Graph, k: int) -> float:
-    """Reference beta_hi at step k in exact integers: n ||A^k e_0||^2 counts
-    the closed walks of length 2k at every vertex, minus the trivial
-    eigenvalues' share (1 + bipartite) d^{2k}."""
-    d, table = g.regular_degree, g.neighbor_table.tolist()
-    counts = [1] + [0] * (g.n - 1)  # A^k e_0: walks of length k from vertex 0
+    """Reference warm-up beta_hi at power step k in exact integers:
+    n ||A^k e_0||^2 counts the closed walks of length 2k at every vertex,
+    minus the trivial eigenvalues' share (1 + bipartite) d^{2k}."""
+    d, counts = g.regular_degree, _walk_counts(g, k)[-1]
+    trace = g.n * sum(c * c for c in counts) - (1 + (bipartition(g) is not None)) * d ** (2 * k)
+    return math.exp(math.log(trace) / (2 * k)) / d
+
+
+def _walk_counts(g: Graph, k: int) -> list[list[int]]:
+    """A^i e_0 for i = 0..k: the walks of length i from vertex 0, in integers."""
+    table = g.neighbor_table.tolist()
+    out = [[1] + [0] * (g.n - 1)]
     for _ in range(k):
         nxt = [0] * g.n
-        for u, c in enumerate(counts):
+        for u, c in enumerate(out[-1]):
             if c:
                 for v in table[u]:
                     nxt[v] += c
-        counts = nxt
-    trace = g.n * sum(c * c for c in counts) - (1 + (bipartition(g) is not None)) * d ** (2 * k)
-    return math.exp(math.log(trace) / (2 * k)) / d
+        out.append(nxt)
+    return out
+
+
+def _chebyshev_beta_hi(g: Graph, a: Fraction, k: int) -> float:
+    """Reference filter beta_hi at degree k and scale a, from exact rationals:
+    S = n ||T_k(A/(d a)) P e_0||^2 is the sum over i, j of T_k's coefficients
+    c_i c_j / (d a)^(i+j) times n <A^i e_0, A^j e_0>, the closed walks of
+    length i + j at every vertex, minus the trivial eigenvalues' share,
+    T_k(1/a)^2 each."""
+    d, walks = g.regular_degree, _walk_counts(g, k)
+    closed = [sum(x * y for x, y in zip(walks[m - m // 2], walks[m // 2]))
+              for m in range(2 * k + 1)]
+    prev, coef = [1], [0, 1]  # T_0 and T_1, lowest power first
+    for _ in range(k - 1):
+        nxt = [2 * c for c in [0] + coef]
+        for i, c in enumerate(prev):
+            nxt[i] -= c
+        prev, coef = coef, nxt
+    scaled = [Fraction(c) / (d * a) ** i for i, c in enumerate(coef)]
+    trivial = sum(c * d ** i for i, c in enumerate(scaled)) ** 2
+    s = (g.n * sum(ci * cj * closed[i + j] for i, ci in enumerate(scaled)
+                   for j, cj in enumerate(scaled) if ci and cj)
+         - (1 + (bipartition(g) is not None)) * trivial)
+    assert s > 1
+    return float(a) * math.cosh(math.acosh(math.sqrt(s)) / k)
 
 
 def _enclosure_in(err: ExpanderError) -> tuple[float, float]:
@@ -371,14 +403,40 @@ def _enclosure_in(err: ExpanderError) -> tuple[float, float]:
 
 
 def test_beta_hi_matches_the_integer_trace(monkeypatch, lps_5_13):
-    # a cap of k steps, far below the 241 lps(5,13) needs, leaves the loop's
-    # last enclosure, at step k, in the error
-    g, k = lps_5_13[0], 40
-    monkeypatch.setattr(expanders, "BETA_MAX_STEPS", k)
-    with pytest.raises(ExpanderError, match=r"within 40 steps") as info:
-        second_eigenvalue(g)
-    _, hi = _enclosure_in(info.value)
-    assert hi == pytest.approx(_trace_beta_hi(g, k) * (1 + expanders.BETA_MARGIN), rel=1e-12)
+    # a cap at the end of the warm-up leaves its last enclosure in the error,
+    # and with it the filter's scale a = beta_lo; a cap k products later, far
+    # below the 55 lps(5,13) needs, leaves the filter's enclosure at degree k
+    g, k = lps_5_13[0], 20
+    warm = expanders.BETA_WARMUP_STEPS
+    enclosures = []
+    for cap in (warm, warm + k):
+        monkeypatch.setattr(expanders, "BETA_MAX_STEPS", cap)
+        with pytest.raises(ExpanderError, match=f"within {cap} steps") as info:
+            second_eigenvalue(g)
+        enclosures.append(_enclosure_in(info.value))
+    (a, warm_hi), (_, hi) = enclosures
+    margin = 1 + expanders.BETA_MARGIN
+    assert warm_hi == pytest.approx(_trace_beta_hi(g, warm) * margin, rel=1e-12)
+    assert hi == pytest.approx(_chebyshev_beta_hi(g, Fraction(a), k) * margin, rel=1e-12)
+
+
+# the power loop the filter replaced took 241, 334 and 238 products
+@pytest.mark.parametrize("p, q, cap", [(5, 13, 120), (5, 29, 167), (41, 29, 100)])
+def test_second_eigenvalue_product_count(monkeypatch, p, q, cap):
+    g, cert = lps_graph(p, q)
+    calls = []
+
+    def counting(graph):
+        apply = walk_operator(graph)
+
+        def counted(x):
+            calls.append(None)
+            return apply(x)
+        return counted
+
+    monkeypatch.setattr(expanders, "walk_operator", counting)
+    assert second_eigenvalue(g) == (cert.beta_lo, cert.beta)
+    assert len(calls) <= cap
 
 
 @st.composite
@@ -402,9 +460,12 @@ def test_second_eigenvalue_encloses_dense_beta_on_circulants(g):
         lo, hi = second_eigenvalue(g)
     except ExpanderError as err:
         lo, hi = _enclosure_in(err)
+        assert lo <= want <= hi
         assert want > bound or bound - want <= hi - lo
         return
     assert lo <= want <= hi
+    assert hi <= bound
+    assert hi <= 1.01 * lo or hi < 1e-7
 
 
 def test_certificate_json_roundtrip(tmp_path, lps_5_13):
