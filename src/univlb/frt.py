@@ -1,33 +1,35 @@
 """Randomized hierarchical tree embeddings (ball-carving HSTs).
 
-``frt_sample`` draws one hierarchically well-separated tree: a shared random
-permutation settles every point into the ball of the first permutation point
-within radius beta * 2^(i-1) at each level i, with beta uniform in [1, 2) and
-the top scale the smallest power of two at least the diameter. A level's
-balls are settled for all points at once, one array pass per level. Tree
-distances dominate metric distances on every sample by construction; the
-O(log n) expected stretch is measured, not assumed.
-
-``tree_distances`` finds the lowest common ancestor of every pair of points
-in one pass over a (points x depth) table of their ancestors, so the HST
-domination check and the stretch statistics pay O(points^2 * depth) array
-work and no per-pair loop.
-
-``hst_to_spanning_tree`` collapses an HST onto a spanning tree of the metric
-points by contracting every internal node to a representative member, losing
-only bounded cost (total tree cost never exceeds total HST weight).
+``frt_samples`` carves a metric's trees together. Each tree draws beta
+uniform in [1, 2), then a permutation pi. From the top scale (the least
+power of two at least the diameter) down, every point at level L joins the
+ball of the first point in pi within beta * 2^(L-1) of it; its cluster one
+level down is its cluster's points in the same ball. Two array passes per
+level write a row of each tree's label table ``HST.centers``: every point's
+cluster center, its member of lowest rank in pi. The rest reads the tables,
+with no node objects: HST distances are c(leaf u) + c(leaf v) - 2 c(lca),
+c the edge weight summed from the root down; contraction makes a point's
+parent the center of the cluster just above the highest cluster it
+centers, then flips the path from the metric root to pi's first point; the
+O(log n) expected stretch is measured from one ancestor table. Each
+(trees x points x points) pass takes as many trees as fit in
+``BATCH_BYTES``, so large metrics go a tree at a time.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .metric import MetricSpace
 from .solutions import SpanningTree
+
+#: Bytes of distances in pi order one batch of trees may hold, the budget of
+#: a chunk of trials (``experiments.CHUNK_BYTES``).
+BATCH_BYTES = 1 << 21
 
 
 @dataclass
@@ -40,144 +42,171 @@ class HstNode:
     children: list[int] = field(default_factory=list)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HST:
-    nodes: tuple[HstNode, ...]
-    root: int
-    leaf_of: tuple[int, ...]   # vertex -> leaf node index
+    """One tree's carving. Row l of ``centers`` holds each point's cluster
+    center at level top - l, and of ``balls`` the rank in pi of the ball
+    that cut the cluster out of its parent; ``leaf[v]`` is the first row
+    where v is alone. An edge from row l up weighs beta * 2^(top - l + 2)."""
+
+    beta: float
+    top: int
+    centers: np.ndarray  # (rows, n)
+    balls: np.ndarray    # (rows, n)
+    leaf: np.ndarray     # (n,)
+    root = 0             # the root's index in ``nodes``
 
     @property
     def n(self) -> int:
-        return len(self.leaf_of)
+        return self.centers.shape[1]
 
     @property
     def total_weight(self) -> float:
-        return float(sum(nd.parent_weight for nd in self.nodes))
+        """Sum of the edge weights: beta times an exact sum of powers of two."""
+        rows = np.arange(len(self.centers))[:, None]
+        nodes = (self.centers == np.arange(self.n)) & (rows > 0) & (rows <= self.leaf)
+        return self.beta * float(nodes.sum(axis=1) @ 2.0 ** (self.top + 2 - rows[:, 0]))
 
-    def distances(self) -> np.ndarray:
-        """HST path distances between the leaves of every pair of points."""
-        return tree_distances([nd.parent for nd in self.nodes],
-                              [nd.parent_weight for nd in self.nodes], self.leaf_of)
+    @cached_property
+    def nodes(self) -> tuple[HstNode, ...]:
+        """The clusters as nodes, numbered as a depth-first carving numbers
+        them: a pending stack, children pushed in pi order of their balls."""
+        nodes = [HstNode(level=self.top, center=int(self.centers[0, 0]),
+                         members=tuple(range(self.n)), parent=-1, parent_weight=0.0)]
+        pending = [0]
+        while pending:
+            node = nodes[idx := pending.pop()]
+            if len(node.members) == 1:
+                continue
+            row = self.top - node.level + 1  # its children's row
+            for ball in sorted({int(self.balls[row, u]) for u in node.members}):
+                members = tuple(u for u in node.members if self.balls[row, u] == ball)
+                node.children.append(len(nodes))
+                nodes.append(HstNode(level=node.level - 1, center=int(self.centers[row, members[0]]),
+                                     members=members, parent=idx,
+                                     parent_weight=self.beta * 2.0 ** (node.level + 1)))
+            pending += node.children
+        return tuple(nodes)
+
+    @cached_property
+    def leaf_of(self) -> tuple[int, ...]:
+        """Vertex -> leaf node index."""
+        return tuple(i for _, i in sorted((nd.members[0], i) for i, nd in enumerate(self.nodes)
+                                          if not nd.children))
 
 
-def frt_sample(m: MetricSpace, rng: np.random.Generator) -> HST:
-    """One HST from the ball-carving distribution over ``m``.
-
-    Draws beta, then the permutation pi. A level's carving does not depend
-    on the cluster: every point of a cluster at level L joins the child of
-    the first point in pi order within beta * 2^(L-1) of it, so each level
-    settles all points still in clusters of two or more at once, as the
-    first True of their rows of ``dist[:, pi] <= radius``. Nodes are then
-    numbered as a depth-first carving would number them: a pending stack,
-    children pushed in pi order of their ball's point."""
+def frt_samples(m: MetricSpace, rngs: list[np.random.Generator]) -> list[HST]:
+    """One HST per generator from the ball-carving distribution over ``m``,
+    carved together. A level's clusters are keyed by their parent's center
+    and their ball, and each one's center is the first point in pi with its
+    key: the first True of a row of ``key == key[pi]``."""
     n = m.n
-    beta = float(rng.uniform(1.0, 2.0))
-    perm = rng.permutation(n)
-
-    if n == 1:
-        leaf = HstNode(level=0, center=0, members=(0,), parent=-1, parent_weight=0.0)
-        return HST(nodes=(leaf,), root=0, leaf_of=(0,))
-
+    draws = [(float(rng.uniform(1.0, 2.0)), rng.permutation(n)) for rng in rngs]
     if np.count_nonzero(m.dist == 0) > n:  # ball carving never parts two such points
         u, v = next((u, v) for u, v in np.argwhere(m.dist == 0).tolist() if u != v)
         raise ValueError(f"points {u} and {v} are at distance 0; an HST needs distinct points")
     diam = float(m.dist.max())
     top = max(0, math.ceil(math.log2(diam))) if diam > 0 else 0
-    rank = [0] * n
-    for i, v in enumerate(perm.tolist()):
-        rank[v] = i
+    # 2^low <= the least distance, so carving level low leaves every point alone
+    low = math.frexp(float(m.dist.min(initial=diam, where=m.dist > 0)))[1] - 1
+    out = []
+    batches = _batches(draws, n, m.dist.itemsize)
+    size = n * n * max(map(len, batches), default=0)
+    cols, hits = np.empty(size, dtype=m.dist.dtype), np.empty(size, dtype=bool)
+    for batch in batches:
+        beta = np.array([b for b, _ in batch])
+        perm = np.stack([p for _, p in batch])
+        # dist[v, t, i] is the distance from v to pi_t[i]; the buffers serve every batch
+        dist = cols[:perm.size * n].reshape(n, *perm.shape)
+        hit = hits[:perm.size * n].reshape(n, *perm.shape)
+        np.take(m.dist, perm, axis=1, out=dist, mode="clip")
+        center = np.repeat(perm[:, :1], n, axis=1)
+        centers, balls = [center], [np.zeros_like(center)]
+        for level in range(top, low - 1, -1):
+            np.less_equal(dist, (beta * 2.0 ** (level - 1))[:, None], out=hit)
+            ball = np.argmax(hit, axis=2).T
+            key = center * n + ball
+            np.equal(key.T[:, :, None], np.take_along_axis(key, perm, axis=1), out=hit)
+            center = np.take_along_axis(perm, np.argmax(hit, axis=2).T, axis=1)
+            centers.append(center)
+            balls.append(ball)
+        table = np.stack(centers, axis=1)
+        cells = np.arange(table.size // n)[:, None] * n + table.reshape(-1, n)
+        alone = np.bincount(cells.ravel())[cells].reshape(table.shape) == 1
+        out += [HST(beta=b, top=top, centers=c, balls=bl, leaf=lf) for b, c, bl, lf in zip(
+            beta.tolist(), table, np.stack(balls, axis=1), np.argmax(alone, axis=1))]
+    return out
 
-    # carved[i]: the clusters at level top - 1 - i, in the order of their
-    # parent cluster and then of their ball's point in pi, as (first child
-    # cluster of each cluster one level up, center, members). `points` are
-    # the points of clusters with two or more members, each cluster's run
-    # ascending, `cluster` their cluster there, and `parents` the number of
-    # clusters there.
-    carved = []
-    by_rank = m.dist[:, perm]
-    points, cluster, parents, level = list(range(n)), [0] * n, 1, top
-    while points:
-        ball = np.argmax(by_rank[points] <= beta * 2.0 ** (level - 1), axis=1).tolist()
-        groups: dict[int, list[int]] = {}
-        for u, c, w in zip(points, cluster, ball):
-            groups.setdefault(c * n + w, []).append(u)
-        keys = sorted(groups)
-        members = [tuple(groups[k]) for k in keys]
-        first = [0] * (parents + 1)
-        for k in keys:
-            first[k // n + 1] += 1
-        carved.append((list(itertools.accumulate(first)),
-                       [min(g, key=rank.__getitem__) for g in members], members))
-        points = [u for g in members if len(g) > 1 for u in g]
-        cluster = [c for c, g in enumerate(members) if len(g) > 1 for _ in g]
-        parents, level = len(members), level - 1
 
-    nodes = [HstNode(level=top, center=int(perm[0]), members=tuple(range(n)),
-                     parent=-1, parent_weight=0.0)]
-    where = [0]  # the cluster index of each node at its level
-    leaf_of = [-1] * n
-    pending = [0]
-    while pending:
-        idx = pending.pop()
-        node = nodes[idx]
-        if len(node.members) == 1:
-            leaf_of[node.members[0]] = idx
-            continue
-        first, centers, members = carved[top - node.level]
-        # Any two members of the level-`level` cluster are within 2*beta*2^level
-        # of each other, so this weight dominates every contracted edge.
-        child_weight = beta * 2.0 ** (node.level + 1)
-        for c in range(first[where[idx]], first[where[idx] + 1]):
-            nodes.append(HstNode(level=node.level - 1, center=centers[c], members=members[c],
-                                 parent=idx, parent_weight=child_weight))
-            where.append(c)
-            node.children.append(len(nodes) - 1)
-            pending.append(len(nodes) - 1)
+def _batches(items: list, n: int, itemsize: int = 8) -> list[list]:
+    """``items`` in runs whose (run x n x n) arrays of ``itemsize`` fit BATCH_BYTES."""
+    per = max(1, BATCH_BYTES // (n * n * itemsize))
+    return [items[lo:lo + per] for lo in range(0, len(items), per)]
 
-    return HST(nodes=tuple(nodes), root=0, leaf_of=tuple(leaf_of))
+
+def frt_sample(m: MetricSpace, rng: np.random.Generator) -> HST:
+    """One HST from the ball-carving distribution over ``m``."""
+    return frt_samples(m, [rng])[0]
+
+
+def hst_distances(hsts: list[HST]) -> np.ndarray:
+    """(trees, n, n) HST distances between the leaves of every pair of
+    points, for trees of one metric."""
+    centers = np.stack([h.centers for h in hsts])
+    leaf = np.stack([h.leaf for h in hsts])
+    _, rows, n = centers.shape
+    weight = np.array([[h.beta] for h in hsts]) * 2.0 ** (hsts[0].top + 2 - np.arange(rows))
+    weight[:, 0] = 0.0
+    costs = np.cumsum(weight, axis=1)  # c by row, summed from the root down
+    at_leaf = np.take_along_axis(costs, leaf, axis=1)
+    out = at_leaf[:, :, None] + at_leaf[:, None, :]
+    lca = np.zeros_like(out)  # c at the deepest row where the two share a center
+    for row in range(1, rows):
+        np.copyto(lca, costs[:, row, None, None],
+                  where=centers[:, row, :, None] == centers[:, row, None, :])
+    each = np.arange(n)
+    lca[:, each, each] = at_leaf  # a point paired with itself: its leaf
+    lca *= 2
+    out -= lca
+    return out
+
+
+def hsts_dominate(hsts: list[HST], m: MetricSpace) -> np.ndarray:
+    """Per tree, True iff HST distance >= metric distance for every pair."""
+    tol = 1e-12 * max(1.0, float(m.dist.max()))
+    return np.concatenate([(hst_distances(batch) >= m.dist - tol).all(axis=(1, 2))
+                           for batch in _batches(hsts, m.n)])
 
 
 def hst_dominates(h: HST, m: MetricSpace) -> bool:
     """True iff HST distance >= metric distance for every pair."""
-    tol = 1e-12 * max(1.0, float(m.dist.max()))
-    return bool(np.all(h.distances() >= m.dist - tol))
+    return bool(hsts_dominate([h], m)[0])
+
+
+def hsts_to_spanning_trees(hsts: list[HST], m: MetricSpace) -> list[SpanningTree]:
+    """Contract every cluster of each HST to its center, rooted at the metric
+    root. A kept edge is no longer than the HST edge it replaces (a child's
+    center lies in the parent's cluster), so the cost is at most the weight."""
+    centers = np.stack([h.centers for h in hsts])
+    trees, rows, n = centers.shape
+    each = np.arange(trees)
+    highest = np.argmax(centers == np.arange(n), axis=1)
+    up = np.take_along_axis(centers, np.maximum(highest - 1, 0)[:, None, :], axis=1)[:, 0]
+    parent = up.copy()
+    below = np.full(trees, m.root)
+    for _ in range(rows):  # each step up the path climbs a row or more
+        above = up[each, below]
+        parent[each, above] = np.where(above == below, parent[each, above], below)
+        below = above
+    parent[:, m.root] = m.root
+    cost = m.dist[np.arange(n), parent].astype(np.float64)
+    return [SpanningTree(root=m.root, parent=tuple(p), edge_cost=tuple(c))
+            for p, c in zip(parent.tolist(), cost.tolist())]
 
 
 def hst_to_spanning_tree(h: HST, m: MetricSpace) -> SpanningTree:
-    """Contract every HST node to its representative member.
-
-    Connect each child's representative to its parent's; duplicates collapse.
-    The result spans V, is re-rooted at the metric root, and its total cost
-    is at most the total HST weight (each kept edge is no longer than the HST
-    edge it replaces, because a child's representative lies in the parent's
-    cluster).
-    """
-    adj: dict[int, set[int]] = {v: set() for v in range(m.n)}
-    for nd in h.nodes:
-        if nd.parent < 0:
-            continue
-        a, b = nd.center, h.nodes[nd.parent].center
-        if a != b:
-            adj[a].add(b)
-            adj[b].add(a)
-
-    parent = [-1] * m.n
-    parent[m.root] = m.root
-    stack = [m.root]
-    seen = {m.root}
-    while stack:
-        v = stack.pop()
-        for w in sorted(adj[v]):
-            if w not in seen:
-                seen.add(w)
-                parent[w] = v
-                stack.append(w)
-    if len(seen) != m.n:
-        raise ValueError("contracted HST does not span the point set")
-    costs = tuple(
-        0.0 if v == m.root else float(m.dist[v, parent[v]]) for v in range(m.n)
-    )
-    return SpanningTree(root=m.root, parent=tuple(parent), edge_cost=costs)
+    """Contract every HST node to its center, rooted at the metric root."""
+    return hsts_to_spanning_trees([h], m)[0]
 
 
 def stretch_stats(m: MetricSpace, trees: list[SpanningTree]) -> dict[str, float]:
@@ -187,10 +216,11 @@ def stretch_stats(m: MetricSpace, trees: list[SpanningTree]) -> dict[str, float]
     metric distance; the distribution's measured stretch is the max over
     pairs, and the mean over pairs is reported alongside.
     """
-    points = range(m.n)
     total = np.zeros((m.n, m.n))
-    for t in trees:
-        total += tree_distances(t.parent, t.edge_cost, points)
+    for batch in _batches(trees, m.n):
+        for dist in tree_distances([t.parent for t in batch], [t.edge_cost for t in batch],
+                                   range(m.n)):
+            total += dist
     upper = np.triu_indices(m.n, 1)
     ratios = (total / len(trees))[upper] / m.dist[upper]
     return {"max_pair_stretch": float(ratios.max()), "mean_pair_stretch": float(ratios.mean())}
@@ -200,21 +230,19 @@ def tree_distances(parent, weight, points) -> np.ndarray:
     """Tree path costs between every pair of ``points`` (node indices).
 
     ``parent[v]`` is v's parent, with the root its own parent or -1, and
-    ``weight[v]`` the cost of the edge from v to its parent. With c(v) the
-    root-path cost, accumulated from the root down, the distance is
-    c(u) + c(v) - 2 c(lca). The LCA of all pairs comes from one
-    (points x depth) table of ancestors, ``up[i, d]`` the ancestor of
-    ``points[i]`` at depth d and the point itself below its own depth: two
-    points' ancestors agree down to their LCA's depth and nowhere below,
-    so the LCA depth is the number of depths where they agree, less one.
-    A point paired with itself agrees at every depth, down to the table's
-    last column, which holds the point."""
-    n = len(parent)
-    par = np.asarray(parent, dtype=np.int64)
-    par = np.where(par < 0, np.arange(n), par)
-    w = np.asarray(weight, dtype=np.float64)
-    depth = np.where(par == np.arange(n), 0, -1)
-    cost = np.zeros(n)
+    ``weight[v]`` the cost of the edge from v to its parent; rows of both,
+    one per tree, give one table per tree. With c(v) the root-path cost,
+    summed from the root down, the distance is c(u) + c(v) - 2 c(lca). In
+    the (trees x points x depth) ancestor table, ``up[t, i, d]`` is the
+    ancestor of ``points[i]`` at depth d, or the point itself below its
+    depth: two points agree down to their LCA and nowhere below."""
+    given = np.asarray(parent, dtype=np.int64)
+    trees = given.reshape(-1, given.shape[-1])
+    own = np.arange(trees.size).reshape(trees.shape)  # node v of tree t is own[t, v]
+    par = np.where(trees < 0, own, trees + own - own[0]).ravel()
+    w = np.asarray(weight, dtype=np.float64).ravel()
+    depth = np.where(par == own.ravel(), 0, -1)
+    cost = np.zeros(len(par))
     while (todo := depth < 0).any():
         ready = todo & (depth[par] >= 0)
         if not ready.any():
@@ -222,15 +250,19 @@ def tree_distances(parent, weight, points) -> np.ndarray:
         depth[ready] = depth[par[ready]] + 1
         cost[ready] = cost[par[ready]] + w[ready]
 
-    pts = np.asarray(points, dtype=np.int64)
-    rows = np.arange(len(pts))
-    up = np.repeat(pts[:, None], depth[pts].max(initial=0) + 1, axis=1)
+    pts = own[:, np.asarray(points, dtype=np.int64)]
+    each, rows = np.arange(len(trees))[:, None], np.arange(pts.shape[1])
+    up = np.repeat(pts[:, :, None], depth[pts].max(initial=0) + 1, axis=2)
     node = pts
-    for _ in range(up.shape[1]):  # the deepest point reaches the root last
-        up[rows, depth[node]] = node
+    for _ in range(up.shape[2]):  # the deepest point reaches the root last
+        up[each, rows, depth[node]] = node
         node = par[node]
-    agree = np.zeros((len(pts), len(pts)), dtype=np.int64)
-    for d in range(up.shape[1]):
-        agree += up[:, d, None] == up[None, :, d]
-    lca = up[rows[:, None], agree - 1]
-    return cost[pts][:, None] + cost[pts][None, :] - 2 * cost[lca]
+    at = cost[pts]
+    out = at[:, :, None] + at[:, None, :]
+    lca = np.zeros_like(out)  # c of the deepest ancestor the two share
+    for d in range(up.shape[2]):
+        col = up[:, :, d]
+        np.copyto(lca, cost[col][:, :, None], where=col[:, :, None] == col[:, None, :])
+    lca *= 2
+    out -= lca
+    return out.reshape(given.shape[:-1] + out.shape[1:])

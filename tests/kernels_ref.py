@@ -8,9 +8,10 @@ alternation over Python sets, the tour projection as a loop over its legs,
 the exact oracles' Dreyfus-Wagner and Held-Karp tables filled one split or
 one predecessor at a time, the Dreyfus-Wagner table filled one subset at a
 time, the FRT ball carving one member and one permutation point at a time,
-the tree-distance LCA found by stepping the deeper end of every pair up one
-edge per round, and the steiner-lb and tsp-lb trial loops, one trial at a
-time. The walk draws the same random numbers as
+its contraction as a depth-first search over the adjacency sets of the
+contracted nodes, the tree-distance LCA found by stepping the deeper end of
+every pair up one edge per round, and the steiner-lb and tsp-lb trial
+loops, one trial at a time. The walk draws the same random numbers as
 ``univlb.walks.random_walk``, and the oracles, tree distances and tour legs
 do the same float additions as the package, so parity tests compare exactly.
 
@@ -27,6 +28,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -41,9 +43,10 @@ from univlb.adversary import (
 )
 from univlb.expanders import ExpanderError, _canon_rows, _pack, legendre_symbol, lps_generators
 from univlb.experiments import LB_COLUMNS, ConfigError, ExperimentReport
-from univlb.frt import HST, HstNode
+from univlb.frt import HstNode
 from univlb.graphs import Graph
 from univlb.oracles import OracleRefusal, opt_surrogates, steiner_exact, tsp_exact
+from univlb.solutions import SpanningTree
 
 
 def project_paths_ref(p, X, m=None) -> float:
@@ -229,7 +232,20 @@ def _splits_ref(S: int) -> np.ndarray:
     return sub[1:]
 
 
-def frt_sample_ref(m, rng) -> HST:
+@dataclass(frozen=True)
+class HstRef:
+    """An HST as the node list that the carving loop builds."""
+
+    nodes: tuple[HstNode, ...]
+    root: int
+    leaf_of: tuple[int, ...]   # vertex -> leaf node index
+
+    def distances(self) -> np.ndarray:
+        return tree_distances_ref([nd.parent for nd in self.nodes],
+                                  [nd.parent_weight for nd in self.nodes], self.leaf_of)
+
+
+def frt_sample_ref(m, rng) -> HstRef:
     """``frt.frt_sample`` carving one cluster at a time: each member scans
     the permutation for the first point within the level's radius."""
     n = m.n
@@ -238,7 +254,7 @@ def frt_sample_ref(m, rng) -> HST:
     rank = {v: i for i, v in enumerate(pi)}
     if n == 1:
         leaf = HstNode(level=0, center=0, members=(0,), parent=-1, parent_weight=0.0)
-        return HST(nodes=(leaf,), root=0, leaf_of=(0,))
+        return HstRef(nodes=(leaf,), root=0, leaf_of=(0,))
     diam = float(m.dist.max())
     top = max(0, math.ceil(math.log2(diam))) if diam > 0 else 0
 
@@ -271,7 +287,35 @@ def frt_sample_ref(m, rng) -> HST:
                                  parent=idx, parent_weight=child_weight))
             node.children.append(len(nodes) - 1)
             pending.append(len(nodes) - 1)
-    return HST(nodes=tuple(nodes), root=0, leaf_of=tuple(leaf_of))
+    return HstRef(nodes=tuple(nodes), root=0, leaf_of=tuple(leaf_of))
+
+
+def hst_to_spanning_tree_ref(h, m) -> SpanningTree:
+    """``frt.hst_to_spanning_tree`` as a depth-first search from the metric
+    root over the adjacency sets of the contracted HST nodes."""
+    adj: dict[int, set[int]] = {v: set() for v in range(m.n)}
+    for nd in h.nodes:
+        if nd.parent < 0:
+            continue
+        a, b = nd.center, h.nodes[nd.parent].center
+        if a != b:
+            adj[a].add(b)
+            adj[b].add(a)
+    parent = [-1] * m.n
+    parent[m.root] = m.root
+    stack = [m.root]
+    seen = {m.root}
+    while stack:
+        v = stack.pop()
+        for w in sorted(adj[v]):
+            if w not in seen:
+                seen.add(w)
+                parent[w] = v
+                stack.append(w)
+    if len(seen) != m.n:
+        raise ValueError("contracted HST does not span the point set")
+    costs = tuple(0.0 if v == m.root else float(m.dist[v, parent[v]]) for v in range(m.n))
+    return SpanningTree(root=m.root, parent=tuple(parent), edge_cost=costs)
 
 
 def tree_distances_ref(parent, weight, points) -> np.ndarray:

@@ -200,8 +200,9 @@ def test_criterion_6_oracle_correctness():
     # last, holds OPT of every rooted set in the root's column (unit-cost
     # graph metrics are integral, so reading it there is exact). The brute
     # force takes the MST of every rooted vertex set once, then a superset
-    # minimum. On every 100th graph, each set is also checked exactly
-    # against steiner_exact and the per-set brute force.
+    # minimum. Both sides add integers, so the column must equal it exactly.
+    # On every 100th graph, each set is also checked exactly against
+    # steiner_exact and the per-set brute force.
     graphs_checked = 0
     sets_checked = 0
     slice_checked = 0
@@ -210,9 +211,8 @@ def test_criterion_6_oracle_correctness():
             m = shortest_path_metric(Graph(n=n, edges=edges), 0)
             got = steiner_table(m, [*range(1, n), 0])[:, 0]
             want = rooted_steiner_brute(m.dist, n)
-            for mask in range(1, 1 << (n - 1)):
-                assert got[mask] == pytest.approx(want[mask], rel=1e-9), (edges, mask)
-                sets_checked += 1
+            assert np.array_equal(got[1:len(want)], want[1:]), edges
+            sets_checked += len(want) - 1
             if graphs_checked % 100 == 0:
                 for mask in range(1, 1 << (n - 1)):
                     x = {v + 1 for v in range(n - 1) if mask >> v & 1}

@@ -1,18 +1,25 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from univlb import frt
 from univlb.frt import (
     frt_sample,
+    frt_samples,
+    hst_distances,
     hst_dominates,
     hst_to_spanning_tree,
+    hsts_dominate,
+    hsts_to_spanning_trees,
     stretch_stats,
     tree_distances,
 )
+from univlb.graphs import Graph
 from univlb.metric import MetricSpace, random_euclidean_metric, shortest_path_metric
 from univlb.rng import stream
 from univlb.solutions import project_tree
@@ -22,7 +29,7 @@ def test_single_point():
     m = MetricSpace(n=1, dist=np.zeros((1, 1)), root=0)
     h = frt_sample(m, stream(1, 0))
     assert h.n == 1
-    assert h.distances().tolist() == [[0.0]]
+    assert hst_distances([h])[0].tolist() == [[0.0]]
 
 
 def test_two_point_bounds():
@@ -30,7 +37,7 @@ def test_two_point_bounds():
         m = MetricSpace(n=2, dist=np.array([[0.0, d0], [d0, 0.0]]), root=0)
         for i in range(20):
             h = frt_sample(m, stream(2, i))
-            dh = h.distances()[0, 1]
+            dh = hst_distances([h])[0][0, 1]
             assert d0 <= dh <= 32.0 * d0
             t = hst_to_spanning_tree(h, m)
             assert t.total_cost == pytest.approx(d0)
@@ -103,7 +110,7 @@ def test_hst_distances_match_path_walk():
         parent = [nd.parent for nd in h.nodes]
         weight = [nd.parent_weight for nd in h.nodes]
         ref = _reference_matrix(parent, weight, h.leaf_of)
-        assert np.abs(h.distances() - ref).max() <= tol
+        assert np.abs(hst_distances([h])[0] - ref).max() <= tol
 
 
 def test_domination_every_sample():
@@ -195,3 +202,47 @@ def test_tree_ratio_within_hst_ratio():
         hst_cost = _hst_subtree_cost(h, x | {m.root})
         assert tree_cost <= hst_cost + 1e-9
         assert tree_cost <= 2.0 * hst_cost + 1e-9
+
+
+def _tables(h):
+    return h.beta, h.top, h.centers.tobytes(), h.balls.tobytes(), h.leaf.tobytes()
+
+
+def test_batches_of_any_size_give_the_same_trees_and_checks(monkeypatch):
+    m = random_euclidean_metric(20, stream(13, 0))
+
+    def run():
+        hsts = frt_samples(m, [stream(13, 1, t) for t in range(7)])
+        trees = hsts_to_spanning_trees(hsts, m)
+        return ([_tables(h) for h in hsts], hsts_dominate(hsts, m).tolist(),
+                [t.parent for t in trees], stretch_stats(m, trees))
+
+    whole = run()
+    for trees in (1, 3):  # batches of 1 and of 3, 3 and 1 trees
+        monkeypatch.setattr(frt, "BATCH_BYTES", trees * m.n * m.n * m.dist.itemsize)
+        assert run() == whole
+
+
+def test_a_batch_holds_the_byte_cap_of_distances():
+    # 400 points of int32: one tree's distances in pi order take 640 KB, so
+    # the cap admits 3 of the 8 trees at a time
+    n = 400
+    m = shortest_path_metric(Graph(n=n, edges=[(v, (v + 1) % n) for v in range(n)]
+                                   + [(v, (7 * v + 3) % n) for v in range(n)]), 0)
+    assert m.dist.dtype == np.int32
+    tracemalloc.start()
+    try:
+        hsts = frt_samples(m, [stream(14, t) for t in range(8)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(hsts) == 8
+    assert peak < 1.5 * frt.BATCH_BYTES < 8 * n * n * m.dist.itemsize
+
+
+def test_total_weight_and_lazy_nodes():
+    m = random_euclidean_metric(30, stream(15, 0))
+    for h in frt_samples(m, [stream(15, 1, t) for t in range(5)]):
+        assert "nodes" not in vars(h)  # the tables alone serve the pipeline
+        weights = sum(nd.parent_weight for nd in h.nodes)
+        assert h.total_weight == pytest.approx(weights, rel=1e-12, abs=0)

@@ -5,10 +5,11 @@
 ``good_walks`` tests a block of walks in one pass, ``project_tour_rows`` sums
 the legs of a block of tours, the exact oracles fill their tables one
 array min (Dreyfus-Wagner) or argmin (Held-Karp) at a time,
-``steiner_table`` fills one popcount level at a time, ``frt_sample`` settles
-every point of a level at once, and ``tree_distances`` reads each pair's LCA
-from one ancestor table; each must give exactly what the loops in
-``kernels_ref`` give.
+``steiner_table`` fills one popcount level at a time, ``frt_samples``
+settles every point of a level of every tree at once and reads the HST
+distances and the contraction off its label tables, and ``tree_distances``
+reads each pair's LCA from one ancestor table; each must give exactly what
+the loops in ``kernels_ref`` give.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from hypothesis import example, given, settings, strategies as st
 from kernels_ref import (
     first_edges_ref,
     frt_sample_ref,
+    hst_to_spanning_tree_ref,
     is_good_walk_ref,
     project_paths_ref,
     project_tour_ref,
@@ -30,9 +32,17 @@ from kernels_ref import (
     tsp_exact_ref,
 )
 from univlb.adversary import SteinerAdversaryConfig, good_walks, is_good_walk
-from univlb.frt import frt_sample, tree_distances
+from univlb.frt import (
+    frt_sample,
+    frt_samples,
+    hst_distances,
+    hsts_dominate,
+    hsts_to_spanning_trees,
+    stretch_stats,
+    tree_distances,
+)
 from univlb.graphs import Graph
-from univlb.metric import MetricSpace
+from univlb.metric import MetricSpace, random_euclidean_metric, shortest_path_metric
 from univlb.oracles import (
     DEFAULT_BUDGET,
     steiner_exact,
@@ -364,6 +374,67 @@ def test_frt_sample_refuses_duplicate_points(n):
     m = _with_twins(_closed_metric(n, 0, stream(45, n), integral=True), [(0, n - 1)])
     with pytest.raises(ValueError, match=f"points 0 and {n - 1} are at distance 0"):
         frt_sample(m, stream(45))
+    with pytest.raises(ValueError, match=f"points 0 and {n - 1} are at distance 0"):
+        frt_samples(m, [stream(45, t) for t in range(3)])
+
+
+@st.composite
+def frt_batches(draw):
+    """A Euclidean, integral, float or graph (int32) metric on 1..24 points
+    with any root, and the betas of a batch of trees: None draws beta, and
+    1 or 1.5 puts radii beta * 2^(L-1) on integral distances."""
+    n = draw(st.integers(1, 24))
+    root = draw(st.integers(0, n - 1))
+    seed = draw(st.integers(0, 2 ** 16))
+    kind = draw(st.sampled_from(["euclidean", "integral", "float", "graph"]))
+    if kind == "euclidean":
+        m = random_euclidean_metric(n, stream(seed), root=root)
+    elif kind == "graph":
+        chords = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                               max_size=n))
+        m = shortest_path_metric(Graph(n=n, edges=[(v - 1, v) for v in range(1, n)] + chords),
+                                 root)
+    else:
+        m = _closed_metric(n, root, stream(seed), kind == "integral")
+    betas = draw(st.lists(st.sampled_from([None, 1.0, 1.5]), min_size=1, max_size=4))
+    return m, betas, seed
+
+
+@settings(max_examples=200, deadline=None)
+@example(batch=(MetricSpace(n=1, dist=np.zeros((1, 1)), root=0), [None, 1.0], 0))
+@example(batch=(MetricSpace(n=2, dist=np.array([[0.0, 1.0], [1.0, 0.0]]), root=1),
+                [1.0, None, 1.5], 3))
+@given(frt_batches())
+def test_frt_batch_matches_the_per_tree_references(batch):
+    m, betas, seed = batch
+
+    def rngs():
+        return [stream(seed, 1, t) if b is None else _FixedBeta(b, seed + t)
+                for t, b in enumerate(betas)]
+
+    hsts, refs = frt_samples(m, rngs()), [frt_sample_ref(m, rng) for rng in rngs()]
+    trees = hsts_to_spanning_trees(hsts, m)
+    for h, ref, tree, dist in zip(hsts, refs, trees, hst_distances(hsts), strict=True):
+        assert _hst_fields(h) == _hst_fields(ref)
+        want = hst_to_spanning_tree_ref(ref, m)
+        assert (tree.root, tree.parent, tree.edge_cost) == (want.root, want.parent, want.edge_cost)
+        assert dist.tobytes() == ref.distances().tobytes()
+    tol = 1e-12 * max(1.0, float(m.dist.max()))
+    assert hsts_dominate(hsts, m).tolist() == [bool((ref.distances() >= m.dist - tol).all())
+                                               for ref in refs]
+
+    # the spanning trees' distances in one pass, and their stretch summed in tree order
+    parents, costs = [t.parent for t in trees], [t.edge_cost for t in trees]
+    total = np.zeros((m.n, m.n))
+    for p, c, dist in zip(parents, costs, tree_distances(parents, costs, range(m.n))):
+        want = tree_distances_ref(p, c, range(m.n))
+        assert dist.tobytes() == want.tobytes()
+        total += want
+    if m.n > 1:
+        upper = np.triu_indices(m.n, 1)
+        ratios = (total / len(trees))[upper] / m.dist[upper]
+        assert stretch_stats(m, trees) == {"max_pair_stretch": float(ratios.max()),
+                                           "mean_pair_stretch": float(ratios.mean())}
 
 
 @st.composite
