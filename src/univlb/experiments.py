@@ -58,7 +58,7 @@ from .adversary import (
     tsp_certificate,
 )
 from .expanders import lps_graph
-from .frt import frt_samples, hsts_dominate, hsts_to_spanning_trees, stretch_stats
+from .frt import CHUNK_BYTES, frt_samples, hsts_dominate, hsts_to_spanning_trees, stretch_stats
 from .graphs import Graph, csr_rows, diameter_ecc, girth as graph_girth, read_graph
 from .metric import MetricSpace, random_euclidean_metric, shortest_path_metric
 from .oracles import (
@@ -310,15 +310,11 @@ def _steiner_solutions(cfg: RunConfig, inst: InstanceBundle) -> list[PathCollect
     raise ConfigError(f"unknown steiner solution {cfg.solution!r}")
 
 
-#: Bytes one chunk of trials may spend on its largest gather: the (B, t+1, L)
-#: path keys of steiner-lb, the (B, t+1, t+1) cross distances of tsp-lb.
-#: Chunks keep the peak memory of a run independent of its trial count.
-CHUNK_BYTES = 1 << 21
-
-
 def _chunks(trials: int, row_bytes: int) -> list[range]:
     """Consecutive ranges of the trials, each of CHUNK_BYTES // row_bytes
-    trials or fewer (at least one)."""
+    trials or fewer (at least one). ``row_bytes`` is a trial's share of the
+    chunk's largest gather: the (B, t+1, L) path keys of steiner-lb, the
+    (B, t+1, t+1) cross distances of tsp-lb."""
     size = max(1, CHUNK_BYTES // row_bytes)
     return [range(lo, min(lo + size, trials)) for lo in range(0, trials, size)]
 

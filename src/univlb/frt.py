@@ -12,49 +12,43 @@ c the edge weight summed from the root down; contraction makes a point's
 parent the center of the cluster just above the highest cluster it
 centers, then flips the path from the metric root to pi's first point; the
 O(log n) expected stretch is measured from one ancestor table. Each
-(trees x points x points) pass takes as many trees as fit in
-``BATCH_BYTES``, so large metrics go a tree at a time.
+(trees x points x points) pass takes as many trees as its temporaries fit
+in ``CHUNK_BYTES`` (2 MiB): the carving holds the distances in pi order
+and a bool mask, the HST and tree distances float64 distances and LCA
+costs and a bool mask (the stretch's (trees x points x depth) ancestor
+table comes on top). Large metrics go a tree at a time.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
 from .metric import MetricSpace
 from .solutions import SpanningTree
 
-#: Bytes of distances in pi order one batch of trees may hold, the budget of
-#: a chunk of trials (``experiments.CHUNK_BYTES``).
-BATCH_BYTES = 1 << 21
+#: Bytes the temporaries of one pass may hold: a batch of trees here, a
+#: chunk of trials in ``experiments``. Keeps peak memory independent of the
+#: number of trees and trials.
+CHUNK_BYTES = 1 << 21
 
-
-@dataclass
-class HstNode:
-    level: int
-    center: int                # representative member of the cluster
-    members: tuple[int, ...]
-    parent: int                # index into HST.nodes; -1 at the root
-    parent_weight: float       # weight of the edge to the parent; 0 at the root
-    children: list[int] = field(default_factory=list)
+#: Bytes per (tree, point, point) cell of the HST and tree distances: the
+#: float64 distances and LCA costs and one bool mask.
+_DIST_BYTES = 17
 
 
 @dataclass(frozen=True, eq=False)
 class HST:
     """One tree's carving. Row l of ``centers`` holds each point's cluster
-    center at level top - l, and of ``balls`` the rank in pi of the ball
-    that cut the cluster out of its parent; ``leaf[v]`` is the first row
-    where v is alone. An edge from row l up weighs beta * 2^(top - l + 2)."""
+    center at level top - l; ``leaf[v]`` is the first row where v is alone.
+    An edge from row l up weighs beta * 2^(top - l + 2)."""
 
     beta: float
     top: int
     centers: np.ndarray  # (rows, n)
-    balls: np.ndarray    # (rows, n)
     leaf: np.ndarray     # (n,)
-    root = 0             # the root's index in ``nodes``
 
     @property
     def n(self) -> int:
@@ -66,33 +60,6 @@ class HST:
         rows = np.arange(len(self.centers))[:, None]
         nodes = (self.centers == np.arange(self.n)) & (rows > 0) & (rows <= self.leaf)
         return self.beta * float(nodes.sum(axis=1) @ 2.0 ** (self.top + 2 - rows[:, 0]))
-
-    @cached_property
-    def nodes(self) -> tuple[HstNode, ...]:
-        """The clusters as nodes, numbered as a depth-first carving numbers
-        them: a pending stack, children pushed in pi order of their balls."""
-        nodes = [HstNode(level=self.top, center=int(self.centers[0, 0]),
-                         members=tuple(range(self.n)), parent=-1, parent_weight=0.0)]
-        pending = [0]
-        while pending:
-            node = nodes[idx := pending.pop()]
-            if len(node.members) == 1:
-                continue
-            row = self.top - node.level + 1  # its children's row
-            for ball in sorted({int(self.balls[row, u]) for u in node.members}):
-                members = tuple(u for u in node.members if self.balls[row, u] == ball)
-                node.children.append(len(nodes))
-                nodes.append(HstNode(level=node.level - 1, center=int(self.centers[row, members[0]]),
-                                     members=members, parent=idx,
-                                     parent_weight=self.beta * 2.0 ** (node.level + 1)))
-            pending += node.children
-        return tuple(nodes)
-
-    @cached_property
-    def leaf_of(self) -> tuple[int, ...]:
-        """Vertex -> leaf node index."""
-        return tuple(i for _, i in sorted((nd.members[0], i) for i, nd in enumerate(self.nodes)
-                                          if not nd.children))
 
 
 def frt_samples(m: MetricSpace, rngs: list[np.random.Generator]) -> list[HST]:
@@ -110,7 +77,7 @@ def frt_samples(m: MetricSpace, rngs: list[np.random.Generator]) -> list[HST]:
     # 2^low <= the least distance, so carving level low leaves every point alone
     low = math.frexp(float(m.dist.min(initial=diam, where=m.dist > 0)))[1] - 1
     out = []
-    batches = _batches(draws, n, m.dist.itemsize)
+    batches = _batches(draws, n, m.dist.itemsize + 1)
     size = n * n * max(map(len, batches), default=0)
     cols, hits = np.empty(size, dtype=m.dist.dtype), np.empty(size, dtype=bool)
     for batch in batches:
@@ -121,7 +88,7 @@ def frt_samples(m: MetricSpace, rngs: list[np.random.Generator]) -> list[HST]:
         hit = hits[:perm.size * n].reshape(n, *perm.shape)
         np.take(m.dist, perm, axis=1, out=dist, mode="clip")
         center = np.repeat(perm[:, :1], n, axis=1)
-        centers, balls = [center], [np.zeros_like(center)]
+        centers = [center]
         for level in range(top, low - 1, -1):
             np.less_equal(dist, (beta * 2.0 ** (level - 1))[:, None], out=hit)
             ball = np.argmax(hit, axis=2).T
@@ -129,18 +96,18 @@ def frt_samples(m: MetricSpace, rngs: list[np.random.Generator]) -> list[HST]:
             np.equal(key.T[:, :, None], np.take_along_axis(key, perm, axis=1), out=hit)
             center = np.take_along_axis(perm, np.argmax(hit, axis=2).T, axis=1)
             centers.append(center)
-            balls.append(ball)
         table = np.stack(centers, axis=1)
         cells = np.arange(table.size // n)[:, None] * n + table.reshape(-1, n)
         alone = np.bincount(cells.ravel())[cells].reshape(table.shape) == 1
-        out += [HST(beta=b, top=top, centers=c, balls=bl, leaf=lf) for b, c, bl, lf in zip(
-            beta.tolist(), table, np.stack(balls, axis=1), np.argmax(alone, axis=1))]
+        out += [HST(beta=b, top=top, centers=c, leaf=lf)
+                for b, c, lf in zip(beta.tolist(), table, np.argmax(alone, axis=1))]
     return out
 
 
-def _batches(items: list, n: int, itemsize: int = 8) -> list[list]:
-    """``items`` in runs whose (run x n x n) arrays of ``itemsize`` fit BATCH_BYTES."""
-    per = max(1, BATCH_BYTES // (n * n * itemsize))
+def _batches(items: list, n: int, cell_bytes: int) -> list[list]:
+    """``items`` in runs whose (run x n x n) temporaries of ``cell_bytes`` a
+    cell fit CHUNK_BYTES."""
+    per = max(1, CHUNK_BYTES // (n * n * cell_bytes))
     return [items[lo:lo + per] for lo in range(0, len(items), per)]
 
 
@@ -175,7 +142,7 @@ def hsts_dominate(hsts: list[HST], m: MetricSpace) -> np.ndarray:
     """Per tree, True iff HST distance >= metric distance for every pair."""
     tol = 1e-12 * max(1.0, float(m.dist.max()))
     return np.concatenate([(hst_distances(batch) >= m.dist - tol).all(axis=(1, 2))
-                           for batch in _batches(hsts, m.n)])
+                           for batch in _batches(hsts, m.n, _DIST_BYTES)])
 
 
 def hst_dominates(h: HST, m: MetricSpace) -> bool:
@@ -217,7 +184,7 @@ def stretch_stats(m: MetricSpace, trees: list[SpanningTree]) -> dict[str, float]
     pairs, and the mean over pairs is reported alongside.
     """
     total = np.zeros((m.n, m.n))
-    for batch in _batches(trees, m.n):
+    for batch in _batches(trees, m.n, _DIST_BYTES):
         for dist in tree_distances([t.parent for t in batch], [t.edge_cost for t in batch],
                                    range(m.n)):
             total += dist

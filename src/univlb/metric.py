@@ -154,21 +154,10 @@ def read_metric(path: str | Path) -> MetricSpace:
     integral = all("." not in v and "e" not in v and "inf" not in v for v in values)
     dtype = np.int64 if integral else np.float64
     m = MetricSpace(n=n, dist=np.array(values, dtype=dtype).reshape(n, n), root=root)
-    if not (integral and _is_graph_closure(m)):
-        violation = validate_metric(m)
-        if violation is not None:
-            raise MetricError(f"{path}: not a metric: {violation}")
+    violation = validate_metric(m)
+    if violation is not None:
+        raise MetricError(f"{path}: not a metric: {violation}")
     return m
-
-
-def _is_graph_closure(m: MetricSpace) -> bool:
-    """True if an integral table is the closure of its own distance-1 graph, so a
-    metric without the O(n^3) triangle pass; the O(n^2) axioms go first."""
-    d = m.dist
-    if (np.diagonal(d) != 0).any() or (d != d.T).any() or (d > 0).sum() < m.n * (m.n - 1):
-        return False
-    # a disconnected graph leaves -1 at its unreachable pairs
-    return np.array_equal(_unit_all_pairs(Graph(n=m.n, edges=np.argwhere(np.triu(d == 1)))), d)
 
 
 def random_euclidean_metric(n: int, rng: np.random.Generator, root: int = 0) -> MetricSpace:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -43,7 +43,6 @@ from univlb.adversary import (
 )
 from univlb.expanders import ExpanderError, _canon_rows, _pack, legendre_symbol, lps_generators
 from univlb.experiments import LB_COLUMNS, ConfigError, ExperimentReport
-from univlb.frt import HstNode
 from univlb.graphs import Graph
 from univlb.oracles import OracleRefusal, opt_surrogates, steiner_exact, tsp_exact
 from univlb.solutions import SpanningTree
@@ -232,10 +231,21 @@ def _splits_ref(S: int) -> np.ndarray:
     return sub[1:]
 
 
+@dataclass
+class HstNode:
+    level: int
+    center: int                # representative member of the cluster
+    members: tuple[int, ...]
+    parent: int                # index into HstRef.nodes; -1 at the root
+    parent_weight: float       # weight of the edge to the parent; 0 at the root
+    children: list[int] = field(default_factory=list)
+
+
 @dataclass(frozen=True)
 class HstRef:
     """An HST as the node list that the carving loop builds."""
 
+    beta: float
     nodes: tuple[HstNode, ...]
     root: int
     leaf_of: tuple[int, ...]   # vertex -> leaf node index
@@ -243,6 +253,45 @@ class HstRef:
     def distances(self) -> np.ndarray:
         return tree_distances_ref([nd.parent for nd in self.nodes],
                                   [nd.parent_weight for nd in self.nodes], self.leaf_of)
+
+    def tables(self, rows: int) -> tuple:
+        """(beta, top, centers, leaf) as ``frt.HST`` holds them, with
+        ``rows`` rows: each point's cluster center from the root down to its
+        leaf, then the point itself."""
+        top = self.nodes[self.root].level
+        centers = [list(range(len(self.leaf_of))) for _ in range(rows)]
+        leaf = []
+        for v, idx in enumerate(self.leaf_of):
+            leaf.append(top - self.nodes[idx].level)
+            while idx >= 0:
+                centers[top - self.nodes[idx].level][v] = self.nodes[idx].center
+                idx = self.nodes[idx].parent
+        return self.beta, top, centers, leaf
+
+
+def hst_nodes(h) -> HstRef:
+    """An ``frt.HST``'s label tables as a node list: the children of a
+    cluster at row l split its members by their centers at row l + 1, in
+    order of those centers, until a cluster is one point."""
+    nodes = [HstNode(level=h.top, center=int(h.centers[0, 0]), members=tuple(range(h.n)),
+                     parent=-1, parent_weight=0.0)]
+    leaf_of = [-1] * h.n
+    pending = [0]
+    while pending:
+        idx = pending.pop()
+        node = nodes[idx]
+        if len(node.members) == 1:
+            leaf_of[node.members[0]] = idx
+            continue
+        groups: dict[int, list[int]] = {}
+        for u in node.members:
+            groups.setdefault(int(h.centers[h.top - node.level + 1, u]), []).append(u)
+        for center in sorted(groups):
+            nodes.append(HstNode(level=node.level - 1, center=center, members=tuple(groups[center]),
+                                 parent=idx, parent_weight=h.beta * 2.0 ** (node.level + 1)))
+            node.children.append(len(nodes) - 1)
+            pending.append(len(nodes) - 1)
+    return HstRef(beta=h.beta, nodes=tuple(nodes), root=0, leaf_of=tuple(leaf_of))
 
 
 def frt_sample_ref(m, rng) -> HstRef:
@@ -254,7 +303,7 @@ def frt_sample_ref(m, rng) -> HstRef:
     rank = {v: i for i, v in enumerate(pi)}
     if n == 1:
         leaf = HstNode(level=0, center=0, members=(0,), parent=-1, parent_weight=0.0)
-        return HstRef(nodes=(leaf,), root=0, leaf_of=(0,))
+        return HstRef(beta=beta, nodes=(leaf,), root=0, leaf_of=(0,))
     diam = float(m.dist.max())
     top = max(0, math.ceil(math.log2(diam))) if diam > 0 else 0
 
@@ -287,7 +336,7 @@ def frt_sample_ref(m, rng) -> HstRef:
                                  parent=idx, parent_weight=child_weight))
             node.children.append(len(nodes) - 1)
             pending.append(len(nodes) - 1)
-    return HstRef(nodes=tuple(nodes), root=0, leaf_of=tuple(leaf_of))
+    return HstRef(beta=beta, nodes=tuple(nodes), root=0, leaf_of=tuple(leaf_of))
 
 
 def hst_to_spanning_tree_ref(h, m) -> SpanningTree:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kernels_ref import hst_nodes
 from univlb import frt
 from univlb.frt import (
     frt_sample,
@@ -107,9 +108,10 @@ def test_hst_distances_match_path_walk():
     tol = 1e-12 * float(m.dist.max())
     for i in range(10):
         h = frt_sample(m, stream(12, 1, i))
-        parent = [nd.parent for nd in h.nodes]
-        weight = [nd.parent_weight for nd in h.nodes]
-        ref = _reference_matrix(parent, weight, h.leaf_of)
+        tree = hst_nodes(h)
+        parent = [nd.parent for nd in tree.nodes]
+        weight = [nd.parent_weight for nd in tree.nodes]
+        ref = _reference_matrix(parent, weight, tree.leaf_of)
         assert np.abs(hst_distances([h])[0] - ref).max() <= tol
 
 
@@ -123,13 +125,25 @@ def test_domination_every_sample():
 def test_leaves_are_singletons_and_cover():
     m = random_euclidean_metric(17, stream(4, 0))
     h = frt_sample(m, stream(4, 1))
-    assert sorted(h.nodes[h.leaf_of[v]].members[0] for v in range(17)) == list(range(17))
-    for node in h.nodes:
+    c, each = h.centers, np.arange(17)
+    # a cluster is the points sharing a center, which is one of them; each
+    # row refines the one above; v is alone from row leaf[v] on, not above
+    assert (c[0] == c[0, 0]).all()
+    for row in range(1, len(c)):
+        assert (c[row, c[row]] == c[row]).all()
+        assert (c[row - 1] == c[row - 1, c[row]]).all()
+    sizes = (c[:, :, None] == c[:, None, :]).sum(axis=2)
+    assert (sizes[h.leaf, each] == 1).all() and (c[h.leaf, each] == each).all()
+    assert (sizes[np.maximum(h.leaf - 1, 0), each] > 1).all()
+    tree = hst_nodes(h)
+    assert sorted(tree.nodes[tree.leaf_of[v]].members[0] for v in range(17)) == list(range(17))
+    for node in tree.nodes:
         if node.children:
-            got = sorted(v for c in node.children for v in h.nodes[c].members)
+            got = sorted(v for c in node.children for v in tree.nodes[c].members)
             assert got == sorted(node.members)
         else:
             assert len(node.members) == 1
+            assert h.top - node.level == h.leaf[node.members[0]]
 
 
 def test_contracted_tree_cost_bounded():
@@ -199,13 +213,13 @@ def test_tree_ratio_within_hst_ratio():
         xr = stream(8, 2, i)
         x = set(int(v) for v in xr.choice(range(1, 64), size=6, replace=False))
         tree_cost = project_tree(t, x)
-        hst_cost = _hst_subtree_cost(h, x | {m.root})
+        hst_cost = _hst_subtree_cost(hst_nodes(h), x | {m.root})
         assert tree_cost <= hst_cost + 1e-9
         assert tree_cost <= 2.0 * hst_cost + 1e-9
 
 
 def _tables(h):
-    return h.beta, h.top, h.centers.tobytes(), h.balls.tobytes(), h.leaf.tobytes()
+    return h.beta, h.top, h.centers.tobytes(), h.leaf.tobytes()
 
 
 def test_batches_of_any_size_give_the_same_trees_and_checks(monkeypatch):
@@ -218,14 +232,16 @@ def test_batches_of_any_size_give_the_same_trees_and_checks(monkeypatch):
                 [t.parent for t in trees], stretch_stats(m, trees))
 
     whole = run()
-    for trees in (1, 3):  # batches of 1 and of 3, 3 and 1 trees
-        monkeypatch.setattr(frt, "BATCH_BYTES", trees * m.n * m.n * m.dist.itemsize)
+    # distances in batches of 1, then of 3, 3 and 1 trees; the carving's
+    # float64 cells of 9 bytes take 1, then 5 and 2 trees a batch
+    for trees in (1, 3):
+        monkeypatch.setattr(frt, "CHUNK_BYTES", trees * m.n * m.n * frt._DIST_BYTES)
         assert run() == whole
 
 
 def test_a_batch_holds_the_byte_cap_of_distances():
-    # 400 points of int32: one tree's distances in pi order take 640 KB, so
-    # the cap admits 3 of the 8 trees at a time
+    # 400 points of int32: one tree's distances in pi order and bool mask
+    # take 800 KB, so the cap admits 2 of the 8 trees at a time
     n = 400
     m = shortest_path_metric(Graph(n=n, edges=[(v, (v + 1) % n) for v in range(n)]
                                    + [(v, (7 * v + 3) % n) for v in range(n)]), 0)
@@ -237,12 +253,11 @@ def test_a_batch_holds_the_byte_cap_of_distances():
     finally:
         tracemalloc.stop()
     assert len(hsts) == 8
-    assert peak < 1.5 * frt.BATCH_BYTES < 8 * n * n * m.dist.itemsize
+    assert peak < 1.5 * frt.CHUNK_BYTES < 8 * n * n * (m.dist.itemsize + 1)
 
 
-def test_total_weight_and_lazy_nodes():
+def test_total_weight_sums_the_node_weights():
     m = random_euclidean_metric(30, stream(15, 0))
     for h in frt_samples(m, [stream(15, 1, t) for t in range(5)]):
-        assert "nodes" not in vars(h)  # the tables alone serve the pipeline
-        weights = sum(nd.parent_weight for nd in h.nodes)
+        weights = sum(nd.parent_weight for nd in hst_nodes(h).nodes)
         assert h.total_weight == pytest.approx(weights, rel=1e-12, abs=0)

@@ -21,6 +21,7 @@ from hypothesis import example, given, settings, strategies as st
 from kernels_ref import (
     first_edges_ref,
     frt_sample_ref,
+    hst_nodes,
     hst_to_spanning_tree_ref,
     is_good_walk_ref,
     project_paths_ref,
@@ -331,8 +332,7 @@ def test_steiner_table_levels_match_the_per_subset_reference_at_every_k(k):
 
 
 def _hst_fields(h):
-    return ([(nd.level, nd.center, nd.members, nd.parent, nd.parent_weight, nd.children)
-             for nd in h.nodes], h.root, h.leaf_of)
+    return h.beta, h.top, h.centers.tolist(), h.leaf.tolist()
 
 
 class _FixedBeta:
@@ -364,8 +364,7 @@ def test_frt_sample_matches_the_carving_loop(n, integral, beta, seed):
         return stream(seed, 1) if beta is None else _FixedBeta(beta, seed)
 
     h = frt_sample(m, rng())
-    assert _hst_fields(h) == _hst_fields(frt_sample_ref(m, rng()))
-    assert all(type(v) is int for nd in h.nodes for v in (nd.level, nd.center, *nd.members))
+    assert _hst_fields(h) == frt_sample_ref(m, rng()).tables(len(h.centers))
 
 
 @pytest.mark.parametrize("n", [2, 5])
@@ -415,7 +414,7 @@ def test_frt_batch_matches_the_per_tree_references(batch):
     hsts, refs = frt_samples(m, rngs()), [frt_sample_ref(m, rng) for rng in rngs()]
     trees = hsts_to_spanning_trees(hsts, m)
     for h, ref, tree, dist in zip(hsts, refs, trees, hst_distances(hsts), strict=True):
-        assert _hst_fields(h) == _hst_fields(ref)
+        assert _hst_fields(h) == ref.tables(len(h.centers))
         want = hst_to_spanning_tree_ref(ref, m)
         assert (tree.root, tree.parent, tree.edge_cost) == (want.root, want.parent, want.edge_cost)
         assert dist.tobytes() == ref.distances().tobytes()
@@ -446,7 +445,7 @@ def tree_instances(draw):
     n = draw(st.integers(1, 24))
     rng = stream(draw(st.integers(0, 2 ** 16)))
     if kind == "hst":
-        h = frt_sample(_closed_metric(n, 0, rng, draw(st.booleans())), rng)
+        h = hst_nodes(frt_sample(_closed_metric(n, 0, rng, draw(st.booleans())), rng))
         parent = [nd.parent for nd in h.nodes]
         weight = [nd.parent_weight for nd in h.nodes]
         nodes = list(h.leaf_of) + draw(st.lists(st.integers(0, len(parent) - 1), max_size=4))

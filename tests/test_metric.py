@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from univlb.graphs import Graph, GraphError, bfs_parents
 from univlb.metric import (
     FLOAT_TOL,
-    MetricError,
     MetricSpace,
     MetricViolation,
     random_euclidean_metric,
@@ -195,37 +192,6 @@ def test_metric_roundtrip_float(tmp_path):
     assert not m2.is_integral
     assert np.allclose(m2.dist, m.dist, atol=0)  # repr round-trips exactly
     assert np.array_equal(m2.dist, m.dist)
-
-
-@settings(max_examples=60, deadline=None)
-@given(connected_graphs(), st.data())
-def test_read_metric_takes_graph_closures_without_the_triangle_pass(tmp_path_factory, g, data):
-    m = shortest_path_metric(g, data.draw(st.integers(0, g.n - 1)))
-    path = tmp_path_factory.mktemp("closure") / "m.txt"
-    write_metric(m, path)
-    with mock.patch("univlb.metric.validate_metric", side_effect=AssertionError):
-        assert np.array_equal(read_metric(path).dist, m.dist)
-    assert validate_metric(m) is None  # the same verdict
-    if g.n < 3:
-        return
-    # one entry raised past a two-step path breaks a triangle
-    u, w, v = data.draw(st.permutations(range(g.n)))[:3]
-    bad = np.array(m.dist)
-    bad[u, v] = bad[v, u] = bad[u, w] + bad[w, v] + 1
-    bad = MetricSpace(n=g.n, dist=bad, root=m.root)
-    write_metric(bad, path)
-    with pytest.raises(MetricError) as refused:
-        read_metric(path)
-    assert str(refused.value) == f"{path}: not a metric: {validate_metric(bad)}"
-
-
-def test_read_metric_checks_an_integral_table_off_a_disconnected_unit_graph(tmp_path):
-    # no entry is 1, so the distance-1 graph has no edges: the triangle pass decides
-    path = tmp_path / "m.txt"
-    write_metric(MetricSpace(n=5, dist=2 * (1 - np.eye(5, dtype=np.int64)), root=0), path)
-    with mock.patch("univlb.metric.validate_metric", wraps=validate_metric) as check:
-        assert read_metric(path).dist.max() == 2
-    assert check.call_count == 1
 
 
 def test_random_metrics_valid():
