@@ -7,11 +7,12 @@ along them, the walk as one neighbour lookup per step, separation and block
 alternation over Python sets, the tour projection as a loop over its legs,
 the exact oracles' Dreyfus-Wagner and Held-Karp tables filled one split or
 one predecessor at a time, the Dreyfus-Wagner table filled one subset at a
-time, the FRT ball carving one member and one permutation point at a time,
-its contraction as a depth-first search over the adjacency sets of the
-contracted nodes, the tree-distance LCA found by stepping the deeper end of
-every pair up one edge per round, and the steiner-lb and tsp-lb trial
-loops, one trial at a time. The walk draws the same random numbers as
+time, the FRT ball carving one member and one permutation point at a time
+into a node list (``hst_nodes`` builds one from the package's label
+tables), its contraction as a depth-first search over the adjacency sets
+of the contracted nodes, the tree-distance LCA found by stepping the
+deeper end of every pair up one edge per round, and the steiner-lb and
+tsp-lb trial loops, one trial at a time. The walk draws the same random numbers as
 ``univlb.walks.random_walk``, and the oracles, tree distances and tour legs
 do the same float additions as the package, so parity tests compare exactly.
 
