@@ -137,8 +137,8 @@ def steiner_certificate(
     1. X' = distinct walk vertices (root excluded) incident to no traversed
        first edge, read from ``p.first_steps``; a good walk guarantees
        |X'| >= |X| / 2.
-    2. The path stubs (prefixes of each p_u, u in X', read from the
-       ``p.paths`` tuples, not from the key table the projection reads) are
+    2. The path stubs (prefixes of each p_u, u in X', cut from the vertex
+       table ``p.paths``, not from the key table the projection reads) are
        pairwise vertex-disjoint. Stub length is floor(girth/3) capped so
        that 2*stub + t stays strictly below the girth: any intersection
        would then close a cycle shorter than the girth, so a violation
@@ -171,12 +171,14 @@ def steiner_certificate(
     # yields a cycle shorter than the girth (exactly-girth closed walks are
     # legal and do occur at the boundary).
     stub_len = max(0, min(girth // 3, (girth - 1 - cfg.t) // 2))
-    stubs = {u: p.paths[u][: stub_len + 1] for u in x_prime}
+    stubs = p.paths[x_prime, : stub_len + 1]  # -1 past a path's end
 
     overlap: tuple[int, int] | None = None
     seen: dict[int, int] = {}
-    for u in x_prime:
-        for vtx in stubs[u]:
+    for u, stub in zip(x_prime, stubs.tolist()):
+        for vtx in stub:
+            if vtx < 0:
+                break
             if vtx in seen and seen[vtx] != u:
                 overlap = (seen[vtx], u)
                 break
@@ -187,7 +189,7 @@ def steiner_certificate(
     lhs = project_paths(p, w, m)
 
     rhs = len(X) * girth / 6.0
-    stub_sum = sum(len(stubs[u]) - 1 for u in x_prime)
+    stub_sum = int(np.count_nonzero(stubs >= 0)) - len(x_prime)  # each stub's vertices - 1
     witness = {
         "x_size": len(X),
         "x_prime_size": len(x_prime),

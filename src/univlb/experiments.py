@@ -302,8 +302,6 @@ def _steiner_solutions(cfg: RunConfig, inst: InstanceBundle) -> list[PathCollect
     if cfg.solution == "spt":
         return [tree_to_path_collection(bfs_tree(inst.graph, 0))]
     if cfg.solution == "frt":
-        if inst.metric is None:
-            raise ConfigError("frt solutions need the metric (raise metric_cap)")
         hsts = frt_samples(inst.metric, [rngs.stream(cfg.seed, rngs.TREE, i)
                                          for i in range(cfg.solution_count)])
         return [tree_to_path_collection(t) for t in hsts_to_spanning_trees(hsts, inst.metric)]

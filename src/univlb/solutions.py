@@ -9,13 +9,12 @@ set X is revealed; the cost charged is that of the induced sub-solution:
 
 Projections of ``X`` that is empty or ``{root}`` cost 0 by convention.
 
-A path collection keeps its steps as a key table, ``PathCollection.edge_keys``:
-row v holds the steps of p_v, each undirected step {a, b} as the integer
-``min(a, b) * n + max(a, b)``, padded with -1 up to the longest path's step
-count (the root's row is all padding). Projecting onto X gathers the rows of
-X and counts the distinct keys that are not padding, so a trial pays array
-passes, not a Python loop over path tuples; the table costs 8 * n * L bytes
-for paths of at most L steps.
+A path collection is one vertex table, ``PathCollection.paths``, and its
+steps are the key table ``PathCollection.edge_keys``, read off adjacent
+columns: each undirected step {a, b} as ``min(a, b) * n + max(a, b)``, -1
+past a path's end. Projecting onto X gathers the key rows of X and counts
+the distinct keys that are not padding, so a trial pays array passes, not a
+Python loop over paths; the two take 8 * n * (2L + 1) bytes for L steps.
 
 The ``*_rows`` projections do the same for a block of terminal sets at once,
 one per row, each against its own solution: ``project_path_rows`` reads the
@@ -29,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
@@ -49,23 +47,18 @@ class SpanningTree:
         n = len(self.parent)
         if len(self.edge_cost) != n:
             raise ValueError(f"edge_cost has {len(self.edge_cost)} entries for {n} vertices")
-        if not (0 <= self.root < n and all(0 <= p < n for p in self.parent)):
+        up = np.array(self.parent)
+        if not (0 <= self.root < n and up.dtype.kind in "iu" and 0 <= up.min()
+                and up.max() < n):
             raise ValueError(f"root and parents must be vertices 0..{n - 1}")
-        if self.parent[self.root] != self.root:
+        if up[self.root] != self.root:
             raise ValueError("root must be a fixed point of the parent map")
-        seen_depth = [-1] * n
-        seen_depth[self.root] = 0
-        for v in range(n):
-            trail = []
-            u = v
-            while seen_depth[u] < 0:
-                trail.append(u)
-                u = self.parent[u]
-                if len(trail) > n:
-                    raise ValueError("parent map contains a cycle")
-            base = seen_depth[u]
-            for i, w in enumerate(reversed(trail)):
-                seen_depth[w] = base + i + 1
+        # pointer doubling: after k rounds up[v] is v's 2**k-th ancestor, and
+        # 2**k > n exceeds every depth, so only a cycle keeps off the root
+        for _ in range(n.bit_length()):
+            up = up[up]
+        if np.any(up != self.root):
+            raise ValueError("parent map contains a cycle")
 
     @property
     def n(self) -> int:
@@ -75,12 +68,7 @@ class SpanningTree:
     def total_cost(self) -> float:
         return float(sum(self.edge_cost))
 
-    def path_to_root(self, v: int) -> tuple[int, ...]:
-        path = [v]
-        while path[-1] != self.root:
-            path.append(self.parent[path[-1]])
-        return tuple(path)
-
+    @cached_property
     def children(self) -> list[list[int]]:
         ch: list[list[int]] = [[] for _ in range(self.n)]
         for v in range(self.n):
@@ -89,21 +77,36 @@ class SpanningTree:
         return ch
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PathCollection:
-    """One path from every vertex to the root; the root's path is empty."""
+    """One path from every vertex to the root, as the read-only (n, L+1) int64
+    vertex table ``paths``: row v holds v, each later vertex of p_v up to the
+    root, then -1 padding. The root's path is empty: its row is all padding."""
 
     root: int
-    paths: tuple[tuple[int, ...], ...]
+    paths: np.ndarray
 
     def __post_init__(self) -> None:
-        for v, p in enumerate(self.paths):
-            if v == self.root:
-                if p not in ((), (self.root,)):
-                    raise ValueError("root path must be empty")
-                continue
-            if not p or p[0] != v or p[-1] != self.root:
-                raise ValueError(f"path of {v} must run from {v} to the root")
+        table = np.asarray(self.paths)
+        n = len(table)
+        if not (table.ndim == 2 and table.shape[1] >= 1 and table.dtype.kind in "iu"
+                and 0 <= self.root < n):
+            raise ValueError("paths must be an (n, L+1) integer table, the root one of its rows")
+        table = table.astype(np.int64)
+        if np.any((table < -1) | (table >= n)):
+            raise ValueError(f"path entries must be vertices 0..{n - 1} or -1 padding")
+        real = table >= 0
+        if np.any(real[:, 1:] & ~real[:, :-1]):
+            raise ValueError("a path continues after its padding")
+        starts = np.arange(n)
+        starts[self.root] = -1
+        if not np.array_equal(table[:, 0], starts):
+            raise ValueError("row v must start at v, and the root's row must be all padding")
+        ends = table[np.arange(n), real.sum(axis=1) - 1]  # the root's row: its last -1
+        if np.any((ends != self.root) & (starts >= 0)):
+            raise ValueError("every path must end at the root")
+        table.setflags(write=False)
+        object.__setattr__(self, "paths", table)
 
     @property
     def n(self) -> int:
@@ -113,17 +116,8 @@ class PathCollection:
     def edge_keys(self) -> np.ndarray:
         """Read-only (n, L) int64 table: row v holds the undirected step keys
         ``min * n + max`` of p_v in path order, then -1 padding."""
-        n = self.n
-        lengths = np.fromiter(map(len, self.paths), dtype=np.int64, count=n)
-        flat = np.fromiter(chain.from_iterable(self.paths), dtype=np.int64,
-                           count=int(lengths.sum()))
-        steps = np.maximum(lengths - 1, 0)
-        rows = np.repeat(np.arange(n), steps)  # each step's path ...
-        cols = np.arange(rows.size) - np.repeat(np.cumsum(steps) - steps, steps)  # ... index on it
-        at = np.repeat(np.cumsum(lengths) - lengths, steps) + cols  # ... and first vertex in flat
-        a, b = flat[at], flat[at + 1]
-        table = np.full((n, int(steps.max(initial=0))), -1, dtype=np.int64)
-        table[rows, cols] = np.minimum(a, b) * n + np.maximum(a, b)
+        a, b = self.paths[:, :-1], self.paths[:, 1:]
+        table = np.where(b >= 0, np.minimum(a, b) * self.n + np.maximum(a, b), -1)
         table.setflags(write=False)
         return table
 
@@ -132,10 +126,8 @@ class PathCollection:
         """Read-only (n,) int64 array: the vertex after v on p_v, -1 on the
         root's path. The step (a, b) is a first edge exactly when
         ``first_steps[a] == b`` or ``first_steps[b] == a``."""
-        out = np.fromiter((p[1] if len(p) >= 2 else -1 for p in self.paths),
-                          dtype=np.int64, count=self.n)
-        out.setflags(write=False)
-        return out
+        # a one-column table has only the root's row
+        return self.paths[:, min(1, self.paths.shape[1] - 1)]
 
 
 @dataclass(frozen=True)
@@ -294,11 +286,14 @@ def distinct_counts(rows: np.ndarray) -> np.ndarray:
 
 
 def tree_to_path_collection(t: SpanningTree) -> PathCollection:
-    """The equivalent path collection: p_v = unique tree path v -> root."""
-    paths = tuple(
-        () if v == t.root else t.path_to_root(v) for v in range(t.n)
-    )
-    return PathCollection(root=t.root, paths=paths)
+    """The equivalent path collection: p_v = unique tree path v -> root,
+    gathered one column at a time, column j + 1 the parents of column j."""
+    step = np.append(t.parent, -1)  # index -1 keeps padding as padding
+    step[t.root] = -1
+    cols = [np.where(np.arange(t.n) == t.root, -1, np.arange(t.n))]
+    while (col := step[cols[-1]]).max() >= 0:
+        cols.append(col)
+    return PathCollection(root=t.root, paths=np.stack(cols, axis=1))
 
 
 def tree_to_tour(t: SpanningTree) -> TourOrder:
@@ -306,7 +301,7 @@ def tree_to_tour(t: SpanningTree) -> TourOrder:
 
     Deterministic: with the fixed child order, equal trees give equal tours.
     """
-    ch = t.children()
+    ch = t.children
     order: list[int] = []
     stack = [t.root]
     while stack:
@@ -324,7 +319,7 @@ def restricted_dfs_order(t: SpanningTree, X) -> tuple[int, ...]:
     ``tree_to_tour(t)`` to X.
     """
     _, keep = _root_paths(t, X)
-    ch = t.children()
+    ch = t.children
     order: list[int] = []
     xset = {v for v in X if v != t.root}
     stack = [t.root]

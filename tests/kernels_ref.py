@@ -1,7 +1,9 @@
 """Loop references for the per-trial kernels, used only by the tests.
 
 These are the straightforward Python forms the package's array kernels
-replaced: the path projection as a set of edge tuples, the first edges as a
+replaced: a tree's root paths walked one parent step at a time (padded into
+the vertex table by ``vertex_table_ref``, and read back as tuples by
+``path_tuples``), the path projection as a set of edge tuples, the first edges as a
 set of edge tuples and the good-walk test as a loop over the walk's steps
 along them, the walk as one neighbour lookup per step, separation and block
 alternation over Python sets, the tour projection as a loop over its legs,
@@ -46,16 +48,49 @@ from univlb.expanders import ExpanderError, _canon_rows, _pack, legendre_symbol,
 from univlb.experiments import LB_COLUMNS, ConfigError, ExperimentReport
 from univlb.graphs import Graph
 from univlb.oracles import OracleRefusal, opt_surrogates, steiner_exact, tsp_exact
-from univlb.solutions import SpanningTree
+from univlb.solutions import PathCollection, SpanningTree
+
+
+def path_to_root_ref(t: SpanningTree, v: int) -> tuple[int, ...]:
+    """v's path up ``t`` to the root, one parent step at a time; (root,) at
+    the root."""
+    path = [v]
+    while path[-1] != t.root:
+        path.append(t.parent[path[-1]])
+    return tuple(path)
+
+
+def vertex_table_ref(paths) -> np.ndarray:
+    """Tuple paths, the root's (), padded with -1 into an (n, L+1) table."""
+    width = max(1, *map(len, paths))
+    return np.array([[*path, *[-1] * (width - len(path))] for path in paths],
+                    dtype=np.int64)
+
+
+def collection_ref(root: int, paths) -> PathCollection:
+    """The path collection of tuple paths, the root's ()."""
+    return PathCollection(root=root, paths=vertex_table_ref(paths))
+
+
+def tree_paths_ref(t: SpanningTree) -> np.ndarray:
+    """The vertex table of ``t``'s root paths, walked one vertex at a time."""
+    return vertex_table_ref([() if v == t.root else path_to_root_ref(t, v)
+                             for v in range(t.n)])
+
+
+def path_tuples(p) -> list[tuple[int, ...]]:
+    """Each row of ``p``'s vertex table without its padding."""
+    return [tuple(v for v in row if v >= 0) for row in p.paths.tolist()]
 
 
 def project_paths_ref(p, X, m=None) -> float:
     """Cost of the union of the root-paths of X, each undirected edge once."""
     edges: set[tuple[int, int]] = set()
+    paths = path_tuples(p)
     for x in X:
         if x == p.root:
             continue
-        path = p.paths[x]
+        path = paths[x]
         for a, b in zip(path, path[1:]):
             edges.add((a, b) if a < b else (b, a))
     if m is None:
@@ -66,7 +101,7 @@ def project_paths_ref(p, X, m=None) -> float:
 def first_edges_ref(p) -> frozenset[tuple[int, int]]:
     """The set F of first edges (v, v1) of the collection, undirected."""
     out = set()
-    for v, path in enumerate(p.paths):
+    for v, path in enumerate(path_tuples(p)):
         if v != p.root and len(path) >= 2:
             a, b = path[0], path[1]
             out.add((a, b) if a < b else (b, a))
@@ -663,7 +698,7 @@ def cayley_graph_ref(p: int, q: int) -> Graph:
 def graph_paths_ref(p, g: Graph) -> bool:
     """Every step of every root path of ``p`` is an edge of ``g``, by
     ``np.isin`` over the min * n + max keys of the steps and of the edges."""
-    steps = np.array([step for path in p.paths for step in zip(path, path[1:])],
+    steps = np.array([step for path in path_tuples(p) for step in zip(path, path[1:])],
                      dtype=np.int64).reshape(-1, 2)
 
     def keys(pairs: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ from univlb.rng import stream
 from univlb.solutions import PathCollection, TourOrder, bfs_tree, tree_to_path_collection
 from univlb.walks import random_walk
 
-from kernels_ref import first_edges_ref, project_paths_ref, project_tour_ref
+from kernels_ref import collection_ref, first_edges_ref, project_paths_ref, project_tour_ref
 
 
 def _walk(verts) -> np.ndarray:
@@ -34,7 +34,7 @@ def _collection(n: int, first: dict[int, int]) -> PathCollection:
     """Paths on n + 1 vertices to the root n: v steps to ``first[v]`` when
     given, else straight to the root, which no walk below visits. The first
     edges the walks can traverse are then exactly ``first``'s."""
-    return PathCollection(root=n, paths=tuple(
+    return collection_ref(n, tuple(
         (v, first[v], n) if v in first else (v, n) for v in range(n)) + ((),))
 
 
@@ -295,8 +295,8 @@ def _recorded_certificates(monkeypatch, certificate: str, **config):
 
 
 def test_steiner_certificates_hold_apart_from_the_fast_path(monkeypatch):
-    # X' from the first-edge set, stubs from the path tuples, lhs from the
-    # edge-set projection: none of them reads the kernels' tables
+    # X' from the first-edge set, stubs from the vertex table's rows, lhs
+    # from the edge-set projection: none of them reads the kernels' tables
     calls = _recorded_certificates(monkeypatch, "steiner_certificate", pipeline="steiner-lb",
                                    t="auto", trials=2000)
     for (p, w, girth, cfg, m), res in calls:
@@ -306,7 +306,7 @@ def test_steiner_certificates_hold_apart_from_the_fast_path(monkeypatch):
                    for v in (a, b)}
         x_prime = sorted(set(walk) - {p.root} - touched)
         stub_len = max(0, min(girth // 3, (girth - 1 - cfg.t) // 2))
-        stubs = [p.paths[u][:stub_len + 1] for u in x_prime]
+        stubs = [[v for v in p.paths[u, :stub_len + 1].tolist() if v >= 0] for u in x_prime]
         covered = [v for stub in stubs for v in stub]
         assert len(covered) == len(set(covered))  # pairwise disjoint
         assert res.holds and res.witness["x_prime_size"] == len(x_prime)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kernels_ref import csv_text_ref, graph_paths_ref
+from kernels_ref import collection_ref, csv_text_ref, graph_paths_ref, path_tuples
 from univlb import adversary, experiments
 from univlb import rng as rngs
 from univlb.cli import build_parser, main as cli_main
@@ -30,7 +30,7 @@ from univlb.frt import frt_sample, hst_to_spanning_tree
 from univlb.graphs import Graph, GraphError, diameter_ecc, read_graph, write_graph
 from univlb.metric import shortest_path_metric
 from univlb.oracles import opt_surrogates, steiner_exact, tsp_exact
-from univlb.solutions import PathCollection, bfs_tree, tree_to_path_collection
+from univlb.solutions import bfs_tree, tree_to_path_collection
 from univlb.walks import random_walk
 
 
@@ -143,10 +143,10 @@ def test_graph_paths_detects_a_metric_edge(lps_5_13):
     g, _ = lps_5_13
     spt = tree_to_path_collection(bfs_tree(g, 0))
     assert experiments._graph_paths(spt, g)
-    v = next(v for v, path in enumerate(spt.paths) if len(path) >= 3)
-    paths = list(spt.paths)
+    paths = path_tuples(spt)
+    v = next(v for v, path in enumerate(paths) if len(path) >= 3)
     paths[v] = (v,) + paths[v][2:]  # v is two hops from paths[v][2]; girth 8
-    shortcut = PathCollection(root=spt.root, paths=tuple(paths))
+    shortcut = collection_ref(spt.root, paths)
     assert not experiments._graph_paths(shortcut, g)
 
 
@@ -158,6 +158,7 @@ def test_graph_paths_matches_the_isin_reference_on_frt_trees(lps_5_13, lps_5_13_
     g, _ = lps_5_13
     spt = tree_to_path_collection(bfs_tree(g, 0))
     assert experiments._graph_paths(spt, g) and graph_paths_ref(spt, g)
+    spt_paths = path_tuples(spt)
     verdicts = set()
     for i in range(4):
         h = frt_sample(lps_5_13_metric, rngs.stream(8, rngs.TREE, i))
@@ -166,11 +167,11 @@ def test_graph_paths_matches_the_isin_reference_on_frt_trees(lps_5_13, lps_5_13_
         for v in range(1, g.n, 271):
             far = int(np.argmax(lps_5_13_metric.dist[v]))
             w = int(g.neighbor_table[v, i])
-            for path in (frt.paths[v], (v, w, *spt.paths[w][1:]),
-                         (v, far, *spt.paths[far][1:])):
-                paths = list(spt.paths)
+            for path in (path_tuples(frt)[v], (v, w, *spt_paths[w][1:]),
+                         (v, far, *spt_paths[far][1:])):
+                paths = list(spt_paths)
                 paths[v] = path
-                q = PathCollection(root=spt.root, paths=tuple(paths))
+                q = collection_ref(spt.root, paths)
                 verdicts.add(experiments._graph_paths(q, g))
                 assert experiments._graph_paths(q, g) == graph_paths_ref(q, g)
     assert verdicts == {True, False}
@@ -184,7 +185,7 @@ def test_graph_paths_matches_the_isin_reference(n, data):
     root = data.draw(vertex)
     paths = tuple(() if v == root else (v, *data.draw(st.lists(vertex, max_size=4)), root)
                   for v in range(n))
-    p = PathCollection(root=root, paths=paths)
+    p = collection_ref(root, paths)
     assert experiments._graph_paths(p, g) == graph_paths_ref(p, g)
 
 

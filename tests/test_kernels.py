@@ -1,6 +1,7 @@
 """Parity of the array kernels with their loop references.
 
-``project_paths`` and ``project_path_rows`` read ``PathCollection.edge_keys``,
+``tree_to_path_collection`` gathers a tree's vertex table one column at a
+time, ``project_paths`` and ``project_path_rows`` read ``PathCollection.edge_keys``,
 ``walk_block`` walks its rows in lockstep over the neighbour table,
 ``good_walks`` tests a block of walks in one pass, ``project_tour_rows`` sums
 the legs of a block of tours, the exact oracles fill their tables one
@@ -19,17 +20,20 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from kernels_ref import (
+    collection_ref,
     first_edges_ref,
     frt_sample_ref,
     hst_nodes,
     hst_to_spanning_tree_ref,
     is_good_walk_ref,
+    path_tuples,
     project_paths_ref,
     project_tour_ref,
     random_walk_ref,
     steiner_exact_ref,
     steiner_table_ref,
     tree_distances_ref,
+    tree_paths_ref,
     tsp_exact_ref,
 )
 from univlb.adversary import SteinerAdversaryConfig, good_walks, is_good_walk
@@ -53,7 +57,7 @@ from univlb.oracles import (
 )
 from univlb.rng import WALK, draw_rows, stream
 from univlb.solutions import (
-    PathCollection,
+    SpanningTree,
     TourOrder,
     bfs_tree,
     project_path_rows,
@@ -75,11 +79,10 @@ def path_collections(draw):
     n = draw(st.integers(1, 10))
     root = draw(st.integers(0, n - 1))
     paths = tuple(
-        draw(st.sampled_from([(), (root,)])) if v == root
-        else (v, *draw(st.lists(st.integers(0, n - 1), max_size=6)), root)
+        () if v == root else (v, *draw(st.lists(st.integers(0, n - 1), max_size=6)), root)
         for v in range(n))
     x = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
-    return PathCollection(root=root, paths=paths), x
+    return collection_ref(root, paths), x
 
 
 def _symmetric(n: int, rng: np.random.Generator, integral: bool) -> np.ndarray:
@@ -108,19 +111,41 @@ def test_edge_keys_rows_are_the_path_steps(data):
     p, _ = data
     keys = p.edge_keys
     assert keys.dtype == np.int64 and not keys.flags.writeable
-    for v, path in enumerate(p.paths):
+    for v, path in enumerate(path_tuples(p)):
         steps = [min(a, b) * p.n + max(a, b) for a, b in zip(path, path[1:])]
         assert keys[v].tolist() == steps + [-1] * (keys.shape[1] - len(steps))
+
+
+@st.composite
+def spanning_trees(draw):
+    """Any rooted tree: each vertex after the first of a random order hangs
+    below an earlier one, and the first is the root."""
+    n = draw(st.integers(1, 40))
+    order = draw(st.permutations(range(n)))
+    parent = [0] * n
+    parent[order[0]] = order[0]
+    for i in range(1, n):
+        parent[order[i]] = order[draw(st.integers(0, i - 1))]
+    return SpanningTree(root=order[0], parent=tuple(parent), edge_cost=(0.0,) * n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spanning_trees())
+@example(SpanningTree(root=1999, parent=(*range(1, 2000), 1999), edge_cost=(0.0,) * 2000))
+def test_tree_to_path_collection_matches_the_root_walks(t):
+    p = tree_to_path_collection(t)
+    assert p.root == t.root and p.paths.dtype == np.int64 and not p.paths.flags.writeable
+    assert np.array_equal(p.paths, tree_paths_ref(t))
 
 
 def test_projection_of_a_collection_with_a_shortcut(lps_5_13, lps_5_13_metric):
     # one path skips a vertex, so the collection is no tree's
     g, _ = lps_5_13
     spt = tree_to_path_collection(bfs_tree(g, 0))
-    paths = list(spt.paths)
+    paths = path_tuples(spt)
     v = next(v for v, path in enumerate(paths) if len(path) >= 3)
     paths[v] = (v,) + paths[v][2:]
-    shortcut = PathCollection(root=spt.root, paths=tuple(paths))
+    shortcut = collection_ref(spt.root, paths)
     rng = stream(31, 0)
     for _ in range(50):
         x = {v, 0, *(int(u) for u in rng.choice(g.n, size=12, replace=False))}
@@ -195,7 +220,7 @@ def test_is_good_walk_matches_step_loop_reference(g, t, seed, data):
     root = data.draw(st.integers(0, g.n - 1))
     paths = tuple(() if v == root else (v, data.draw(st.integers(0, g.n - 1)), root)
                   for v in range(g.n))
-    p = PathCollection(root=root, paths=paths)
+    p = collection_ref(root, paths)
     cfg = SteinerAdversaryConfig(t=t, bad_edge_fraction=data.draw(st.floats(0, 1)),
                                  distinct_fraction=data.draw(st.floats(0, 1)))
     assert is_good_walk(w, p, cfg) == is_good_walk_ref(tuple(w.tolist()), first_edges_ref(p),

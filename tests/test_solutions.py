@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kernels_ref import collection_ref, path_to_root_ref
 from univlb.metric import MetricSpace, shortest_path_metric
 from univlb.rng import stream
 from univlb.solutions import (
@@ -24,8 +25,14 @@ from univlb.solutions import (
 def test_tree_validation():
     with pytest.raises(ValueError):
         SpanningTree(root=0, parent=(1, 0), edge_cost=(0.0, 1.0))  # root not fixed
-    with pytest.raises(ValueError):
-        SpanningTree(root=0, parent=(0, 2, 1), edge_cost=(0.0, 1.0, 1.0))  # cycle
+    with pytest.raises(ValueError, match="cycle"):
+        SpanningTree(root=0, parent=(0, 2, 1), edge_cost=(0.0, 1.0, 1.0))
+    with pytest.raises(ValueError, match="cycle"):  # a second fixed point
+        SpanningTree(root=0, parent=(0, 1, 1), edge_cost=(0.0, 0.0, 1.0))
+    with pytest.raises(ValueError, match="cycle"):  # 2,000 vertices off the root
+        SpanningTree(root=0, parent=(0, *range(2, 2001), 1), edge_cost=(0.0,) * 2001)
+    deep = SpanningTree(root=0, parent=(0, *range(1999)), edge_cost=(1.0,) * 2000)
+    assert path_to_root_ref(deep, 1999) == tuple(range(1999, -1, -1))
     with pytest.raises(ValueError, match="vertices 0..1"):
         SpanningTree(root=0, parent=(0, 5), edge_cost=(0.0, 1.0))
     with pytest.raises(ValueError, match="vertices 0..1"):
@@ -38,7 +45,7 @@ def test_spt_path_costs(petersen):
     m = shortest_path_metric(petersen, 0)
     t = bfs_tree(petersen, 0)
     for v in range(petersen.n):
-        path = t.path_to_root(v)
+        path = path_to_root_ref(t, v)
         cost = sum(m.d(a, b) for a, b in zip(path, path[1:]))
         assert cost == m.d(v, 0)
 
@@ -134,18 +141,51 @@ def test_tree_to_tour_path(path3):
 def test_path_collection_star(star4):
     t = bfs_tree(star4, 0)
     p = tree_to_path_collection(t)
-    assert p.paths[1] == (1, 0)
+    assert p.paths.tolist() == [[-1, -1], [1, 0], [2, 0], [3, 0]]
     assert p.first_steps.tolist() == [-1, 0, 0, 0]
     m = shortest_path_metric(star4, 0)
     assert project_paths(p, {1}, m) == 1.0
     # identical paths union once: edges (1,2), (1,3) and the shared (0,1)
-    p2 = PathCollection(root=0, paths=((), (1, 0), (2, 1, 0), (3, 1, 0)))
+    p2 = collection_ref(0, ((), (1, 0), (2, 1, 0), (3, 1, 0)))
     assert project_paths(p2, {2, 3}, None) == 3.0
 
 
 def test_path_collection_validation():
     with pytest.raises(ValueError):
-        PathCollection(root=0, paths=((), (2, 0)))  # path of 1 starts elsewhere
+        PathCollection(root=0, paths=np.array([[-1, -1], [2, 0]]))  # path of 1 starts elsewhere
+
+
+# one case per check of the vertex table, each with the message it raises
+@pytest.mark.parametrize("root, table, message", [
+    pytest.param(0, [-1, 0], "integer table", id="one-row"),
+    pytest.param(0, np.zeros((2, 0), dtype=np.int64), "integer table", id="no-columns"),
+    pytest.param(0, [[-1.0, -1.0], [1.0, 0.0]], "integer table", id="floats"),
+    pytest.param(2, [[-1, -1], [1, 0]], "integer table", id="root-not-a-row"),
+    pytest.param(0, [[-1, -1], [1, 2]], "vertices 0..1 or -1", id="vertex-too-large"),
+    pytest.param(0, [[-1, -1, -1], [1, -2, 0]], "vertices 0..1 or -1", id="below-padding"),
+    pytest.param(0, [[-1, -1, -1], [1, -1, 0]], "after its padding", id="gap"),
+    pytest.param(0, [[-1, 1], [1, 0]], "after its padding", id="root-row-not-padding"),
+    pytest.param(0, [[-1, -1], [0, 0]], "must start at v", id="starts-elsewhere"),
+    pytest.param(0, [[0, -1], [1, 0]], "must start at v", id="root-row-holds-root"),
+    pytest.param(0, [[-1, -1, -1], [1, 1, -1], [2, 0, -1]], "end at the root",
+                 id="ends-elsewhere"),
+    pytest.param(0, [[-1, -1], [1, -1]], "end at the root", id="no-step"),
+])
+def test_path_collection_refuses_each_bad_table(root, table, message):
+    with pytest.raises(ValueError, match=message):
+        PathCollection(root=root, paths=np.array(table))
+
+
+def test_path_collection_owns_a_read_only_table():
+    table = np.array([[-1, -1, -1], [1, 0, -1], [2, 1, 0]], dtype=np.int32)
+    p = PathCollection(root=0, paths=table)
+    table[2] = [2, 0, -1]
+    assert p.paths.dtype == np.int64 and not p.paths.flags.writeable
+    assert p.paths.tolist() == [[-1, -1, -1], [1, 0, -1], [2, 1, 0]]
+    assert p.first_steps.tolist() == [-1, 0, 1]
+    assert p.edge_keys.tolist() == [[-1, -1], [1, -1], [5, 1]]
+    root_only = PathCollection(root=0, paths=np.array([[-1]]))
+    assert root_only.first_steps.tolist() == [-1] and root_only.edge_keys.shape == (1, 0)
 
 
 @st.composite
@@ -210,7 +250,7 @@ def weighted_tree_and_set(draw):
 @given(weighted_tree_and_set())
 def test_project_tree_is_root_path_union_cost(data):
     t, x = data
-    union = {v for u in x for v in t.path_to_root(u)} - {t.root}
+    union = {v for u in x for v in path_to_root_ref(t, u)} - {t.root}
     assert project_tree(t, x) == sum(t.edge_cost[v] for v in union)  # integer sums
 
 
