@@ -80,17 +80,16 @@ def tree_paths_ref(t: SpanningTree) -> np.ndarray:
 
 def path_tuples(p) -> list[tuple[int, ...]]:
     """Each row of ``p``'s vertex table without its padding."""
-    return [tuple(v for v in row if v >= 0) for row in p.paths.tolist()]
+    return [tuple(row[:row.index(-1)] if -1 in row else row) for row in p.paths.tolist()]
 
 
 def project_paths_ref(p, X, m=None) -> float:
     """Cost of the union of the root-paths of X, each undirected edge once."""
     edges: set[tuple[int, int]] = set()
-    paths = path_tuples(p)
     for x in X:
         if x == p.root:
             continue
-        path = paths[x]
+        path = [v for v in p.paths[x].tolist() if v >= 0]
         for a, b in zip(path, path[1:]):
             edges.add((a, b) if a < b else (b, a))
     if m is None:
@@ -101,9 +100,9 @@ def project_paths_ref(p, X, m=None) -> float:
 def first_edges_ref(p) -> frozenset[tuple[int, int]]:
     """The set F of first edges (v, v1) of the collection, undirected."""
     out = set()
-    for v, path in enumerate(path_tuples(p)):
-        if v != p.root and len(path) >= 2:
-            a, b = path[0], path[1]
+    for v, row in enumerate(p.paths[:, :2].tolist()):
+        if v != p.root:
+            a, b = row
             out.add((a, b) if a < b else (b, a))
     return frozenset(out)
 

@@ -164,10 +164,11 @@ def test_graph_paths_matches_the_isin_reference_on_frt_trees(lps_5_13, lps_5_13_
         h = frt_sample(lps_5_13_metric, rngs.stream(8, rngs.TREE, i))
         frt = tree_to_path_collection(hst_to_spanning_tree(h, lps_5_13_metric))
         assert not experiments._graph_paths(frt, g) and not graph_paths_ref(frt, g)
+        frt_paths = path_tuples(frt)
         for v in range(1, g.n, 271):
             far = int(np.argmax(lps_5_13_metric.dist[v]))
             w = int(g.neighbor_table[v, i])
-            for path in (path_tuples(frt)[v], (v, w, *spt_paths[w][1:]),
+            for path in (frt_paths[v], (v, w, *spt_paths[w][1:]),
                          (v, far, *spt_paths[far][1:])):
                 paths = list(spt_paths)
                 paths[v] = path
