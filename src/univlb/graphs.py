@@ -10,6 +10,19 @@ edges by one lexsort, or handed over by the LPS closure (``from_neighbor_rows``)
 The BFS (``bfs_parents``, behind ``bipartition`` and ``girth`` too),
 ``simple``, the walk rows, the walk operator and the metric closure all
 read it.
+
+Memory. An LPS graph of n vertices and degree d lives in three (n, d)-sized
+int64 arrays: ``edges``, ``csr`` and the walk rows of ``neighbors``. No
+kernel of its build makes per-entry row or slot arrays. At its peak each
+stage holds what the graph has built so far plus:
+
+* ``from_neighbor_rows``: the edges and one (m,) gather, m = n d / 2;
+* ``bfs_parents``: one level's (frontier x d) ``reach`` and its bools;
+* ``simple`` and ``bipartition``: bools, one per entry or edge end;
+* ``girth``: two (m,) int64 arrays per root;
+* ``neighbors``: the walk rows and one gathered part of ``csr``.
+
+The walk operator (``walks.walk_operator``) adds one (n, d) index table.
 """
 
 from __future__ import annotations
@@ -44,7 +57,8 @@ class Graph:
             raise GraphError(f"edges must have shape (m, 2), got {e.shape}")
         if e.size and e.dtype.kind not in "iu":
             raise GraphError(f"edge endpoints must be integers, got {e.dtype}")
-        e = e.astype(np.int64)  # a copy: the caller's array stays writable
+        if e.dtype != np.int64 or e.flags.writeable:  # a read-only int64 array is kept
+            e = e.astype(np.int64)  # a copy: the caller's array stays writable
         e.setflags(write=False)
         object.__setattr__(self, "edges", e)
         bad = np.flatnonzero(((e < 0) | (e >= self.n)).any(axis=1))
@@ -56,18 +70,25 @@ class Graph:
     def from_neighbor_rows(cls, rows: np.ndarray) -> Graph:
         """The regular multigraph whose ``csr`` is the (n, d) array ``rows``:
         row u lists u's neighbours ascending, u itself twice per self-loop.
-        The caller checks that the rows are symmetric. The edges are row u's
-        entries v > u and half of its entries v == u, in ascending order."""
-        rows = np.array(rows, dtype=np.int64)
+        The caller checks that the rows are symmetric. An int64 C-ordered
+        ``rows`` is taken as it is, not copied, and made read-only.
+
+        The edges are row u's entries v > u and half of its entries v == u,
+        in ascending order: the row's tail from slot ``head[u]`` on, past its
+        entries < u and half its entries == u. They are written into one
+        (m, 2) array, so the build holds ``rows``, the edges and one (m,)
+        temporary at most."""
+        rows = np.ascontiguousarray(rows, dtype=np.int64)
+        rows.setflags(write=False)
         n, d = rows.shape
         own = np.arange(n)[:, None]
-        loop = rows == own
-        half = (rows < own).sum(axis=1, keepdims=True) + loop.sum(axis=1, keepdims=True) // 2
-        u, slot = np.nonzero((rows > own) | (loop & (np.arange(d) < half)))
-        g = cls(n=n, edges=np.stack([u, rows[u, slot]], axis=1))
-        indices = rows.reshape(-1)
-        indices.setflags(write=False)
-        g.__dict__["csr"] = (np.arange(n + 1) * d, indices)
+        head = (rows < own).sum(axis=1) + (rows == own).sum(axis=1) // 2
+        edges = np.empty((n * d - int(head.sum()), 2), dtype=np.int64)
+        edges[:, 0] = np.repeat(np.arange(n), d - head)
+        edges[:, 1] = rows[np.arange(d) >= head[:, None]]
+        edges.setflags(write=False)
+        g = cls(n=n, edges=edges)
+        g.__dict__["csr"] = (np.arange(n + 1) * d, rows.reshape(-1))
         return g
 
     @property
@@ -94,30 +115,36 @@ class Graph:
 
     @cached_property
     def simple(self) -> bool:
-        """No self-loop and no repeated neighbour in any sorted ``csr`` row,
-        whose keys row * n + col then strictly ascend."""
-        _, indices = self.csr
-        row = csr_rows(self)
-        return bool(np.all(indices != row) and np.all(np.diff(row * self.n + indices) > 0))
+        """No self-loop among the edges and no repeated neighbour in any
+        sorted ``csr`` row, where repeats would sit side by side."""
+        u, v = self.edges.T
+        if np.any(u == v):
+            return False
+        indptr, indices = self.csr
+        pair = np.flatnonzero(indices[1:] == indices[:-1])
+        # equal neighbours side by side are a repeat unless a row starts between them
+        return not np.any(np.searchsorted(indptr, pair, side="right")
+                          == np.searchsorted(indptr, pair + 1, side="right"))
 
     @cached_property
     def neighbors(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only (indptr, indices) of the walk rows, which every pinned
         walk follows: row u lists u's neighbours > u ascending, then those
         < u, with one entry of each self-loop at either end. That is row u of
-        ``csr`` rotated left past its entries < u and half its entries == u."""
+        ``csr`` rotated left past its ``head[u]`` entries < u and half its
+        entries == u, one per edge whose larger end is u.
+
+        Each row's tail moves to its front and its head after it, by two
+        boolean selections, so the rotation holds the walk rows and one
+        gathered part (at most (nnz,) int64) besides the graph."""
         indptr, indices = self.csr
-        row = csr_rows(self)
-        shift = (np.bincount(row[indices < row], minlength=self.n)
-                 + np.bincount(row[indices == row], minlength=self.n) // 2)
-        # in place, one (nnz,) temporary at a time: the target of each entry
-        at = np.arange(len(indices))
-        at -= indptr[row]
-        at -= shift[row]
-        at %= np.diff(indptr)[row]
-        at += indptr[row]
+        head = np.bincount(self.edges.max(axis=1), minlength=self.n)
+        rest = np.diff(indptr) - head
+        tail = np.repeat(np.tile([False, True], self.n), np.stack([head, rest], axis=1).ravel())
+        front = np.repeat(np.tile([True, False], self.n), np.stack([rest, head], axis=1).ravel())
         walk = np.empty_like(indices)
-        walk[at] = indices
+        walk[front] = indices[tail]
+        walk[~front] = indices[~tail]
         walk.setflags(write=False)
         return indptr, walk
 
@@ -188,9 +215,14 @@ def bfs_parents(g: Graph, source: int) -> tuple[np.ndarray, np.ndarray]:
     Level-synchronous over ``g.csr``, whose rows are sorted: a new vertex
     takes as parent the first frontier vertex, in frontier order, whose row
     reaches it, and joins the next frontier in that order -- the queue order
-    of a one-vertex-at-a-time BFS.
+    of a one-vertex-at-a-time BFS. The frontier's rows are gathered into
+    ``reach``, the one (frontier x degree) int64 array a level holds: on a
+    regular graph straight from the (n, d) table of ``csr``, elsewhere
+    through their slots.
     """
     indptr, indices = g.csr
+    d = g.regular_degree
+    table = indices.reshape(g.n, d) if d else None
     dist = np.full(g.n, -1, dtype=np.int64)
     parent = np.full(g.n, -1, dtype=np.int64)
     first = np.empty(g.n, dtype=np.int64)  # a new vertex's first position in reach
@@ -200,18 +232,23 @@ def bfs_parents(g: Graph, source: int) -> tuple[np.ndarray, np.ndarray]:
     level = 0
     while frontier.size:
         level += 1
-        start = indptr[frontier]
-        lens = indptr[frontier + 1] - start
-        ends = np.cumsum(lens)
-        slots = np.arange(ends[-1]) + np.repeat(start - ends + lens, lens)
-        reach, via = indices[slots], np.repeat(frontier, lens)
-        unseen = np.flatnonzero(dist[reach] < 0)
-        first[reach[unseen]] = len(reach)
-        np.minimum.at(first, reach[unseen], unseen)
-        hit = unseen[first[reach[unseen]] == unseen]
+        if table is not None:
+            reach = table[frontier].reshape(-1)
+            ends = d * np.arange(1, len(frontier) + 1)
+        else:
+            start = indptr[frontier]
+            lens = indptr[frontier + 1] - start
+            ends = np.cumsum(lens)
+            reach = indices[np.arange(ends[-1]) + np.repeat(start - ends + lens, lens)]
+        unseen = np.flatnonzero((dist < 0)[reach])
+        new = reach[unseen]
+        first[new] = len(reach)
+        np.minimum.at(first, new, unseen)
+        hit = unseen[first[new] == unseen]
+        via = frontier[np.searchsorted(ends, hit, side="right")]  # the row that holds hit
         frontier = reach[hit]
         dist[frontier] = level
-        parent[frontier] = via[hit]
+        parent[frontier] = via
     return dist, parent
 
 
@@ -223,18 +260,15 @@ def bipartition(g: Graph) -> np.ndarray | None:
     """Two-coloring (0/1 per vertex) if bipartite, else None. Graph must be connected.
 
     The only candidate is the parity of the BFS level from vertex 0; it is
-    proper iff every 0-vertex sees only 1-neighbors and every 1-vertex only
-    0-neighbors, counting multi-edges and self-loops by multiplicity.
+    proper iff every edge joins a 0-vertex to a 1-vertex, which no self-loop
+    does. The check gathers one bool per edge end.
     """
     if np.any(g.levels < 0):
         raise GraphError("graph is disconnected")
     color = g.levels % 2
-    indptr, indices = g.csr
-    seen = np.concatenate([[0], np.cumsum(color[indices])])
-    one_nbrs = seen[indptr[1:]] - seen[indptr[:-1]]
-    if np.array_equal(one_nbrs, np.where(color == 0, g.degrees, 0)):
-        return color
-    return None
+    odd = color.astype(bool)
+    u, v = g.edges.T
+    return color if np.all(odd[u] != odd[v]) else None
 
 
 def girth(g: Graph, roots: tuple[int, ...] | None = None) -> int | None:
@@ -245,22 +279,25 @@ def girth(g: Graph, roots: tuple[int, ...] | None = None) -> int | None:
     ``bfs_parents`` gives a candidate dist[u] + dist[w] + 1 for each edge
     {u, w} it reaches that is not a tree edge. A candidate is the length of
     a closed walk around a cycle, so none is below the girth, and a root on
-    a shortest cycle has that cycle's length among its candidates.
+    a shortest cycle has that cycle's length among its candidates. A root
+    holds two (m,) int64 arrays at most: the candidates and one gather.
 
     Self-loops count as 1-cycles and parallel edges as 2-cycles.
     """
+    u, w = g.edges.T
     if not g.simple:
-        u, v = g.edges.T
-        return 1 if np.any(u == v) else 2
+        return 1 if np.any(u == w) else 2
 
-    _, w = g.csr
-    u = csr_rows(g)
     best: int | None = None
     for root in range(g.n) if roots is None else roots:
         dist, parent = g.bfs_from_0 if root == 0 else bfs_parents(g, root)
-        cycle = (dist[u] >= 0) & (parent[u] != w) & (parent[w] != u)
+        cycle = dist[u] >= 0
+        cycle &= parent[u] != w
+        cycle &= parent[w] != u
         if cycle.any():
-            cand = int((dist[u[cycle]] + dist[w[cycle]]).min()) + 1
+            span = dist[u]
+            span += dist[w]
+            cand = int(span.min(where=cycle, initial=2 * g.n)) + 1
             best = cand if best is None else min(best, cand)
     return best
 

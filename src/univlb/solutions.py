@@ -165,8 +165,9 @@ def bfs_tree(g: Graph, root: int) -> SpanningTree:
     _, parent = g.bfs_from_0 if root == 0 else bfs_parents(g, root)
     if np.any(parent < 0):
         raise GraphError("graph is disconnected")
-    costs = tuple(0.0 if v == root else 1.0 for v in range(g.n))
-    return SpanningTree(root=root, parent=tuple(int(p) for p in parent), edge_cost=costs)
+    costs = [1.0] * g.n
+    costs[root] = 0.0
+    return SpanningTree(root=root, parent=tuple(parent.tolist()), edge_cost=tuple(costs))
 
 
 def _root_paths(t: SpanningTree, X) -> tuple[float, set[int]]:
@@ -247,8 +248,11 @@ def project_paths(p: PathCollection, X, m: MetricSpace | None = None) -> float:
 
 def stack_edge_keys(collections) -> np.ndarray:
     """The (S, n, L) stack of the collections' ``edge_keys``, each padded
-    with -1 to the widest."""
+    with -1 to the widest: for one collection, a read-only view of its own
+    table, not a copy."""
     tables = [p.edge_keys for p in collections]
+    if len(tables) == 1:
+        return tables[0][None]
     out = np.full((len(tables), tables[0].shape[0], max(t.shape[1] for t in tables)), -1,
                   dtype=np.int64)
     for s, table in enumerate(tables):

@@ -85,28 +85,35 @@ def walk_operator(g: Graph) -> Callable[[np.ndarray], np.ndarray]:
     neighbours v, ascending, one at a time from +0.0: bit for bit the product
     of a canonical (sorted, deduplicated) CSR matrix. Symmetric, so it also
     moves a distribution one step. x is scaled once per distinct weight and
-    the terms gathered from those copies, slot by slot (``neighbor_slots``,
-    whose padding reads the +0.0 in column n)."""
+    the terms gathered from those copies, slot by slot, from a (slots, n)
+    index table: on a simple graph the transposed ``csr`` table, one weight
+    1/d; on a multigraph ``neighbor_slots``, whose padding reads the +0.0 in
+    column n. The table and one (n,) term are all a product holds."""
     d = g.regular_degree
     if not d:
         raise ValueError("the walk operator needs a regular graph of positive degree")
     n = g.n
-    cols, mult = neighbor_slots(g)
-    present = np.bincount(mult.ravel(), minlength=d + 1) > 0
-    weights = np.flatnonzero(present) / d
-    index = (np.cumsum(present) - 1)[mult]  # the row of mult / d in ``scaled``
-    index *= n + 1
-    index += cols
+    if g.simple:
+        weights = np.ones(1) / d
+        index = g.csr[1].reshape(n, d).T.copy()
+    else:
+        cols, mult = neighbor_slots(g)
+        present = np.bincount(mult.ravel(), minlength=d + 1) > 0
+        weights = np.flatnonzero(present) / d
+        index = (np.cumsum(present) - 1)[mult]  # the row of mult / d in ``scaled``
+        index *= n + 1
+        index += cols
     scaled = np.zeros((len(weights), n + 1))
-    terms = np.empty(index.shape)
+    term = np.empty(n)
 
     def apply(x: np.ndarray) -> np.ndarray:
         np.multiply(weights[:, None], x, out=scaled[:, :n])
-        np.take(scaled, index, out=terms, mode="clip")
         # a row's sum starts from +0.0, so a first term of -0.0 gives +0.0;
         # a sum from +0.0 is never -0.0, so adding the padding's +0.0 keeps it
-        y = terms[0] + 0.0
-        for term in terms[1:]:
+        y = np.take(scaled, index[0], mode="clip")
+        y += 0.0
+        for slot in index[1:]:
+            np.take(scaled, slot, out=term, mode="clip")
             y += term
         return y
 

@@ -21,7 +21,9 @@ do the same float additions as the package, so parity tests compare exactly.
 The graph layer's references are the scipy forms the package once used, and
 this file is the only place that imports scipy: the sparse adjacency, the
 walk operator as its float copy, the metric closure as a boolean sparse
-product, the walk rows by a stable argsort of the edge list, the LPS edges
+product, the BFS as a queue over the adjacency's sorted rows, ``simple``
+and the girth's candidate rule read off the adjacency's entries, the walk
+rows by a stable argsort of the edge list, the LPS edges
 by a global ``np.unique`` over the closure's pairs, the path check by
 ``np.isin`` over edge keys, and the CSV written one ``_cell`` at a time.
 """
@@ -621,6 +623,47 @@ def neighbors_ref(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     indptr = np.zeros(g.n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=g.n), out=indptr[1:])
     return indptr, dst[np.argsort(src, kind="stable")]
+
+
+def bfs_parents_ref(g: Graph, source: int) -> tuple[np.ndarray, np.ndarray]:
+    """(dist, parent) of a one-vertex-at-a-time queue BFS over the sorted
+    rows of the scipy adjacency: a vertex takes as parent the first queued
+    vertex whose row lists it."""
+    adj = adjacency_ref(g)
+    dist = np.full(g.n, -1, dtype=np.int64)
+    parent = np.full(g.n, -1, dtype=np.int64)
+    dist[source], parent[source] = 0, source
+    queue = [source]
+    for u in queue:
+        for v in adj.indices[adj.indptr[u]:adj.indptr[u + 1]].tolist():
+            if dist[v] < 0:
+                dist[v], parent[v] = dist[u] + 1, u
+                queue.append(v)
+    return dist, parent
+
+
+def simple_ref(g: Graph) -> bool:
+    """No diagonal entry and no entry above 1 in the scipy adjacency."""
+    adj = adjacency_ref(g)
+    return bool(np.all(adj.diagonal() == 0) and np.all(adj.data == 1))
+
+
+def girth_ref(g: Graph, roots=None) -> int | None:
+    """The girth by the candidate rule of ``graphs.girth`` read over every
+    entry (u, w) of the scipy adjacency, from the queue BFS of each root."""
+    adj = adjacency_ref(g)
+    if not simple_ref(g):
+        return 1 if np.any(adj.diagonal()) else 2
+    u = np.repeat(np.arange(g.n), np.diff(adj.indptr))
+    w = adj.indices
+    best = None
+    for root in range(g.n) if roots is None else roots:
+        dist, parent = bfs_parents_ref(g, root)
+        cycle = (dist[u] >= 0) & (parent[u] != w) & (parent[w] != u)
+        if cycle.any():
+            cand = int((dist[u[cycle]] + dist[w[cycle]]).min()) + 1
+            best = cand if best is None else min(best, cand)
+    return best
 
 
 def bipartition_ref(g: Graph) -> np.ndarray | None:

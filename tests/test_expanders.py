@@ -325,6 +325,29 @@ print(repr(second_eigenvalue(g)))
     assert out[0] == out[1]
 
 
+def test_lps_build_peak_memory_is_within_half_its_live_size(tmp_path):
+    # every stage of the lps(41, 29) build holds the adjacency it has built
+    # so far plus about two (n * d)-sized temporaries: the traced peak of
+    # load_instance stays within 1.5x the 24 MiB it leaves live
+    code = """
+import tracemalloc
+from univlb.experiments import load_instance
+tracemalloc.start()
+base = tracemalloc.get_traced_memory()[0]
+inst = load_instance("lps:41,29", 2000, False)
+live, peak = tracemalloc.get_traced_memory()
+print(live - base, peak - base)
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    live, peak = map(int, proc.stdout.split())
+    assert live > 20 * 2**20  # edges, csr and walk rows: 3 x 8.2 MB
+    assert peak <= 1.5 * live, (live, peak)
+
+
 def test_second_eigenvalue_requires_regular(path3):
     with pytest.raises(ExpanderError):
         second_eigenvalue(path3)

@@ -4,7 +4,10 @@
 rows into the walk order, ``Graph.from_neighbor_rows`` takes the LPS
 closure's sorted table as they are, ``walk_operator`` replaces the float
 sparse product and ``_unit_all_pairs`` the boolean one; each must give
-exactly what the references in ``kernels_ref`` give.
+exactly what the references in ``kernels_ref`` give. The BFS, ``simple``,
+``bipartition`` and ``girth`` read a regular graph's (n, d) table or its
+edges instead of per-entry row arrays, and the LPS closure multiplies its
+queue in chunks; both must keep the references' answers bit for bit.
 """
 
 from __future__ import annotations
@@ -15,14 +18,18 @@ from hypothesis import example, given, settings, strategies as st
 
 from kernels_ref import (
     adjacency_ref,
+    bfs_parents_ref,
     bipartition_ref,
     cayley_graph_ref,
+    girth_ref,
     neighbors_ref,
+    simple_ref,
     unit_all_pairs_ref,
     walk_operator_ref,
 )
+from univlb import expanders
 from univlb.expanders import lps_graph
-from univlb.graphs import Graph, bipartition, is_connected, neighbor_slots
+from univlb.graphs import Graph, bfs_parents, bipartition, girth, is_connected, neighbor_slots
 from univlb.metric import _unit_all_pairs
 from univlb.walks import walk_operator
 
@@ -178,3 +185,68 @@ def test_unit_all_pairs_matches_the_sparse_product_on_multigraphs(n_pairs):
 def test_unit_all_pairs_matches_the_sparse_product_on_lps(lps_5_13):
     g, _ = lps_5_13
     assert np.array_equal(_unit_all_pairs(g), unit_all_pairs_ref(g))
+
+
+def _check_lean_kernels(g: Graph, roots) -> None:
+    """Every kernel of an instance build against its reference: the BFS
+    from each root, ``simple``, ``bipartition``, ``girth`` over ``roots``,
+    the walk rows and the walk operator's bytes."""
+    for root in roots:
+        dist, parent = bfs_parents(g, root)
+        ref_dist, ref_parent = bfs_parents_ref(g, root)
+        assert dist.tolist() == ref_dist.tolist() and parent.tolist() == ref_parent.tolist()
+    assert g.simple == simple_ref(g)
+    if is_connected(g):
+        color, ref = bipartition(g), bipartition_ref(g)
+        assert (color is None and ref is None) or color.tolist() == ref.tolist()
+    assert girth(g, roots=tuple(roots)) == girth_ref(g, roots=tuple(roots))
+    assert g.neighbors[1].tolist() == neighbors_ref(_canonical(g))[1].tolist()
+    x = np.random.default_rng(g.n).standard_normal(g.n)
+    x[::3] = -0.0
+    _products_equal(g, x)
+
+
+# simple PGL and PSL graphs, the simple lps(13, 5) of q < 2 sqrt(p), and
+# lps(29, 5), which has multi-edges
+@pytest.mark.parametrize("p, q", [(5, 13), (41, 13), (13, 5), (29, 5)])
+def test_lean_kernels_match_the_references_on_lps(p, q):
+    g, _ = lps_graph(p, q)
+    assert g.simple == ((p, q) != (29, 5))
+    _check_lean_kernels(g, roots=(0, 1, g.n - 1))
+    # the same graph with its csr built from the edge list
+    _check_lean_kernels(Graph(n=g.n, edges=g.edges), roots=(0,))
+
+
+@settings(max_examples=200, deadline=None)
+@given(regular_multigraphs())
+def test_lean_kernels_match_the_references_on_regular_multigraphs(g):
+    _check_lean_kernels(g, roots=range(g.n))
+    d = g.regular_degree
+    _check_lean_kernels(Graph.from_neighbor_rows(g.csr[1].reshape(g.n, d)), roots=range(g.n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(multigraphs())
+def test_bfs_simple_and_girth_match_the_references_on_irregular_graphs(n_pairs):
+    n, pairs = n_pairs
+    g = Graph(n=n, edges=pairs)
+    for root in range(n):
+        dist, parent = bfs_parents(g, root)
+        ref_dist, ref_parent = bfs_parents_ref(g, root)
+        assert dist.tolist() == ref_dist.tolist() and parent.tolist() == ref_parent.tolist()
+    assert g.simple == simple_ref(g)
+    assert girth(g) == girth_ref(g)
+
+
+# 1 product a pass, and 7, which splits an element's generators across
+# passes (1 on lps(41, 13) would take 45,864 passes)
+@pytest.mark.parametrize("p, q, chunk", [(5, 13, 1), (5, 13, 7), (41, 13, 7), (13, 5, 1),
+                                         (13, 5, 7), (29, 5, 1), (29, 5, 7)])
+def test_closure_chunks_keep_the_one_shot_numbering(monkeypatch, p, q, chunk):
+    # against the level-at-once int64 closure
+    monkeypatch.setattr(expanders, "CLOSURE_CHUNK", chunk)
+    g = expanders._cayley_graph(p, q)
+    ref = cayley_graph_ref(p, q)
+    assert np.array_equal(g.edges, ref.edges)
+    assert np.array_equal(g.csr[0], ref.csr[0]) and np.array_equal(g.csr[1], ref.csr[1])
+    assert not g.edges.flags.writeable and not g.csr[1].flags.writeable
