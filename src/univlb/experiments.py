@@ -456,8 +456,9 @@ def _graph_paths(p: PathCollection, g: Graph) -> bool:
     vertices) is an edge of ``g``. A step's key u * n + v (u <= v, from
     ``p.edge_keys``) is looked up by ``searchsorted`` among the keys
     row * n + col of ``g.csr``, which ascend because its rows are sorted."""
-    _, indices = g.csr
-    keys = csr_rows(g) * g.n + indices
+    keys = csr_rows(g)
+    keys *= g.n
+    keys += g.csr[1]
     steps = p.edge_keys[p.edge_keys >= 0]
     at = np.searchsorted(keys, steps)
     return bool(np.all(at < keys.size) and np.array_equal(keys[at], steps))
