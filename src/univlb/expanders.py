@@ -178,7 +178,7 @@ def lps_graph(p: int, q: int) -> tuple[Graph, ExpanderCertificate]:
     return g, cert
 
 
-CLOSURE_CHUNK = 1 << 16  # products per pass of the closure
+CLOSURE_CHUNK = 1 << 16  # products per pass of the closure, in whole elements (one at least)
 
 
 def _cayley_graph(p: int, q: int) -> Graph:
@@ -202,21 +202,23 @@ def _cayley_graph(p: int, q: int) -> Graph:
     expected = q * (q * q - 1) // (2 if legendre_symbol(p, q) == 1 else 1)
 
     # A queue of elements, multiplied by the generators in (element x
-    # generator) order, CLOSURE_CHUNK products at a time: every product not
-    # seen before gets the next index, which is the numbering of a one-
-    # element-at-a-time BFS. A canonical matrix leads with 0 or 1, so it packs
-    # into an index below 2*q^3 of ``slot`` (its element index, or -1).
+    # generator) order, ``step`` elements at a time: every product not seen
+    # before gets the next index, which is the numbering of a one-element-
+    # at-a-time BFS. A canonical matrix leads with 0 or 1, so it packs into
+    # an index below 2*q^3 of ``slot`` (its element index, or -1).
     slot = np.full(2 * q ** 3, -1, dtype=np.int64)
     mats = np.empty((expected, 4), dtype=np.int32)  # element u's matrix
     table = np.empty((expected, k), dtype=np.int64)  # row u lists u * gens[j]
     mats[0] = (1, 0, 0, 1)
     slot[_pack(mats[:1], q)] = 0
+    step = max(1, CLOSURE_CHUNK // k)
     n, done = 1, 0
-    while done < n * k:
-        u, j = np.divmod(np.arange(done, min(done + CLOSURE_CHUNK, n * k)), k)
-        a, b = mats[u], gens[j]
-        prod = _canon_rows((a[:, [0, 0, 2, 2]] * b[:, [0, 1, 0, 1]]
-                            + a[:, [1, 1, 3, 3]] * b[:, [2, 3, 2, 3]]) % q, q)
+    while done < n:
+        queue = mats[done:min(done + step, n)]
+        prod = _canon_rows(
+            (queue[:, None, [0, 0, 2, 2]] * gens[None, :, [0, 1, 0, 1]]
+             + queue[:, None, [1, 1, 3, 3]] * gens[None, :, [2, 3, 2, 3]]).reshape(-1, 4) % q,
+            q)
         key = _pack(prod, q)
         unseen = np.flatnonzero(slot[key] < 0)
         # each new key's first position, parked in ``slot`` until numbered
@@ -229,9 +231,9 @@ def _cayley_graph(p: int, q: int) -> Graph:
         slot[key[fresh]] = np.arange(n, n + len(fresh))
         mats[n:n + len(fresh)] = prod[fresh]
         n += len(fresh)
-        table.reshape(-1)[done:done + len(key)] = slot[key]
-        done += len(key)
-    del slot, mats
+        table[done:done + len(queue)] = slot[key].reshape(-1, k)
+        done += len(queue)
+    del slot, mats, queue
     if n != expected:
         raise ExpanderError(f"group closure has {n} elements, expected {expected}")
 

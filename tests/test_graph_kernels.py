@@ -238,12 +238,12 @@ def test_bfs_simple_and_girth_match_the_references_on_irregular_graphs(n_pairs):
     assert girth(g) == girth_ref(g)
 
 
-# 1 product a pass, and 7, which splits an element's generators across
-# passes (1 on lps(41, 13) would take 45,864 passes)
-@pytest.mark.parametrize("p, q, chunk", [(5, 13, 1), (5, 13, 7), (41, 13, 7), (13, 5, 1),
-                                         (13, 5, 7), (29, 5, 1), (29, 5, 7)])
+# a pass takes CLOSURE_CHUNK // k elements, at least one: 1 gives one element
+# a pass, and 100 passes of 2 to 16 elements that cut across BFS levels
+@pytest.mark.parametrize("chunk", [1, 100])
+@pytest.mark.parametrize("p, q", [(5, 13), (41, 13), (13, 5), (29, 5)])
 def test_closure_chunks_keep_the_one_shot_numbering(monkeypatch, p, q, chunk):
-    # against the level-at-once int64 closure
+    # against the level-at-once int64 closure of the reference
     monkeypatch.setattr(expanders, "CLOSURE_CHUNK", chunk)
     g = expanders._cayley_graph(p, q)
     ref = cayley_graph_ref(p, q)
