@@ -176,6 +176,12 @@ def test_lps_guard_group_size(monkeypatch):
     monkeypatch.setattr(expanders, "lps_generators", lambda p, q: real(p, q)[:1])
     with pytest.raises(ExpanderError, match="group closure has .* elements, expected 2184"):
         lps_graph.__wrapped__(5, 13)
+    # a generator of non-residue determinant 3 takes PSL(2,17) to PGL(2,17),
+    # twice the 2448 elements the closure's table is sized for
+    monkeypatch.setattr(expanders, "lps_generators",
+                        lambda p, q: np.vstack([real(p, q), [[1, 0, 0, 3]]]))
+    with pytest.raises(ExpanderError, match="group closure has over 2448 elements"):
+        lps_graph.__wrapped__(13, 17)
 
 
 def test_lps_guard_inverse_closure(monkeypatch):
