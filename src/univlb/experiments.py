@@ -59,7 +59,7 @@ from .adversary import (
 )
 from .expanders import lps_graph
 from .frt import CHUNK_BYTES, frt_samples, hsts_dominate, hsts_to_spanning_trees, stretch_stats
-from .graphs import Graph, csr_rows, diameter_ecc, girth as graph_girth, read_graph
+from .graphs import Graph, diameter_ecc, girth as graph_girth, read_graph
 from .metric import MetricSpace, random_euclidean_metric, shortest_path_metric
 from .oracles import (
     OracleBudget,
@@ -456,7 +456,7 @@ def _graph_paths(p: PathCollection, g: Graph) -> bool:
     vertices) is an edge of ``g``. A step's key u * n + v (u <= v, from
     ``p.edge_keys``) is looked up by ``searchsorted`` among the keys
     row * n + col of ``g.csr``, which ascend because its rows are sorted."""
-    keys = csr_rows(g)
+    keys = np.repeat(np.arange(g.n), np.diff(g.csr[0]))
     keys *= g.n
     keys += g.csr[1]
     steps = p.edge_keys[p.edge_keys >= 0]

@@ -12,12 +12,12 @@ The BFS (``bfs_parents``, behind ``bipartition`` and ``girth`` too),
 read it.
 
 Memory. An LPS graph of n vertices and degree d lives in three (n, d)-sized
-int64 arrays: ``edges``, ``csr`` and the walk rows of ``neighbors``. No
-kernel of its build makes per-entry row or slot arrays. At its peak each
-stage holds what the graph has built so far plus:
+int64 arrays: ``edges``, ``csr`` and the walk rows of ``neighbors``. At
+its peak each stage holds what the graph has built so far plus:
 
 * ``from_neighbor_rows``: the edges and one (m,) gather, m = n d / 2;
-* ``bfs_parents``: one level's (frontier x d) ``reach`` and its bools;
+* ``bfs_parents``: one level's (frontier x d) ``reach``, its bools and,
+  while the slots are built in it, one ``arange`` as long;
 * ``simple`` and ``bipartition``: bools, one per entry or edge end;
 * ``girth``: two (m,) int64 arrays per root;
 * ``neighbors``: the walk rows and one gathered part of ``csr``.
@@ -57,8 +57,8 @@ class Graph:
             raise GraphError(f"edges must have shape (m, 2), got {e.shape}")
         if e.size and e.dtype.kind not in "iu":
             raise GraphError(f"edge endpoints must be integers, got {e.dtype}")
-        if e.dtype != np.int64 or e.flags.writeable:  # a read-only int64 array is kept
-            e = e.astype(np.int64)  # a copy: the caller's array stays writable
+        if e.dtype != np.int64 or e.flags.writeable or e.base is not None:
+            e = e.astype(np.int64)  # a copy, unless the array is read-only and owns its data
         e.setflags(write=False)
         object.__setattr__(self, "edges", e)
         bad = np.flatnonzero(((e < 0) | (e >= self.n)).any(axis=1))
@@ -180,12 +180,6 @@ class Graph:
         return indices.reshape(self.n, d)
 
 
-def csr_rows(g: Graph) -> np.ndarray:
-    """The row of each entry of ``g.csr``'s indices."""
-    indptr, _ = g.csr
-    return np.repeat(np.arange(g.n), np.diff(indptr))
-
-
 def neighbor_slots(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     """(cols, mult): (w, n) tables whose column u lists u's distinct
     neighbours, ascending, and their multiplicities in ``g.csr`` (2 per
@@ -216,13 +210,11 @@ def bfs_parents(g: Graph, source: int) -> tuple[np.ndarray, np.ndarray]:
     takes as parent the first frontier vertex, in frontier order, whose row
     reaches it, and joins the next frontier in that order -- the queue order
     of a one-vertex-at-a-time BFS. The frontier's rows are gathered into
-    ``reach``, the one (frontier x degree) int64 array a level holds: on a
-    regular graph straight from the (n, d) table of ``csr``, elsewhere
-    through their slots.
+    ``reach``, the one (frontier x degree) int64 array a level holds: its
+    slots in ``csr`` are built in it and then replaced by the neighbours
+    they hold.
     """
     indptr, indices = g.csr
-    d = g.regular_degree
-    table = indices.reshape(g.n, d) if d else None
     dist = np.full(g.n, -1, dtype=np.int64)
     parent = np.full(g.n, -1, dtype=np.int64)
     first = np.empty(g.n, dtype=np.int64)  # a new vertex's first position in reach
@@ -232,14 +224,12 @@ def bfs_parents(g: Graph, source: int) -> tuple[np.ndarray, np.ndarray]:
     level = 0
     while frontier.size:
         level += 1
-        if table is not None:
-            reach = table[frontier].reshape(-1)
-            ends = d * np.arange(1, len(frontier) + 1)
-        else:
-            start = indptr[frontier]
-            lens = indptr[frontier + 1] - start
-            ends = np.cumsum(lens)
-            reach = indices[np.arange(ends[-1]) + np.repeat(start - ends + lens, lens)]
+        start = indptr[frontier]
+        lens = indptr[frontier + 1] - start
+        ends = np.cumsum(lens)
+        reach = np.repeat(start - ends + lens, lens)
+        reach += np.arange(len(reach))
+        np.take(indices, reach, out=reach, mode="clip")  # "raise" would buffer out
         unseen = np.flatnonzero((dist < 0)[reach])
         new = reach[unseen]
         first[new] = len(reach)

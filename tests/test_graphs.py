@@ -43,6 +43,16 @@ def test_graph_leaves_the_callers_array_writable():
     assert g.edges.tolist() == [[0, 1], [1, 2]]
 
 
+def test_graph_copies_a_read_only_view_of_a_writable_array():
+    e = np.array([[0, 1], [1, 2]])
+    view = e.view()
+    view.setflags(write=False)
+    g = Graph(n=3, edges=view)
+    e[0, 0] = 7  # out of range, were the view kept
+    assert g.edges.tolist() == [[0, 1], [1, 2]]
+    assert not np.shares_memory(g.edges, e)
+
+
 @pytest.mark.parametrize("edges, message", [
     (((0, 1), (1,)), "edges must be"),
     (((0, 1, 2),), r"shape \(m, 2\), got \(1, 3\)"),

@@ -3,21 +3,21 @@
 Usage, from the root of a checkout:
 
     python3 tools/bench_pairs.py --parent REV --change REV --tag TAG \\
-        [--pairs 10] [--seconds 60] [--seed 7] [--workload W ...] [--workdir DIR]
+        [--seconds 60] [--seed 7] [--workload W ...] [--workdir DIR]
 
 Each revision is cloned from this checkout into ``--workdir`` (a new
 temporary directory by default) and its sources compiled, so no timed run
-writes bytecode. Then, per workload, ``--pairs`` pairs of
+writes bytecode. Then, per workload, ten pairs of
 
     python3 perfbench/bench.py --workload W --seed S --seconds T --trace 0
 
 run one side after the other, each from its own clone; the side that goes
 first alternates from pair to pair. After its timed run each side reads
 its memory peak once more with ``MALLOC_MMAP_THRESHOLD_=131072`` in
-bench.py's environment (``--rss-seconds``, the fewest repetitions by
-default). A fixed threshold keeps glibc from raising it when a large
-mapped block is freed, which moves the default reading between ~8 MB
-modes with the order of frees (``mallopt(3)``).
+bench.py's environment, in a 1 s run (the fewest repetitions). A fixed
+threshold keeps glibc from raising it when a large mapped block is freed,
+which moves the default reading between ~8 MB modes with the order of
+frees (``mallopt(3)``).
 
 The file holds each side's provenance (with its ``src/`` line count), every
 pair's results and, per metric, both sides' median and quartiles, the
@@ -40,6 +40,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 FIXED_THRESHOLD = {"MALLOC_MMAP_THRESHOLD_": "131072"}
 FIXED_METRIC = "peak_rss_mb_fixed_threshold"
+PAIRS = 10  # the fewest alternating pairs a claimed gain is judged on
+RSS_SECONDS = 1.0
 
 
 def clone(rev: str, into: Path) -> None:
@@ -91,15 +93,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--change", required=True)
     parser.add_argument("--tag", required=True)
     parser.add_argument("--what", default="")
-    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=60.0)
-    parser.add_argument("--rss-seconds", type=float, default=1.0)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--workload", action="append")
     parser.add_argument("--workdir", type=Path)
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2")
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
@@ -115,12 +113,12 @@ def main(argv: list[str] | None = None) -> int:
     results: dict[str, dict] = {}
     for workload in workloads:
         pairs = []
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             pair: dict[str, object] = {"pair": i, "first": order[0]}
             for side in order:
                 prov, result = bench(checkouts[side], workload, args.seed, args.seconds)
-                _, fixed = bench(checkouts[side], workload, args.seed, args.rss_seconds,
+                _, fixed = bench(checkouts[side], workload, args.seed, RSS_SECONDS,
                                  FIXED_THRESHOLD)
                 result["metrics"][FIXED_METRIC] = fixed["metrics"]["peak_rss_mb"]
                 result["fixed_threshold_correct"] = fixed["correct"]
@@ -135,7 +133,7 @@ def main(argv: list[str] | None = None) -> int:
 
     command = (f"python3 perfbench/bench.py --workload W --seed {args.seed} --seconds "
                f"{args.seconds:g} --trace 0 from a git clone of each side, pairs alternating "
-               f"which side runs first; then --seconds {args.rss_seconds:g} with "
+               f"which side runs first; then --seconds {RSS_SECONDS:g} with "
                f"MALLOC_MMAP_THRESHOLD_=131072 for {FIXED_METRIC}")
     out = {"tag": args.tag, "what": args.what, "command": command,
            "provenance": provenance, "workloads": results,
