@@ -574,11 +574,8 @@ def _tour_solutions(cfg: RunConfig, inst: InstanceBundle) -> list[TourOrder]:
         return [tree_to_tour(bfs_tree(inst.graph, root))]
     if cfg.solution in ("random-tour", "spt"):
         non_root = np.delete(np.arange(inst.graph.n), root)
-        out = []
-        for i in range(cfg.solution_count):
-            perm = rngs.stream(cfg.seed, rngs.TOUR, i).permutation(non_root)
-            out.append(TourOrder(root=root, order=tuple(perm.tolist())))
-        return out
+        return [TourOrder(root, rngs.stream(cfg.seed, rngs.TOUR, i).permutation(non_root))
+                for i in range(cfg.solution_count)]
     raise ConfigError(f"unknown tour solution {cfg.solution!r}")
 
 
@@ -707,22 +704,15 @@ def suite_mechanism(
     """
     items = sorted(universe)
     groups = min(groups, len(items))
-    perm = [items[i] for i in rng.permutation(len(items))]
-    group_of = {v: i % groups for i, v in enumerate(perm)}
-    hubs = {j: min(v for v in items if group_of[v] == j) for j in range(groups)}
-
-    n = m.n
-    candidates: dict[str, SpanningTree] = {}
-    for j in range(groups):
-        parent = [m.root] * n
-        parent[m.root] = m.root
-        for v in items:
-            if group_of[v] != j and v != hubs[j]:
-                parent[v] = hubs[j]
-        costs = tuple(0.0 if v == m.root else float(m.dist[v, parent[v]])
-                      for v in range(n))
-        candidates[f"t{j}"] = SpanningTree(root=m.root, parent=tuple(parent),
-                                           edge_cost=costs)
+    group = np.empty(len(items), dtype=np.int64)
+    group[rng.permutation(len(items))] = np.arange(len(items)) % groups
+    detours = group != np.arange(groups)[:, None]  # (groups, items)
+    hubs = np.asarray(items)[np.argmin(detours, axis=1)]  # each group's least item
+    parent = np.full((groups, m.n), m.root)
+    parent[:, items] = np.where(detours & (items != hubs[:, None]), hubs[:, None], m.root)
+    costs = m.dist[np.arange(m.n), parent].astype(np.float64)
+    candidates = {f"t{j}": SpanningTree(root=m.root, parent=p, edge_cost=c)
+                  for j, (p, c) in enumerate(zip(parent, costs))}
 
     cost = _subtree_mask_costs(m, items, list(candidates.values()))
     mech = exponential_mechanism(universe, candidates, cost, eps)
@@ -750,16 +740,12 @@ def _subtree_mask_costs(m: MetricSpace, items: list[int],
     bits = 1 << np.arange(len(items), dtype=np.int64)
     cost = np.zeros((len(masks), len(trees)), dtype=np.int64)
     for j, tree in enumerate(trees):
-        parent = np.asarray(tree.parent, dtype=np.int64)
-        w = m.dist[np.arange(m.n), parent]
+        w = m.dist[np.arange(m.n), tree.parent]
         if not np.array_equal(w, np.round(w)):
             raise ConfigError("suite mechanism costs need integral tree edges in the metric")
-        below = np.zeros(m.n, dtype=np.int64)
-        node = np.asarray(items, dtype=np.int64)
-        while (live := node != tree.root).any():  # each item's bit on its root path
-            np.bitwise_or.at(below, node[live], bits[live])
-            node = parent[node]
-        hit = (masks[:, None] & below[None, :]) != 0
+        below = np.zeros(m.n + 1, dtype=np.int64)  # slot n (index -1) takes the padding
+        np.bitwise_or.at(below, tree.paths[items], bits[:, None])  # each item's root path
+        hit = (masks[:, None] & below[None, :-1]) != 0
         cost[:, j] = hit @ w.astype(np.int64)
     return cost.astype(np.float64)
 

@@ -167,8 +167,7 @@ def hsts_to_spanning_trees(hsts: list[HST], m: MetricSpace) -> list[SpanningTree
         below = above
     parent[:, m.root] = m.root
     cost = m.dist[np.arange(n), parent].astype(np.float64)
-    return [SpanningTree(root=m.root, parent=tuple(p), edge_cost=tuple(c))
-            for p, c in zip(parent.tolist(), cost.tolist())]
+    return [SpanningTree(root=m.root, parent=p, edge_cost=c) for p, c in zip(parent, cost)]
 
 
 def hst_to_spanning_tree(h: HST, m: MetricSpace) -> SpanningTree:

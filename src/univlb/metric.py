@@ -146,8 +146,10 @@ def write_metric(m: MetricSpace, path: str | Path) -> None:
 
 def read_metric(path: str | Path) -> MetricSpace:
     text = Path(path).read_text().split("\n")
-    header = text[0].split()
-    n, root = int(header[0]), int(header[1])
+    try:
+        n, root = map(int, text[0].split())
+    except ValueError:
+        raise MetricError(f"{path}: the first line must be 'n root', two integers") from None
     values = " ".join(text[1:]).split()
     if len(values) != n * n:
         raise MetricError(f"{path}: expected {n * n} entries, found {len(values)}")

@@ -289,22 +289,30 @@ def write_mechanism(mech: MechanismTable, path: str | Path) -> None:
 def read_mechanism(path: str | Path) -> MechanismTable:
     """Inverse of ``write_mechanism``; a solution a row omits has probability 0."""
     doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, dict):
+        raise MechanismError(f"{path}: a mechanism file holds one JSON object")
     try:
-        universe = frozenset(doc["universe"])
-        solutions = {sid: _solution_from_doc(d) for sid, d in doc["solutions"].items()}
-        rows = doc["table"]
+        universe, solutions, rows = doc["universe"], doc["solutions"], doc["table"]
+        if not (isinstance(universe, list) and all(type(v) is int for v in universe)
+                and isinstance(solutions, dict) and isinstance(rows, dict)):
+            raise MechanismError(f"{path}: universe must be a list of integers, and "
+                                 "solutions and table JSON objects")
+        universe = frozenset(universe)
+        solutions = {sid: _solution_from_doc(d) for sid, d in solutions.items()}
     except KeyError as exc:
         raise MechanismError(f"{path}: missing key {exc}") from None
     column = {sid: j for j, sid in enumerate(solutions)}
     probs = np.zeros((1 << len(universe), len(solutions)))
     for mask in range(len(probs)):
         row = rows.get(str(mask))
-        if row is None:
+        if not isinstance(row, dict):
             raise MechanismError(
                 f"{path}: no row {mask} (X={sorted(_members(mask, universe))})")
         for sid, prob in row.items():
             if sid not in column:
                 raise MechanismError(f"{path}: row {mask} names unknown solution {sid!r}")
+            if type(prob) not in (int, float):
+                raise MechanismError(f"{path}: row {mask} gives {sid!r} a non-number")
             probs[mask, column[sid]] = prob
     if len(rows) != len(probs):
         raise MechanismError(f"{path}: rows other than masks 0..{len(probs) - 1}")
@@ -313,12 +321,12 @@ def read_mechanism(path: str | Path) -> MechanismTable:
 
 
 def _solution_doc(s: SpanningTree) -> dict:
-    return {"kind": "tree", "root": s.root, "parent": list(s.parent),
-            "edge_cost": list(s.edge_cost)}
+    return {"kind": "tree", "root": s.root, "parent": s.parent.tolist(),
+            "edge_cost": s.edge_cost.tolist()}
 
 
 def _solution_from_doc(doc: dict) -> SpanningTree:
-    kind = doc["kind"]
+    kind = doc["kind"] if isinstance(doc, dict) else None
     if kind != "tree":
         raise MechanismError(f"unknown solution kind {kind!r}")
     root, parent, edge_cost = doc["root"], doc["parent"], doc["edge_cost"]
@@ -327,4 +335,4 @@ def _solution_from_doc(doc: dict) -> SpanningTree:
         raise MechanismError("tree root and parent entries must be integers")
     if not (isinstance(edge_cost, list) and all(type(c) in (int, float) for c in edge_cost)):
         raise MechanismError("tree edge_cost entries must be numbers")
-    return SpanningTree(root=root, parent=tuple(parent), edge_cost=tuple(edge_cost))
+    return SpanningTree(root=root, parent=parent, edge_cost=edge_cost)

@@ -9,6 +9,14 @@ set X is revealed; the cost charged is that of the induced sub-solution:
 
 Projections of ``X`` that is empty or ``{root}`` cost 0 by convention.
 
+Every field is a read-only array: a tree's ``parent`` (int64) and
+``edge_cost`` (float64), a tour's ``order`` and ``positions`` (int64). A
+tree's one root-path table, ``SpanningTree.paths``, is laid out as a path
+collection's and serves every tree kernel: ``project_tree`` marks where each
+vertex first appears in the rows of X, ``tree_to_tour`` sorts the rows
+read root-down, ``restricted_dfs_order`` sorts the rows of X as lists, and
+``tree_to_path_collection`` hands the table on.
+
 A path collection is one vertex table, ``PathCollection.paths``, and its
 steps are the key table ``PathCollection.edge_keys``, read off adjacent
 columns: each undirected step {a, b} as ``min(a, b) * n + max(a, b)``, -1
@@ -35,30 +43,36 @@ from .graphs import Graph, GraphError, bfs_parents
 from .metric import MetricSpace
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpanningTree:
-    """Rooted spanning tree as a parent map; the root is its own parent."""
+    """Rooted spanning tree as a read-only int64 parent map, the root its own
+    parent, and read-only float64 ``edge_cost``: the cost of (v, parent[v]),
+    0 at the root."""
 
     root: int
-    parent: tuple[int, ...]
-    edge_cost: tuple[float, ...]  # cost of (v, parent[v]); 0 at the root
+    parent: np.ndarray
+    edge_cost: np.ndarray
 
     def __post_init__(self) -> None:
-        n = len(self.parent)
-        if len(self.edge_cost) != n:
-            raise ValueError(f"edge_cost has {len(self.edge_cost)} entries for {n} vertices")
-        up = np.array(self.parent)
-        if not (0 <= self.root < n and up.dtype.kind in "iu" and 0 <= up.min()
-                and up.max() < n):
+        up, cost = np.array(self.parent), np.array(self.edge_cost, dtype=np.float64)
+        n = len(up)
+        if cost.shape != (n,):
+            raise ValueError(f"edge_cost has {len(cost)} entries for {n} vertices")
+        if not (0 <= self.root < n and up.ndim == 1 and up.dtype.kind in "iu"
+                and 0 <= up.min() and up.max() < n):
             raise ValueError(f"root and parents must be vertices 0..{n - 1}")
         if up[self.root] != self.root:
             raise ValueError("root must be a fixed point of the parent map")
+        parent = up.astype(np.int64)
         # pointer doubling: after k rounds up[v] is v's 2**k-th ancestor, and
         # 2**k > n exceeds every depth, so only a cycle keeps off the root
         for _ in range(n.bit_length()):
             up = up[up]
         if np.any(up != self.root):
             raise ValueError("parent map contains a cycle")
+        for name, array in (("parent", parent), ("edge_cost", cost)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     @property
     def n(self) -> int:
@@ -66,15 +80,21 @@ class SpanningTree:
 
     @property
     def total_cost(self) -> float:
-        return float(sum(self.edge_cost))
+        return float(np.cumsum(self.edge_cost)[-1])  # summed in vertex order
 
     @cached_property
-    def children(self) -> list[list[int]]:
-        ch: list[list[int]] = [[] for _ in range(self.n)]
-        for v in range(self.n):
-            if v != self.root:
-                ch[self.parent[v]].append(v)
-        return ch
+    def paths(self) -> np.ndarray:
+        """Read-only root-path table, laid out as ``PathCollection.paths``;
+        column j + 1 holds the parents of column j."""
+        step = np.append(self.parent, -1)  # index -1 keeps padding as padding
+        step[self.root] = -1
+        each = np.arange(self.n)
+        cols = [np.where(each == self.root, -1, each)]
+        while (col := step[cols[-1]]).max() >= 0:
+            cols.append(col)
+        table = np.stack(cols, axis=1)
+        table.setflags(write=False)
+        return table
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,30 +150,33 @@ class PathCollection:
         return self.paths[:, min(1, self.paths.shape[1] - 1)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TourOrder:
-    """Visiting order of the non-root vertices; the tour is r -> sigma -> r."""
+    """Visiting order of the non-root vertices as a read-only int64 array;
+    the tour is r -> sigma -> r."""
 
     root: int
-    order: tuple[int, ...]
+    order: np.ndarray
     #: Read-only (n,) int64: v's index in ``order``, -1 at the root. Built
     #: by the check that ``order`` lists each non-root vertex once.
-    positions: np.ndarray = field(init=False, repr=False, compare=False)
+    positions: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        n = len(self.order) + 1
         order = np.array(self.order)
+        n = len(order) + 1
         positions = np.full(n, -1, dtype=np.int64)
-        valid = 0 <= self.root < n and (order.size == 0 or (
+        valid = 0 <= self.root < n and order.ndim == 1 and (order.size == 0 or (
             order.dtype.kind in "iu" and 0 <= order.min() and order.max() < n))
         if valid:
-            positions[order.astype(np.int64)] = np.arange(n - 1)
+            order = order.astype(np.int64)
+            positions[order] = np.arange(n - 1)
             # the root unlisted and n - 1 distinct slots filled: no repeats
             valid = positions[self.root] < 0 and np.count_nonzero(positions >= 0) == n - 1
         if not valid:
             raise ValueError("order must list each non-root vertex exactly once")
-        positions.setflags(write=False)
-        object.__setattr__(self, "positions", positions)
+        for name, array in (("order", order), ("positions", positions)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     @property
     def n(self) -> int:
@@ -165,28 +188,26 @@ def bfs_tree(g: Graph, root: int) -> SpanningTree:
     _, parent = g.bfs_from_0 if root == 0 else bfs_parents(g, root)
     if np.any(parent < 0):
         raise GraphError("graph is disconnected")
-    costs = [1.0] * g.n
+    costs = np.ones(g.n)
     costs[root] = 0.0
-    return SpanningTree(root=root, parent=tuple(parent.tolist()), edge_cost=tuple(costs))
-
-
-def _root_paths(t: SpanningTree, X) -> tuple[float, set[int]]:
-    """Walk each terminal of X up to the first vertex already reached; return
-    the cost of the edges walked and every vertex reached, root included."""
-    cost = 0.0
-    marked = {t.root}
-    for x in X:
-        v = x
-        while v not in marked:
-            marked.add(v)
-            cost += t.edge_cost[v]
-            v = t.parent[v]
-    return cost, marked
+    return SpanningTree(root=root, parent=parent, edge_cost=costs)
 
 
 def project_tree(t: SpanningTree, X) -> float:
-    """Cost of the minimal rooted subtree containing X."""
-    return _root_paths(t, X)[0]
+    """Cost of the minimal rooted subtree containing X.
+
+    The root paths of X, row after row, list each vertex of the subtree
+    first where a walk up from each terminal in turn, stopping at a vertex
+    already reached, would reach it; their edge costs are added in that
+    order, left to right.
+    """
+    steps = t.paths[np.fromiter(X, dtype=np.int64)].ravel()
+    at = np.arange(steps.size)
+    first = np.full(t.n + 1, steps.size)  # slot n (index -1) holds the padding
+    np.minimum.at(first, steps, at)
+    first[[t.root, -1]] = -1  # the root and the padding add no edge
+    walked = steps[first[steps] == at]
+    return float(np.cumsum(t.edge_cost[walked])[-1]) if walked.size else 0.0
 
 
 def project_tour(sigma: TourOrder, m: MetricSpace, X) -> float:
@@ -204,10 +225,8 @@ def tour_tables(tours) -> tuple[np.ndarray, np.ndarray]:
     ``tours[s].positions``, and ``orders[s]`` is that tour's order followed
     by the root."""
     positions = np.stack([sigma.positions for sigma in tours])
-    n = positions.shape[1]
-    orders = np.empty_like(positions)
-    np.put_along_axis(orders, np.where(positions < 0, n - 1, positions),
-                      np.arange(n)[None, :], axis=1)
+    orders = np.column_stack([np.stack([sigma.order for sigma in tours]),
+                              [sigma.root for sigma in tours]])
     return positions, orders
 
 
@@ -290,46 +309,30 @@ def distinct_counts(rows: np.ndarray) -> np.ndarray:
 
 
 def tree_to_path_collection(t: SpanningTree) -> PathCollection:
-    """The equivalent path collection: p_v = unique tree path v -> root,
-    gathered one column at a time, column j + 1 the parents of column j."""
-    step = np.append(t.parent, -1)  # index -1 keeps padding as padding
-    step[t.root] = -1
-    cols = [np.where(np.arange(t.n) == t.root, -1, np.arange(t.n))]
-    while (col := step[cols[-1]]).max() >= 0:
-        cols.append(col)
-    return PathCollection(root=t.root, paths=np.stack(cols, axis=1))
+    """The equivalent path collection: p_v = unique tree path v -> root."""
+    return PathCollection(root=t.root, paths=t.paths)
 
 
 def tree_to_tour(t: SpanningTree) -> TourOrder:
     """Depth-first traversal order (children ascending), skipping the root.
 
-    Deterministic: with the fixed child order, equal trees give equal tours.
+    Sorting the root-down paths puts an ancestor, a prefix of its
+    descendants' paths padded with -1, before them, and sibling subtrees in
+    the order of their tops. Deterministic: equal trees give equal tours.
     """
-    ch = t.children
-    order: list[int] = []
-    stack = [t.root]
-    while stack:
-        v = stack.pop()
-        if v != t.root:
-            order.append(v)
-        stack.extend(reversed(ch[v]))
-    return TourOrder(root=t.root, order=tuple(order))
+    table = t.paths
+    top = (table >= 0).sum(axis=1, keepdims=True) - 1 - np.arange(table.shape[1])
+    down = np.where(top >= 0, np.take_along_axis(table, np.maximum(top, 0), axis=1), -1)
+    return TourOrder(root=t.root, order=np.lexsort(down.T[::-1])[1:])  # the root sorts first
 
 
 def restricted_dfs_order(t: SpanningTree, X) -> tuple[int, ...]:
-    """DFS first-visit order of X inside the projected subtree T[X].
+    """DFS first-visit order of X inside the projected subtree T[X], children
+    ascending: X's root-down paths sorted as lists.
 
     Used to check contiguity: this must equal the restriction of
-    ``tree_to_tour(t)`` to X.
+    ``tree_to_tour(t)`` to X, which it computes without reading.
     """
-    _, keep = _root_paths(t, X)
-    ch = t.children
-    order: list[int] = []
-    xset = {v for v in X if v != t.root}
-    stack = [t.root]
-    while stack:
-        v = stack.pop()
-        if v in xset:
-            order.append(v)
-        stack.extend(reversed([c for c in ch[v] if c in keep]))
-    return tuple(order)
+    xs = sorted({int(v) for v in X} - {t.root})
+    down = [[v for v in reversed(row) if v >= 0] for row in t.paths[xs].tolist()]
+    return tuple(path[-1] for path in sorted(down))

@@ -3,20 +3,23 @@
 These are the straightforward Python forms the package's array kernels
 replaced: a tree's root paths walked one parent step at a time (padded into
 the vertex table by ``vertex_table_ref``, and read back as tuples by
-``path_tuples``), the path projection as a set of edge tuples, the first edges as a
-set of edge tuples and the good-walk test as a loop over the walk's steps
-along them, the walk as one neighbour lookup per step, separation and block
-alternation over Python sets, the tour projection as a loop over its legs,
-the exact oracles' Dreyfus-Wagner and Held-Karp tables filled one split or
-one predecessor at a time, the Dreyfus-Wagner table filled one subset at a
-time, the FRT ball carving one member and one permutation point at a time
-into a node list (``hst_nodes`` builds one from the package's label
-tables), its contraction as a depth-first search over the adjacency sets
-of the contracted nodes, the tree-distance LCA found by stepping the
-deeper end of every pair up one edge per round, and the steiner-lb and
-tsp-lb trial loops, one trial at a time. The walk draws the same random numbers as
-``univlb.walks.random_walk``, and the oracles, tree distances and tour legs
-do the same float additions as the package, so parity tests compare exactly.
+``path_tuples``), the tree projection as a walk up from each terminal to the
+first vertex already reached, the tree's children lists, the DFS tour and
+the restricted DFS order by an explicit stack, the path projection as a set
+of edge tuples, the first edges as a set of edge tuples and the good-walk
+test as a loop over the walk's steps along them, the walk as one neighbour
+lookup per step, separation and block alternation over Python sets, the tour
+projection as a loop over its legs, the exact oracles' Dreyfus-Wagner and
+Held-Karp tables filled one split or one predecessor at a time, the
+Dreyfus-Wagner table filled one subset at a time, the FRT ball carving one
+member and one permutation point at a time into a node list (``hst_nodes``
+builds one from the package's label tables), its contraction as a
+depth-first search over the adjacency sets of the contracted nodes, the
+tree-distance LCA found by stepping the deeper end of every pair up one edge
+per round, and the steiner-lb and tsp-lb trial loops, one trial at a time.
+The walk draws the same random numbers as ``univlb.walks.random_walk``, and
+the oracles, tree distances and tour legs do the same float additions as the
+package, so parity tests compare exactly.
 
 The graph layer's references are the scipy forms the package once used, and
 this file is the only place that imports scipy: the sparse adjacency, the
@@ -60,6 +63,60 @@ def path_to_root_ref(t: SpanningTree, v: int) -> tuple[int, ...]:
     while path[-1] != t.root:
         path.append(t.parent[path[-1]])
     return tuple(path)
+
+
+def children_ref(t: SpanningTree) -> list[list[int]]:
+    """Each vertex's children in ascending order, one vertex at a time."""
+    ch: list[list[int]] = [[] for _ in range(t.n)]
+    for v in range(t.n):
+        if v != t.root:
+            ch[int(t.parent[v])].append(v)
+    return ch
+
+
+def root_paths_ref(t: SpanningTree, X) -> tuple[float, set[int]]:
+    """Walk each terminal of X up to the first vertex already reached; return
+    the cost of the edges walked, added as walked, and every vertex reached,
+    root included."""
+    cost = 0.0
+    marked = {t.root}
+    for x in X:
+        v = int(x)
+        while v not in marked:
+            marked.add(v)
+            cost += float(t.edge_cost[v])
+            v = int(t.parent[v])
+    return cost, marked
+
+
+def tree_to_tour_ref(t: SpanningTree, descending: bool = False) -> tuple[int, ...]:
+    """Depth-first order of the non-root vertices by an explicit stack,
+    children ascending, or descending for a deliberately wrong tour."""
+    ch = children_ref(t)
+    order: list[int] = []
+    stack = [t.root]
+    while stack:
+        v = stack.pop()
+        if v != t.root:
+            order.append(v)
+        stack.extend(ch[v] if descending else reversed(ch[v]))
+    return tuple(order)
+
+
+def restricted_dfs_order_ref(t: SpanningTree, X) -> tuple[int, ...]:
+    """DFS first-visit order of X inside T[X], by an explicit stack over the
+    children that the root paths of X reach."""
+    _, keep = root_paths_ref(t, X)
+    ch = children_ref(t)
+    order: list[int] = []
+    xset = {v for v in X if v != t.root}
+    stack = [t.root]
+    while stack:
+        v = stack.pop()
+        if v in xset:
+            order.append(v)
+        stack.extend(reversed([c for c in ch[v] if c in keep]))
+    return tuple(order)
 
 
 def vertex_table_ref(paths) -> np.ndarray:

@@ -229,7 +229,7 @@ def test_batches_of_any_size_give_the_same_trees_and_checks(monkeypatch):
         hsts = frt_samples(m, [stream(13, 1, t) for t in range(7)])
         trees = hsts_to_spanning_trees(hsts, m)
         return ([_tables(h) for h in hsts], hsts_dominate(hsts, m).tolist(),
-                [t.parent for t in trees], stretch_stats(m, trees))
+                [t.parent.tolist() for t in trees], stretch_stats(m, trees))
 
     whole = run()
     # distances in batches of 1, then of 3, 3 and 1 trees; the carving's

@@ -496,6 +496,16 @@ def test_cli_oracle_rejects_non_metric(tmp_path, capsys, problem):
     assert err.startswith("error: ") and "not a metric" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("text", ["", "3\n0 1 2\n", "3 x\n"])
+def test_cli_oracle_refuses_a_metric_file_without_its_header(tmp_path, capsys, text):
+    (tmp_path / "m.txt").write_text(text)
+    rc = cli_main(["oracle", "steiner", "--metric", str(tmp_path / "m.txt"),
+                   "--terminals", "2"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "first line must be 'n root'" in err
+    assert err.count("\n") == 1
+
 @pytest.mark.parametrize("problem", ["steiner", "tsp"])
 @pytest.mark.parametrize("terminal", ["99", "-1"])
 def test_cli_oracle_rejects_a_terminal_outside_the_metric(tmp_path, capsys, problem, terminal):
@@ -674,6 +684,13 @@ def test_cli_audit_dp(tmp_path):
      "root and parent entries must be integers"),
     (lambda doc: doc["solutions"]["t0"]["edge_cost"].__setitem__(1, "1"),
      "edge_cost entries must be numbers"),
+    (lambda doc: doc.update(universe=5), "universe must be a list of integers"),
+    (lambda doc: doc.update(universe=[[1], 2]), "universe must be a list of integers"),
+    (lambda doc: doc.update(solutions=[]), "solutions and table JSON objects"),
+    (lambda doc: doc.update(table=[]), "solutions and table JSON objects"),
+    (lambda doc: doc["solutions"].update(t0=[]), "unknown solution kind None"),
+    (lambda doc: doc["table"].update({"3": []}), "no row 3"),
+    (lambda doc: doc["table"]["3"].update(t0=None), "row 3 gives 't0' a non-number"),
 ])
 def test_cli_audit_dp_bad_file_exit_1(tmp_path, capsys, breakage, message):
     from univlb.experiments import star_metric, suite_mechanism
@@ -690,6 +707,13 @@ def test_cli_audit_dp_bad_file_exit_1(tmp_path, capsys, breakage, message):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
+
+
+def test_cli_audit_dp_refuses_a_file_that_is_not_an_object(tmp_path, capsys):
+    (tmp_path / "mech.json").write_text("[]")
+    assert cli_main(["audit-dp", "--mech", str(tmp_path / "mech.json"), "--eps", "0.5"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "holds one JSON object" in err and err.count("\n") == 1
 
 
 def test_no_pipeline_or_cli_command_loads_scipy(tmp_path):

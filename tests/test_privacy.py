@@ -385,7 +385,11 @@ def test_mechanism_file_roundtrip(tmp_path):
     write_mechanism(mech, path)
     back = read_mechanism(path)
     assert back.universe == mech.universe
-    assert back.solutions == mech.solutions
+    assert list(back.solutions) == list(mech.solutions)
+    for sid, tree in mech.solutions.items():
+        assert back.solutions[sid].root == tree.root
+        assert np.array_equal(back.solutions[sid].parent, tree.parent)
+        assert np.array_equal(back.solutions[sid].edge_cost, tree.edge_cost)
     assert np.array_equal(back.probs, mech.probs)  # repr round-trips exactly
     assert dp_audit(back, 0.4).passed
 

@@ -2,9 +2,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from kernels_ref import collection_ref, path_to_root_ref
+from kernels_ref import (
+    collection_ref,
+    path_to_root_ref,
+    restricted_dfs_order_ref,
+    root_paths_ref,
+    tree_to_tour_ref,
+)
+from univlb import experiments, solutions
+from univlb.experiments import RunConfig, run_universal_upper
 from univlb.metric import MetricSpace, shortest_path_metric
 from univlb.rng import stream
 from univlb.solutions import (
@@ -52,7 +60,7 @@ def test_spt_path_costs(petersen):
 
 def test_star_tree_is_star(star4):
     t = bfs_tree(star4, 0)
-    assert t.parent == (0, 0, 0, 0)
+    assert np.array_equal(t.parent, [0, 0, 0, 0])
     assert t.total_cost == 3.0
 
 
@@ -103,7 +111,8 @@ def test_tour_check_is_the_set_comparison(n, data):
     sigma = TourOrder(root=root, order=order)
     assert sigma.positions.dtype == np.int64 and not sigma.positions.flags.writeable
     assert sigma.positions.tolist() == [order.index(v) if v != root else -1 for v in range(n)]
-    assert sigma == TourOrder(root=root, order=order) and "positions" not in repr(sigma)
+    assert np.array_equal(sigma.order, order) and sigma.order.dtype == np.int64
+    assert not sigma.order.flags.writeable and "positions" not in repr(sigma)
 
 
 def test_tour_check_refuses_non_integer_entries():
@@ -126,7 +135,7 @@ def test_tree_to_tour_star(star4):
     m = shortest_path_metric(star4, 0)
     t = bfs_tree(star4, 0)
     sigma = tree_to_tour(t)
-    assert sigma.order == (1, 2, 3)
+    assert np.array_equal(sigma.order, [1, 2, 3])
     assert project_tour(sigma, m, {1, 2, 3}) == 6.0 == 2 * t.total_cost
 
 
@@ -134,7 +143,7 @@ def test_tree_to_tour_path(path3):
     m = shortest_path_metric(path3, 0)
     t = bfs_tree(path3, 0)
     sigma = tree_to_tour(t)
-    assert sigma.order == (1, 2)
+    assert np.array_equal(sigma.order, [1, 2])
     assert project_tour(sigma, m, {1, 2}) == 4.0 == 2 * t.total_cost
 
 
@@ -270,3 +279,68 @@ def test_tour_tables_stack_the_tours_positions():
     for s, sigma in enumerate(tours):
         assert positions[s].tolist() == sigma.positions.tolist()
         assert orders[s].tolist() == [*sigma.order, sigma.root]
+
+
+@st.composite
+def euclidean_trees_and_terminals(draw):
+    """Any rooted tree on 1..30 points, each edge costing the Euclidean
+    distance between its ends, and a terminal list in any order that may be
+    empty, repeat vertices or hold the root."""
+    n = draw(st.integers(1, 30))
+    order = draw(st.permutations(range(n)))
+    parent = list(range(n))
+    for i in range(1, n):
+        parent[order[i]] = order[draw(st.integers(0, i - 1))]
+    pts = stream(draw(st.integers(0, 2 ** 16))).random((n, 2))
+    cost = np.sqrt(((pts - pts[parent]) ** 2).sum(axis=1))
+    x = draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+    return SpanningTree(root=order[0], parent=parent, edge_cost=cost), x
+
+
+@settings(max_examples=300, deadline=None)
+@given(euclidean_trees_and_terminals())
+@example((SpanningTree(root=2, parent=[2, 0, 2], edge_cost=[0.5, 0.25, 0.0]), [2, 1, 2, 1]))
+def test_tree_kernels_match_the_walk_and_the_stack_dfs(data):
+    # float sums compared by ==: the projection adds the walk's edges in the
+    # walk's order, whatever order X iterates in
+    t, x = data
+    for terminals in (x, x[::-1], set(x)):
+        assert project_tree(t, terminals) == root_paths_ref(t, terminals)[0]
+        assert restricted_dfs_order(t, terminals) == restricted_dfs_order_ref(t, terminals)
+    assert project_tree(t, []) == 0.0 and project_tree(t, [t.root]) == 0.0
+    assert tree_to_tour(t).order.tolist() == list(tree_to_tour_ref(t))
+
+
+@pytest.mark.parametrize("parent", [[0, *range(2000)], [0] * 2001],
+                         ids=["path-2000-deep", "star-2000-leaves"])
+def test_tree_to_tour_is_the_stack_dfs_on_a_deep_path_and_a_wide_star(parent):
+    t = SpanningTree(root=0, parent=parent, edge_cost=np.ones(len(parent)))
+    assert tree_to_tour(t).order.tolist() == list(tree_to_tour_ref(t)) == list(range(1, 2001))
+
+
+def test_trees_and_tours_hold_read_only_arrays():
+    t = SpanningTree(root=1, parent=(1, 1, 0), edge_cost=(1, 0, 2))
+    sigma = TourOrder(root=1, order=[2, 0])
+    for array, dtype in ((t.parent, np.int64), (t.edge_cost, np.float64), (t.paths, np.int64),
+                         (sigma.order, np.int64), (sigma.positions, np.int64)):
+        assert array.dtype == dtype and not array.flags.writeable
+    assert t.paths.tolist() == [[0, 1, -1], [-1, -1, -1], [2, 0, 1]]
+    assert tree_to_path_collection(t).paths.tolist() == t.paths.tolist()
+
+
+def test_contiguity_counts_a_tour_with_children_descending(monkeypatch):
+    # the restricted order does not read the tour: a wrong child order in
+    # the tour alone must show as contiguity violations
+    cfg = RunConfig.make(pipeline="universal-upper", metrics=5, trees_per_metric=10,
+                         terminals_per_metric=3, max_terminals=10, metric_size_min=32,
+                         metric_size_max=64, seed=20250808)
+    assert run_universal_upper(cfg).aggregates["violations"]["contiguity"] == 0
+
+    def descending(t):
+        return TourOrder(root=t.root, order=tree_to_tour_ref(t, descending=True))
+
+    for module in (experiments, solutions):
+        monkeypatch.setattr(module, "tree_to_tour", descending)
+    report = run_universal_upper(cfg)
+    assert report.aggregates["violations"]["contiguity"] > 0
+    assert not any(row["contiguity"] for row in report.rows)

@@ -17,7 +17,14 @@ its memory peak once more with ``MALLOC_MMAP_THRESHOLD_=131072`` in
 bench.py's environment, in a 1 s run (the fewest repetitions). A fixed
 threshold keeps glibc from raising it when a large mapped block is freed,
 which moves the default reading between ~8 MB modes with the order of
-frees (``mallopt(3)``).
+frees (``mallopt(3)``). After a workload's pairs, each side runs once more
+with ``--trace 1`` for the same seconds, and that run's per-layer metrics
+(calls and self seconds of each traced function, medians over its traced
+repetitions) go under the workload's ``per_layer``.
+
+Each bench.py run is its own session; if the tool stops early (an error or
+Ctrl-C), the run's process group is killed, so no bench.py or child.py is
+left running.
 
 The file holds each side's provenance (with its ``src/`` line count), every
 pair's results and, per metric, both sides' median and quartiles, the
@@ -31,6 +38,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import statistics
 import subprocess
 import sys
@@ -59,15 +67,24 @@ def _git(*args: str, cwd: Path) -> str:
 
 
 def bench(checkout: Path, workload: str, seed: int, seconds: float,
-          env: dict[str, str] | None = None) -> tuple[dict, dict]:
-    """One bench.py run in ``checkout``: (provenance, result)."""
-    proc = subprocess.run(
+          env: dict[str, str] | None = None, trace: int = 0) -> tuple[dict, dict]:
+    """One bench.py run in ``checkout``: (provenance, result). The run has a
+    session of its own, and its process group (bench.py and the child it is
+    running) is killed if this returns early, say on Ctrl-C."""
+    proc = subprocess.Popen(
         [sys.executable, "perfbench/bench.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, env=dict(os.environ, **(env or {})), capture_output=True, text=True)
-    lines = proc.stdout.strip().splitlines()
+         "--seconds", str(seconds), "--trace", str(trace)],
+        cwd=checkout, env=dict(os.environ, **(env or {})), stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True, start_new_session=True)
+    try:
+        stdout, stderr = proc.communicate()
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    lines = stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
-        raise RuntimeError(f"bench.py failed in {checkout}: {proc.stderr.strip()[-500:]}")
+        raise RuntimeError(f"bench.py failed in {checkout}: {stderr.strip()[-500:]}")
     return json.loads(lines[0])["provenance"], json.loads(lines[-1])
 
 
@@ -128,13 +145,17 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{workload} pair {i}: " + ", ".join(
                 f"{side} {pair[side]['metrics']['peak_rss_mb']['value']:.1f} MB"
                 for side in order), file=sys.stderr)
+        per_layer = {side: bench(checkouts[side], workload, args.seed, args.seconds,
+                                 trace=1)[1]["metrics"] for side in checkouts}
         results[workload] = {"pairs": pairs,
-                             "summary": {m["name"]: summarize(pairs, m) for m in metrics}}
+                             "summary": {m["name"]: summarize(pairs, m) for m in metrics},
+                             "per_layer": per_layer}
 
     command = (f"python3 perfbench/bench.py --workload W --seed {args.seed} --seconds "
                f"{args.seconds:g} --trace 0 from a git clone of each side, pairs alternating "
                f"which side runs first; then --seconds {RSS_SECONDS:g} with "
-               f"MALLOC_MMAP_THRESHOLD_=131072 for {FIXED_METRIC}")
+               f"MALLOC_MMAP_THRESHOLD_=131072 for {FIXED_METRIC}; after the pairs, one "
+               f"--trace 1 run per side for per_layer")
     out = {"tag": args.tag, "what": args.what, "command": command,
            "provenance": provenance, "workloads": results,
            "src_lines": {side: prov["src_lines"] for side, prov in provenance.items()},
