@@ -45,9 +45,8 @@ from .metric import MetricSpace
 
 @dataclass(frozen=True, eq=False)
 class SpanningTree:
-    """Rooted spanning tree as a read-only int64 parent map, the root its own
-    parent, and read-only float64 ``edge_cost``: the cost of (v, parent[v]),
-    0 at the root."""
+    """Rooted spanning tree: read-only int64 ``parent``, the root its own
+    parent, and float64 ``edge_cost``, of (v, parent[v]) and 0 at the root."""
 
     root: int
     parent: np.ndarray
@@ -80,7 +79,7 @@ class SpanningTree:
 
     @property
     def total_cost(self) -> float:
-        return float(np.cumsum(self.edge_cost)[-1])  # summed in vertex order
+        return float(np.cumsum(self.edge_cost)[-1])  # left to right, not pairwise
 
     @cached_property
     def paths(self) -> np.ndarray:
@@ -194,13 +193,10 @@ def bfs_tree(g: Graph, root: int) -> SpanningTree:
 
 
 def project_tree(t: SpanningTree, X) -> float:
-    """Cost of the minimal rooted subtree containing X.
-
-    The root paths of X, row after row, list each vertex of the subtree
-    first where a walk up from each terminal in turn, stopping at a vertex
-    already reached, would reach it; their edge costs are added in that
-    order, left to right.
-    """
+    """Cost of the minimal rooted subtree containing X: the edge costs of
+    its vertices, added where each first appears in the root paths of X row
+    after row, the order of a walk up from each terminal to the first vertex
+    already reached."""
     steps = t.paths[np.fromiter(X, dtype=np.int64)].ravel()
     at = np.arange(steps.size)
     first = np.full(t.n + 1, steps.size)  # slot n (index -1) holds the padding
@@ -314,15 +310,13 @@ def tree_to_path_collection(t: SpanningTree) -> PathCollection:
 
 
 def tree_to_tour(t: SpanningTree) -> TourOrder:
-    """Depth-first traversal order (children ascending), skipping the root.
-
-    Sorting the root-down paths puts an ancestor, a prefix of its
-    descendants' paths padded with -1, before them, and sibling subtrees in
-    the order of their tops. Deterministic: equal trees give equal tours.
-    """
+    """Depth-first traversal order (children ascending), skipping the root:
+    the root-down paths sorted, an ancestor's (a prefix of its descendants',
+    padded with -1) first. Equal trees give equal tours."""
     table = t.paths
-    top = (table >= 0).sum(axis=1, keepdims=True) - 1 - np.arange(table.shape[1])
-    down = np.where(top >= 0, np.take_along_axis(table, np.maximum(top, 0), axis=1), -1)
+    # read root-down, row v's column j is its entry depth(v) - j, padding past v
+    col = (table >= 0).sum(axis=1, keepdims=True) - 1 - np.arange(table.shape[1])
+    down = np.where(col >= 0, np.take_along_axis(table, np.maximum(col, 0), axis=1), -1)
     return TourOrder(root=t.root, order=np.lexsort(down.T[::-1])[1:])  # the root sorts first
 
 
@@ -331,7 +325,8 @@ def restricted_dfs_order(t: SpanningTree, X) -> tuple[int, ...]:
     ascending: X's root-down paths sorted as lists.
 
     Used to check contiguity: this must equal the restriction of
-    ``tree_to_tour(t)`` to X, which it computes without reading.
+    ``tree_to_tour(t)`` to X, and it reads nothing of the tour, so that the
+    check can fail.
     """
     xs = sorted({int(v) for v in X} - {t.root})
     down = [[v for v in reversed(row) if v >= 0] for row in t.paths[xs].tolist()]
