@@ -31,6 +31,14 @@ in lockstep, then the good-walk, separation and block tests and the path
 and tour projections. Only the certificates and the exact oracles run one
 trial at a time, on the rows that call for them, so the rows equal those
 of a per-trial loop, and a falsification names the first failing trial.
+
+A report's rows are columns: ``ExperimentReport.table`` holds one 1-D array
+per CSV column. steiner-lb and tsp-lb fill theirs a chunk at a time and build
+no per-row object; universal-upper and dp-transfer (tens of rows) turn their
+row tuples into columns once. The CSV writer formats each column's distinct
+values once. ``ExperimentReport.rows``, one dict of Python scalars per row,
+is built from the table on first read, for tests and checks; nothing in the
+package reads it.
 """
 
 from __future__ import annotations
@@ -41,6 +49,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -181,22 +190,43 @@ def _coerce(annotation: str, val: object) -> object:
 
 @dataclass
 class ExperimentReport:
+    """A run's results: ``table`` holds one 1-D array per name in ``columns``,
+    all the same length, one entry per CSV row. ``rows`` is a dict-per-row
+    view of it (Python scalars), built only when something reads it; the
+    CSV and JSON writers read the columns."""
+
     config: dict[str, object]
     columns: list[str]
-    rows: list[dict[str, object]]
+    table: dict[str, np.ndarray]
     aggregates: dict[str, object] = field(default_factory=dict)
     series: list[dict[str, object]] = field(default_factory=list)
     wall_clock_sec: float = 0.0
 
+    def __post_init__(self) -> None:
+        if list(self.table) != self.columns or len(set(map(len, self.table.values()))) > 1:
+            raise ValueError("a report's table holds one array per column, all the same length")
+
+    @property
+    def row_count(self) -> int:
+        return len(self.table[self.columns[0]]) if self.columns else 0
+
+    @cached_property
+    def rows(self) -> list[dict[str, object]]:
+        values = [self.table[k].tolist() for k in self.columns]
+        return [dict(zip(self.columns, row)) for row in zip(*values)]
+
     def csv_text(self) -> str:
-        """The rows as CSV, each cell as ``_cell`` writes it, converted a
-        column at a time (``_column``)."""
-        columns = [_column([row.get(k) for row in self.rows]) for k in self.columns]
+        """The table as CSV, each cell as ``csv.writer`` writes ``_cell`` of
+        it: each column's cells are formatted by ``_texts`` with the
+        separator that follows them, then read out row after row."""
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(self.columns)
-        writer.writerows(zip(*columns))
-        return buf.getvalue()
+        csv.writer(buf, lineterminator="\n").writerow(self.columns)
+        cells = np.empty((self.row_count, len(self.columns)), dtype=object)
+        for j, name in enumerate(self.columns):
+            cells[:, j] = _texts(self.table[name], "," if j + 1 < len(self.columns) else "\n")
+        if len(self.columns) == 1:  # csv.writer quotes a row's lone empty field
+            cells[cells == "\n"] = '""\n'
+        return buf.getvalue() + "".join(cells.ravel().tolist())
 
     def write(self, csv_path: str | Path | None, json_path: str | Path | None) -> None:
         if csv_path:
@@ -206,7 +236,7 @@ class ExperimentReport:
                 "config": self.config,
                 "aggregates": self.aggregates,
                 "series": self.series,
-                "row_count": len(self.rows),
+                "row_count": self.row_count,
                 "wall_clock_sec": self.wall_clock_sec,
             }
             Path(json_path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
@@ -222,20 +252,49 @@ def _cell(value) -> object:
     return value
 
 
-def _column(values: list) -> list:
-    """``_cell`` of each value, by one converter when all share a type."""
-    kinds = set(map(type, values))
-    if len(kinds) == 1:
-        kind = kinds.pop()
-        if kind is float:
-            return list(map(float.__repr__, values))
-        if kind is bool:
-            return list(map(int, values))
-        if kind is type(None):
-            return [""] * len(values)
-        if kind is int or kind is str:
-            return values
-    return list(map(_cell, values))
+def _texts(column: np.ndarray, end: str) -> np.ndarray:
+    """Each cell of ``column`` as ``csv.writer`` writes ``_cell`` of it,
+    followed by ``end``: formatted once per distinct value and gathered by
+    each cell's distinct number. A float is told apart by its bits, so -0.0
+    and 0.0 stay apart; an object column (None or mixed types) by the
+    identity of the object it holds."""
+    if column.dtype == bool:
+        return np.array(["0" + end, "1" + end], dtype=object)[column.view(np.uint8)]
+    if column.dtype == np.float64:
+        keys, text = column.view(np.int64), float.__repr__
+    elif column.dtype == np.int64:
+        keys, text = column, int.__repr__
+    elif column.dtype.kind == "U":
+        keys, text = column, _quote
+    else:
+        keys = np.fromiter(map(id, column.tolist()), dtype=np.int64, count=len(column))
+        text = _cell_text
+    first, number = _distinct(keys)
+    return np.array([text(value) + end for value in column[first].tolist()],
+                    dtype=object)[number]
+
+
+def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The position of each distinct key's first appearance, and each key's
+    index into those positions, by one stable argsort."""
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    new = np.ones(len(keys), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    number = np.empty(len(keys), dtype=np.intp)
+    number[order] = np.cumsum(new) - 1
+    return order[new], number
+
+
+def _cell_text(value) -> str:
+    return _quote(str(_cell(value)))
+
+
+def _quote(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it as one field of several."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[:-2]
 
 
 @dataclass(frozen=True)
@@ -351,20 +410,23 @@ def run_steiner_lb(cfg: RunConfig) -> ExperimentReport:
     certifiable = np.array([adv.certificate_mode and _graph_paths(p, inst.graph)
                             for p in solutions])
     budget = _budget(cfg.oracle_cap)
-    surrogate = _surrogate("steiner", 1, adv.t, inst.diameter)
+    bound, bound_kind = _surrogate("steiner", 1, adv.t, inst.diameter)
 
-    rows: list[dict[str, object]] = []
-    good_count = 0
+    x_size = np.zeros(cfg.trials, dtype=np.int64)
+    good = np.zeros(cfg.trials, dtype=bool)
+    lhs = np.empty(cfg.trials)
+    opt = np.empty(cfg.trials)
+    exact = np.zeros(cfg.trials, dtype=bool)
     certified = 0
-    ratios: list[float] = []
     for trials in _chunks(cfg.trials, (adv.t + 1) * keys.shape[2] * 8):
+        at = slice(trials.start, trials.stop)
         pick = _picks(cfg, len(solutions), trials)
         walks = _walks(cfg, inst.graph, adv.t, rngs.WALK, trials)
-        good, _, distinct = good_walks(walks, first_steps[pick[:, None], walks], adv)
-        x_size = distinct - (walks == roots[pick, None]).any(axis=1)
-        certify = good & certifiable[pick]
-        lhs = np.empty(len(trials))
-        lhs[~certify] = project_path_rows(keys, pick[~certify], walks[~certify], inst.metric)
+        good[at], _, distinct = good_walks(walks, first_steps[pick[:, None], walks], adv)
+        x_size[at] = distinct - (walks == roots[pick, None]).any(axis=1)
+        certify = good[at] & certifiable[pick]
+        cost = lhs[at]
+        cost[~certify] = project_path_rows(keys, pick[~certify], walks[~certify], inst.metric)
         for i in np.flatnonzero(certify):
             # the certificate projects the same X on the same metric
             cert = steiner_certificate(solutions[pick[i]], walks[i], inst.girth, adv, inst.metric)
@@ -372,26 +434,16 @@ def run_steiner_lb(cfg: RunConfig) -> ExperimentReport:
                 raise CertificateFalsification(
                     f"steiner certificate failed at trial {trials[i]}: {cert.witness}"
                 )
-            lhs[i] = cert.lhs
-        good_count += int(good.sum())
+            cost[i] = cert.lhs
         certified += int(certify.sum())
-        opts = _optima("steiner", inst.metric, [walks], x_size, surrogate, budget,
-                       cfg.oracle_cap)
-        for trial, size, is_good, cost, (opt, opt_kind) in zip(
-                trials, x_size.tolist(), good.tolist(), lhs.tolist(), opts):
-            ratio = cost / opt if opt > 0 else float("nan")
-            if size:
-                ratios.append(ratio)
-            rows.append({
-                "trial": trial, "n": inst.graph.n, "d": inst.d, "girth": inst.girth,
-                "t": adv.t, "x_size": size, "good": is_good, "e1": None, "e2": None,
-                "shared": None, "lhs": cost, "rhs": size * inst.girth / 6.0, "ratio": ratio,
-                "opt_kind": opt_kind,
-            })
+        opt[at], exact[at] = _optima("steiner", inst.metric, [walks], x_size[at], bound, budget,
+                                     cfg.oracle_cap)
 
-    report = ExperimentReport(config=cfg.values, columns=LB_COLUMNS, rows=rows)
-    ordered = np.sort(np.array(ratios, dtype=float))
-    freq = good_count / cfg.trials if cfg.trials else 0.0
+    table = _lb_table(inst, adv.t, x_size, lhs, x_size * inst.girth / 6.0, opt,
+                      np.where(exact, "oracle", bound_kind), good=good)
+    report = ExperimentReport(config=cfg.values, columns=LB_COLUMNS, table=table)
+    ordered = np.sort(table["ratio"][x_size > 0])
+    freq = int(good.sum()) / cfg.trials if cfg.trials else 0.0
     report.aggregates = {
         "good_walk_frequency": freq,
         "certified_samples": certified,
@@ -480,22 +532,41 @@ def _surrogate(problem: str, walk_count: int, t: int, diam: int) -> tuple[float,
     return bounds.tsp, "walk-tour"
 
 
-def _optima(problem, m, walk_blocks, x_size, surrogate, budget,
-            oracle_cap) -> list[tuple[float, str]]:
+def _optima(problem, m, walk_blocks, x_size, bound, budget,
+            oracle_cap) -> tuple[np.ndarray, np.ndarray]:
     """OPT of ``problem`` on each row's X, the row's vertices in all
-    ``walk_blocks`` less the root: the exact oracle when the metric is built
-    and |X| <= oracle_cap, else the run's walk surrogate."""
-    opts = [surrogate] * len(x_size)
+    ``walk_blocks`` less the root, and whether it is exact: the exact oracle's
+    when the metric is built and |X| <= oracle_cap, else the run's walk
+    surrogate ``bound``."""
+    opt = np.full(len(x_size), bound, dtype=np.float64)
+    exact = np.zeros(len(x_size), dtype=bool)
     if m is None or oracle_cap <= 0:
-        return opts
-    exact = steiner_exact if problem == "steiner" else tsp_exact
+        return opt, exact
+    solve = steiner_exact if problem == "steiner" else tsp_exact
     for i in np.flatnonzero(x_size <= oracle_cap):
         x = set(np.concatenate([w[i] for w in walk_blocks]).tolist()) - {m.root}
         try:
-            opts[i] = exact(m, x, budget), "oracle"
+            opt[i] = solve(m, x, budget)
         except OracleRefusal:
-            pass
-    return opts
+            continue
+        exact[i] = True
+    return opt, exact
+
+
+def _lb_table(inst: InstanceBundle, t: int, x_size: np.ndarray, lhs: np.ndarray,
+              rhs: np.ndarray, opt: np.ndarray, opt_kind: np.ndarray,
+              **events: np.ndarray) -> dict[str, np.ndarray]:
+    """The LB_COLUMNS of a steiner-lb or tsp-lb run. ``events`` are the
+    pipeline's own columns (``good``, or ``e1``, ``e2`` and ``shared``); the
+    other pipeline's read as empty cells, as does ``girth`` on an acyclic
+    graph. A row's ratio is lhs / OPT, NaN when OPT is not positive."""
+    n = len(x_size)
+    table = dict.fromkeys(LB_COLUMNS, np.full(n, None))
+    table.update(trial=np.arange(n), n=np.full(n, inst.graph.n), d=np.full(n, inst.d),
+                 girth=np.full(n, inst.girth), t=np.full(n, t), x_size=x_size, lhs=lhs,
+                 rhs=rhs, ratio=np.divide(lhs, opt, out=np.full(n, np.nan), where=opt > 0),
+                 opt_kind=opt_kind, **events)
+    return table
 
 
 def run_tsp_lb(cfg: RunConfig) -> ExperimentReport:
@@ -510,49 +581,43 @@ def run_tsp_lb(cfg: RunConfig) -> ExperimentReport:
     positions, orders = tour_tables(tours)
     block_of = tour_blocks(positions, adv.blocks)
     budget = _budget(cfg.oracle_cap)
-    surrogate = _surrogate("tsp", 2, adv.t, inst.diameter)
+    bound, bound_kind = _surrogate("tsp", 2, adv.t, inst.diameter)
 
-    rows: list[dict[str, object]] = []
-    qualifying = 0
-    e1_count = 0
-    ratios: list[float] = []
+    x_size = np.zeros(cfg.trials, dtype=np.int64)
+    e1 = np.zeros(cfg.trials, dtype=bool)
+    e2 = np.zeros(cfg.trials, dtype=bool)
+    shared = np.zeros(cfg.trials, dtype=np.int64)
+    lhs = np.empty(cfg.trials)
+    opt = np.empty(cfg.trials)
+    exact = np.zeros(cfg.trials, dtype=bool)
     for trials in _chunks(cfg.trials, (adv.t + 1) ** 2 * 8):
+        at = slice(trials.start, trials.stop)
         pick = _picks(cfg, len(tours), trials)
         q1 = _walks(cfg, inst.graph, adv.t, rngs.WALK, trials)
         q2 = _walks(cfg, inst.graph, adv.t, rngs.WALK2, trials)
         both = np.concatenate([q1, q2], axis=1)
-        x_size = distinct_counts(np.where(both == m.root, -1, both))
-        e1 = separated(q1, q2, m, adv.t)
-        _, _, shared, e2 = alternation(block_of[pick[:, None], q1], block_of[pick[:, None], q2],
-                                       adv.blocks, adv.alternation_fraction)
-        lhs = project_tour_rows(positions, orders, pick, both, m)
-        for i in np.flatnonzero(e1 & e2):
+        x_size[at] = distinct_counts(np.where(both == m.root, -1, both))
+        e1[at] = separated(q1, q2, m, adv.t)
+        _, _, shared[at], e2[at] = alternation(block_of[pick[:, None], q1],
+                                               block_of[pick[:, None], q2],
+                                               adv.blocks, adv.alternation_fraction)
+        lhs[at] = project_tour_rows(positions, orders, pick, both, m)
+        for i in np.flatnonzero(e1[at] & e2[at]):
             cert = tsp_certificate(tours[pick[i]], m, q1[i], q2[i], adv.t, adv.blocks)
             if not cert.holds:
                 raise CertificateFalsification(
                     f"tsp certificate failed at trial {trials[i]}: {cert.witness}"
                 )
-        e1_count += int(e1.sum())
-        qualifying += int((e1 & e2).sum())
-        opts = _optima("tsp", m, [q1, q2], x_size, surrogate, budget, cfg.oracle_cap)
-        for trial, size, is_e1, is_e2, hits, cost, (opt, opt_kind) in zip(
-                trials, x_size.tolist(), e1.tolist(), e2.tolist(), shared.tolist(),
-                lhs.tolist(), opts):
-            ratio = cost / opt if opt > 0 else float("nan")
-            if size:
-                ratios.append(ratio)
-            rows.append({
-                "trial": trial, "n": inst.graph.n, "d": inst.d, "girth": inst.girth,
-                "t": adv.t, "x_size": size, "good": None, "e1": is_e1, "e2": is_e2,
-                "shared": hits, "lhs": cost, "rhs": float(hits * adv.t), "ratio": ratio,
-                "opt_kind": opt_kind,
-            })
+        opt[at], exact[at] = _optima("tsp", m, [q1, q2], x_size[at], bound, budget,
+                                     cfg.oracle_cap)
 
-    report = ExperimentReport(config=cfg.values, columns=LB_COLUMNS, rows=rows)
+    table = _lb_table(inst, adv.t, x_size, lhs, (shared * adv.t).astype(np.float64), opt,
+                      np.where(exact, "oracle", bound_kind), e1=e1, e2=e2, shared=shared)
+    report = ExperimentReport(config=cfg.values, columns=LB_COLUMNS, table=table)
     report.aggregates = {
-        "qualifying_samples": qualifying,
-        "e1_samples": e1_count,
-        "ratio_median": _median(np.sort(np.array(ratios, dtype=float))),
+        "qualifying_samples": int((e1 & e2).sum()),
+        "e1_samples": int(e1.sum()),
+        "ratio_median": _median(np.sort(table["ratio"][x_size > 0])),
         "blocks": adv.blocks, "t": adv.t,
         # no sample qualifies when E1's walks cannot start 3t apart, or when
         # E2 asks a walk's t + 1 vertices to hit more blocks than that
@@ -594,7 +659,7 @@ def run_universal_upper(cfg: RunConfig) -> ExperimentReport:
     cost against the exact Steiner optimum.
     """
     budget = OracleBudget()
-    rows: list[dict[str, object]] = []
+    records: list[tuple] = []
     stretch_max_all: list[float] = []
     stretch_mean_all: list[float] = []
     mean_ratios: list[float] = []
@@ -647,16 +712,12 @@ def run_universal_upper(cfg: RunConfig) -> ExperimentReport:
             mean_cost = float(np.mean(costs))
             ratio = mean_cost / opt
             mean_ratios.append(ratio)
-            rows.append({
-                "trial": trial, "n": n, "x_size": len(x),
-                "mean_tree_cost": mean_cost, "opt": opt, "ratio": ratio,
-                "domination": undominated == 0, "cost_bound": over == 0,
-                "doubling": doubling_ok, "contiguity": contiguity_ok,
-                "opt_kind": "oracle",
-            })
+            records.append((trial, n, len(x), mean_cost, opt, ratio, undominated == 0,
+                            over == 0, doubling_ok, contiguity_ok, "oracle"))
             trial += 1
 
-    report = ExperimentReport(config=cfg.values, columns=UNIVERSAL_COLUMNS, rows=rows)
+    report = ExperimentReport(config=cfg.values, columns=UNIVERSAL_COLUMNS,
+                              table=_table(UNIVERSAL_COLUMNS, records))
     report.aggregates = {
         "mean_ratio": float(np.mean(mean_ratios)) if mean_ratios else float("nan"),
         "max_ratio": float(np.max(mean_ratios)) if mean_ratios else float("nan"),
@@ -751,6 +812,12 @@ def _subtree_mask_costs(m: MetricSpace, items: list[int],
 
 
 def run_dp_transfer(cfg: RunConfig) -> ExperimentReport:
+    # The table below spans the universe and the root. A universe the exact
+    # oracle's budget refuses is refused here, before anything is allocated.
+    cap = OracleBudget().steiner_terminals
+    if cfg.universe + 1 > cap:
+        raise ConfigError(f"universe must be <= {cap - 1} (the exact Steiner oracle's "
+                          f"{cap}-terminal cap), got {cfg.universe}")
     m = star_metric(cfg.universe)
     items = list(range(1, cfg.universe + 1))
     universe = frozenset(items)
@@ -759,7 +826,7 @@ def run_dp_transfer(cfg: RunConfig) -> ExperimentReport:
     opt = steiner_table(m, [*items, m.root])[:, m.root]
     bit = {v: 1 << i for i, v in enumerate(items)}
 
-    rows: list[dict[str, object]] = []
+    records: list[tuple] = []
     audit_failures = 0
     transfer_failures = 0
     applicable = 0
@@ -778,19 +845,23 @@ def run_dp_transfer(cfg: RunConfig) -> ExperimentReport:
             ok, prob_beat, bound = chk.ok, chk.prob_beat, chk.bound
             if not ok:
                 transfer_failures += 1
-        rows.append({
-            "trial": i, "mech": f"expmech-{i}", "eps": cfg.eps,
-            "audit_pass": audit.passed, "worst_ratio": audit.worst_ratio,
-            "eps0": eps0, "prob_beat": prob_beat, "bound": bound,
-            "transfer_ok": ok,
-        })
-    report = ExperimentReport(config=cfg.values, columns=DP_COLUMNS, rows=rows)
+        records.append((i, f"expmech-{i}", cfg.eps, audit.passed, audit.worst_ratio, eps0,
+                        prob_beat, bound, ok))
+    report = ExperimentReport(config=cfg.values, columns=DP_COLUMNS,
+                              table=_table(DP_COLUMNS, records))
     report.aggregates = {
         "audit_failures": audit_failures,
         "transfer_failures": transfer_failures,
         "transfer_applicable": applicable,
     }
     return report
+
+
+def _table(columns: list[str], records: list[tuple]) -> dict[str, np.ndarray]:
+    """The records (one tuple per row, in ``columns`` order) as one array
+    per column; a column that holds a None is an object array."""
+    values = list(zip(*records)) or [()] * len(columns)
+    return {name: np.array(column) for name, column in zip(columns, values)}
 
 
 def run_experiment(cfg: RunConfig) -> ExperimentReport:

@@ -301,21 +301,24 @@ def read_mechanism(path: str | Path) -> MechanismTable:
         solutions = {sid: _solution_from_doc(d) for sid, d in solutions.items()}
     except KeyError as exc:
         raise MechanismError(f"{path}: missing key {exc}") from None
-    column = {sid: j for j, sid in enumerate(solutions)}
-    probs = np.zeros((1 << len(universe), len(solutions)))
-    for mask in range(len(probs)):
-        row = rows.get(str(mask))
-        if not isinstance(row, dict):
+    size = 1 << len(universe)
+    # A table of fewer rows than masks misses one of its first len(rows) + 1
+    # masks, so a short table is refused before the (size, S) array exists.
+    for mask in range(min(size, len(rows) + 1)):
+        if not isinstance(rows.get(str(mask)), dict):
             raise MechanismError(
                 f"{path}: no row {mask} (X={sorted(_members(mask, universe))})")
-        for sid, prob in row.items():
+    if len(rows) != size:
+        raise MechanismError(f"{path}: rows other than masks 0..{size - 1}")
+    column = {sid: j for j, sid in enumerate(solutions)}
+    probs = np.zeros((size, len(solutions)))
+    for mask in range(size):
+        for sid, prob in rows[str(mask)].items():
             if sid not in column:
                 raise MechanismError(f"{path}: row {mask} names unknown solution {sid!r}")
             if type(prob) not in (int, float):
                 raise MechanismError(f"{path}: row {mask} gives {sid!r} a non-number")
             probs[mask, column[sid]] = prob
-    if len(rows) != len(probs):
-        raise MechanismError(f"{path}: rows other than masks 0..{len(probs) - 1}")
     return MechanismTable(universe=universe, solutions=solutions, probs=probs,
                           claimed_eps=doc.get("claimed_eps"))
 

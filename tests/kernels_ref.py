@@ -16,9 +16,10 @@ member and one permutation point at a time into a node list (``hst_nodes``
 builds one from the package's label tables), its contraction as a
 depth-first search over the adjacency sets of the contracted nodes, the
 tree-distance LCA found by stepping the deeper end of every pair up one edge
-per round, and the steiner-lb and tsp-lb trial loops, one trial at a time.
-The walk draws the same random numbers as ``univlb.walks.random_walk``, and
-the oracles, tree distances and tour legs do the same float additions as the
+per round, and the steiner-lb and tsp-lb trial loops, one trial at a time
+(``table_ref`` puts their rows into the report's column table). The walk
+draws the same random numbers as ``univlb.walks.random_walk``, and the
+oracles, tree distances and tour legs do the same float additions as the
 package, so parity tests compare exactly.
 
 The graph layer's references are the scipy forms the package once used, and
@@ -617,9 +618,10 @@ def steiner_lb_ref(cfg) -> ExperimentReport:
             "shared": None, "lhs": lhs, "rhs": len(x) * inst.girth / 6.0,
             "ratio": lhs / opt if opt > 0 else float("nan"), "opt_kind": opt_kind,
         })
-    return ExperimentReport(config=cfg.values, columns=LB_COLUMNS, rows=rows, aggregates={
-        "good_walk_frequency": good_count / cfg.trials if cfg.trials else 0.0,
-        "certified_samples": certified})
+    freq = good_count / cfg.trials if cfg.trials else 0.0
+    return ExperimentReport(config=cfg.values, columns=LB_COLUMNS, table=table_ref(rows),
+                            aggregates={"good_walk_frequency": freq,
+                                        "certified_samples": certified})
 
 
 def tsp_lb_ref(cfg) -> ExperimentReport:
@@ -657,8 +659,14 @@ def tsp_lb_ref(cfg) -> ExperimentReport:
             "shared": shared, "lhs": lhs, "rhs": float(shared * adv.t),
             "ratio": lhs / opt if opt > 0 else float("nan"), "opt_kind": opt_kind,
         })
-    return ExperimentReport(config=cfg.values, columns=LB_COLUMNS, rows=rows, aggregates={
-        "qualifying_samples": qualifying, "e1_samples": e1_count})
+    return ExperimentReport(config=cfg.values, columns=LB_COLUMNS, table=table_ref(rows),
+                            aggregates={"qualifying_samples": qualifying,
+                                        "e1_samples": e1_count})
+
+
+def table_ref(rows: list[dict]) -> dict[str, np.ndarray]:
+    """A trial loop's rows as the report's table: one array per column."""
+    return {k: np.array([row[k] for row in rows]) for k in LB_COLUMNS}
 
 
 def adjacency_ref(g: Graph) -> sp.csr_matrix:

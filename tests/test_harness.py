@@ -190,31 +190,40 @@ def test_graph_paths_matches_the_isin_reference(n, data):
     assert experiments._graph_paths(p, g) == graph_paths_ref(p, g)
 
 
-_CELL_VALUES = {
-    "bool": st.booleans(),
-    "int": st.integers(-2 ** 70, 2 ** 70),
-    "float": st.one_of(st.floats(), st.sampled_from([float("nan"), float("inf"),
-                                                     float("-inf"), -0.0, 0.0])),
-    "none": st.none(),
-    "str": st.one_of(st.text(), st.sampled_from(['a,b', 'say "x"', "two\nlines",
-                                                 "cr\r", ",\"\n", ""])),
+_FLOATS = st.one_of(st.floats(), st.sampled_from([
+    float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324, -2.5e-310, 1.0, 0.1]))
+_STRINGS = st.one_of(st.text(), st.sampled_from(['a,b', 'say "x"', "two\nlines", "cr\r",
+                                                 ",\"\n", "", "oracle"]))
+_INT64 = st.one_of(st.integers(-2 ** 63, 2 ** 63 - 1),
+                   st.sampled_from([-2 ** 63, 2 ** 63 - 1, -1, 0, 1]))
+# each kind of column: the values a cell draws and the array dtype holding them
+_COLUMN_KINDS = {
+    "bool": (st.booleans(), bool),
+    "int64": (_INT64, np.int64),
+    "float64": (_FLOATS, np.float64),
+    "str": (_STRINGS, str),
+    "none": (st.none(), object),
+    "mixed": (st.one_of(st.booleans(), st.integers(-2 ** 70, 2 ** 70), _FLOATS, st.none(),
+                        _STRINGS), object),
 }
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.sampled_from([*_CELL_VALUES, "mixed"]), min_size=1, max_size=5),
+@given(st.lists(st.sampled_from(sorted(_COLUMN_KINDS)), min_size=1, max_size=5),
        st.integers(0, 8), st.data())
 def test_csv_text_matches_the_per_cell_writer(kinds, count, data):
-    mixed = st.one_of(*_CELL_VALUES.values())
-    columns = [f"c{i}" for i in range(len(kinds))]
-    rows = []
-    for _ in range(count):
-        row = {c: data.draw(mixed if kind == "mixed" else _CELL_VALUES[kind])
-               for c, kind in zip(columns, kinds)}
-        if data.draw(st.booleans()):  # a missing key reads as None
-            row.pop(data.draw(st.sampled_from(columns)))
-        rows.append(row)
-    report = ExperimentReport(config={}, columns=columns, rows=rows)
+    # the columns are numpy arrays of every dtype a report holds; the
+    # reference writes _cell of each row's Python value through csv.writer
+    table = {}
+    for i, kind in enumerate(kinds):
+        cells, dtype = _COLUMN_KINDS[kind]
+        values = data.draw(st.lists(cells, min_size=count, max_size=count))
+        if dtype is object:  # filled in place, so no value is read as a sequence
+            table[f"c{i}"] = np.empty(count, dtype=object)
+            table[f"c{i}"][:] = values
+        else:
+            table[f"c{i}"] = np.array(values, dtype=dtype)
+    report = ExperimentReport(config={}, columns=list(table), table=table)
     assert report.csv_text() == csv_text_ref(report)
 
 
@@ -288,6 +297,26 @@ def test_json_report_written(tmp_path):
     assert doc["config"]["universe"] == 5
     assert doc["row_count"] == 2
     assert doc["aggregates"]["audit_failures"] == 0
+
+
+@pytest.mark.parametrize("pipeline", ["steiner-lb", "tsp-lb"])
+def test_writers_read_the_columns_not_the_rows(pipeline, tmp_path):
+    cfg = RunConfig.make(pipeline=pipeline, graph="lps:5,13", t=2, trials=70, seed=3,
+                         csv=str(tmp_path / "out.csv"), json=str(tmp_path / "rep.json"))
+    report = run_experiment(cfg)
+    assert "rows" not in report.__dict__  # the dict view is built only when read
+    assert json.loads((tmp_path / "rep.json").read_text())["row_count"] == 70
+    assert len((tmp_path / "out.csv").read_text().splitlines()) == 71
+    assert len(report.rows) == 70 and "rows" in report.__dict__
+
+
+def test_report_refuses_a_ragged_table():
+    with pytest.raises(ValueError, match="same length"):
+        ExperimentReport(config={}, columns=["a", "b"],
+                         table={"a": np.zeros(2), "b": np.zeros(3)})
+    with pytest.raises(ValueError, match="one array per column"):
+        ExperimentReport(config={}, columns=["b", "a"],
+                         table={"a": np.zeros(2), "b": np.zeros(2)})
 
 
 def _bits(x: float) -> bytes:
@@ -384,7 +413,7 @@ def test_universal_pipeline_smoke(tmp_path):
 
 
 def test_emit_plot_data_schema():
-    rep = ExperimentReport(config={}, columns=[], rows=[],
+    rep = ExperimentReport(config={}, columns=[], table={},
                            series=[{"series": "s", "x": 1, "y": 2.0,
                                     "ci_lo": 1.5, "ci_hi": 2.5}])
     text = emit_plot_data([rep])
@@ -393,12 +422,12 @@ def test_emit_plot_data_schema():
     assert len(lines) == 2
 
     with pytest.raises(ValueError):
-        emit_plot_data([ExperimentReport(config={}, columns=[], rows=[])])
+        emit_plot_data([ExperimentReport(config={}, columns=[], table={})])
 
 
 def test_emit_plot_data_multiple_series():
     reps = [
-        ExperimentReport(config={}, columns=[], rows=[],
+        ExperimentReport(config={}, columns=[], table={},
                          series=[{"series": "ratio-vs-n", "x": n, "y": 1.0,
                                   "ci_lo": None, "ci_hi": None}])
         for n in (10, 20)
@@ -597,6 +626,15 @@ def test_cli_out_of_range_exit_1(argv, key, capsys):
     assert err.startswith(f"error: {key} must be >=") and err.count("\n") == 1
 
 
+def test_cli_dp_transfer_refuses_a_universe_above_the_oracle_cap(capsys, monkeypatch):
+    # 12 items and the root exceed the 12-terminal Steiner cap; the refusal
+    # comes before the star metric or the 2^13-row table is built
+    monkeypatch.setattr(experiments, "star_metric", lambda *args: pytest.fail("allocated"))
+    assert cli_main(["run-dp-transfer", "--universe", "12", "--mechanisms", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: universe must be <= 11") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("line, message", [
     ("trees_per_metric = 0", "trees_per_metric must be >= 1"),
     ("max_terminals = 1", "max_terminals must be >= 2"),
@@ -691,6 +729,9 @@ def test_cli_audit_dp(tmp_path):
     (lambda doc: doc["solutions"].update(t0=[]), "unknown solution kind None"),
     (lambda doc: doc["table"].update({"3": []}), "no row 3"),
     (lambda doc: doc["table"]["3"].update(t0=None), "row 3 gives 't0' a non-number"),
+    # one row for a 40-item universe: refused before a 2^40-row table is allocated
+    (lambda doc: doc.update(universe=list(range(1, 41)), table={"0": doc["table"]["0"]}),
+     "no row 1 (X=[1])"),
 ])
 def test_cli_audit_dp_bad_file_exit_1(tmp_path, capsys, breakage, message):
     from univlb.experiments import star_metric, suite_mechanism

@@ -13,6 +13,7 @@ from test_harness import _tailed_triangle
 from univlb import experiments
 from univlb.cli import main as cli_main
 from univlb.experiments import RunConfig, run_experiment
+from univlb.graphs import Graph, write_graph
 
 SEED = 20250808
 
@@ -34,6 +35,9 @@ CASES = {
                             t=3, trials=600),
     "tsp-oracle": dict(pipeline="tsp-lb", graph="lps:13,5", t=1, trials=200, oracle_cap=3),
     "tsp-file": dict(pipeline="tsp-lb", graph="tailed", t=1, blocks=2, trials=301, seed=4),
+    # a path graph has no girth: its rows hold empty girth cells
+    "tsp-file-acyclic": dict(pipeline="tsp-lb", graph="path", t=2, blocks=2, trials=301,
+                             seed=4),
     "tsp-zero": dict(pipeline="tsp-lb", graph="lps:5,13", trials=0),
 }
 
@@ -46,6 +50,9 @@ def test_engine_matches_the_per_trial_loop(name, chunk_bytes, tmp_path, monkeypa
     config = dict(CASES[name], seed=CASES[name].get("seed", SEED))
     if config["graph"] == "tailed":
         config["graph"] = f"file:{_tailed_triangle(tmp_path)}"
+    if config["graph"] == "path":
+        write_graph(Graph(n=9, edges=[(v, v + 1) for v in range(8)]), tmp_path / "path.txt")
+        config["graph"] = f"file:{tmp_path / 'path.txt'}"
     cfg = RunConfig.make(**config)
     monkeypatch.setattr(experiments, "CHUNK_BYTES", chunk_bytes)
     chunks = []
@@ -64,6 +71,8 @@ def test_engine_matches_the_per_trial_loop(name, chunk_bytes, tmp_path, monkeypa
         return [{key: type(value) for key, value in row.items()} for row in rows]
 
     assert types(report.rows) == types(ref.rows)  # Python scalars, as the CSV cells need
+    if name == "tsp-file-acyclic":
+        assert {row["girth"] for row in report.rows} == {None}
     assert report.csv_text() == ref.csv_text()
     for key, value in ref.aggregates.items():
         assert report.aggregates[key] == value, key

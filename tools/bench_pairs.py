@@ -22,6 +22,13 @@ with ``--trace 1`` for the same seconds, and that run's per-layer metrics
 (calls and self seconds of each traced function, medians over its traced
 repetitions) go under the workload's ``per_layer``.
 
+After the workloads, each side runs every config of
+``tests/test_acceptance.py::RUNS`` once, in one fresh process, and records
+each config's wall seconds and CSV sha256 (with, per config, whether both
+sides wrote the same bytes); then it runs the Tier-1 suite
+(``python -m pytest -q --continue-on-collection-errors`` with ``src`` on
+``PYTHONPATH``) once and records its wall clock and summary line.
+
 Each bench.py run is its own session; if the tool stops early (an error or
 Ctrl-C), the run's process group is killed, so no bench.py or child.py is
 left running.
@@ -43,6 +50,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -68,24 +76,74 @@ def _git(*args: str, cwd: Path) -> str:
 
 def bench(checkout: Path, workload: str, seed: int, seconds: float,
           env: dict[str, str] | None = None, trace: int = 0) -> tuple[dict, dict]:
-    """One bench.py run in ``checkout``: (provenance, result). The run has a
-    session of its own, and its process group (bench.py and the child it is
-    running) is killed if this returns early, say on Ctrl-C."""
-    proc = subprocess.Popen(
-        [sys.executable, "perfbench/bench.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", str(trace)],
-        cwd=checkout, env=dict(os.environ, **(env or {})), stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE, text=True, start_new_session=True)
+    """One bench.py run in ``checkout``: (provenance, result)."""
+    proc = _run([sys.executable, "perfbench/bench.py", "--workload", workload, "--seed",
+                 str(seed), "--seconds", str(seconds), "--trace", str(trace)], checkout, env)
+    lines = proc.stdout.strip().splitlines()
+    if not lines:
+        raise RuntimeError(f"bench.py printed nothing in {checkout}: {proc.stderr.strip()[-500:]}")
+    return json.loads(lines[0])["provenance"], json.loads(lines[-1])
+
+
+# Run in a checkout: each acceptance config once, its wall seconds and CSV
+# sha256 printed as one JSON object.
+ACCEPTANCE_RUNS = """
+import hashlib, json, sys, tempfile, time
+from pathlib import Path
+sys.path[:0] = ["src", "tests"]
+from test_acceptance import RUNS
+from univlb.experiments import RunConfig, run_experiment
+out = {}
+with tempfile.TemporaryDirectory() as tmp:
+    for name, config in RUNS.items():
+        csv = Path(tmp) / f"{name}.csv"
+        start = time.perf_counter()
+        run_experiment(RunConfig.make(csv=str(csv), **config))
+        wall_s = time.perf_counter() - start
+        out[name] = {"wall_s": wall_s, "csv_sha256": hashlib.sha256(csv.read_bytes()).hexdigest()}
+print(json.dumps(out))
+"""
+
+
+def acceptance(checkout: Path) -> dict:
+    """Each ``RUNS`` config of ``checkout``, run once: wall seconds and sha256."""
+    proc = _run([sys.executable, "-c", ACCEPTANCE_RUNS], checkout, _src_path(checkout))
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def tier1(checkout: Path) -> dict:
+    """One run of ``checkout``'s Tier-1 suite: wall clock, exit code, summary."""
+    start = time.perf_counter()
+    proc = _run([sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
+                 "-p", "no:cacheprovider"], checkout, _src_path(checkout), check=False)
+    wall_s = time.perf_counter() - start
+    lines = proc.stdout.strip().splitlines()
+    return {"wall_s": wall_s, "returncode": proc.returncode,
+            "summary": lines[-1] if lines else proc.stderr.strip()[-300:]}
+
+
+def _src_path(checkout: Path) -> dict[str, str]:
+    return {"PYTHONPATH": os.pathsep.join(filter(None, [str(checkout / "src"),
+                                                        os.environ.get("PYTHONPATH")]))}
+
+
+def _run(argv: list[str], checkout: Path, env: dict[str, str] | None = None,
+         check: bool = True) -> subprocess.CompletedProcess:
+    """``argv`` in ``checkout``, ``env`` added to this environment. The run
+    has a session of its own, and its process group (say bench.py and the
+    child it is running) is killed if this returns early, say on Ctrl-C."""
+    proc = subprocess.Popen(argv, cwd=checkout, env=dict(os.environ, **(env or {})),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            start_new_session=True)
     try:
         stdout, stderr = proc.communicate()
     finally:
         if proc.poll() is None:
             os.killpg(proc.pid, signal.SIGKILL)
             proc.wait()
-    lines = stdout.strip().splitlines()
-    if proc.returncode != 0 or not lines:
-        raise RuntimeError(f"bench.py failed in {checkout}: {stderr.strip()[-500:]}")
-    return json.loads(lines[0])["provenance"], json.loads(lines[-1])
+    if check and proc.returncode != 0:
+        raise RuntimeError(f"{' '.join(argv[1:3])} failed in {checkout}: {stderr.strip()[-500:]}")
+    return subprocess.CompletedProcess(argv, proc.returncode, stdout, stderr)
 
 
 def summarize(pairs: list[dict], spec: dict) -> dict:
@@ -151,13 +209,23 @@ def main(argv: list[str] | None = None) -> int:
                              "summary": {m["name"]: summarize(pairs, m) for m in metrics},
                              "per_layer": per_layer}
 
+    runs = {side: acceptance(checkouts[side]) for side in checkouts}
+    configs = {name: {side: runs[side].get(name) for side in checkouts}
+               for name in {**runs["parent"], **runs["change"]}}
+    for entry in configs.values():
+        entry["same_csv"] = (None not in entry.values()
+                             and entry["parent"]["csv_sha256"] == entry["change"]["csv_sha256"])
+    suites = {side: tier1(checkouts[side]) for side in checkouts}
+
     command = (f"python3 perfbench/bench.py --workload W --seed {args.seed} --seconds "
                f"{args.seconds:g} --trace 0 from a git clone of each side, pairs alternating "
                f"which side runs first; then --seconds {RSS_SECONDS:g} with "
                f"MALLOC_MMAP_THRESHOLD_=131072 for {FIXED_METRIC}; after the pairs, one "
-               f"--trace 1 run per side for per_layer")
+               f"--trace 1 run per side for per_layer; then, per side, each acceptance "
+               f"config once and the Tier-1 suite once")
     out = {"tag": args.tag, "what": args.what, "command": command,
            "provenance": provenance, "workloads": results,
+           "acceptance": configs, "tier1": suites,
            "src_lines": {side: prov["src_lines"] for side, prov in provenance.items()},
            "notes": []}
     path = ROOT / f"BENCH_{args.tag}.json"
