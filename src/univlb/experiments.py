@@ -190,41 +190,40 @@ def _coerce(annotation: str, val: object) -> object:
 
 @dataclass
 class ExperimentReport:
-    """A run's results: ``table`` holds one 1-D array per name in ``columns``,
-    all the same length, one entry per CSV row. ``rows`` is a dict-per-row
-    view of it (Python scalars), built only when something reads it; the
-    CSV and JSON writers read the columns."""
+    """A run's results: ``table`` holds one 1-D array per CSV column, in
+    column order and all the same length. ``rows`` is a dict-per-row view
+    of it (Python scalars), built only when something reads it; the CSV and
+    JSON writers read the columns."""
 
     config: dict[str, object]
-    columns: list[str]
     table: dict[str, np.ndarray]
     aggregates: dict[str, object] = field(default_factory=dict)
     series: list[dict[str, object]] = field(default_factory=list)
     wall_clock_sec: float = 0.0
 
     def __post_init__(self) -> None:
-        if list(self.table) != self.columns or len(set(map(len, self.table.values()))) > 1:
-            raise ValueError("a report's table holds one array per column, all the same length")
+        if len(set(map(len, self.table.values()))) > 1:
+            raise ValueError("a report's columns must all have the same length")
 
     @property
     def row_count(self) -> int:
-        return len(self.table[self.columns[0]]) if self.columns else 0
+        return len(next(iter(self.table.values()), ()))
 
     @cached_property
     def rows(self) -> list[dict[str, object]]:
-        values = [self.table[k].tolist() for k in self.columns]
-        return [dict(zip(self.columns, row)) for row in zip(*values)]
+        values = [column.tolist() for column in self.table.values()]
+        return [dict(zip(self.table, row)) for row in zip(*values)]
 
     def csv_text(self) -> str:
         """The table as CSV, each cell as ``csv.writer`` writes ``_cell`` of
         it: each column's cells are formatted by ``_texts`` with the
         separator that follows them, then read out row after row."""
         buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerow(self.columns)
-        cells = np.empty((self.row_count, len(self.columns)), dtype=object)
-        for j, name in enumerate(self.columns):
-            cells[:, j] = _texts(self.table[name], "," if j + 1 < len(self.columns) else "\n")
-        if len(self.columns) == 1:  # csv.writer quotes a row's lone empty field
+        csv.writer(buf, lineterminator="\n").writerow(self.table)
+        cells = np.empty((self.row_count, len(self.table)), dtype=object)
+        for j, column in enumerate(self.table.values()):
+            cells[:, j] = _texts(column, "," if j + 1 < len(self.table) else "\n")
+        if len(self.table) == 1:  # csv.writer quotes a row's lone empty field
             cells[cells == "\n"] = '""\n'
         return buf.getvalue() + "".join(cells.ravel().tolist())
 
@@ -441,7 +440,7 @@ def run_steiner_lb(cfg: RunConfig) -> ExperimentReport:
 
     table = _lb_table(inst, adv.t, x_size, lhs, x_size * inst.girth / 6.0, opt,
                       np.where(exact, "oracle", bound_kind), good=good)
-    report = ExperimentReport(config=cfg.values, columns=LB_COLUMNS, table=table)
+    report = ExperimentReport(config=cfg.values, table=table)
     ordered = np.sort(table["ratio"][x_size > 0])
     freq = int(good.sum()) / cfg.trials if cfg.trials else 0.0
     report.aggregates = {
@@ -613,7 +612,7 @@ def run_tsp_lb(cfg: RunConfig) -> ExperimentReport:
 
     table = _lb_table(inst, adv.t, x_size, lhs, (shared * adv.t).astype(np.float64), opt,
                       np.where(exact, "oracle", bound_kind), e1=e1, e2=e2, shared=shared)
-    report = ExperimentReport(config=cfg.values, columns=LB_COLUMNS, table=table)
+    report = ExperimentReport(config=cfg.values, table=table)
     report.aggregates = {
         "qualifying_samples": int((e1 & e2).sum()),
         "e1_samples": int(e1.sum()),
@@ -716,8 +715,7 @@ def run_universal_upper(cfg: RunConfig) -> ExperimentReport:
                             over == 0, doubling_ok, contiguity_ok, "oracle"))
             trial += 1
 
-    report = ExperimentReport(config=cfg.values, columns=UNIVERSAL_COLUMNS,
-                              table=_table(UNIVERSAL_COLUMNS, records))
+    report = ExperimentReport(config=cfg.values, table=_table(UNIVERSAL_COLUMNS, records))
     report.aggregates = {
         "mean_ratio": float(np.mean(mean_ratios)) if mean_ratios else float("nan"),
         "max_ratio": float(np.max(mean_ratios)) if mean_ratios else float("nan"),
@@ -847,8 +845,7 @@ def run_dp_transfer(cfg: RunConfig) -> ExperimentReport:
                 transfer_failures += 1
         records.append((i, f"expmech-{i}", cfg.eps, audit.passed, audit.worst_ratio, eps0,
                         prob_beat, bound, ok))
-    report = ExperimentReport(config=cfg.values, columns=DP_COLUMNS,
-                              table=_table(DP_COLUMNS, records))
+    report = ExperimentReport(config=cfg.values, table=_table(DP_COLUMNS, records))
     report.aggregates = {
         "audit_failures": audit_failures,
         "transfer_failures": transfer_failures,

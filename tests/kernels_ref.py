@@ -619,9 +619,8 @@ def steiner_lb_ref(cfg) -> ExperimentReport:
             "ratio": lhs / opt if opt > 0 else float("nan"), "opt_kind": opt_kind,
         })
     freq = good_count / cfg.trials if cfg.trials else 0.0
-    return ExperimentReport(config=cfg.values, columns=LB_COLUMNS, table=table_ref(rows),
-                            aggregates={"good_walk_frequency": freq,
-                                        "certified_samples": certified})
+    return ExperimentReport(config=cfg.values, table=table_ref(rows), aggregates={
+        "good_walk_frequency": freq, "certified_samples": certified})
 
 
 def tsp_lb_ref(cfg) -> ExperimentReport:
@@ -659,9 +658,8 @@ def tsp_lb_ref(cfg) -> ExperimentReport:
             "shared": shared, "lhs": lhs, "rhs": float(shared * adv.t),
             "ratio": lhs / opt if opt > 0 else float("nan"), "opt_kind": opt_kind,
         })
-    return ExperimentReport(config=cfg.values, columns=LB_COLUMNS, table=table_ref(rows),
-                            aggregates={"qualifying_samples": qualifying,
-                                        "e1_samples": e1_count})
+    return ExperimentReport(config=cfg.values, table=table_ref(rows), aggregates={
+        "qualifying_samples": qualifying, "e1_samples": e1_count})
 
 
 def table_ref(rows: list[dict]) -> dict[str, np.ndarray]:
@@ -818,7 +816,7 @@ def csv_text_ref(report: ExperimentReport) -> str:
     """The report's CSV written one ``_cell`` at a time."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(report.columns)
-    writer.writerows([experiments._cell(row.get(k)) for k in report.columns]
+    writer.writerow(report.table)
+    writer.writerows([experiments._cell(row.get(k)) for k in report.table]
                      for row in report.rows)
     return buf.getvalue()

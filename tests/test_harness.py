@@ -223,7 +223,7 @@ def test_csv_text_matches_the_per_cell_writer(kinds, count, data):
             table[f"c{i}"][:] = values
         else:
             table[f"c{i}"] = np.array(values, dtype=dtype)
-    report = ExperimentReport(config={}, columns=list(table), table=table)
+    report = ExperimentReport(config={}, table=table)
     assert report.csv_text() == csv_text_ref(report)
 
 
@@ -312,11 +312,7 @@ def test_writers_read_the_columns_not_the_rows(pipeline, tmp_path):
 
 def test_report_refuses_a_ragged_table():
     with pytest.raises(ValueError, match="same length"):
-        ExperimentReport(config={}, columns=["a", "b"],
-                         table={"a": np.zeros(2), "b": np.zeros(3)})
-    with pytest.raises(ValueError, match="one array per column"):
-        ExperimentReport(config={}, columns=["b", "a"],
-                         table={"a": np.zeros(2), "b": np.zeros(2)})
+        ExperimentReport(config={}, table={"a": np.zeros(2), "b": np.zeros(3)})
 
 
 def _bits(x: float) -> bytes:
@@ -413,7 +409,7 @@ def test_universal_pipeline_smoke(tmp_path):
 
 
 def test_emit_plot_data_schema():
-    rep = ExperimentReport(config={}, columns=[], table={},
+    rep = ExperimentReport(config={}, table={},
                            series=[{"series": "s", "x": 1, "y": 2.0,
                                     "ci_lo": 1.5, "ci_hi": 2.5}])
     text = emit_plot_data([rep])
@@ -422,12 +418,12 @@ def test_emit_plot_data_schema():
     assert len(lines) == 2
 
     with pytest.raises(ValueError):
-        emit_plot_data([ExperimentReport(config={}, columns=[], table={})])
+        emit_plot_data([ExperimentReport(config={}, table={})])
 
 
 def test_emit_plot_data_multiple_series():
     reps = [
-        ExperimentReport(config={}, columns=[], table={},
+        ExperimentReport(config={}, table={},
                          series=[{"series": "ratio-vs-n", "x": n, "y": 1.0,
                                   "ci_lo": None, "ci_hi": None}])
         for n in (10, 20)
