@@ -188,12 +188,13 @@ def _coerce(annotation: str, val: object) -> object:
     return {"int": int, "float": float, "str": str}[annotation](val)
 
 
-@dataclass
+@dataclass(eq=False)
 class ExperimentReport:
     """A run's results: ``table`` holds one 1-D array per CSV column, in
     column order and all the same length. ``rows`` is a dict-per-row view
     of it (Python scalars), built only when something reads it; the CSV and
-    JSON writers read the columns."""
+    JSON writers read the columns. Reports compare by identity, since
+    arrays have no ``==``."""
 
     config: dict[str, object]
     table: dict[str, np.ndarray]
@@ -268,21 +269,9 @@ def _texts(column: np.ndarray, end: str) -> np.ndarray:
     else:
         keys = np.fromiter(map(id, column.tolist()), dtype=np.int64, count=len(column))
         text = _cell_text
-    first, number = _distinct(keys)
+    _, first, number = np.unique(keys, return_index=True, return_inverse=True)
     return np.array([text(value) + end for value in column[first].tolist()],
                     dtype=object)[number]
-
-
-def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The position of each distinct key's first appearance, and each key's
-    index into those positions, by one stable argsort."""
-    order = np.argsort(keys, kind="stable")
-    ordered = keys[order]
-    new = np.ones(len(keys), dtype=bool)
-    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
-    number = np.empty(len(keys), dtype=np.intp)
-    number[order] = np.cumsum(new) - 1
-    return order[new], number
 
 
 def _cell_text(value) -> str:
