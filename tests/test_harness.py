@@ -624,7 +624,7 @@ def test_cli_out_of_range_exit_1(argv, key, capsys):
 
 def test_cli_dp_transfer_refuses_a_universe_above_the_oracle_cap(capsys, monkeypatch):
     # 12 items and the root exceed the 12-terminal Steiner cap; the refusal
-    # comes before the star metric or the 2^13-row table is built
+    # comes before the star metric or the 2^12 x 13 Steiner table is built
     monkeypatch.setattr(experiments, "star_metric", lambda *args: pytest.fail("allocated"))
     assert cli_main(["run-dp-transfer", "--universe", "12", "--mechanisms", "1"]) == 1
     err = capsys.readouterr().err
