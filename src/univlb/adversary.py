@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metric import MetricSpace
+from .metric import Metric
 from .solutions import PathCollection, TourOrder, distinct_counts, project_paths, project_tour
 from .walks import random_walk  # noqa: F401 (perfbench's tracer test checks this binding)
 
@@ -127,7 +127,7 @@ def steiner_certificate(
     w: np.ndarray,
     girth: int,
     cfg: SteinerAdversaryConfig,
-    m: MetricSpace | None = None,
+    m: Metric | None = None,
 ) -> CertificateResult:
     """Exact girth certificate: the good walk row ``w`` forces
     c(P[X]) >= |X| * girth / 6.
@@ -202,7 +202,7 @@ def steiner_certificate(
     return CertificateResult(holds=holds, lhs=lhs, rhs=rhs, witness=witness)
 
 
-def check_separation(q1: np.ndarray, q2: np.ndarray, m: MetricSpace, t: int) -> bool:
+def check_separation(q1: np.ndarray, q2: np.ndarray, m: Metric, t: int) -> bool:
     """Event E1 for two walk rows: their starts lie at distance >= 3t.
 
     When E1 holds, the triangle inequality puts every cross pair at distance
@@ -213,12 +213,12 @@ def check_separation(q1: np.ndarray, q2: np.ndarray, m: MetricSpace, t: int) -> 
     return bool(separated(np.asarray(q1)[None], np.asarray(q2)[None], m, t)[0])
 
 
-def separated(walks1: np.ndarray, walks2: np.ndarray, m: MetricSpace, t: int) -> np.ndarray:
+def separated(walks1: np.ndarray, walks2: np.ndarray, m: Metric, t: int) -> np.ndarray:
     """E1 for each row pair of two walk blocks, after checking every cross
     pair of every E1 row."""
-    e1 = m.dist[walks1[:, 0], walks2[:, 0]] >= 3 * t
+    e1 = m.gather(walks1[:, 0], walks2[:, 0]) >= 3 * t
     w1, w2 = walks1[e1], walks2[e1]
-    near = np.argwhere(m.dist[w1[:, :, None], w2[:, None, :]] < t)
+    near = np.argwhere(m.gather(w1[:, :, None], w2[:, None, :]) < t)
     if near.size:
         b, i, j = near[0]
         raise CertificateFalsification(
@@ -274,7 +274,7 @@ def alternation(
 
 def tsp_certificate(
     sigma: TourOrder,
-    m: MetricSpace,
+    m: Metric,
     q1: np.ndarray,
     q2: np.ndarray,
     t: int,
@@ -311,9 +311,10 @@ def tsp_certificate(
             used.add(ba)
 
     rhs = float(shared * t)
+    ends = np.array(pairs, dtype=np.int64).reshape(-1, 2)
     holds = (
         len(pairs) >= shared
-        and all(m.d(a, b) >= t for a, b in pairs)
+        and bool(np.all(m.gather(ends[:, 0], ends[:, 1]) >= t))
         and lhs >= rhs
     )
     return CertificateResult(

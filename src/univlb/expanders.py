@@ -21,6 +21,14 @@ Certification encloses beta = |lambda_2| / d by the trace method on the walk
 operator A/d, filtered by a Chebyshev polynomial (``second_eigenvalue``), and
 gates the enclosure's upper end, the certificate's ``beta``, on the Ramanujan
 bound 2*sqrt(p)/(p+1).
+
+The closure keeps each element's packed canonical matrix, in vertex order
+(2 or 4 bytes a vertex), and they give the graph's exact metric in O(n)
+memory (``lps_metric``). Edges are right multiplications, so left
+multiplication by u^-1 is an automorphism and d(u, v) = d(e, u^-1 v): the
+level, in the BFS from the identity, of the element u^-1 v, found by one
+2x2 product mod q and a lookup of its packed canonical form. No n x n table
+is built.
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ import functools
 import itertools
 import json
 import math
+import weakref
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
@@ -108,8 +117,15 @@ def _canon_rows(mats: np.ndarray, q: int) -> np.ndarray:
     lead = mats[np.arange(len(mats)), np.argmax(mats != 0, axis=1)]
     if not lead.all():
         raise ExpanderError("zero matrix cannot be normalized")
-    inverse = np.array([pow(x, q - 2, q) for x in range(q)], dtype=mats.dtype)
-    return mats * inverse[lead, None] % q
+    return mats * _inverses(q)[lead, None] % q
+
+
+@functools.cache
+def _inverses(q: int) -> np.ndarray:
+    """Read-only int32 table of the inverses mod the prime q (0 at 0)."""
+    inverse = np.array([pow(x, q - 2, q) for x in range(q)], dtype=np.int32)
+    inverse.setflags(write=False)
+    return inverse
 
 
 def lps_generators(p: int, q: int) -> np.ndarray:
@@ -146,7 +162,8 @@ def lps_graph(p: int, q: int) -> tuple[Graph, ExpanderCertificate]:
     pairs (u <= v) in ascending order, repeated by multiplicity.
 
     Girth and diameter are computed from a single root, which is exact here
-    because Cayley graphs are vertex-transitive.
+    because Cayley graphs are vertex-transitive. The elements' packed
+    matrices are kept with the graph for ``lps_metric``.
     """
     if p == q:
         raise ExpanderError("p and q must be distinct")
@@ -156,7 +173,7 @@ def lps_graph(p: int, q: int) -> tuple[Graph, ExpanderCertificate]:
         if val % 4 != 1:
             raise ExpanderError(f"{name}={val} must be congruent to 1 mod 4")
 
-    g = _cayley_graph(p, q)
+    g, keys = _cayley_graph(p, q)
     if g.regular_degree != p + 1:
         raise ExpanderError(f"graph is not {p + 1}-regular")
     if not is_connected(g):
@@ -175,15 +192,69 @@ def lps_graph(p: int, q: int) -> tuple[Graph, ExpanderCertificate]:
         bipartite=bipartition(g) is not None,
         simple=g.simple,
     )
+    _ELEMENTS[g] = keys
     return g, cert
+
+
+#: The group elements of each graph ``lps_graph`` built, as ``_pack``
+#: indices in vertex order; an entry lives as long as its graph.
+_ELEMENTS: weakref.WeakKeyDictionary[Graph, np.ndarray] = weakref.WeakKeyDictionary()
+
+
+@dataclass(frozen=True, eq=False)
+class CayleyMetric:
+    """The exact shortest-path metric of an LPS graph, read without an n x n
+    table: d(u, v) = levels[index(u^-1 v)] (see the module docstring).
+
+    ``adjugates`` holds each element's adjugate (d, -b, -c, a) mod q, its
+    inverse up to a scalar, so a read multiplies adj(u) by v, puts the
+    product in canonical form and looks its packed form up in ``slot``,
+    which maps every packed canonical element to its vertex. Distances are
+    int32, as in the dense table of ``metric.shortest_path_metric``."""
+
+    n: int
+    root: int
+    q: int
+    mats: np.ndarray       # (n, 2, 2) int32, vertex u's canonical matrix
+    adjugates: np.ndarray  # (n, 2, 2) int32, adj(mats[u]) mod q
+    slot: np.ndarray       # (2 q^3,) int32, packed canonical matrix -> vertex, -1 elsewhere
+    levels: np.ndarray     # (n,) int32, each vertex's distance from the identity
+
+    def gather(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """d(u, v) for the broadcast index arrays ``u`` and ``v``."""
+        prod = np.matmul(self.adjugates[u], self.mats[v])
+        shape = prod.shape[:-2]  # matmul broadcasts u against v
+        prod = prod.reshape(-1, 4)
+        prod %= self.q
+        return self.levels[self.slot[_pack(_canon_rows(prod, self.q), self.q)]].reshape(shape)
+
+    def d(self, u: int, v: int) -> float:
+        return float(self.gather(np.int64(u), np.int64(v)))
+
+
+def lps_metric(p: int, q: int) -> CayleyMetric:
+    """The exact metric of ``lps_graph(p, q)``, rooted at the identity
+    (vertex 0). It holds ``slot`` (2 q^3 int32) and O(n) besides."""
+    g, _ = lps_graph(p, q)
+    keys = _ELEMENTS[g]
+    mats = _unpack(keys, q)
+    a, b, c, d = mats.T
+    adjugates = np.stack([d, -b % q, -c % q, a], axis=1)
+    slot = np.full(2 * q ** 3, -1, dtype=np.int32)
+    slot[keys] = np.arange(g.n, dtype=np.int32)
+    return CayleyMetric(n=g.n, root=0, q=q, mats=mats.reshape(-1, 2, 2),
+                        adjugates=adjugates.reshape(-1, 2, 2), slot=slot,
+                        levels=g.levels.astype(np.int32))
 
 
 CLOSURE_CHUNK = 1 << 16  # products per pass of the closure, in whole elements (one at least)
 
 
-def _cayley_graph(p: int, q: int) -> Graph:
+def _cayley_graph(p: int, q: int) -> tuple[Graph, np.ndarray]:
     """The Cayley graph of ``lps_generators(p, q)`` numbered as ``lps_graph``
-    states, checked for the group's size and for closure under inverses.
+    states, checked for the group's size and for closure under inverses,
+    and its elements' ``_pack`` indices in vertex order: read-only, in the
+    smallest unsigned dtype that holds 2 q^3 (uint16 up to q = 32).
 
     A function of its own so that the closure's arrays are freed before
     ``lps_graph`` runs beta and girth. At its peak it holds the (n, k) int64
@@ -233,6 +304,8 @@ def _cayley_graph(p: int, q: int) -> Graph:
         n += len(fresh)
         table[done:done + len(queue)] = slot[key].reshape(-1, k)
         done += len(queue)
+    keys = _pack(mats, q).astype(np.min_scalar_type(2 * q ** 3 - 1))
+    keys.setflags(write=False)
     del slot, mats, queue
     if n != expected:
         raise ExpanderError(f"group closure has {n} elements, expected {expected}")
@@ -248,12 +321,21 @@ def _cayley_graph(p: int, q: int) -> Graph:
     if (not np.array_equal(np.bincount(table[0], minlength=n), lists_identity)
             or lists_identity[0] % 2):
         raise ExpanderError("generator set is not closed under inverses")
-    return Graph.from_neighbor_rows(table)
+    return Graph.from_neighbor_rows(table), keys
 
 
 def _pack(mats: np.ndarray, q: int) -> np.ndarray:
     """Index of each canonical row (a, b, c, d) in [0, 2*q^3)."""
     return ((mats[:, 0].astype(np.int64) * q + mats[:, 1]) * q + mats[:, 2]) * q + mats[:, 3]
+
+
+def _unpack(keys: np.ndarray, q: int) -> np.ndarray:
+    """The (n, 4) int32 canonical rows of ``_pack`` indices."""
+    rest = keys.astype(np.int64)
+    mats = np.empty((len(keys), 4), dtype=np.int32)
+    for j in (3, 2, 1, 0):
+        rest, mats[:, j] = np.divmod(rest, q)
+    return mats
 
 
 BETA_MAX_STEPS = 1000  # walk-operator products; lps(5,61), the slowest acceptance graph, needs 89

@@ -32,6 +32,10 @@ and tour projections. Only the certificates and the exact oracles run one
 trial at a time, on the rows that call for them, so the rows equal those
 of a per-trial loop, and a falsification names the first failing trial.
 
+tsp-lb reads its distances through the metric's ``gather``: on an LPS graph
+the exact Cayley metric of ``expanders.lps_metric``, unless an oracle needs
+the dense table, which then serves every read (see ``load_instance``).
+
 A report's rows are columns: ``ExperimentReport.table`` holds one 1-D array
 per CSV column. steiner-lb and tsp-lb fill theirs a chunk at a time and build
 no per-row object; universal-upper and dp-transfer (tens of rows) turn their
@@ -66,10 +70,10 @@ from .adversary import (
     tour_blocks,
     tsp_certificate,
 )
-from .expanders import lps_graph
+from .expanders import lps_graph, lps_metric
 from .frt import CHUNK_BYTES, frt_samples, hsts_dominate, hsts_to_spanning_trees, stretch_stats
 from .graphs import Graph, diameter_ecc, girth as graph_girth, read_graph
-from .metric import MetricSpace, random_euclidean_metric, shortest_path_metric
+from .metric import Metric, MetricSpace, random_euclidean_metric, shortest_path_metric
 from .oracles import (
     OracleBudget,
     OracleRefusal,
@@ -293,24 +297,30 @@ class InstanceBundle:
     girth: int | None
     diameter: int          # exact for vertex-transitive constructions, else an upper bound
     beta: float | None = None
-    metric: MetricSpace | None = None
+    metric: Metric | None = None
 
 
-def load_instance(spec_str: str, metric_cap: int, need_metric: bool) -> InstanceBundle:
+def load_instance(spec_str: str, metric_cap: int, need_metric: bool,
+                  all_pairs: bool = True) -> InstanceBundle:
     """Resolve a graph spec: ``lps:p,q``, ``file:path`` or a bare path.
 
     The recorded diameter is exact for LPS graphs (vertex-transitivity), and
     exact for a file graph whenever the dense metric is built; otherwise it
     is the upper bound 2 * ecc(v0), which keeps the walk surrogates valid
-    upper bounds. The dense metric is built at most once, rooted at vertex 0.
+    upper bounds. With ``need_metric``, an LPS graph gets its exact O(n)
+    ``lps_metric`` unless the caller reads ``all_pairs`` (the oracles and
+    FRT do); otherwise the metric is the dense n x n table, built at most
+    once, rooted at vertex 0 and refused above ``metric_cap`` vertices.
     """
     kind, sep, rest = spec_str.partition(":")
-    metric: MetricSpace | None = None
+    metric: Metric | None = None
     if sep and kind == "lps":
         p, q = (int(x) for x in rest.split(","))
         g, cert = lps_graph(p, q)
         gir, diam, beta = cert.girth, cert.diameter, cert.beta
         label = f"lps({p},{q})"
+        if need_metric and not all_pairs:
+            metric = lps_metric(p, q)
     else:
         label = rest if sep and kind == "file" else spec_str
         g = read_graph(label)
@@ -320,9 +330,9 @@ def load_instance(spec_str: str, metric_cap: int, need_metric: bool) -> Instance
     g.neighbors  # the walk rows: built with the instance, not in the first trial
     if not need_metric:
         metric = None
-    elif g.n > metric_cap:
+    elif metric is None and g.n > metric_cap:
         raise ConfigError(
-            f"n={g.n} exceeds metric_cap={metric_cap}; this pipeline needs the full metric"
+            f"n={g.n} exceeds metric_cap={metric_cap}; this run needs the full metric"
         )
     elif metric is None:
         metric = shortest_path_metric(g, 0)
@@ -558,9 +568,9 @@ def _lb_table(inst: InstanceBundle, t: int, x_size: np.ndarray, lhs: np.ndarray,
 
 
 def run_tsp_lb(cfg: RunConfig) -> ExperimentReport:
-    inst = load_instance(cfg.graph, cfg.metric_cap, need_metric=True)
+    inst = load_instance(cfg.graph, cfg.metric_cap, need_metric=True,
+                         all_pairs=cfg.oracle_cap > 0)
     m = inst.metric
-    assert m is not None
     base = TspAdversaryConfig.paper_default(inst.graph.n, inst.d)
     t = base.t if cfg.t == "auto" else int(cfg.t)
     blocks = base.blocks if cfg.blocks == "auto" else int(cfg.blocks)

@@ -144,7 +144,9 @@ class Graph:
         front = np.repeat(np.tile([True, False], self.n), np.stack([rest, head], axis=1).ravel())
         walk = np.empty_like(indices)
         walk[front] = indices[tail]
-        walk[~front] = indices[~tail]
+        np.logical_not(front, out=front)
+        np.logical_not(tail, out=tail)
+        walk[front] = indices[tail]
         walk.setflags(write=False)
         return indptr, walk
 

@@ -3,12 +3,18 @@
 Distances of graph metrics are exact integers, found for all sources at once
 by a BFS over the graph's distinct-neighbour slots; general metrics (random
 test instances, metric files) use floats with a fixed comparison tolerance.
+
+The dense n x n table is built only for readers of every pair: the exact
+oracles, FRT and file graphs. An LPS graph's distances are otherwise read
+from ``expanders.CayleyMetric`` in O(n) memory. The lower-bound pipelines
+read distances only through ``gather(u, v)``, which both metrics serve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Protocol
 
 import numpy as np
 
@@ -20,6 +26,18 @@ FLOAT_TOL = 1e-9
 
 class MetricError(ValueError):
     pass
+
+
+class Metric(Protocol):
+    """What the lower-bound pipelines read of a metric: ``MetricSpace`` or
+    ``expanders.CayleyMetric``."""
+
+    n: int
+    root: int
+
+    def gather(self, u: np.ndarray, v: np.ndarray) -> np.ndarray: ...
+
+    def d(self, u: int, v: int) -> float: ...
 
 
 @dataclass(frozen=True)
@@ -34,6 +52,10 @@ class MetricSpace:
         if not (0 <= self.root < self.n):
             raise MetricError(f"root {self.root} out of range")
         self.dist.setflags(write=False)
+
+    def gather(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """d(u, v) for the broadcast index arrays ``u`` and ``v``."""
+        return self.dist[u, v]
 
     def d(self, u: int, v: int) -> float:
         return float(self.dist[u, v])

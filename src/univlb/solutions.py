@@ -40,7 +40,7 @@ from functools import cached_property
 import numpy as np
 
 from .graphs import Graph, GraphError, bfs_parents
-from .metric import MetricSpace
+from .metric import Metric
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,7 +206,7 @@ def project_tree(t: SpanningTree, X) -> float:
     return float(np.cumsum(t.edge_cost[walked])[-1]) if walked.size else 0.0
 
 
-def project_tour(sigma: TourOrder, m: MetricSpace, X) -> float:
+def project_tour(sigma: TourOrder, m: Metric, X) -> float:
     """Cost of visiting X in sigma's order, starting and ending at the root.
 
     c(sigma_X) = c(r, x_1) + sum c(x_i, x_{i+1}) + c(x_k, r).
@@ -227,7 +227,7 @@ def tour_tables(tours) -> tuple[np.ndarray, np.ndarray]:
 
 
 def project_tour_rows(positions: np.ndarray, orders: np.ndarray, pick: np.ndarray,
-                      xs: np.ndarray, m: MetricSpace) -> np.ndarray:
+                      xs: np.ndarray, m: Metric) -> np.ndarray:
     """Row b: ``project_tour`` of tour ``pick[b]`` on the vertices of
     ``xs[b]``, for ``tour_tables(tours)``, adding the legs in its order.
 
@@ -244,14 +244,14 @@ def project_tour_rows(positions: np.ndarray, orders: np.ndarray, pick: np.ndarra
     pick = pick[:, None]
     root = orders[pick, n - 1]
     stops = np.concatenate([root, orders[pick, pos], root], axis=1)
-    legs = m.dist[stops[:, :-1], stops[:, 1:]].astype(np.float64)
+    legs = m.gather(stops[:, :-1], stops[:, 1:]).astype(np.float64)
     cost = legs[:, 0] + legs[np.arange(len(k)), k]
     for j in range(1, legs.shape[1] - 1):
         cost += np.where(j < k, legs[:, j], 0.0)
     return cost
 
 
-def project_paths(p: PathCollection, X, m: MetricSpace | None = None) -> float:
+def project_paths(p: PathCollection, X, m: Metric | None = None) -> float:
     """Cost of the union of the root-paths of X; shared edges count once.
 
     Edge costs come from the metric when given, else unit cost per edge.
@@ -276,7 +276,7 @@ def stack_edge_keys(collections) -> np.ndarray:
 
 
 def project_path_rows(keys: np.ndarray, pick: np.ndarray, xs: np.ndarray,
-                      m: MetricSpace | None = None) -> np.ndarray:
+                      m: Metric | None = None) -> np.ndarray:
     """Row b: ``project_paths`` of collection ``pick[b]`` on the vertices of
     ``xs[b]``, for ``keys = stack_edge_keys(collections)``.
 
@@ -289,7 +289,7 @@ def project_path_rows(keys: np.ndarray, pick: np.ndarray, xs: np.ndarray,
     if m is None:
         return first.sum(axis=1).astype(np.float64)
     u, v = np.divmod(np.where(first, rows, 0), keys.shape[1])
-    return np.where(first, m.dist[u, v], 0).sum(axis=1).astype(np.float64)
+    return np.where(first, m.gather(u, v), 0).sum(axis=1).astype(np.float64)
 
 
 def distinct_mask(rows: np.ndarray) -> np.ndarray:

@@ -221,7 +221,7 @@ def test_lps_guard_connected(monkeypatch):
     def disjoint_k7s(p, q):
         n = 2184
         return Graph(n=n, edges=tuple((b + i, b + j) for b in range(0, n, 7)
-                                      for i in range(7) for j in range(i + 1, 7)))
+                                      for i in range(7) for j in range(i + 1, 7))), None
 
     monkeypatch.setattr(expanders, "_cayley_graph", disjoint_k7s)
     with pytest.raises(ExpanderError, match="Cayley graph is not connected"):
@@ -233,7 +233,7 @@ def test_lps_beta_gate_fails_end_to_end(monkeypatch):
     # expander, so its beta is over the Ramanujan bound 2 sqrt(5) / 6
     def circulant(p, q):
         n = 2184
-        return Graph(n=n, edges=[(i, (i + k) % n) for k in (1, 2, 3) for i in range(n)])
+        return Graph(n=n, edges=[(i, (i + k) % n) for k in (1, 2, 3) for i in range(n)]), None
 
     monkeypatch.setattr(expanders, "_cayley_graph", circulant)
     lps_graph.cache_clear()

@@ -245,8 +245,11 @@ def test_bfs_simple_and_girth_match_the_references_on_irregular_graphs(n_pairs):
 def test_closure_chunks_keep_the_one_shot_numbering(monkeypatch, p, q, chunk):
     # against the level-at-once int64 closure of the reference
     monkeypatch.setattr(expanders, "CLOSURE_CHUNK", chunk)
-    g = expanders._cayley_graph(p, q)
+    g, keys = expanders._cayley_graph(p, q)
     ref = cayley_graph_ref(p, q)
+    assert keys.shape == (g.n,) and keys.dtype.kind == "u" and not keys.flags.writeable
+    assert expanders._unpack(keys[:1], q).tolist() == [[1, 0, 0, 1]]
+    assert len(np.unique(keys)) == g.n
     assert np.array_equal(g.edges, ref.edges)
     assert np.array_equal(g.csr[0], ref.csr[0]) and np.array_equal(g.csr[1], ref.csr[1])
     assert not g.edges.flags.writeable and not g.csr[1].flags.writeable

@@ -254,6 +254,32 @@ def test_load_instance_builds_the_metric_once(monkeypatch, tmp_path):
     assert len(calls) == 1
 
 
+def test_tsp_lb_on_an_lps_graph_builds_no_dense_metric(monkeypatch):
+    # without an oracle every distance is a Cayley read; with one, the
+    # oracle's dense table serves them all
+    monkeypatch.setattr(experiments, "shortest_path_metric",
+                        lambda *args: pytest.fail("dense metric built"))
+    cfg = dict(pipeline="tsp-lb", graph="lps:5,13", trials=300, t=2, seed=3)
+    report = run_experiment(RunConfig.make(**cfg))
+    assert report.aggregates["e1_samples"] > 0
+    monkeypatch.undo()
+    calls = _count_calls(monkeypatch, experiments, "shortest_path_metric")
+    run_experiment(RunConfig.make(**cfg, oracle_cap=2))
+    assert len(calls) == 1
+
+
+def test_metric_cap_refuses_only_the_dense_metric(tmp_path, capsys):
+    # lps(5,29) has 12,180 vertices, over the default metric_cap of 6000:
+    # an oracle needs the dense table and is refused in one line, while the
+    # Cayley metric serves the run without one
+    argv = ["run-tsp-lb", "--graph", "lps:5,29", "--trials", "50", "--t", "2"]
+    assert cli_main([*argv, "--oracle-cap", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: n=12180 exceeds metric_cap=6000") and err.count("\n") == 1
+    assert cli_main([*argv, "--csv", str(tmp_path / "rows.csv")]) == 0
+    assert len((tmp_path / "rows.csv").read_text().splitlines()) == 51
+
+
 def test_diameter_bound_refuses_a_disconnected_graph_above_metric_cap():
     two_triangles = Graph(n=6, edges=((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)))
     with pytest.raises(GraphError, match="disconnected"):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from univlb.expanders import legendre_symbol, lps_graph, lps_metric
 from univlb.graphs import Graph, GraphError, bfs_parents
 from univlb.metric import (
     FLOAT_TOL,
@@ -199,3 +200,23 @@ def test_random_metrics_valid():
     mu = random_uniform_metric(16, stream(5, 1))
     assert validate_metric(me) is None
     assert validate_metric(mu) is None
+
+
+# PGL(2,q) for (5,13), (5,17), (41,13) and (13,5); PSL(2,q) for (13,17) and
+# (29,5), whose q = 5 < 2 sqrt(29) makes it a multigraph
+@pytest.mark.parametrize("p, q, psl, simple", [
+    (5, 13, False, True), (5, 17, False, True), (41, 13, False, True),
+    (13, 17, True, True), (13, 5, False, True), (29, 5, True, False)])
+def test_cayley_metric_equals_the_dense_table(p, q, psl, simple):
+    g, _ = lps_graph(p, q)
+    assert (legendre_symbol(p, q) == 1, g.simple) == (psl, simple)
+    dense = shortest_path_metric(g, 0).dist
+    m = lps_metric(p, q)
+    assert (m.n, m.root) == (g.n, 0)
+    every = np.arange(g.n)
+    for lo in range(0, g.n, 256):  # row blocks keep the reads' temporaries small
+        rows = every[lo:lo + 256, None]
+        got = m.gather(rows, every)
+        assert got.dtype == dense.dtype
+        assert np.array_equal(got, dense[lo:lo + 256]), lo
+    assert m.d(g.n - 1, 1) == float(dense[g.n - 1, 1])
