@@ -236,7 +236,8 @@ def bfs_parents(g: Graph, source: int) -> tuple[np.ndarray, np.ndarray]:
         new = reach[unseen]
         first[new] = len(reach)
         np.minimum.at(first, new, unseen)
-        hit = unseen[first[new] == unseen]
+        np.take(first, new, out=new)  # each entry's first position, in place
+        hit = unseen[new == unseen]
         via = frontier[np.searchsorted(ends, hit, side="right")]  # the row that holds hit
         frontier = reach[hit]
         dist[frontier] = level
